@@ -5,16 +5,25 @@ of the mapped argument expands over Hermite polynomials of the original
 argument; this module computes the expansion coefficients in full
 generality plus the isotropic, inner-product, and univariate reductions.
 
-Conventions fixed here:
-  * the linear map has shape m x n so that its transpose sends points in
-    R^m to arguments in R^n, with the left index k of arity n;
-  * coefficients contract the tensor A^{(.)q} (x) vec(M)^{(x)i} where
-    A = Sigma^-1 Lambda^T Upsilon and M = Sigma^-1 Lambda^T Upsilon
-    Lambda Sigma^-1 - Sigma^-1;
-  * a slot tuple addresses that tensor by consuming the first |q| slots
-    in blocks of sizes q_j (block j multiplying column j of A) and the
-    remaining 2i slots pairwise, pair (a, b) reading M[b][a].  M is
-    symmetric so the pair orientation is immaterial, but it is fixed.
+The map Lambda is m x n: its transpose sends points in R^m to arguments in
+R^n, and the left index k has arity n.  With A = Sigma^-1 Lambda^T Upsilon
+and M = A Lambda Sigma^-1 - Sigma^-1, substituting s = A^T t in the
+generating function exp(t^T Sigma^-1 y - t^T Sigma^-1 t / 2) at
+y = Lambda^T x gives
+
+    sum_k t^k/k! H_k(Lambda^T x; Sigma)
+        = sum_q (A^T t)^q/q! H_q(x; Upsilon) exp(t^T M t / 2),
+
+so T[k,q] is the k-th t-derivative at 0 of f_q = (A^T t)^q/q! exp(t^T M t/2).
+From d_i f_q = sum_j A_ij f_{q-e_j} + (M t)_i f_q, Leibniz's rule gives
+
+    T[k+e_i, q] = sum_j A_ij T[k, q-e_j] + sum_l M_il k_l T[k-e_l, q],
+    T[0, 0] = 1.
+
+Unrolled, this is the paper's form: k!/(2^i q! i!), i = (|k|-|q|)/2, times
+A^{(.)q} (x) vec(M)^{(x)i} summed over the |k|!/k! slot tuples of k.  The
+symmetrized variant runs the recurrence; paper-literal reads the ascending
+slot tuple only.
 """
 
 from __future__ import annotations
@@ -42,7 +51,6 @@ from .multiindex import (
     MultiIndex,
     ascending_tuple,
     enumerate_fixed_degree,
-    index_tuples,
     mi_factorial,
     q_support,
 )
@@ -51,14 +59,12 @@ from .tensorlin import (
     DenseVector,
     SpdMatrix,
     check_symmetric,
-    is_exact_scalar,
+    spd_factorize,
 )
 
-# Expansion sources above this degree are rejected (factorial contraction cost).
-MAX_EXPANSION_DEGREE = 12
-
-# Float-mode expansion terms at or below this relative magnitude are dropped.
-ZERO_SUPPRESSION_RTOL = 1e-14
+# Expansion sources above this degree are rejected.  The recurrence is
+# polynomial in |k|; the cap bounds the table built for outside input.
+MAX_EXPANSION_DEGREE = 20
 
 # Relative symmetry tolerance for the float-valued quadratic part.
 MAP_SYMMETRY_RTOL = 1e-10
@@ -67,11 +73,10 @@ MAP_SYMMETRY_RTOL = 1e-10
 class CoeffVariant(Enum):
     """How the degree-matching step of the derivation is read.
 
-    SYMMETRIZED sums the contraction tensor over every slot tuple with the
-    occurrence counts of k and is the correct form.  PAPER_LITERAL reads
-    only the single canonical (sorted) slot tuple; it coincides with
-    SYMMETRIZED for arity 1 but provably drops terms for arity >= 2, and is
-    retained to demonstrate that discrepancy.
+    SYMMETRIZED sums over every slot tuple of k and is the correct form.
+    PAPER_LITERAL reads only the ascending slot tuple; it coincides with
+    SYMMETRIZED when k has at most one nonzero part, provably drops terms
+    otherwise, and is retained to demonstrate that discrepancy.
     """
 
     SYMMETRIZED = "symmetrized"
@@ -80,9 +85,13 @@ class CoeffVariant(Enum):
 
 @dataclass(frozen=True)
 class TransformedMap:
-    """The pair (A, M) contracted by the coefficient formula.
+    """The pair (A, M) that determines every coefficient.
 
-    A is n x m, M is n x n and symmetric.
+    A = Sigma^-1 Lambda^T Upsilon is n x m, M = A Lambda Sigma^-1 - Sigma^-1
+    is n x n and symmetric.  They split the generating function,
+    G(Lambda^T x, t; Sigma) = G(x, A^T t; Upsilon) exp(t^T M t / 2), and its
+    t_i-derivative gives T[k+e_i, q] = sum_j A_ij T[k, q-e_j]
+    + sum_l M_il k_l T[k-e_l, q] with T[0, 0] = 1.
     """
 
     A: DenseMatrix
@@ -126,6 +135,18 @@ def transformed_map_from_inverses(
     return TransformedMap(A=a, M=m)
 
 
+def _check_shape(k: MultiIndex, q_arity: int, tmap: TransformedMap) -> None:
+    if k.arity != tmap.A.rows or q_arity != tmap.A.cols:
+        raise DimensionMismatchError(
+            f"arities ({k.arity}, {q_arity}) do not match map shape "
+            f"{tmap.A.rows}x{tmap.A.cols}"
+        )
+    if k.degree() > MAX_EXPANSION_DEGREE:
+        raise SizeLimitError(
+            f"degree {k.degree()} exceeds cap {MAX_EXPANSION_DEGREE}"
+        )
+
+
 def _parity_split(k: MultiIndex, q: MultiIndex) -> int:
     kd, qd = k.degree(), q.degree()
     if qd > kd or (kd - qd) % 2:
@@ -135,45 +156,64 @@ def _parity_split(k: MultiIndex, q: MultiIndex) -> int:
     return (kd - qd) // 2
 
 
-def _prefactor(k: MultiIndex, q: MultiIndex, i: int) -> Fraction:
-    return Fraction(
-        mi_factorial(k), (1 << i) * mi_factorial(q) * math.factorial(i)
+def _literal_coeff(k: MultiIndex, q: MultiIndex, pairs: int, tmap: TransformedMap):
+    """k!/(2^i q! i!), i = pairs, times the contraction tensor at the
+    ascending slot tuple e of k.  The first |q| slots of e run in blocks of sizes q_j,
+    block j multiplying column j of A; the remaining 2*pairs slots are read
+    pairwise, pair (a, b) reading M[b][a]."""
+    e = ascending_tuple(k)
+    prod = 1
+    for slot, col in zip(e, ascending_tuple(q)):
+        prod = prod * tmap.A.data[slot][col]
+    split = q.degree()
+    for p in range(split, split + 2 * pairs, 2):
+        prod = prod * tmap.M.data[e[p + 1]][e[p]]
+    pref = Fraction(
+        mi_factorial(k), (1 << pairs) * mi_factorial(q) * math.factorial(pairs)
     )
+    return pref * prod
 
 
-def _contraction(
-    k: MultiIndex, q: MultiIndex, a: DenseMatrix, m: DenseMatrix, variant: CoeffVariant
-):
-    """Sum of contraction-tensor entries over the slot tuples of k.
+def _raise_coeff(k: tuple, q: tuple, pairs: int, a_rows, m_rows, memo):
+    """Memoized raising recurrence for T[k, q], pairs = (|k|-|q|)/2.
 
-    Entries are produced on the fly as products of A and M entries; the
-    tensor itself (length n^|k|) is never materialized.
+    The rightmost positive coordinate of k is lowered first, and only
+    states reachable from (k, q) are visited; exact-zero entries of A and
+    M are skipped.  The memo must hold T[0, 0] = 1.
     """
-    i = (k.degree() - q.degree()) // 2
-    a_cols: list[int] = []
-    for j, power in enumerate(q.parts):
-        a_cols.extend([j] * power)
-    split = len(a_cols)
-    if variant is CoeffVariant.SYMMETRIZED:
-        tuples = index_tuples(k)
-    else:
-        tuples = [ascending_tuple(k)]
-    a_data = a.data
-    m_data = m.data
-    total = 0
-    for e in tuples:
-        prod = 1
-        for p in range(split):
-            prod = prod * a_data[e[p]][a_cols[p]]
-            if prod == 0:
-                break
-        else:
-            for pair in range(i):
-                prod = prod * m_data[e[split + 2 * pair + 1]][e[split + 2 * pair]]
-                if prod == 0:
-                    break
-        total = total + prod
-    return total
+    val = memo.get((k, q))
+    if val is not None:
+        return val
+    i = len(k) - 1
+    while k[i] == 0:
+        i -= 1
+    lowered = k[:i] + (k[i] - 1,) + k[i + 1 :]
+    acc = 0
+    for j, a in enumerate(a_rows[i]):
+        if a and q[j]:
+            fewer = q[:j] + (q[j] - 1,) + q[j + 1 :]
+            acc = acc + a * _raise_coeff(lowered, fewer, pairs, a_rows, m_rows, memo)
+    if pairs:
+        for j, mv in enumerate(m_rows[i]):
+            c = lowered[j]
+            if mv and c:
+                twice = lowered[:j] + (c - 1,) + lowered[j + 1 :]
+                acc = acc + c * mv * _raise_coeff(
+                    twice, q, pairs - 1, a_rows, m_rows, memo
+                )
+    memo[(k, q)] = acc
+    return acc
+
+
+def _coefficient(k: MultiIndex, q: MultiIndex, tmap, variant, memo: dict):
+    """T[k, q], with memo shared across the q of one k.  When k has at most
+    one nonzero part its slot-tuple sum has a single tuple, so both variants
+    read that tuple."""
+    pairs = _parity_split(k, q)
+    if variant is CoeffVariant.PAPER_LITERAL or sum(1 for c in k.parts if c) <= 1:
+        return _literal_coeff(k, q, pairs, tmap)
+    memo.setdefault(((0,) * k.arity, (0,) * q.arity), 1)
+    return _raise_coeff(k.parts, q.parts, pairs, tmap.A.data, tmap.M.data, memo)
 
 
 def coeff_from_map(
@@ -185,17 +225,8 @@ def coeff_from_map(
     """Expansion coefficient for one (k, q) pair from a prebuilt map."""
     k = MultiIndex.of(k)
     q = MultiIndex.of(q)
-    if k.arity != tmap.A.rows or q.arity != tmap.A.cols:
-        raise DimensionMismatchError(
-            f"arities ({k.arity}, {q.arity}) do not match map shape "
-            f"{tmap.A.rows}x{tmap.A.cols}"
-        )
-    if k.degree() > MAX_EXPANSION_DEGREE:
-        raise SizeLimitError(
-            f"degree {k.degree()} exceeds cap {MAX_EXPANSION_DEGREE}"
-        )
-    i = _parity_split(k, q)
-    return _prefactor(k, q, i) * _contraction(k, q, tmap.A, tmap.M, variant)
+    _check_shape(k, q.arity, tmap)
+    return _coefficient(k, q, tmap, variant, {})
 
 
 def coeff_general(
@@ -210,18 +241,6 @@ def coeff_general(
     return coeff_from_map(k, q, transformed_map(lam, sigma, upsilon), variant)
 
 
-def _suppress_zeros(terms: list[ExpansionTerm]) -> list[ExpansionTerm]:
-    if not terms:
-        return terms
-    if all(is_exact_scalar(t.coeff) for t in terms):
-        return [t for t in terms if t.coeff != 0]
-    peak = max(abs(t.coeff) for t in terms)
-    if peak == 0:
-        return []
-    cut = ZERO_SUPPRESSION_RTOL * peak
-    return [t for t in terms if abs(t.coeff) > cut]
-
-
 def expand_general(
     k: MultiIndex | Iterable[int],
     lam: DenseMatrix,
@@ -229,16 +248,8 @@ def expand_general(
     upsilon: SpdMatrix,
     variant: CoeffVariant = CoeffVariant.SYMMETRIZED,
 ) -> list[ExpansionTerm]:
-    """All nonzero expansion terms of one source index, in canonical order
-    (descending degree, then descending-lex within a degree)."""
-    k = MultiIndex.of(k)
-    tmap = transformed_map(lam, sigma, upsilon)
-    m = lam.rows
-    terms = []
-    for d in q_support(k.degree()):
-        for q in enumerate_fixed_degree(m, d):
-            terms.append(ExpansionTerm(q, coeff_from_map(k, q, tmap, variant)))
-    return _suppress_zeros(terms)
+    """All nonzero expansion terms of one source index; see expand_from_map."""
+    return expand_from_map(k, transformed_map(lam, sigma, upsilon), variant)
 
 
 def expand_from_map(
@@ -246,14 +257,19 @@ def expand_from_map(
     tmap: TransformedMap,
     variant: CoeffVariant = CoeffVariant.SYMMETRIZED,
 ) -> list[ExpansionTerm]:
-    """Expansion terms from a prebuilt map; same ordering as expand_general."""
+    """All nonzero expansion terms of one source index, in canonical order
+    (descending degree, then descending-lex within a degree).  Only exact
+    zeros are dropped, in float and exact mode alike."""
     k = MultiIndex.of(k)
-    m = tmap.A.cols
+    _check_shape(k, tmap.A.cols, tmap)
+    memo: dict = {}
     terms = []
     for d in q_support(k.degree()):
-        for q in enumerate_fixed_degree(m, d):
-            terms.append(ExpansionTerm(q, coeff_from_map(k, q, tmap, variant)))
-    return _suppress_zeros(terms)
+        for q in enumerate_fixed_degree(tmap.A.cols, d):
+            c = _coefficient(k, q, tmap, variant, memo)
+            if c != 0:
+                terms.append(ExpansionTerm(q, c))
+    return terms
 
 
 def coeff_isotropic(
@@ -263,32 +279,15 @@ def coeff_isotropic(
     sigma_sq,
     variant: CoeffVariant = CoeffVariant.SYMMETRIZED,
 ):
-    """Coefficient when both covariances are sigma_sq times the identity.
-
-    Reduces to the pair A = Lambda^T, M0 = Lambda^T Lambda - I with the
-    2^i prefactor replaced by (2 sigma_sq)^i; equals coeff_general at
-    matching covariances.
-    """
+    """Coefficient when both covariances are sigma_sq times the identity:
+    coeff_general there, with A = Lambda^T, M = (Lambda^T Lambda - I) / sigma_sq."""
     if not sigma_sq > 0:
         raise DomainError(f"sigma_sq must be > 0, got {sigma_sq!r}")
     if isinstance(sigma_sq, float) and not math.isfinite(sigma_sq):
         raise DomainError(f"sigma_sq must be finite, got {sigma_sq!r}")
-    k = MultiIndex.of(k)
-    q = MultiIndex.of(q)
-    if k.arity != lam.cols or q.arity != lam.rows:
-        raise DimensionMismatchError(
-            f"arities ({k.arity}, {q.arity}) do not match map shape "
-            f"{lam.rows}x{lam.cols}"
-        )
-    if k.degree() > MAX_EXPANSION_DEGREE:
-        raise SizeLimitError(
-            f"degree {k.degree()} exceeds cap {MAX_EXPANSION_DEGREE}"
-        )
-    i = _parity_split(k, q)
-    a = lam.transpose()
-    m0 = a.matmul(lam).sub(DenseMatrix.identity(lam.cols))
-    inv_s2 = Fraction(1) / sigma_sq if is_exact_scalar(sigma_sq) else 1.0 / sigma_sq
-    return _prefactor(k, q, i) * inv_s2**i * _contraction(k, q, a, m0, variant)
+    sigma = spd_factorize(DenseMatrix.identity(lam.cols).scale(sigma_sq))
+    upsilon = spd_factorize(DenseMatrix.identity(lam.rows).scale(sigma_sq))
+    return coeff_general(k, q, lam, sigma, upsilon, variant)
 
 
 def _vec_coeff(k: int, q: MultiIndex, lam: DenseVector, pair_weight: int):

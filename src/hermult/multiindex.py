@@ -109,7 +109,9 @@ def index_tuples(k: MultiIndex | Iterable[int]) -> list[tuple[int, ...]]:
 
     Slots are 0-based coordinate indices.  The result has exactly
     degree! / k! elements and is materialized eagerly, so degrees above
-    MAX_INDEX_TUPLE_DEGREE are rejected.
+    MAX_INDEX_TUPLE_DEGREE are rejected.  The coefficient engine does not
+    use it; the tests sum the paper's contraction tensor over it, as the
+    reference for the paper's form of the coefficients.
     """
     k = MultiIndex.of(k)
     degree = k.degree()

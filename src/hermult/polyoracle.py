@@ -19,7 +19,7 @@ from .errors import (
     DomainError,
     SizeLimitError,
 )
-from .multiindex import MultiIndex, enumerate_fixed_degree, q_support
+from .multiindex import MultiIndex
 from .tensorlin import DenseMatrix, check_symmetric, invert_matrix
 
 # Symbolic construction above this total degree is rejected.
@@ -357,10 +357,7 @@ def oracle_compare(
     tmap = coeffs.transformed_map_from_inverses(lam, sigma_inv, upsilon)
     rhs = MPoly.zero(m)
     basis = SymbolicHermiteFamily(upsilon_inv)
-    for d in q_support(k.degree()):
-        for q in enumerate_fixed_degree(m, d):
-            t = coeffs.coeff_from_map(k, q, tmap, variant)
-            if t:
-                rhs = rhs.add(basis.poly(q).scale(t))
+    for term in coeffs.expand_from_map(k, tmap, variant):
+        rhs = rhs.add(basis.poly(term.q).scale(term.coeff))
     diff = lhs.sub(rhs)
     return OracleComparison(equal=diff.is_zero(), lhs=lhs, rhs=rhs, diff=diff)

@@ -21,7 +21,14 @@ from hermult.errors import (
     SizeLimitError,
 )
 from hermult.hermite import PHYSICISTS, PROBABILISTS, hermite_multi
-from hermult.multiindex import MultiIndex, enumerate_fixed_degree, q_support
+from hermult.multiindex import (
+    MultiIndex,
+    ascending_tuple,
+    enumerate_fixed_degree,
+    index_tuples,
+    mi_factorial,
+    q_support,
+)
 from hermult.polyoracle import rational_matrix
 from hermult.tensorlin import DenseMatrix, DenseVector, spd_factorize
 from hermult.verify import trial_rng
@@ -36,6 +43,29 @@ def spd(rows):
 
 def terms_dict(terms):
     return {t.q.parts: t.coeff for t in terms}
+
+
+def tuple_sum_coeff(k, q, tmap, variant):
+    """The paper's form of T[k,q]: k!/(2^i q! i!) times the contraction
+    tensor A^{(.)q} (x) vec(M)^{(x)i}, summed over the slot tuples of k
+    (symmetrized) or read at the ascending tuple (paper-literal)."""
+    k, q = MultiIndex.of(k), MultiIndex.of(q)
+    i = (k.degree() - q.degree()) // 2
+    split = q.degree()
+    if variant is CoeffVariant.SYMMETRIZED:
+        tuples = index_tuples(k)
+    else:
+        tuples = [ascending_tuple(k)]
+    total = 0
+    for e in tuples:
+        prod = 1
+        for slot, col in zip(e, ascending_tuple(q)):
+            prod *= tmap.A.data[slot][col]
+        for p in range(split, split + 2 * i, 2):
+            prod *= tmap.M.data[e[p + 1]][e[p]]
+        total += prod
+    pref = Fraction(mi_factorial(k), 2**i * mi_factorial(q) * math.factorial(i))
+    return pref * total
 
 
 def test_transformed_map_identity_covariances():
@@ -150,9 +180,9 @@ def test_coeff_parity_and_size_errors():
         coeff_general((1, 0), (1, 1), lam, EYE2, EYE2)
     with pytest.raises(DimensionMismatchError):
         coeff_general((1, 1), (1, 1, 0), lam, EYE2, EYE2)
-    big = MultiIndex((13, 0))
+    big = MultiIndex((21, 0))
     with pytest.raises(SizeLimitError):
-        coeff_general(big, (13, 0), lam, EYE2, EYE2)
+        coeff_general(big, (21, 0), lam, EYE2, EYE2)
 
 
 def test_coeff_isotropic_reductions():
@@ -273,6 +303,49 @@ def test_variant_agreement_for_single_left_coordinate():
                 a = coeff_general(k, q, lam, EYE1, ups, CoeffVariant.SYMMETRIZED)
                 b = coeff_general(k, q, lam, EYE1, ups, CoeffVariant.PAPER_LITERAL)
                 assert a == b
+
+
+def random_rational(rng, rows, cols):
+    def entry():
+        return Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+
+    return DenseMatrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def random_rational_spd(rng, dim):
+    q = random_rational(rng, dim, dim)
+    return spd_factorize(q.transpose().matmul(q).add(DenseMatrix.identity(dim)))
+
+
+def test_recurrence_matches_tuple_sum_reference():
+    several_parts = 0
+    for trial in range(36):
+        rng = trial_rng(2024, trial)
+        n, m = 1 + trial % 3, 1 + (trial // 3) % 3
+        parts = [1, 1] + [0] * (n - 2) if n >= 2 else [0]
+        for _ in range(int(rng.integers(0, 7 - sum(parts)))):
+            parts[int(rng.integers(0, n))] += 1
+        k = MultiIndex(tuple(parts))
+        several_parts += sum(1 for c in parts if c) >= 2
+        lam = random_rational(rng, m, n)
+        sig, ups = random_rational_spd(rng, n), random_rational_spd(rng, m)
+        s2 = Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        iso_sig = spd_factorize(DenseMatrix.identity(n).scale(s2))
+        iso_ups = spd_factorize(DenseMatrix.identity(m).scale(s2))
+        tmap = transformed_map(lam, sig, ups)
+        iso_map = transformed_map(lam, iso_sig, iso_ups)
+        for variant in CoeffVariant:
+            expected = {}
+            for d in q_support(k.degree()):
+                for q in enumerate_fixed_degree(m, d):
+                    ref = tuple_sum_coeff(k, q, tmap, variant)
+                    assert coeff_general(k, q, lam, sig, ups, variant) == ref
+                    iso_ref = tuple_sum_coeff(k, q, iso_map, variant)
+                    assert coeff_isotropic(k, q, lam, s2, variant) == iso_ref
+                    if ref:
+                        expected[q.parts] = ref
+            assert terms_dict(expand_general(k, lam, sig, ups, variant)) == expected
+    assert several_parts >= 24
 
 
 def test_zero_suppression_in_float_mode():

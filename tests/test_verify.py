@@ -63,6 +63,25 @@ def test_worst_case_replays_main():
     assert err == pytest.approx(wc["rel_err"], rel=1e-9, abs=1e-18)
 
 
+@pytest.mark.parametrize("lam", [0.5, 3.0])
+@pytest.mark.parametrize("ups", [1e-6, 1e6])
+def test_main_identity_holds_under_scaled_covariance(lam, ups):
+    # Terms small relative to the largest one still matter: the basis is
+    # not normalised, so only exact zeros may be dropped.
+    assert main_identity_error([10], [[lam]], [[1.0]], [[ups]], [0.9]) <= 1e-12
+
+
+def test_main_identity_at_degree_twenty():
+    err = main_identity_error(
+        [10, 10],
+        [[0.7, -0.3], [0.25, 1.1]],
+        [[2.0, 0.5], [0.5, 1.0]],
+        [[1.5, -0.25], [-0.25, 2.0]],
+        [0.3, -0.4],
+    )
+    assert err <= 1e-12
+
+
 def test_worst_case_replays_gf():
     r = verify_generating_function(TrialConfig(seed=11, trials=25, tol_rel=1e-10))
     wc = r.worst_case
