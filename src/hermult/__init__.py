@@ -33,6 +33,7 @@ from .hermite import (
     hermite_multi_batch,
     hermite_multi_product,
     hermite_uni,
+    hermite_uni_all,
 )
 from .multiindex import (
     MultiIndex,
@@ -108,6 +109,7 @@ __all__ = [
     "hermite_multi_product",
     "hermite_symbolic",
     "hermite_uni",
+    "hermite_uni_all",
     "index_tuples",
     "invert_matrix",
     "kron",

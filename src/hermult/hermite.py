@@ -7,6 +7,7 @@ doubles, int/Fraction inputs give exact rationals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,11 +83,11 @@ def _inverse_variance(family: HermiteFamily):
     raise DomainError(f"univariate evaluation undefined for kind {family.kind!r}")
 
 
-def hermite_uni(family: HermiteFamily, k: int, x):
-    """Value of the degree-k univariate polynomial of the given family.
-
-    Uses the recurrence p_{j+1} = b*x*p_j - j*b*p_{j-1} with b the inverse
-    variance (1, 2, or 1/sigma_sq).
+def hermite_uni_all(family: HermiteFamily, k: int, x) -> list:
+    """Values of degrees 0..k of the univariate polynomial of the given
+    family at x, from one pass of the recurrence
+    p_{j+1} = b*x*p_j - j*b*p_{j-1} with b the inverse variance (1, 2, or
+    1/sigma_sq).
     """
     if k < 0:
         raise DomainError(f"degree must be >= 0, got {k}")
@@ -96,9 +97,16 @@ def hermite_uni(family: HermiteFamily, k: int, x):
         raise DomainError(f"non-finite evaluation point {x!r}")
     b = _inverse_variance(family)
     prev, cur = 0, 1
+    values = [cur]
     for j in range(k):
         prev, cur = cur, b * x * cur - j * b * prev
-    return cur
+        values.append(cur)
+    return values
+
+
+def hermite_uni(family: HermiteFamily, k: int, x):
+    """Value of the degree-k univariate polynomial of the given family."""
+    return hermite_uni_all(family, k, x)[k]
 
 
 def _raise_value(parts, bx, b_rows, memo):
@@ -185,6 +193,17 @@ def hermite_multi_product(
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _gf_terms(n: int, degree_cap: int) -> tuple:
+    """(parts, 1/k!) for every arity-n index k of total degree <= degree_cap,
+    in ascending degree, then the enumeration order within a degree."""
+    return tuple(
+        (k.parts, Fraction(1, mi_factorial(k)))
+        for d in range(degree_cap + 1)
+        for k in enumerate_fixed_degree(n, d)
+    )
+
+
 def gf_partial_sum(
     t: DenseVector, x: DenseVector, sigma: SpdMatrix, degree_cap: int
 ):
@@ -201,16 +220,14 @@ def gf_partial_sum(
             f"t dim {t.dim} does not match x dim {x.dim}"
         )
     bx, b_rows, memo = _evaluation_state(x, sigma)
-    n = x.dim
     total = 0
-    for d in range(degree_cap + 1):
-        for k in enumerate_fixed_degree(n, d):
-            tk = 1
-            for ti, ki in zip(t.entries, k.parts):
-                if ki:
-                    tk = tk * ti**ki
-            if tk == 0:
-                continue
-            h = _raise_value(k.parts, bx, b_rows, memo)
-            total = total + Fraction(1, mi_factorial(k)) * tk * h
+    for parts, inv_factorial in _gf_terms(x.dim, degree_cap):
+        tk = 1
+        for ti, ki in zip(t.entries, parts):
+            if ki:
+                tk = tk * ti**ki
+        if tk == 0:
+            continue
+        h = _raise_value(parts, bx, b_rows, memo)
+        total = total + inv_factorial * tk * h
     return total

@@ -10,11 +10,11 @@ floats), so any report's worst case can be replayed directly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import coeffs
 from .coeffs import CoeffVariant
@@ -24,17 +24,23 @@ from .hermite import (
     PROBABILISTS,
     HermiteFamily,
     hermite_multi,
+    hermite_multi_batch,
     hermite_uni,
+    hermite_uni_all,
     gf_partial_sum,
 )
 from .multiindex import MultiIndex, enumerate_fixed_degree, q_support
 from .tensorlin import (
     DenseMatrix,
     DenseVector,
+    SpdMatrix,
     colwise_kron_power,
     kron_power,
     spd_factorize,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RNG_NAME = "philox4x64"
 
@@ -87,7 +93,12 @@ class VerifyReport:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent per-trial stream: Philox keyed by (seed, trial)."""
+    """Independent per-trial stream: Philox keyed by (seed, trial).
+
+    numpy is imported here, not at module load, so that commands which
+    draw no trials never load it."""
+    import numpy as np
+
     return np.random.Generator(
         np.random.Philox(key=[seed & _MASK64, trial & _MASK64])
     )
@@ -167,10 +178,12 @@ def main_identity_error(
     ups = spd_factorize(DenseMatrix.from_rows(upsilon))
     xv = DenseVector.from_entries(x)
     lhs = hermite_multi(ki, lam_m.transpose().matvec(xv), sig)
+    terms = coeffs.expand_general(ki, lam_m, sig, ups, variant)
+    values = hermite_multi_batch([term.q for term in terms], xv, ups)
     rhs = 0.0
     abs_sum = 0.0
-    for term in coeffs.expand_general(ki, lam_m, sig, ups, variant):
-        contrib = term.coeff * hermite_multi(term.q, xv, ups)
+    for term, h in zip(terms, values):
+        contrib = term.coeff * h
         rhs += contrib
         abs_sum += abs(contrib)
     return _guarded_rel_err(lhs, rhs, abs_sum)
@@ -330,15 +343,17 @@ def univariate_identity_error(
 ) -> float:
     """Worst guarded relative error of the univariate multiplication
     identity over the grid xs."""
+    coefficients = [
+        coeffs.coeff_univariate(k, i, lam, family) for i in range(k // 2 + 1)
+    ]
     worst = 0.0
     for x in xs:
         lhs = hermite_uni(family, k, lam * x)
+        values = hermite_uni_all(family, k, x)
         rhs = 0.0
         abs_sum = 0.0
-        for i in range(k // 2 + 1):
-            contrib = coeffs.coeff_univariate(k, i, lam, family) * hermite_uni(
-                family, k - 2 * i, x
-            )
+        for i, c in enumerate(coefficients):
+            contrib = c * values[k - 2 * i]
             rhs += contrib
             abs_sum += abs(contrib)
         worst = max(worst, _guarded_rel_err(lhs, rhs, abs_sum))
@@ -358,6 +373,7 @@ def inner_product_error(
         else coeffs.coeff_vec_phys
     )
     lhs = hermite_uni(family, k, lam_v.dot(x_v))
+    tables = [hermite_uni_all(family, k, xj) for xj in x]
     rhs = 0.0
     abs_sum = 0.0
     for d in q_support(k):
@@ -366,8 +382,8 @@ def inner_product_error(
             if t == 0:
                 continue
             prod = 1.0
-            for qj, xj in zip(q.parts, x):
-                prod *= hermite_uni(family, qj, xj)
+            for qj, table in zip(q.parts, tables):
+                prod *= table[qj]
             contrib = t * prod
             rhs += contrib
             abs_sum += abs(contrib)
@@ -379,20 +395,27 @@ _UNIVARIATE_GRID = [round(-3.0 + 0.3 * j, 10) for j in range(21)]
 _HALF = Fraction(1, 2)
 
 
-def _coeff_chain_exact(k: int, lam: Fraction, m: int, q: MultiIndex) -> bool:
-    """Exact agreement of the univariate, inner-product, and general
-    coefficient routes for one (k, q, lam) at both base families."""
-    lam_vec = DenseVector.from_entries([lam] * m)
-    lam_mat = DenseMatrix(m, 1, tuple((lam,) for _ in range(m)))
-    eye1 = spd_factorize(DenseMatrix.identity(1))
-    eye_m = spd_factorize(DenseMatrix.identity(m))
-    half1 = spd_factorize(DenseMatrix(1, 1, ((_HALF,),)))
-    half_m = spd_factorize(
+@functools.lru_cache(maxsize=16)
+def _exact_base_covariances(m: int) -> tuple[SpdMatrix, SpdMatrix]:
+    """The exact identity and half-identity of dimension m, factorised:
+    the covariances of the probabilists' and physicists' families."""
+    eye = spd_factorize(DenseMatrix.identity(m))
+    half = spd_factorize(
         DenseMatrix(m, m, tuple(
             tuple(_HALF if i == j else Fraction(0) for j in range(m))
             for i in range(m)
         ))
     )
+    return eye, half
+
+
+def _coeff_chain_exact(k: int, lam: Fraction, m: int, q: MultiIndex) -> bool:
+    """Exact agreement of the univariate, inner-product, and general
+    coefficient routes for one (k, q, lam) at both base families."""
+    lam_vec = DenseVector.from_entries([lam] * m)
+    lam_mat = DenseMatrix(m, 1, tuple((lam,) for _ in range(m)))
+    eye1, half1 = _exact_base_covariances(1)
+    eye_m, half_m = _exact_base_covariances(m)
     vec_prob = coeffs.coeff_vec_prob(k, q, lam_vec)
     vec_phys = coeffs.coeff_vec_phys(k, q, lam_vec)
     gen_prob = coeffs.coeff_general((k,), q, lam_mat, eye1, eye_m)

@@ -5,6 +5,7 @@ import pytest
 
 from hermult.errors import DimensionMismatchError, DomainError, SizeLimitError
 from hermult.hermite import (
+    MAX_DEGREE,
     PHYSICISTS,
     PROBABILISTS,
     HermiteFamily,
@@ -13,8 +14,9 @@ from hermult.hermite import (
     hermite_multi_batch,
     hermite_multi_product,
     hermite_uni,
+    hermite_uni_all,
 )
-from hermult.multiindex import enumerate_fixed_degree
+from hermult.multiindex import enumerate_fixed_degree, mi_factorial
 from hermult.polyoracle import SymbolicHermiteFamily, rational_matrix
 from hermult.tensorlin import DenseMatrix, DenseVector, spd_factorize
 from hermult.verify import trial_rng
@@ -58,6 +60,44 @@ def test_family_consistency():
             assert hermite_uni(scaled_half, k, x) == pytest.approx(
                 h, rel=1e-12, abs=1e-12
             )
+
+
+@pytest.mark.parametrize(
+    "family", [PROBABILISTS, PHYSICISTS, HermiteFamily.scaled(Fraction(3, 2))]
+)
+def test_all_degrees_match_single_degree(family):
+    for x in (0.0, -1.7, 2.25, 3, Fraction(-5, 3)):
+        values = hermite_uni_all(family, 12, x)
+        assert len(values) == 13
+        for k, v in enumerate(values):
+            assert v == hermite_uni(family, k, x)
+            if not isinstance(x, float):
+                assert isinstance(v, (int, Fraction))
+
+
+def test_all_degrees_match_symbolic_construction():
+    he = SymbolicHermiteFamily(rational_matrix([[1]]))
+    h = SymbolicHermiteFamily(rational_matrix([[2]]))
+    x = Fraction(-7, 4)
+    for family, sym in ((PROBABILISTS, he), (PHYSICISTS, h)):
+        values = hermite_uni_all(family, 8, x)
+        assert values == [sym.poly((k,)).evaluate([x]) for k in range(9)]
+
+
+@pytest.mark.parametrize(
+    "k, x, error",
+    [
+        (-1, 0.0, DomainError),
+        (MAX_DEGREE + 1, 0.0, SizeLimitError),
+        (3, float("nan"), DomainError),
+        (3, float("inf"), DomainError),
+    ],
+)
+def test_all_degrees_errors_match_single_degree(k, x, error):
+    with pytest.raises(error):
+        hermite_uni_all(PROBABILISTS, k, x)
+    with pytest.raises(error):
+        hermite_uni(PROBABILISTS, k, x)
 
 
 def test_univariate_domain_and_size_errors():
@@ -216,6 +256,22 @@ def test_gf_approximates_exponential():
         inv = sig.inverse()
         target = math.exp(t.dot(inv.matvec(x)) - 0.5 * t.dot(inv.matvec(t)))
         assert abs(gf_partial_sum(t, x, sig, 10) - target) <= 1e-10
+
+
+def test_gf_partial_sum_stays_exact():
+    sig = spd_factorize(rational_matrix([[2, Fraction(1, 2)], [Fraction(1, 2), 1]]))
+    t = DenseVector.from_entries([Fraction(1, 10), Fraction(-1, 7)])
+    x = DenseVector.from_entries([Fraction(3, 10), Fraction(-4, 5)])
+    direct = Fraction(0)
+    for d in range(7):
+        for k in enumerate_fixed_degree(2, d):
+            tk = t.entries[0] ** k.parts[0] * t.entries[1] ** k.parts[1]
+            direct += Fraction(1, mi_factorial(k)) * tk * hermite_multi(k, x, sig)
+    # The second call reads the index list cached by the first.
+    for _ in range(2):
+        val = gf_partial_sum(t, x, sig, 6)
+        assert isinstance(val, Fraction)
+        assert val == direct
 
 
 def test_gf_caps_and_dims():

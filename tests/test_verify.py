@@ -1,9 +1,27 @@
+import math
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
+import hermult
+from hermult import coeffs
 from hermult.coeffs import CoeffVariant
 from hermult.errors import SizeLimitError
-from hermult.hermite import PHYSICISTS, PROBABILISTS
+from hermult.hermite import PHYSICISTS, PROBABILISTS, hermite_multi, hermite_uni
+from hermult.multiindex import (
+    MultiIndex,
+    enumerate_fixed_degree,
+    mi_factorial,
+    q_support,
+)
+from hermult.tensorlin import DenseMatrix, DenseVector, spd_factorize
 from hermult.verify import (
+    GF_DEGREE,
     TrialConfig,
     gf_error,
     inner_product_error,
@@ -158,3 +176,145 @@ def test_report_json_shape():
     assert list(obj.keys()) == [
         "checks_run", "failures", "max_rel_err", "worst_case", "rng", "seed",
     ]
+
+
+# Per-term references: every Hermite value is computed on its own.  The
+# error functions share one recurrence pass per trial and must give the
+# same bits.
+
+
+def _guarded(lhs, rhs, abs_sum):
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs_sum)
+
+
+def _main_error_per_term(k, lam, sigma, upsilon, x, variant):
+    ki = MultiIndex.of(k)
+    lam_m = DenseMatrix.from_rows(lam)
+    sig = spd_factorize(DenseMatrix.from_rows(sigma))
+    ups = spd_factorize(DenseMatrix.from_rows(upsilon))
+    xv = DenseVector.from_entries(x)
+    lhs = hermite_multi(ki, lam_m.transpose().matvec(xv), sig)
+    rhs = 0.0
+    abs_sum = 0.0
+    for term in coeffs.expand_general(ki, lam_m, sig, ups, variant):
+        contrib = term.coeff * hermite_multi(term.q, xv, ups)
+        rhs += contrib
+        abs_sum += abs(contrib)
+    return _guarded(lhs, rhs, abs_sum)
+
+
+def _univariate_error_per_term(family, k, lam, xs):
+    worst = 0.0
+    for x in xs:
+        lhs = hermite_uni(family, k, lam * x)
+        rhs = 0.0
+        abs_sum = 0.0
+        for i in range(k // 2 + 1):
+            contrib = coeffs.coeff_univariate(k, i, lam, family) * hermite_uni(
+                family, k - 2 * i, x
+            )
+            rhs += contrib
+            abs_sum += abs(contrib)
+        worst = max(worst, _guarded(lhs, rhs, abs_sum))
+    return worst
+
+
+def _inner_product_error_per_term(family, k, lam, x):
+    lam_v = DenseVector.from_entries(lam)
+    coeff_fn = coeffs.coeff_vec_prob if family is PROBABILISTS else coeffs.coeff_vec_phys
+    lhs = hermite_uni(family, k, lam_v.dot(DenseVector.from_entries(x)))
+    rhs = 0.0
+    abs_sum = 0.0
+    for d in q_support(k):
+        for q in enumerate_fixed_degree(lam_v.dim, d):
+            t = coeff_fn(k, q, lam_v)
+            if t == 0:
+                continue
+            prod = 1.0
+            for qj, xj in zip(q.parts, x):
+                prod *= hermite_uni(family, qj, xj)
+            contrib = t * prod
+            rhs += contrib
+            abs_sum += abs(contrib)
+    return _guarded(lhs, rhs, abs_sum)
+
+
+def _gf_error_per_term(t, x, sigma):
+    sig = spd_factorize(DenseMatrix.from_rows(sigma))
+    tv = DenseVector.from_entries(t)
+    xv = DenseVector.from_entries(x)
+    total = 0
+    for d in range(GF_DEGREE + 1):
+        for k in enumerate_fixed_degree(len(x), d):
+            tk = 1
+            for ti, ki in zip(tv.entries, k.parts):
+                if ki:
+                    tk = tk * ti**ki
+            if tk == 0:
+                continue
+            total = total + Fraction(1, mi_factorial(k)) * tk * hermite_multi(k, xv, sig)
+    inv = sig.inverse()
+    exponent = tv.dot(inv.matvec(xv)) - 0.5 * tv.dot(inv.matvec(tv))
+    return abs(total - math.exp(exponent))
+
+
+def _rows(rng, rows, cols):
+    return [[rng.uniform(-2.0, 2.0) for _ in range(cols)] for _ in range(rows)]
+
+
+def _spd(rng, dim):
+    q = DenseMatrix.from_rows(_rows(rng, dim, dim))
+    return q.transpose().matmul(q).add(DenseMatrix.identity(dim)).to_lists()
+
+
+@pytest.mark.parametrize("variant", list(CoeffVariant))
+def test_main_identity_error_is_bit_identical_to_per_term(variant):
+    rng = random.Random(31)
+    for _ in range(30):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        degree = rng.randint(0, 6)
+        k = rng.choice(enumerate_fixed_degree(n, degree)).to_list()
+        args = (k, _rows(rng, m, n), _spd(rng, n), _spd(rng, m),
+                [rng.uniform(-2.0, 2.0) for _ in range(m)])
+        assert main_identity_error(*args, variant) == _main_error_per_term(*args, variant)
+
+
+@pytest.mark.parametrize("family", [PROBABILISTS, PHYSICISTS])
+def test_univariate_errors_are_bit_identical_to_per_term(family):
+    rng = random.Random(32)
+    grid = [round(-3.0 + 0.3 * j, 10) for j in range(21)]
+    for _ in range(20):
+        k, lam = rng.randint(0, 12), rng.uniform(-2.0, 2.0)
+        assert univariate_identity_error(family, k, lam, grid) == (
+            _univariate_error_per_term(family, k, lam, grid)
+        )
+        m, k_ip = rng.randint(1, 3), rng.randint(0, 8)
+        lam_vec = [rng.uniform(-2.0, 2.0) for _ in range(m)]
+        x_vec = [rng.uniform(-2.0, 2.0) for _ in range(m)]
+        assert inner_product_error(family, k_ip, lam_vec, x_vec) == (
+            _inner_product_error_per_term(family, k_ip, lam_vec, x_vec)
+        )
+
+
+def test_gf_error_is_bit_identical_to_per_term():
+    rng = random.Random(33)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        t = [0.1 / math.sqrt(n) * rng.uniform(-1.0, 1.0) for _ in range(n)]
+        x = [rng.uniform(-1.0, 1.0) / math.sqrt(n) for _ in range(n)]
+        sigma = _spd(rng, n)
+        assert gf_error(t, x, sigma) == _gf_error_per_term(t, x, sigma)
+
+
+def test_import_does_not_load_numpy():
+    # numpy serves only the verify suites' trial streams.
+    src = str(Path(hermult.__file__).resolve().parent.parent)
+    code = "import sys, hermult, hermult.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.stdout.strip() == "False"
