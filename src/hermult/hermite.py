@@ -195,13 +195,15 @@ def hermite_multi_product(
 
 @functools.lru_cache(maxsize=64)
 def _gf_terms(n: int, degree_cap: int) -> tuple:
-    """(parts, 1/k!) for every arity-n index k of total degree <= degree_cap,
-    in ascending degree, then the enumeration order within a degree."""
-    return tuple(
-        (k.parts, Fraction(1, mi_factorial(k)))
-        for d in range(degree_cap + 1)
-        for k in enumerate_fixed_degree(n, d)
-    )
+    """(parts, 1/k!, float(1/k!)) for every arity-n index k of total degree
+    <= degree_cap, in ascending degree, then the enumeration order within a
+    degree."""
+    out = []
+    for d in range(degree_cap + 1):
+        for k in enumerate_fixed_degree(n, d):
+            inv = Fraction(1, mi_factorial(k))
+            out.append((k.parts, inv, float(inv)))
+    return tuple(out)
 
 
 def gf_partial_sum(
@@ -221,7 +223,7 @@ def gf_partial_sum(
         )
     bx, b_rows, memo = _evaluation_state(x, sigma)
     total = 0
-    for parts, inv_factorial in _gf_terms(x.dim, degree_cap):
+    for parts, inv_factorial, inv_factorial_f in _gf_terms(x.dim, degree_cap):
         tk = 1
         for ti, ki in zip(t.entries, parts):
             if ki:
@@ -229,5 +231,10 @@ def gf_partial_sum(
         if tk == 0:
             continue
         h = _raise_value(parts, bx, b_rows, memo)
-        total = total + inv_factorial * tk * h
+        # Fraction * float computes float(Fraction) * float, so the float
+        # twin gives the same bits without the Fraction dispatch.
+        if isinstance(tk, float):
+            total = total + inv_factorial_f * tk * h
+        else:
+            total = total + inv_factorial * tk * h
     return total

@@ -4,13 +4,50 @@ brute-force symbolic oracle built on them.
 The oracle side constructs Hermite polynomials purely by symbolic
 differentiation of the Gaussian exponent and compares them, as exact
 polynomials, against the coefficient machinery of the main modules.  It
-never shares an evaluation path with the numeric recurrences it checks.
+never shares an evaluation path with the numeric recurrences it checks:
+the left side is built by differentiation, never by the coefficient
+recurrence in `coeffs`, and nothing is imported from `hermite`.  The only
+production code it calls is `coeffs.expand_from_map` (with
+`transformed_map_from_inverses`) for T[k,q] on the right side, and the
+exact matrix inverse.
+
+All building, substituting and comparing runs on integer coefficients.
+For an exponent matrix B = C/d, with d the lcm of the entry denominators
+and C an integer matrix, the differentiation recursion
+
+    H_0 = 1,   H_{k+e_i}(y) = (B y)_i H_k(y) - d_i H_k(y)
+
+multiplied through by d^(|k|+1) gives p_k = d^|k| H_k with
+
+    p_0 = 1,   p_{k+e_i} = (C y)_i p_k - d * d_i p_k,
+
+so every p_k has integer coefficients.  The left side H_k(Lambda^T x;
+Sigma) uses B = Sigma^-1 = C/d.  With Lambda^T = L/e, a monomial y^a of
+p_k becomes (L x)^a / e^|a|, and since |a| <= |k|,
+
+    (d e)^|k| H_k(Lambda^T x; Sigma) = sum_a c_a e^(|k|-|a|) (L x)^a
+
+is an integer polynomial.  The products (L x)^a are built once per
+monomial prefix (a_0..a_j), each from its shorter prefix and one cached
+power of a row form.  The right side uses Upsilon^-1 = G/f, so
+f^|q| H_q(x; Upsilon) is integer; with w_q = T[k,q] / f^|q| and D the lcm
+of the denominators of the w_q,
+
+    D sum_q T[k,q] H_q(x; Upsilon) = sum_q (D w_q) f^|q| H_q(x; Upsilon)
+
+is accumulated into one integer polynomial.  Both sides are brought to
+the common denominator lcm((d e)^|k|, D), and the identity holds exactly
+when the integer difference is zero.  `Fraction` coefficients are made
+only for the returned `lhs`, `rhs` and `diff`; each is reduced over its
+polynomial's denominator, so they equal a term-by-term rational build.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from . import coeffs
@@ -26,7 +63,7 @@ from .tensorlin import DenseMatrix, check_symmetric, invert_matrix
 MAX_SYMBOLIC_DEGREE = 8
 
 # Full oracle comparisons are capped lower; each one expands a whole table.
-MAX_ORACLE_DEGREE = 5
+MAX_ORACLE_DEGREE = 6
 
 
 def as_rational(value) -> Fraction:
@@ -45,6 +82,95 @@ def rational_matrix(rows: Iterable[Iterable]) -> DenseMatrix:
     return DenseMatrix.from_rows(
         [[as_rational(v) for v in row] for row in rows]
     )
+
+
+# Coefficient dicts {monomial: coefficient} shared by MPoly (Fraction
+# coefficients) and the oracle (int coefficients).  Exact zeros are never
+# stored.
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(map(add, ma, mb))
+            s = out.get(mono, 0) + ca * cb
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+    return out
+
+
+def _add_into(out: dict, terms: dict, scale=1) -> None:
+    """out += scale * terms, in place."""
+    for mono, c in terms.items():
+        s = out.get(mono, 0) + scale * c
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+
+
+def _derivative_terms(terms: dict, i: int) -> dict:
+    # Lowering coordinate i is injective on monomials with mono[i] > 0.
+    return {
+        mono[:i] + (mono[i] - 1,) + mono[i + 1 :]: mono[i] * c
+        for mono, c in terms.items()
+        if mono[i]
+    }
+
+
+def _linear_forms(rows, arity: int) -> list[dict]:
+    """Row r of `rows` as the linear form sum_j rows[r][j] x_j."""
+    return [
+        {
+            tuple(1 if c == j else 0 for c in range(arity)): v
+            for j, v in enumerate(row)
+            if v
+        }
+        for row in rows
+    ]
+
+
+def _compose_terms(terms: dict, forms: list[dict], arity: int) -> dict:
+    """Substitute variable r by the linear form forms[r] (in `arity` new
+    variables).  Each product of powers is built once per monomial prefix."""
+    one = {(0,) * arity: 1}
+    powers = [[one] for _ in forms]
+    prefix: dict[tuple, dict] = {}
+    out: dict = {}
+    for mono, c in terms.items():
+        prod = one
+        for j in range(1, len(mono) + 1):
+            key = mono[:j]
+            got = prefix.get(key)
+            if got is None:
+                e = mono[j - 1]
+                if e:
+                    pw = powers[j - 1]
+                    while len(pw) <= e:
+                        pw.append(_mul_terms(pw[-1], forms[j - 1]))
+                    got = _mul_terms(prod, pw[e])
+                else:
+                    got = prod
+                prefix[key] = got
+            prod = got
+        _add_into(out, prod, c)
+    return out
+
+
+def _cleared(mat: DenseMatrix) -> tuple[list[list[int]], int]:
+    """(C, d) with mat = C/d: d is the lcm of the entry denominators."""
+    d = math.lcm(*(v.denominator for row in mat.data for v in row))
+    return [[v.numerator * (d // v.denominator) for v in row] for row in mat.data], d
+
+
+def _over(arity: int, terms: dict, den: int) -> "MPoly":
+    """The MPoly terms/den, for integer terms."""
+    res = MPoly(arity)
+    res.terms = {mono: Fraction(c, den) for mono, c in terms.items()}
+    return res
 
 
 class MPoly:
@@ -101,12 +227,7 @@ class MPoly:
     def add(self, other: "MPoly") -> "MPoly":
         self._check_arity(other)
         out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+        _add_into(out, other.terms)
         res = MPoly(self.arity)
         res.terms = out
         return res
@@ -128,17 +249,8 @@ class MPoly:
 
     def mul(self, other: "MPoly") -> "MPoly":
         self._check_arity(other)
-        out: dict[tuple, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = tuple(a + b for a, b in zip(ma, mb))
-                s = out.get(mono, 0) + ca * cb
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
         res = MPoly(self.arity)
-        res.terms = out
+        res.terms = _mul_terms(self.terms, other.terms)
         return res
 
     def derivative(self, i: int) -> "MPoly":
@@ -147,14 +259,8 @@ class MPoly:
             raise DimensionMismatchError(
                 f"coordinate {i} out of range for arity {self.arity}"
             )
-        out: dict[tuple, Fraction] = {}
-        for mono, c in self.terms.items():
-            e = mono[i]
-            if e:
-                lowered = mono[:i] + (e - 1,) + mono[i + 1 :]
-                out[lowered] = out.get(lowered, Fraction(0)) + e * c
         res = MPoly(self.arity)
-        res.terms = {m: c for m, c in out.items() if c}
+        res.terms = _derivative_terms(self.terms, i)
         return res
 
     def compose_linear(self, lin: DenseMatrix) -> "MPoly":
@@ -164,32 +270,11 @@ class MPoly:
             raise DimensionMismatchError(
                 f"substitution matrix has {lin.rows} rows, arity is {self.arity}"
             )
-        m = lin.cols
-        row_forms = [
-            MPoly(m, {
-                tuple(1 if c == j else 0 for c in range(m)): as_rational(lin.data[r][j])
-                for j in range(m)
-                if lin.data[r][j]
-            })
-            for r in range(lin.rows)
-        ]
-        pow_cache: dict[tuple[int, int], MPoly] = {}
-
-        def power(r: int, e: int) -> MPoly:
-            key = (r, e)
-            got = pow_cache.get(key)
-            if got is None:
-                got = MPoly.constant(m, 1) if e == 0 else power(r, e - 1).mul(row_forms[r])
-                pow_cache[key] = got
-            return got
-
-        res = MPoly.zero(m)
-        for mono, c in self.terms.items():
-            term = MPoly.constant(m, c)
-            for r, e in enumerate(mono):
-                if e:
-                    term = term.mul(power(r, e))
-            res = res.add(term)
+        forms = _linear_forms(
+            [[as_rational(v) for v in row] for row in lin.data], lin.cols
+        )
+        res = MPoly(lin.cols)
+        res.terms = _compose_terms(self.terms, forms, lin.cols)
         return res
 
     def evaluate(self, xs: Iterable) -> Fraction:
@@ -248,9 +333,10 @@ class MPoly:
 
 
 class SymbolicHermiteFamily:
-    """Hermite polynomials of one exact symmetric exponent matrix, built by
-    the differentiation recursion p_{k+e_i} = (b x)_i p_k - d_i p_k starting
-    from 1, with shared sub-indices cached.
+    """Hermite polynomials of one exact symmetric exponent matrix b = C/d,
+    built by the differentiation recursion p_{k+e_i} = (b x)_i p_k - d_i p_k
+    starting from 1, with shared sub-indices cached.  The cache holds the
+    integer polynomials d^|k| p_k (see the module docstring).
 
     Nothing here depends on the numeric recurrence used by the evaluators.
     """
@@ -265,17 +351,17 @@ class SymbolicHermiteFamily:
         check_symmetric(b)
         n = b.rows
         self.arity = n
-        self._rows = [
-            MPoly(n, {
-                tuple(1 if c == j else 0 for c in range(n)): as_rational(b.data[r][j])
-                for j in range(n)
-                if b.data[r][j]
-            })
-            for r in range(n)
-        ]
-        self._memo: dict[tuple, MPoly] = {(0,) * n: MPoly.constant(n, 1)}
+        rows, self._den = _cleared(b)
+        self._rows = _linear_forms(rows, n)
+        self._memo: dict[tuple, dict] = {(0,) * n: {(0,) * n: 1}}
 
     def poly(self, k: MultiIndex | Iterable[int]) -> MPoly:
+        terms, den = self.scaled_terms(k)
+        return _over(self.arity, terms, den)
+
+    def scaled_terms(self, k: MultiIndex | Iterable[int]) -> tuple[dict, int]:
+        """(terms, den) with p_k = terms / den: terms has int coefficients
+        and den = d^|k|.  The dict is the cached one; do not mutate it."""
         k = MultiIndex.of(k)
         if k.arity != self.arity:
             raise DimensionMismatchError(
@@ -285,9 +371,9 @@ class SymbolicHermiteFamily:
             raise SizeLimitError(
                 f"symbolic degree {k.degree()} exceeds cap {MAX_SYMBOLIC_DEGREE}"
             )
-        return self._raise(k.parts)
+        return self._raise(k.parts), self._den ** k.degree()
 
-    def _raise(self, parts: tuple) -> MPoly:
+    def _raise(self, parts: tuple) -> dict:
         got = self._memo.get(parts)
         if got is not None:
             return got
@@ -296,7 +382,8 @@ class SymbolicHermiteFamily:
             i -= 1
         lowered = parts[:i] + (parts[i] - 1,) + parts[i + 1 :]
         prev = self._raise(lowered)
-        res = self._rows[i].mul(prev).sub(prev.derivative(i))
+        res = _mul_terms(self._rows[i], prev)
+        _add_into(res, _derivative_terms(prev, i), -self._den)
         self._memo[parts] = res
         return res
 
@@ -329,9 +416,10 @@ def oracle_compare(
     The left side is the symbolically differentiated Hermite polynomial
     with the mapped argument substituted in; the right side rebuilds the
     expansion from the production coefficient code, with symbolic Hermite
-    polynomials as the basis.  Inputs must be exact rationals; the
-    covariances must be symmetric and invertible (positive definiteness is
-    not needed for the algebra).
+    polynomials as the basis.  Both are built and compared with integer
+    coefficients over one denominator each (see the module docstring).
+    Inputs must be exact rationals; the covariances must be symmetric and
+    invertible (positive definiteness is not needed for the algebra).
     """
     k = MultiIndex.of(k)
     if k.degree() > MAX_ORACLE_DEGREE:
@@ -352,12 +440,33 @@ def oracle_compare(
     sigma_inv = invert_matrix(sigma)
     upsilon_inv = invert_matrix(upsilon)
 
-    lhs = hermite_symbolic(k, sigma_inv).compose_linear(lam.transpose())
+    degree = k.degree()
+    p, p_den = SymbolicHermiteFamily(sigma_inv).scaled_terms(k)
+    lam_t, e = _cleared(lam.transpose())
+    lhs_terms = _compose_terms(
+        {a: c * e ** (degree - sum(a)) for a, c in p.items()},
+        _linear_forms(lam_t, m),
+        m,
+    )
+    lhs_den = p_den * e**degree
 
     tmap = coeffs.transformed_map_from_inverses(lam, sigma_inv, upsilon)
-    rhs = MPoly.zero(m)
     basis = SymbolicHermiteFamily(upsilon_inv)
+    weighted = []
     for term in coeffs.expand_from_map(k, tmap, variant):
-        rhs = rhs.add(basis.poly(term.q).scale(term.coeff))
-    diff = lhs.sub(rhs)
-    return OracleComparison(equal=diff.is_zero(), lhs=lhs, rhs=rhs, diff=diff)
+        h, h_den = basis.scaled_terms(term.q)
+        weighted.append((Fraction(term.coeff) / h_den, h))
+    rhs_den = math.lcm(*(w.denominator for w, _ in weighted))
+    rhs_terms: dict = {}
+    for w, h in weighted:
+        _add_into(rhs_terms, h, w.numerator * (rhs_den // w.denominator))
+
+    den = math.lcm(lhs_den, rhs_den)
+    diff_terms = {mono: c * (den // lhs_den) for mono, c in lhs_terms.items()}
+    _add_into(diff_terms, rhs_terms, -(den // rhs_den))
+    return OracleComparison(
+        equal=not diff_terms,
+        lhs=_over(m, lhs_terms, lhs_den),
+        rhs=_over(m, rhs_terms, rhs_den),
+        diff=_over(m, diff_terms, den),
+    )

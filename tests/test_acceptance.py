@@ -85,6 +85,27 @@ def test_criterion_1_exact_oracle_equivalence():
     _report(1, "exact-oracle-equivalence", failures, started)
 
 
+def test_criterion_1_exact_oracle_at_degree_six():
+    # Certifies the coefficient recurrence at the oracle's cap, |k| = 6.
+    started = time.time()
+    failures = []
+    trial = 0
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            for k in enumerate_fixed_degree(n, 6):
+                rng = trial_rng(20261018, trial)
+                trial += 1
+                lam = _rat_matrix(rng, m, n)
+                res = oracle_compare(
+                    k, lam, _rat_spd(rng, n), _rat_spd(rng, m),
+                    CoeffVariant.SYMMETRIZED,
+                )
+                if not res.equal:
+                    failures.append((n, m, k.parts, trial - 1))
+    assert trial == 108
+    _report(1, "exact-oracle-degree-6", failures, started)
+
+
 LAMBDAS_FLOAT = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
 LAMBDAS_EXACT = [
     Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0),

@@ -227,6 +227,30 @@ def test_oracle_compare_cli(permutation_spec):
     assert json.loads(sym.stdout)["equal"] is True
 
 
+ORACLE_COMPARE_STDOUT = {
+    "paper-literal": (
+        1,
+        '{"equal":false,"k":[1,1],"variant":"paper-literal",'
+        '"lhs":[{"mono":[1,1],"coeff":"1"}],"rhs":[],'
+        '"diff":[{"mono":[1,1],"coeff":"1"}]}\n',
+    ),
+    "symmetrized": (
+        0,
+        '{"equal":true,"k":[1,1],"variant":"symmetrized",'
+        '"lhs":[{"mono":[1,1],"coeff":"1"}],'
+        '"rhs":[{"mono":[1,1],"coeff":"1"}],"diff":[]}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(ORACLE_COMPARE_STDOUT))
+def test_oracle_compare_cli_output_is_pinned(permutation_spec, variant):
+    code, stdout = ORACLE_COMPARE_STDOUT[variant]
+    r = run_cli("oracle-compare", "--spec", permutation_spec, "--variant", variant)
+    assert r.returncode == code
+    assert r.stdout == stdout
+
+
 def test_oracle_compare_rejects_float_spec(generic_spec):
     r = run_cli("oracle-compare", "--spec", generic_spec)
     assert r.returncode == 2

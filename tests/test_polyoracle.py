@@ -1,9 +1,12 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermult import coeffs
 from hermult.coeffs import CoeffVariant
 from hermult.errors import (
     DimensionMismatchError,
@@ -20,7 +23,7 @@ from hermult.polyoracle import (
     oracle_compare,
     rational_matrix,
 )
-from hermult.tensorlin import DenseMatrix
+from hermult.tensorlin import DenseMatrix, invert_matrix
 from hermult.verify import trial_rng
 
 
@@ -243,9 +246,165 @@ def test_oracle_rejects_bad_inputs():
     with pytest.raises(SingularMatrixError):
         oracle_compare((1, 1), lam, rational_matrix([[1, 1], [1, 1]]), eye)
     with pytest.raises(SizeLimitError):
-        oracle_compare((6, 0), lam, eye, eye)
+        oracle_compare((7, 0), lam, eye, eye)
     with pytest.raises(DomainError):
         oracle_compare((1, 1), DenseMatrix.from_rows([[1.0, 0.0], [0.0, 1.0]]), eye, eye)
+
+
+# Reference: the oracle as a rational build, term by term in Fraction
+# arithmetic with no denominator clearing: the differentiation recursion in
+# B = Sigma^-1, substitution by chained products of cached row-form powers,
+# and the right side summed as T[k,q] * H_q one term at a time.
+
+
+def _ref_add(a, b, scale=1):
+    out = dict(a)
+    for mono, c in b.items():
+        out[mono] = out.get(mono, Fraction(0)) + scale * c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            out[mono] = out.get(mono, Fraction(0)) + ca * cb
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _ref_row_forms(mat):
+    return [
+        {
+            tuple(1 if c == j else 0 for c in range(mat.cols)): Fraction(v)
+            for j, v in enumerate(row)
+            if v
+        }
+        for row in mat.data
+    ]
+
+
+def _ref_hermite(parts, rows, memo):
+    got = memo.get(parts)
+    if got is not None:
+        return got
+    if not any(parts):
+        return {parts: Fraction(1)}
+    i = max(j for j, p in enumerate(parts) if p)
+    prev = _ref_hermite(parts[:i] + (parts[i] - 1,) + parts[i + 1 :], rows, memo)
+    deriv = {
+        mono[:i] + (mono[i] - 1,) + mono[i + 1 :]: mono[i] * c
+        for mono, c in prev.items()
+        if mono[i]
+    }
+    res = _ref_add(_ref_mul(rows[i], prev), deriv, -1)
+    memo[parts] = res
+    return res
+
+
+def _ref_compose(terms, lin):
+    forms = _ref_row_forms(lin)
+    one = {(0,) * lin.cols: Fraction(1)}
+    powers = {}
+
+    def power(r, e):
+        if (r, e) not in powers:
+            powers[r, e] = one if e == 0 else _ref_mul(power(r, e - 1), forms[r])
+        return powers[r, e]
+
+    res = {}
+    for mono, c in terms.items():
+        term = {(0,) * lin.cols: c}
+        for r, e in enumerate(mono):
+            if e:
+                term = _ref_mul(term, power(r, e))
+        res = _ref_add(res, term)
+    return res
+
+
+def _ref_oracle(k, lam, sigma, upsilon, variant):
+    sigma_inv = invert_matrix(sigma)
+    upsilon_inv = invert_matrix(upsilon)
+    lhs = _ref_compose(
+        _ref_hermite(tuple(k), _ref_row_forms(sigma_inv), {}), lam.transpose()
+    )
+    tmap = coeffs.transformed_map_from_inverses(lam, sigma_inv, upsilon)
+    basis_rows, memo = _ref_row_forms(upsilon_inv), {}
+    rhs = {}
+    for term in coeffs.expand_from_map(k, tmap, variant):
+        rhs = _ref_add(rhs, _ref_hermite(term.q.parts, basis_rows, memo), term.coeff)
+    diff = _ref_add(lhs, rhs, -1)
+    m = upsilon.rows
+    return not diff, MPoly(m, lhs), MPoly(m, rhs), MPoly(m, diff)
+
+
+def _frac(rng, num, max_den):
+    return Fraction(rng.randint(-num, num), rng.randint(1, max_den))
+
+
+def _dominant_spd(rng, dim):
+    # Strict diagonal dominance with a positive diagonal makes it SPD.
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i):
+            rows[i][j] = rows[j][i] = _frac(rng, 2, 5)
+    for i in range(dim):
+        off = sum(abs(v) for v in rows[i])
+        rows[i][i] = math.ceil(off) + Fraction(rng.randint(1, 4), rng.randint(2, 5))
+    return DenseMatrix.from_rows(rows)
+
+
+def _indefinite(rng, dim):
+    # Symmetric and invertible, with a negative and (for dim >= 2) a
+    # positive eigenvalue: a negative pivot, then a dominant block.
+    while True:
+        rows = [[Fraction(0)] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = _frac(rng, 3, 4)
+        rows[0][0] = -1 - abs(rows[0][0])
+        if dim > 1:
+            rows[1][1] = sum(abs(v) for v in rows[1]) + 1
+        mat = DenseMatrix.from_rows(rows)
+        try:
+            invert_matrix(mat)
+        except SingularMatrixError:
+            continue
+        return mat
+
+
+def _reference_case(i):
+    rng = random.Random(4040 + i)
+    n, m = rng.randint(1, 3), rng.randint(1, 3)
+    k = rng.choice(enumerate_fixed_degree(n, rng.randint(0, 5)))
+    kind = i % 4
+    max_den = 5 if kind in (1, 3) else 2
+    lam_rows = [[_frac(rng, 2, max_den) for _ in range(n)] for _ in range(m)]
+    if kind in (1, 3):
+        lam_rows[rng.randrange(m)] = [0] * n
+    lam = DenseMatrix.from_rows(lam_rows)
+    sigma = _indefinite(rng, n) if kind in (2, 3) else _dominant_spd(rng, n)
+    return k, lam, sigma, _dominant_spd(rng, m)
+
+
+def test_oracle_matches_rational_reference():
+    compared = unequal = 0
+    for i in range(160):
+        case = _reference_case(i)
+        for variant in CoeffVariant:
+            res = oracle_compare(*case, variant)
+            equal, lhs, rhs, diff = _ref_oracle(*case, variant)
+            assert res.equal == equal
+            assert (res.lhs, res.rhs, res.diff) == (lhs, rhs, diff)
+            assert [p.to_json_obj() for p in (res.lhs, res.rhs, res.diff)] == [
+                p.to_json_obj() for p in (lhs, rhs, diff)
+            ]
+            compared += 1
+            unequal += not equal
+    assert compared == 320
+    # The paper-literal variant is unequal on some multi-part k, so the
+    # nonzero diff path is compared too.
+    assert unequal > 0
 
 
 def test_mpoly_serialization_is_canonically_sorted():
