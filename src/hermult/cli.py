@@ -32,6 +32,10 @@ from .multiindex import MultiIndex
 from .tensorlin import DenseMatrix, DenseVector, invert_matrix, spd_factorize
 
 
+# The encoder json.dumps applies to a str under its default ensure_ascii.
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def dumps(obj) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
     out: list[str] = []
@@ -40,40 +44,65 @@ def dumps(obj) -> str:
 
 
 def _emit(obj, out: list[str]) -> None:
-    if obj is None:
+    # Exact types first: the isinstance chain below pays an ABC check for
+    # Fraction on every number.
+    t = type(obj)
+    if t is float:
+        _emit_float(obj, out)
+    elif t is int:
+        out.append(repr(obj))
+    elif t is str:
+        out.append(_encode_str(obj))
+    elif t is list:
+        _emit_items(obj, out)
+    elif t is dict:
+        _emit_dict(obj, out)
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
     elif obj is False:
         out.append("false")
     elif isinstance(obj, Fraction):
-        out.append(json.dumps(str(obj)))
+        out.append(_encode_str(str(obj)))
     elif isinstance(obj, int):
         out.append(repr(obj))
     elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise DomainError(f"cannot serialize non-finite number {obj!r}")
-        out.append(format(obj, ".17g"))
+        _emit_float(obj, out)
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_encode_str(obj))
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(v, out)
-        out.append("]")
+        _emit_items(obj, out)
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(k)))
-            out.append(":")
-            _emit(v, out)
-        out.append("}")
+        _emit_dict(obj, out)
     else:
         raise DomainError(f"cannot serialize {type(obj).__name__}")
+
+
+def _emit_float(obj, out: list[str]) -> None:
+    if not math.isfinite(obj):
+        raise DomainError(f"cannot serialize non-finite number {obj!r}")
+    out.append(format(obj, ".17g"))
+
+
+def _emit_items(obj, out: list[str]) -> None:
+    out.append("[")
+    for i, v in enumerate(obj):
+        if i:
+            out.append(",")
+        _emit(v, out)
+    out.append("]")
+
+
+def _emit_dict(obj, out: list[str]) -> None:
+    out.append("{")
+    for i, (k, v) in enumerate(obj.items()):
+        if i:
+            out.append(",")
+        out.append(_encode_str(str(k)))
+        out.append(":")
+        _emit(v, out)
+    out.append("}")
 
 
 def _scalar_out(v):

@@ -24,10 +24,30 @@ Unrolled, this is the paper's form: k!/(2^i q! i!), i = (|k|-|q|)/2, times
 A^{(.)q} (x) vec(M)^{(x)i} summed over the |k|!/k! slot tuples of k.  The
 symmetrized variant runs the recurrence; paper-literal reads the ascending
 slot tuple only.
+
+The recurrence runs as one bottom-up sweep per source index k.  A top-down
+pass first finds the k' the sweep needs, starting from k: with i the
+rightmost positive coordinate of a needed k', it needs k' - e_i, and
+k' - e_i - e_l for every l with M_il != 0 and (k' - e_i)_l > 0.  The sweep
+then visits those k' in increasing degree and pulls each T[k', q'] from
+the two layers below it, for every q' of the parity of |k'|:
+
+    acc = 0;  acc = acc + A_ij T[k'-e_i, q'-e_j]       for j ascending,
+                    skipping A_ij == 0 and q'_j == 0;
+    if |q'| < |k'|:  acc = acc + (c M_il) T[k'-e_i-e_l, q']  for l ascending,
+                    c = (k'-e_i)_l, skipping M_il == 0 and c == 0.
+
+Only the layers of degree d-1 and d-2 are kept while degree d is built.
+Each entry is this one expression, in this operand order, over entries of
+lower degree, so a float table is reproducible bit for bit.  q' is
+addressed by its digits in radix MAX_EXPANSION_DEGREE + 1, so q' - e_j is
+a fixed offset; expand_from_map reads every q from the table of k and
+coeff_from_map reads one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -174,46 +194,81 @@ def _literal_coeff(k: MultiIndex, q: MultiIndex, pairs: int, tmap: TransformedMa
     return pref * prod
 
 
-def _raise_coeff(k: tuple, q: tuple, pairs: int, a_rows, m_rows, memo):
-    """Memoized raising recurrence for T[k, q], pairs = (|k|-|q|)/2.
-
-    The rightmost positive coordinate of k is lowered first, and only
-    states reachable from (k, q) are visited; exact-zero entries of A and
-    M are skipped.  The memo must hold T[0, 0] = 1.
-    """
-    val = memo.get((k, q))
-    if val is not None:
-        return val
-    i = len(k) - 1
-    while k[i] == 0:
-        i -= 1
-    lowered = k[:i] + (k[i] - 1,) + k[i + 1 :]
-    acc = 0
-    for j, a in enumerate(a_rows[i]):
-        if a and q[j]:
-            fewer = q[:j] + (q[j] - 1,) + q[j + 1 :]
-            acc = acc + a * _raise_coeff(lowered, fewer, pairs, a_rows, m_rows, memo)
-    if pairs:
-        for j, mv in enumerate(m_rows[i]):
-            c = lowered[j]
-            if mv and c:
-                twice = lowered[:j] + (c - 1,) + lowered[j + 1 :]
-                acc = acc + c * mv * _raise_coeff(
-                    twice, q, pairs - 1, a_rows, m_rows, memo
-                )
-    memo[(k, q)] = acc
-    return acc
+# Indices q are coded by their digits in this radix: every part of an
+# expanded q is at most MAX_EXPANSION_DEGREE.
+_Q_RADIX = MAX_EXPANSION_DEGREE + 1
 
 
-def _coefficient(k: MultiIndex, q: MultiIndex, tmap, variant, memo: dict):
-    """T[k, q], with memo shared across the q of one k.  When k has at most
-    one nonzero part its slot-tuple sum has a single tuple, so both variants
-    read that tuple."""
-    pairs = _parity_split(k, q)
-    if variant is CoeffVariant.PAPER_LITERAL or sum(1 for c in k.parts if c) <= 1:
-        return _literal_coeff(k, q, pairs, tmap)
-    memo.setdefault(((0,) * k.arity, (0,) * q.arity), 1)
-    return _raise_coeff(k.parts, q.parts, pairs, tmap.A.data, tmap.M.data, memo)
+@functools.lru_cache(maxsize=128)
+def _q_level(m: int, d: int) -> tuple:
+    """The (code, q) pairs of every arity-m index q of degree d, in
+    canonical order; lowering q_j subtracts _Q_RADIX**(m-1-j) from the code."""
+    return tuple((_q_code(q.parts), q) for q in enumerate_fixed_degree(m, d))
+
+
+def _q_code(parts: tuple) -> int:
+    code = 0
+    for p in parts:
+        code = code * _Q_RADIX + p
+    return code
+
+
+def _coeff_table(k: tuple, a_rows, m_rows) -> dict:
+    """T[k, q] for every q of the parity of |k|, keyed by _q_code(q); see
+    the module docstring for the sweep."""
+    top = sum(k)
+    m = len(a_rows[0])
+    weights = [_Q_RADIX ** (m - 1 - j) for j in range(m)]
+    # Top down, the k' the sweep needs and how each is reached: the
+    # rightmost positive coordinate i is lowered to give `low`, then each
+    # l with M_il != 0 and low_l > 0 is lowered too.
+    steps = [{} for _ in range(top + 1)]
+    steps[top][k] = None
+    for d in range(top, 0, -1):
+        for kp in steps[d]:
+            i = len(kp) - 1
+            while kp[i] == 0:
+                i -= 1
+            low = kp[:i] + (kp[i] - 1,) + kp[i + 1 :]
+            twice = []
+            for l, mv in enumerate(m_rows[i]):
+                c = low[l]
+                if mv and c:
+                    lower = low[:l] + (c - 1,) + low[l + 1 :]
+                    twice.append((c * mv, lower))
+                    steps[d - 2][lower] = None
+            steps[d - 1][low] = None
+            steps[d][kp] = (i, low, twice)
+    # Bottom up, keeping only the layers of degree d-1 and d-2.
+    below, prev = {}, {(0,) * len(k): {0: 1}}
+    for d in range(1, top + 1):
+        cur = {}
+        for kp, (i, low, twice) in steps[d].items():
+            src = prev[low]
+            a_pulls = [(j, a, weights[j]) for j, a in enumerate(a_rows[i]) if a]
+            m_pulls = [(cm, below[lower]) for cm, lower in twice]
+            t = {}
+            for dq in range(d, -1, -2):
+                pulls = m_pulls if dq < d else ()
+                for code, q in _q_level(m, dq):
+                    parts = q.parts
+                    acc = 0
+                    for j, a, w in a_pulls:
+                        if parts[j]:
+                            acc = acc + a * src[code - w]
+                    for cm, lower_t in pulls:
+                        acc = acc + cm * lower_t[code]
+                    t[code] = acc
+            cur[kp] = t
+        below, prev = prev, cur
+    return prev[k]
+
+
+def _reads_one_tuple(k: MultiIndex, variant: CoeffVariant) -> bool:
+    """Whether T[k, .] is the literal product at the ascending slot tuple:
+    always under paper-literal, and under symmetrized when k has at most
+    one nonzero part, so its slot-tuple sum has a single tuple."""
+    return variant is CoeffVariant.PAPER_LITERAL or sum(1 for c in k.parts if c) <= 1
 
 
 def coeff_from_map(
@@ -222,11 +277,16 @@ def coeff_from_map(
     tmap: TransformedMap,
     variant: CoeffVariant = CoeffVariant.SYMMETRIZED,
 ):
-    """Expansion coefficient for one (k, q) pair from a prebuilt map."""
+    """Expansion coefficient for one (k, q) pair from a prebuilt map: one
+    entry of the table that expand_from_map reads."""
     k = MultiIndex.of(k)
     q = MultiIndex.of(q)
     _check_shape(k, q.arity, tmap)
-    return _coefficient(k, q, tmap, variant, {})
+    pairs = _parity_split(k, q)
+    if _reads_one_tuple(k, variant):
+        return _literal_coeff(k, q, pairs, tmap)
+    table = _coeff_table(k.parts, tmap.A.data, tmap.M.data)
+    return table[_q_code(q.parts)]
 
 
 def coeff_general(
@@ -262,11 +322,17 @@ def expand_from_map(
     zeros are dropped, in float and exact mode alike."""
     k = MultiIndex.of(k)
     _check_shape(k, tmap.A.cols, tmap)
-    memo: dict = {}
+    top = k.degree()
+    table = (
+        None
+        if _reads_one_tuple(k, variant)
+        else _coeff_table(k.parts, tmap.A.data, tmap.M.data)
+    )
     terms = []
-    for d in q_support(k.degree()):
-        for q in enumerate_fixed_degree(tmap.A.cols, d):
-            c = _coefficient(k, q, tmap, variant, memo)
+    for d in q_support(top):
+        pairs = (top - d) // 2
+        for code, q in _q_level(tmap.A.cols, d):
+            c = _literal_coeff(k, q, pairs, tmap) if table is None else table[code]
             if c != 0:
                 terms.append(ExpansionTerm(q, c))
     return terms
@@ -311,6 +377,10 @@ def _vec_coeff(k: int, q: MultiIndex, lam: DenseVector, pair_weight: int):
         if qj:
             lam_q = lam_q * lj**qj
     norm_sq = sum(lj * lj for lj in lam.entries)
+    # Fraction * float computes float(Fraction) * float, so the float twin
+    # gives the same bits without the Fraction dispatch.
+    if isinstance(lam_q, float):
+        pref = float(pref)
     return pref * lam_q * (norm_sq - 1) ** i
 
 
@@ -344,7 +414,10 @@ def coeff_univariate(k: int, i: int, lam, family: HermiteFamily = PROBABILISTS):
         math.factorial(k),
         pair_weight**i * math.factorial(i) * math.factorial(k - 2 * i),
     )
-    return pref * (lam * lam - 1) ** i * lam ** (k - 2 * i)
+    spread = (lam * lam - 1) ** i
+    if isinstance(spread, float):
+        pref = float(pref)  # the same bits as Fraction's float fallback
+    return pref * spread * lam ** (k - 2 * i)
 
 
 def evaluate_expansion(

@@ -1,11 +1,14 @@
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from hermult import DenseVector, coeffs, spd_factorize
 from hermult.cli import dumps, load_problem_spec, main
+from hermult.errors import DomainError
 
 
 def run_cli(*args):
@@ -291,3 +294,28 @@ def test_dumps_formats():
     s = dumps({"a": 0.1, "b": [1, None, True], "c": "x"})
     assert s == '{"a":0.10000000000000001,"b":[1,null,true],"c":"x"}'
     assert json.loads(s)["a"] == 0.1
+    doc = {
+        "flags": [True, False, None],
+        "exact": Fraction(-7, 3),
+        "floats": [-0.0, 5e-324, 1e300],
+        "big": 123456789012345678901234567890,
+        "pair": (1, 2.5),
+        "nested": {1: {2: [], "\u00e9": {}}},
+        "text": '\u00e9\u20ac "q" \\ \n\t\x01',
+    }
+    assert dumps(doc) == (
+        '{"flags":[true,false,null],"exact":"-7/3",'
+        '"floats":[-0,4.9406564584124654e-324,1.0000000000000001e+300],'
+        '"big":123456789012345678901234567890,"pair":[1,2.5],'
+        '"nested":{"1":{"2":[],"\\u00e9":{}}},'
+        '"text":"\\u00e9\\u20ac \\"q\\" \\\\ \\n\\t\\u0001"}'
+    )
+    assert dumps(doc["text"]) == json.dumps(doc["text"])
+
+    class Real(float):
+        pass
+
+    assert dumps([Real(0.1), Real(-0.0)]) == "[0.10000000000000001,-0]"
+    for bad in (math.nan, math.inf, -math.inf, Real(math.inf), {1, 2}, object()):
+        with pytest.raises(DomainError):
+            dumps({"v": [bad]})

@@ -5,12 +5,15 @@ import pytest
 
 from hermult.coeffs import (
     CoeffVariant,
+    TransformedMap,
+    coeff_from_map,
     coeff_general,
     coeff_isotropic,
     coeff_univariate,
     coeff_vec_phys,
     coeff_vec_prob,
     evaluate_expansion,
+    expand_from_map,
     expand_general,
     transformed_map,
 )
@@ -346,6 +349,106 @@ def test_recurrence_matches_tuple_sum_reference():
                         expected[q.parts] = ref
             assert terms_dict(expand_general(k, lam, sig, ups, variant)) == expected
     assert several_parts >= 24
+
+
+def raise_coeff_reference(k, q, pairs, a_rows, m_rows, memo):
+    """The memoized top-down recursion that the bottom-up table replaced,
+    kept as a reference for the table's exact expressions."""
+    val = memo.get((k, q))
+    if val is not None:
+        return val
+    i = len(k) - 1
+    while k[i] == 0:
+        i -= 1
+    lowered = k[:i] + (k[i] - 1,) + k[i + 1 :]
+    acc = 0
+    for j, a in enumerate(a_rows[i]):
+        if a and q[j]:
+            fewer = q[:j] + (q[j] - 1,) + q[j + 1 :]
+            acc = acc + a * raise_coeff_reference(
+                lowered, fewer, pairs, a_rows, m_rows, memo
+            )
+    if pairs:
+        for j, mv in enumerate(m_rows[i]):
+            c = lowered[j]
+            if mv and c:
+                twice = lowered[:j] + (c - 1,) + lowered[j + 1 :]
+                acc = acc + c * mv * raise_coeff_reference(
+                    twice, q, pairs - 1, a_rows, m_rows, memo
+                )
+    memo[(k, q)] = acc
+    return acc
+
+
+def sparse_map(rng, n, m, exact):
+    """A TransformedMap with about one in six A and M entries set to exact
+    zero (-0.0 too in float mode), M symmetric.  About a third of the maps
+    with m >= 2 come from a Lambda with a zero row under diagonal
+    covariances, so a whole column of A is zero."""
+    def entry():
+        if exact:
+            value = Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+        else:
+            value = float(rng.uniform(-2, 2))
+        return 0 * value if rng.uniform() < 0.15 else value
+
+    def diagonal(dim):
+        return spd(
+            [[abs(entry()) + 1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+        )
+
+    if m >= 2 and int(rng.integers(0, 3)) == 0:
+        lam = [[entry() for _ in range(n)] for _ in range(m)]
+        zero = int(rng.integers(0, m))
+        lam[zero] = [0 * v for v in lam[zero]]
+        tmap = transformed_map(DenseMatrix.from_rows(lam), diagonal(n), diagonal(m))
+        assert not any(row[zero] for row in tmap.A.data)
+        return tmap
+    a = DenseMatrix.from_rows([[entry() for _ in range(m)] for _ in range(n)])
+    upper = [[entry() for _ in range(n)] for _ in range(n)]
+    mm = DenseMatrix.from_rows(
+        [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    )
+    return TransformedMap(A=a, M=mm)
+
+
+def test_coeff_table_matches_recursion_reference():
+    checked_from_map = 0
+    for trial in range(48):
+        rng = trial_rng(515, trial)
+        exact = trial % 2 == 1
+        n, m = 2 + trial % 3, 1 + (trial // 3) % 4
+        cap = {2: 10, 3: 8, 4: 6}[n] if exact else 10
+        parts = [1, 1] + [0] * (n - 2)
+        for _ in range(int(rng.integers(0, cap - 1))):
+            parts[int(rng.integers(0, n))] += 1
+        k = MultiIndex(tuple(parts))
+        tmap = sparse_map(rng, n, m, exact)
+        memo = {((0,) * n, (0,) * m): 1}
+        reference = [
+            (q, raise_coeff_reference(
+                k.parts, q.parts, (k.degree() - d) // 2, tmap.A.data, tmap.M.data, memo
+            ))
+            for d in q_support(k.degree())
+            for q in enumerate_fixed_degree(m, d)
+        ]
+        terms = expand_from_map(k, tmap)
+        assert [(t.q, repr(t.coeff)) for t in terms] == [
+            (q, repr(c)) for q, c in reference if c != 0
+        ]
+        kept = {t.q for t in terms}
+        assert [q for q, _ in reference if q not in kept] == [
+            q for q, c in reference if c == 0
+        ]
+        # One table per call: every q at |k| <= 6, a seeded sample above.
+        picks = range(len(reference))
+        if k.degree() > 6 and len(reference) > 8:
+            picks = rng.choice(len(reference), size=8, replace=False).tolist()
+        for at in picks:
+            q, c = reference[at]
+            assert repr(coeff_from_map(k, q, tmap)) == repr(c)
+            checked_from_map += 1
+    assert checked_from_map >= 300
 
 
 def test_zero_suppression_in_float_mode():
