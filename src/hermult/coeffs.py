@@ -43,6 +43,14 @@ lower degree, so a float table is reproducible bit for bit.  q' is
 addressed by its digits in radix MAX_EXPANSION_DEGREE + 1, so q' - e_j is
 a fixed offset; expand_from_map reads every q from the table of k and
 coeff_from_map reads one.
+
+Exact maps run on integers.  T[k,q] has degree |q| in A and (|k|-|q|)/2
+in M, so with A = A_hat/alpha and M = M_hat/beta cleared once per call,
+T[k,q] = T_hat[k,q] / (alpha^|q| beta^((|k|-|q|)/2)), T_hat being the same
+sweep on the int rows of A_hat and M_hat, and one Fraction is made per
+returned entry.  That is done when A and M hold only Fractions; other maps
+run on their own entries, so no entry changes type (an entry that no pull
+reaches stays the int 0 it starts from).
 """
 
 from __future__ import annotations
@@ -79,6 +87,7 @@ from .tensorlin import (
     DenseVector,
     SpdMatrix,
     check_symmetric,
+    cleared,
     spd_factorize,
 )
 
@@ -149,8 +158,18 @@ def transformed_map_from_inverses(
             f"map shape {lam.rows}x{lam.cols} inconsistent with matrix dims "
             f"{sigma_inv.rows} and {upsilon.rows}"
         )
-    a = sigma_inv.matmul(lam.transpose()).matmul(upsilon)
-    m = a.matmul(lam).matmul(sigma_inv).sub(sigma_inv)
+    if _all_fractions(sigma_inv) and lam.is_exact() and upsilon.is_exact():
+        # Every product of a Fraction Sigma^-1 is a Fraction, so they run on
+        # Sigma^-1 = S/s, Lambda = L/e, Upsilon = U/u: with A_hat = S L^T U,
+        # A = A_hat/(s e u) and M = (A_hat L S - s e^2 u S)/(s^2 e^2 u).
+        (sm, s), (lm, e), (um, u) = cleared(sigma_inv), cleared(lam), cleared(upsilon)
+        a_hat = sm.matmul(lm.transpose()).matmul(um)
+        m_hat = a_hat.matmul(lm).matmul(sm).sub(sm.scale(s * e * e * u))
+        a = a_hat.scale(Fraction(1, s * e * u))
+        m = m_hat.scale(Fraction(1, s * s * e * e * u))
+    else:
+        a = sigma_inv.matmul(lam.transpose()).matmul(upsilon)
+        m = a.matmul(lam).matmul(sigma_inv).sub(sigma_inv)
     check_symmetric(m, rtol=MAP_SYMMETRY_RTOL)
     return TransformedMap(A=a, M=m)
 
@@ -176,22 +195,46 @@ def _parity_split(k: MultiIndex, q: MultiIndex) -> int:
     return (kd - qd) // 2
 
 
-def _literal_coeff(k: MultiIndex, q: MultiIndex, pairs: int, tmap: TransformedMap):
+def _literal_coeff(k: MultiIndex, q: MultiIndex, pairs: int, rows: tuple, den: int):
     """k!/(2^i q! i!), i = pairs, times the contraction tensor at the
-    ascending slot tuple e of k.  The first |q| slots of e run in blocks of sizes q_j,
-    block j multiplying column j of A; the remaining 2*pairs slots are read
-    pairwise, pair (a, b) reading M[b][a]."""
+    ascending slot tuple e of k, over den; rows = (A rows, M rows).  The
+    first |q| slots of e run in blocks of sizes q_j, block j multiplying
+    column j of A; the remaining 2*pairs slots are read pairwise, pair
+    (a, b) reading M[b][a]."""
+    a_rows, m_rows = rows
     e = ascending_tuple(k)
     prod = 1
     for slot, col in zip(e, ascending_tuple(q)):
-        prod = prod * tmap.A.data[slot][col]
+        prod = prod * a_rows[slot][col]
     split = q.degree()
     for p in range(split, split + 2 * pairs, 2):
-        prod = prod * tmap.M.data[e[p + 1]][e[p]]
+        prod = prod * m_rows[e[p + 1]][e[p]]
     pref = Fraction(
-        mi_factorial(k), (1 << pairs) * mi_factorial(q) * math.factorial(pairs)
+        mi_factorial(k), (1 << pairs) * mi_factorial(q) * math.factorial(pairs) * den
     )
     return pref * prod
+
+
+def _all_fractions(*mats: DenseMatrix) -> bool:
+    return all(type(v) is Fraction for mat in mats for row in mat.data for v in row)
+
+
+def _sweep_rows(tmap: TransformedMap):
+    """((A rows, M rows), scales): the int rows of A_hat and M_hat with
+    (alpha, beta) for a map of Fractions, else the map's rows and None."""
+    if _all_fractions(tmap.A, tmap.M):
+        (a, alpha), (m, beta) = cleared(tmap.A), cleared(tmap.M)
+        return (a.data, m.data), (alpha, beta)
+    return (tmap.A.data, tmap.M.data), None
+
+
+def _pulls_into(k: tuple, q: tuple, a_rows, m_rows) -> bool:
+    """Whether the sweep adds any pull into T[k, q], for k != 0."""
+    i = max(j for j, c in enumerate(k) if c)
+    low = k[:i] + (k[i] - 1,) + k[i + 1 :]
+    return any(a and qj for a, qj in zip(a_rows[i], q)) or (
+        sum(q) < sum(k) and any(mv and c for mv, c in zip(m_rows[i], low))
+    )
 
 
 # Indices q are coded by their digits in this radix: every part of an
@@ -283,10 +326,15 @@ def coeff_from_map(
     q = MultiIndex.of(q)
     _check_shape(k, q.arity, tmap)
     pairs = _parity_split(k, q)
+    rows, scales = _sweep_rows(tmap)
+    alpha, beta = scales or (1, 1)
+    den = alpha ** q.degree() * beta**pairs
     if _reads_one_tuple(k, variant):
-        return _literal_coeff(k, q, pairs, tmap)
-    table = _coeff_table(k.parts, tmap.A.data, tmap.M.data)
-    return table[_q_code(q.parts)]
+        return _literal_coeff(k, q, pairs, rows, den)
+    c = _coeff_table(k.parts, *rows)[_q_code(q.parts)]
+    if scales is None or not (c or _pulls_into(k.parts, q.parts, *rows)):
+        return c
+    return Fraction(c, den)
 
 
 def coeff_general(
@@ -323,16 +371,20 @@ def expand_from_map(
     k = MultiIndex.of(k)
     _check_shape(k, tmap.A.cols, tmap)
     top = k.degree()
-    table = (
-        None
-        if _reads_one_tuple(k, variant)
-        else _coeff_table(k.parts, tmap.A.data, tmap.M.data)
-    )
+    rows, scales = _sweep_rows(tmap)
+    alpha, beta = scales or (1, 1)
+    table = None if _reads_one_tuple(k, variant) else _coeff_table(k.parts, *rows)
+    if table is not None and scales is not None:
+        for d in q_support(top):
+            den = alpha**d * beta ** ((top - d) // 2)
+            for code, _ in _q_level(tmap.A.cols, d):
+                table[code] = Fraction(table[code], den)
     terms = []
     for d in q_support(top):
         pairs = (top - d) // 2
+        den = alpha**d * beta**pairs
         for code, q in _q_level(tmap.A.cols, d):
-            c = _literal_coeff(k, q, pairs, tmap) if table is None else table[code]
+            c = _literal_coeff(k, q, pairs, rows, den) if table is None else table[code]
             if c != 0:
                 terms.append(ExpansionTerm(q, c))
     return terms

@@ -40,6 +40,8 @@ the common denominator lcm((d e)^|k|, D), and the identity holds exactly
 when the integer difference is zero.  `Fraction` coefficients are made
 only for the returned `lhs`, `rhs` and `diff`; each is reduced over its
 polynomial's denominator, so they equal a term-by-term rational build.
+Matrices are cleared to (C, d) by `tensorlin.cleared`, the helper that
+the exact inverse and the `coeffs` sweep use too.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .errors import (
     SizeLimitError,
 )
 from .multiindex import MultiIndex
-from .tensorlin import DenseMatrix, check_symmetric, invert_matrix
+from .tensorlin import DenseMatrix, check_symmetric, cleared, invert_matrix
 
 # Symbolic construction above this total degree is rejected.
 MAX_SYMBOLIC_DEGREE = 8
@@ -158,12 +160,6 @@ def _compose_terms(terms: dict, forms: list[dict], arity: int) -> dict:
             prod = got
         _add_into(out, prod, c)
     return out
-
-
-def _cleared(mat: DenseMatrix) -> tuple[list[list[int]], int]:
-    """(C, d) with mat = C/d: d is the lcm of the entry denominators."""
-    d = math.lcm(*(v.denominator for row in mat.data for v in row))
-    return [[v.numerator * (d // v.denominator) for v in row] for row in mat.data], d
 
 
 def _over(arity: int, terms: dict, den: int) -> "MPoly":
@@ -351,8 +347,8 @@ class SymbolicHermiteFamily:
         check_symmetric(b)
         n = b.rows
         self.arity = n
-        rows, self._den = _cleared(b)
-        self._rows = _linear_forms(rows, n)
+        rows, self._den = cleared(b)
+        self._rows = _linear_forms(rows.data, n)
         self._memo: dict[tuple, dict] = {(0,) * n: {(0,) * n: 1}}
 
     def poly(self, k: MultiIndex | Iterable[int]) -> MPoly:
@@ -442,10 +438,10 @@ def oracle_compare(
 
     degree = k.degree()
     p, p_den = SymbolicHermiteFamily(sigma_inv).scaled_terms(k)
-    lam_t, e = _cleared(lam.transpose())
+    lam_t, e = cleared(lam.transpose())
     lhs_terms = _compose_terms(
         {a: c * e ** (degree - sum(a)) for a, c in p.items()},
-        _linear_forms(lam_t, m),
+        _linear_forms(lam_t.data, m),
         m,
     )
     lhs_den = p_den * e**degree

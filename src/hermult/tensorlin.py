@@ -3,7 +3,8 @@
 Everything here is written once over duck-typed scalars and works for two
 fields: 64-bit floats and exact rationals (int / fractions.Fraction).  The
 int scalars 0 and 1 embed in both fields, so identity matrices and empty
-products stay field-agnostic.
+products stay field-agnostic.  `cleared` writes an exact matrix as C/d
+with C an int matrix; the exact inverse is fraction-free on C.
 
 Flat tensor addressing: a 0-based slot tuple (j_1, ..., j_K) in [0, n)^K
 maps to flat index sum_p j_p * n^(K-1-p), which is exactly the layout
@@ -83,9 +84,6 @@ class DenseVector:
     def __getitem__(self, i: int):
         return self.entries[i]
 
-    def to_list(self) -> list:
-        return list(self.entries)
-
 
 @dataclass(frozen=True)
 class DenseMatrix:
@@ -118,12 +116,6 @@ class DenseMatrix:
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
         return cls(n, n, data)
-
-    def entry(self, i: int, j: int):
-        return self.data[i][j]
-
-    def row_vec(self, i: int) -> DenseVector:
-        return DenseVector(self.data[i])
 
     def col_vec(self, j: int) -> DenseVector:
         return DenseVector(tuple(row[j] for row in self.data))
@@ -196,15 +188,6 @@ class DenseMatrix:
         return [list(row) for row in self.data]
 
 
-def flat_index(slots: Sequence[int], n: int) -> int:
-    """Flat position of a 0-based slot tuple in an order-len(slots) tensor
-    over [0, n)."""
-    f = 0
-    for s in slots:
-        f = f * n + s
-    return f
-
-
 def _check_len(length: int) -> None:
     if length > MAX_TENSOR_LEN:
         raise SizeLimitError(
@@ -269,25 +252,49 @@ def vec(m: DenseMatrix) -> DenseVector:
     )
 
 
-def _as_exact_rows(m: DenseMatrix) -> list[list[Fraction]]:
-    return [[Fraction(v) for v in row] for row in m.data]
+def cleared(mat: DenseMatrix) -> tuple[DenseMatrix, int]:
+    """(C, d) with mat = C/d for an exact matrix: d is the lcm of the entry
+    denominators and C has int entries."""
+    d = math.lcm(*[v.denominator for row in mat.data for v in row])
+    data = tuple(
+        tuple([v.numerator * (d // v.denominator) for v in row]) for row in mat.data
+    )
+    return DenseMatrix(mat.rows, mat.cols, data), d
 
 
 def invert_matrix(m: DenseMatrix) -> DenseMatrix:
-    """Matrix inverse by Gauss-Jordan elimination with partial pivoting.
+    """Matrix inverse by Gauss-Jordan elimination.
 
     Exact over rationals (entries all int/Fraction), floating otherwise.
+    Exact is fraction-free (Bareiss): with m = C/d, step `col` replaces each
+    row r but the pivot row of [C | I] by (p a_r - a_r[col] a_col) / prev,
+    p the pivot and prev the one before; the division is exact (Sylvester's
+    identity).  [D I | D C^-1] results, so m^-1 = (d/D) (D C^-1), one
+    Fraction per entry.  Any nonzero pivot will do; floats pivot partially.
     """
     if m.rows != m.cols:
         raise DimensionMismatchError("inverse of a non-square matrix")
     n = m.rows
-    exact = m.is_exact()
-    if exact:
-        a = _as_exact_rows(m)
-        aug = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    else:
-        a = [[float(v) for v in row] for row in m.data]
-        aug = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    if m.is_exact():
+        c, d = cleared(m)
+        eye = DenseMatrix.identity(n).data
+        a = [list(row + one) for row, one in zip(c.data, eye)]
+        prev = 1
+        for col in range(n):
+            piv = next((r for r in range(col, n) if a[r][col]), None)
+            if piv is None:
+                raise SingularMatrixError("matrix is singular")
+            a[col], a[piv] = a[piv], a[col]
+            top, p = a[col], a[col][col]
+            for r in range(n):
+                if r != col:
+                    f = a[r][col]
+                    a[r] = [(p * v - f * w) // prev for v, w in zip(a[r], top)]
+            prev = p
+        data = tuple(tuple(Fraction(d * v, prev) for v in row[n:]) for row in a)
+        return DenseMatrix(n, n, data)
+    a = [[float(v) for v in row] for row in m.data]
+    aug = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col]))
         if a[piv][col] == 0:
@@ -396,7 +403,7 @@ def spd_factorize(s: DenseMatrix) -> SpdMatrix:
     n = s.rows
     exact = s.is_exact()
     if exact:
-        a = _as_exact_rows(s)
+        a = [[Fraction(v) for v in row] for row in s.data]
     else:
         a = [[float(v) for v in row] for row in s.data]
     low = [[0] * n for _ in range(n)]

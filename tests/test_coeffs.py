@@ -16,6 +16,7 @@ from hermult.coeffs import (
     expand_from_map,
     expand_general,
     transformed_map,
+    transformed_map_from_inverses,
 )
 from hermult.errors import (
     DimensionMismatchError,
@@ -449,6 +450,168 @@ def test_coeff_table_matches_recursion_reference():
             assert repr(coeff_from_map(k, q, tmap)) == repr(c)
             checked_from_map += 1
     assert checked_from_map >= 300
+
+
+def fraction_table_reference(k, a_rows, m_rows):
+    """The bottom-up sweep as it ran directly on the map's own entries
+    before exact maps were cleared to integers: the same pulls in the same
+    order, so entry types (int or Fraction) follow the same rules."""
+    top = sum(k)
+    steps = [{} for _ in range(top + 1)]
+    steps[top][k] = None
+    for d in range(top, 0, -1):
+        for kp in steps[d]:
+            i = max(j for j, c in enumerate(kp) if c)
+            low = kp[:i] + (kp[i] - 1,) + kp[i + 1 :]
+            twice = []
+            for l, mv in enumerate(m_rows[i]):
+                if mv and low[l]:
+                    lower = low[:l] + (low[l] - 1,) + low[l + 1 :]
+                    twice.append((low[l] * mv, lower))
+                    steps[d - 2][lower] = None
+            steps[d - 1][low] = None
+            steps[d][kp] = (i, low, twice)
+    m = len(a_rows[0])
+    below, prev = {}, {(0,) * len(k): {(0,) * m: 1}}
+    for d in range(1, top + 1):
+        cur = {}
+        for kp, (i, low, twice) in steps[d].items():
+            t = {}
+            for dq in range(d, -1, -2):
+                for q in enumerate_fixed_degree(m, dq):
+                    q = q.parts
+                    acc = 0
+                    for j, a in enumerate(a_rows[i]):
+                        if a and q[j]:
+                            acc = acc + a * prev[low][q[:j] + (q[j] - 1,) + q[j + 1 :]]
+                    if dq < d:
+                        for cm, lower in twice:
+                            acc = acc + cm * below[lower][q]
+                    t[q] = acc
+            cur[kp] = t
+        below, prev = prev, cur
+    return prev[k]
+
+
+def expand_reference(k, tmap, variant):
+    """(q, T[k,q]) for every q, zeros included, computed on the map's own
+    entries: the Fraction sweep, or the literal product at the ascending
+    slot tuple times a Fraction prefactor."""
+    top = k.degree()
+    literal = variant is CoeffVariant.PAPER_LITERAL or sum(1 for c in k.parts if c) <= 1
+    table = None if literal else fraction_table_reference(k.parts, tmap.A.data, tmap.M.data)
+    out = []
+    for d in q_support(top):
+        pairs = (top - d) // 2
+        for q in enumerate_fixed_degree(tmap.A.cols, d):
+            if table is not None:
+                out.append((q, table[q.parts]))
+                continue
+            e = ascending_tuple(k)
+            prod = 1
+            for slot, col in zip(e, ascending_tuple(q)):
+                prod = prod * tmap.A.data[slot][col]
+            for p in range(d, d + 2 * pairs, 2):
+                prod = prod * tmap.M.data[e[p + 1]][e[p]]
+            pref = Fraction(
+                mi_factorial(k), 2**pairs * mi_factorial(q) * math.factorial(pairs)
+            )
+            out.append((q, pref * prod))
+    return out
+
+
+def typed_map(rng, n, m, kind):
+    """An exact map whose entries are all Fractions p/q ("fraction"), all
+    Fraction(float) ("float"), all ints ("int") or a mix of ints and
+    Fractions ("mixed"); about one entry in six is an exact zero and M is
+    symmetric.  A third of the fraction and float maps with m >= 2 come
+    from a Lambda with a zero row under full covariances instead."""
+    def entry():
+        if kind == "float":
+            value = Fraction(float(rng.uniform(-2, 2)))
+        elif kind == "int" or (kind == "mixed" and rng.uniform() < 0.5):
+            value = int(rng.integers(-4, 5))
+        else:
+            value = Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+        return 0 * value if rng.uniform() < 0.15 else value
+
+    def covariance(dim):
+        q = DenseMatrix.from_rows([[entry() for _ in range(dim)] for _ in range(dim)])
+        return spd_factorize(q.transpose().matmul(q).add(DenseMatrix.identity(dim)))
+
+    if kind in ("fraction", "float") and m >= 2 and int(rng.integers(0, 3)) == 0:
+        lam = [[entry() for _ in range(n)] for _ in range(m)]
+        zero = int(rng.integers(0, m))
+        lam[zero] = [0 * v for v in lam[zero]]
+        tmap = transformed_map(DenseMatrix.from_rows(lam), covariance(n), covariance(m))
+        assert all(type(v) is Fraction for row in tmap.A.data for v in row)
+        return tmap
+    a = DenseMatrix.from_rows([[entry() for _ in range(m)] for _ in range(n)])
+    upper = [[entry() for _ in range(n)] for _ in range(n)]
+    mm = DenseMatrix.from_rows(
+        [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    )
+    return TransformedMap(A=a, M=mm)
+
+
+def test_integer_sweep_matches_fraction_reference():
+    """Exact maps are cleared to integers inside coeffs; every coefficient
+    must keep the value and the type (int or Fraction) that the sweep on
+    the map's own entries gives, exact zeros from coeff_from_map included."""
+    kinds = ("fraction", "float", "int", "mixed")
+    zero_types = set()
+    compared = 0
+    for trial in range(64):
+        rng = trial_rng(616, trial)
+        kind = kinds[trial % 4]
+        n, m = 1 + (trial // 4) % 4, 1 + (trial // 16) % 4
+        cap = {1: 10, 2: 10, 3: 8, 4: 6}[n] - (2 if kind == "float" and n > 1 else 0)
+        parts = [1, 1] + [0] * (n - 2) if n >= 2 else [1]
+        for _ in range(int(rng.integers(0, cap - sum(parts) + 1))):
+            parts[int(rng.integers(0, n))] += 1
+        k = MultiIndex(tuple(parts))
+        tmap = typed_map(rng, n, m, kind)
+        for variant in CoeffVariant:
+            reference = expand_reference(k, tmap, variant)
+            terms = expand_from_map(k, tmap, variant)
+            assert [(t.q, t.coeff, type(t.coeff)) for t in terms] == [
+                (q, c, type(c)) for q, c in reference if c != 0
+            ]
+            picks = range(len(reference))
+            if k.degree() > 6 and len(reference) > 8:
+                zeros = [at for at, (_, c) in enumerate(reference) if c == 0]
+                picks = zeros[:8] + rng.choice(len(reference), size=8).tolist()
+            for at in picks:
+                q, c = reference[at]
+                got = coeff_from_map(k, q, tmap, variant)
+                assert (got, type(got)) == (c, type(c))
+                if c == 0 and kind in ("fraction", "float"):
+                    zero_types.add(type(c))
+                compared += 1
+    assert zero_types == {int, Fraction}
+    assert compared >= 1500
+
+
+def test_exact_transformed_map_matches_fraction_products():
+    """(A, M) from integer products equal the products of the given
+    matrices in value and entry type, for every mix of entry types."""
+    kinds = ("fraction", "float", "int", "mixed")
+    for trial in range(48):
+        rng = trial_rng(626, trial)
+        n, m = 1 + trial % 3, 1 + (trial // 3) % 3
+        lam, sigma_inv, upsilon = (
+            typed_map(rng, rows, cols, kinds[(trial + shift) % 4]).A
+            for rows, cols, shift in ((m, n, 0), (n, n, trial // 9), (m, m, trial // 5))
+        )
+        sigma_inv = sigma_inv.add(sigma_inv.transpose())
+        upsilon = upsilon.add(upsilon.transpose())
+        a = sigma_inv.matmul(lam.transpose()).matmul(upsilon)
+        mm = a.matmul(lam).matmul(sigma_inv).sub(sigma_inv)
+        tmap = transformed_map_from_inverses(lam, sigma_inv, upsilon)
+        for got, want in ((tmap.A, a), (tmap.M, mm)):
+            assert [(v, type(v)) for row in got.data for v in row] == [
+                (v, type(v)) for row in want.data for v in row
+            ]
 
 
 def test_zero_suppression_in_float_mode():

@@ -17,7 +17,6 @@ from hermult.tensorlin import (
     DenseMatrix,
     DenseVector,
     colwise_kron_power,
-    flat_index,
     invert_matrix,
     kron,
     kron_power,
@@ -103,6 +102,15 @@ def test_vec_quadratic_form_identity():
     assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
+def flat_index(slots, n):
+    """Flat position of a 0-based slot tuple in an order-len(slots) tensor
+    over [0, n)."""
+    f = 0
+    for s in slots:
+        f = f * n + s
+    return f
+
+
 def test_flat_index_matches_kron_layout():
     n = 3
     cols = [DenseVector.from_entries([1 if i == j else 0 for i in range(n)]) for j in range(n)]
@@ -164,6 +172,90 @@ def test_invert_matrix_exact_and_singular():
     assert m.matmul(inv).data == DenseMatrix.identity(2).data
     with pytest.raises(SingularMatrixError):
         invert_matrix(DenseMatrix.from_rows([[1, 2], [2, 4]]))
+
+
+def gauss_jordan_reference(m):
+    """Gauss-Jordan with partial pivoting in the field of the entries:
+    Fractions for exact matrices, floats otherwise."""
+    n = m.rows
+    if m.is_exact():
+        a = [[Fraction(v) for v in row] for row in m.data]
+        aug = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    else:
+        a = [[float(v) for v in row] for row in m.data]
+        aug = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[piv][col] == 0:
+            raise SingularMatrixError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        aug[col], aug[piv] = aug[piv], aug[col]
+        d = a[col][col]
+        a[col] = [v / d for v in a[col]]
+        aug[col] = [v / d for v in aug[col]]
+        for r in range(n):
+            f = a[r][col]
+            if r != col and f != 0:
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return tuple(tuple(row) for row in aug)
+
+
+def seeded_square(rng, n, kind):
+    """An n x n matrix: p/q Fractions with a zero leading pivot, an
+    indefinite symmetric one, Fraction(float) entries, a singular one whose
+    leading (n-1) x (n-1) block is diagonally dominant and whose last column
+    is a combination of the others, or floats."""
+    if kind == "float":
+        return DenseMatrix.from_rows(rng.uniform(-2, 2, size=(n, n)).tolist())
+
+    def entry():
+        if kind == "from-float":
+            return Fraction(float(rng.uniform(-2, 2)))
+        return Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if kind == "zero-pivot":
+        rows[0][0] = Fraction(0)
+    elif kind == "indefinite":
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        rows[0][0] = -abs(rows[0][0]) - 1
+        rows[-1][-1] = abs(rows[-1][-1]) + 1
+    elif kind == "singular":
+        mix = [entry() for _ in range(n - 1)]
+        for i, row in enumerate(rows):
+            if i < n - 1:
+                row[i] = sum(abs(v) for v in row[: n - 1]) + 1
+            row[-1] = sum(c * v for c, v in zip(mix, row))
+    return DenseMatrix.from_rows(rows)
+
+
+def test_exact_inverse_matches_fraction_gauss_jordan():
+    kinds = ("zero-pivot", "indefinite", "from-float", "singular", "float")
+    for trial in range(100):
+        rng = trial_rng(404, trial)
+        kind = kinds[trial % 5]
+        n = 1 + (trial // 5) % 5
+        if kind in ("zero-pivot", "singular"):
+            n = 2 + (trial // 5) % 4
+        m = seeded_square(rng, n, kind)
+        if kind == "singular":
+            # The leading n-1 columns are independent: the rank loss shows
+            # only when the last column is reached.
+            gauss_jordan_reference(DenseMatrix.from_rows([r[:-1] for r in m.data[:-1]]))
+            with pytest.raises(SingularMatrixError):
+                gauss_jordan_reference(m)
+            with pytest.raises(SingularMatrixError):
+                invert_matrix(m)
+            continue
+        expected = gauss_jordan_reference(m)
+        got = invert_matrix(m).data
+        if kind == "float":
+            assert repr(got) == repr(expected)
+        else:
+            assert got == expected
+            assert all(type(v) is Fraction for row in got for v in row)
+            assert m.matmul(invert_matrix(m)).data == DenseMatrix.identity(n).data
 
 
 small_fraction = st.fractions(
@@ -233,4 +325,4 @@ def test_matrix_shape_errors():
         a.matvec(DenseVector.from_entries([1, 2, 3]))
     with pytest.raises(DimensionMismatchError):
         DenseMatrix.from_rows([])
-    assert math.isfinite(sum(a.row_vec(0).entries))
+    assert math.isfinite(sum(DenseVector(a.data[0]).entries))
