@@ -86,6 +86,7 @@ from .tensorlin import (
     DenseMatrix,
     DenseVector,
     SpdMatrix,
+    all_fractions,
     check_symmetric,
     cleared,
     spd_factorize,
@@ -158,7 +159,7 @@ def transformed_map_from_inverses(
             f"map shape {lam.rows}x{lam.cols} inconsistent with matrix dims "
             f"{sigma_inv.rows} and {upsilon.rows}"
         )
-    if _all_fractions(sigma_inv) and lam.is_exact() and upsilon.is_exact():
+    if all_fractions(*sigma_inv.data) and lam.is_exact() and upsilon.is_exact():
         # Every product of a Fraction Sigma^-1 is a Fraction, so they run on
         # Sigma^-1 = S/s, Lambda = L/e, Upsilon = U/u: with A_hat = S L^T U,
         # A = A_hat/(s e u) and M = (A_hat L S - s e^2 u S)/(s^2 e^2 u).
@@ -215,14 +216,10 @@ def _literal_coeff(k: MultiIndex, q: MultiIndex, pairs: int, rows: tuple, den: i
     return pref * prod
 
 
-def _all_fractions(*mats: DenseMatrix) -> bool:
-    return all(type(v) is Fraction for mat in mats for row in mat.data for v in row)
-
-
 def _sweep_rows(tmap: TransformedMap):
     """((A rows, M rows), scales): the int rows of A_hat and M_hat with
     (alpha, beta) for a map of Fractions, else the map's rows and None."""
-    if _all_fractions(tmap.A, tmap.M):
+    if all_fractions(*tmap.A.data, *tmap.M.data):
         (a, alpha), (m, beta) = cleared(tmap.A), cleared(tmap.M)
         return (a.data, m.data), (alpha, beta)
     return (tmap.A.data, tmap.M.data), None
@@ -408,6 +405,20 @@ def coeff_isotropic(
     return coeff_general(k, q, lam, sigma, upsilon, variant)
 
 
+@functools.lru_cache(maxsize=1024)
+def _closed_form_prefactor(k: int, q_parts: tuple, pair_weight: int) -> tuple:
+    """(k!/(w^i q! i!), its float) with w = pair_weight, i = (k - |q|)/2:
+    the prefactor of the inner-product and univariate closed forms.
+    Fraction * float computes float(Fraction) * float, so a float operand
+    takes the float twin and gets the same bits without the Fraction
+    dispatch."""
+    i = (k - sum(q_parts)) // 2
+    pref = Fraction(
+        math.factorial(k), pair_weight**i * mi_factorial(q_parts) * math.factorial(i)
+    )
+    return pref, float(pref)
+
+
 def _vec_coeff(k: int, q: MultiIndex, lam: DenseVector, pair_weight: int):
     if k < 0:
         raise DomainError(f"degree must be >= 0, got {k}")
@@ -421,18 +432,14 @@ def _vec_coeff(k: int, q: MultiIndex, lam: DenseVector, pair_weight: int):
             f"degrees k={k}, |q|={qd} must satisfy |q| <= k with equal parity"
         )
     i = (k - qd) // 2
-    pref = Fraction(
-        math.factorial(k), pair_weight**i * mi_factorial(q) * math.factorial(i)
-    )
+    pref, pref_f = _closed_form_prefactor(k, q.parts, pair_weight)
     lam_q = 1
     for lj, qj in zip(lam.entries, q.parts):
         if qj:
             lam_q = lam_q * lj**qj
     norm_sq = sum(lj * lj for lj in lam.entries)
-    # Fraction * float computes float(Fraction) * float, so the float twin
-    # gives the same bits without the Fraction dispatch.
     if isinstance(lam_q, float):
-        pref = float(pref)
+        pref = pref_f
     return pref * lam_q * (norm_sq - 1) ** i
 
 
@@ -462,13 +469,10 @@ def coeff_univariate(k: int, i: int, lam, family: HermiteFamily = PROBABILISTS):
         raise DomainError(f"degree must be >= 0, got {k}")
     if i < 0 or 2 * i > k:
         raise DomainError(f"term index i={i} out of range for degree {k}")
-    pref = Fraction(
-        math.factorial(k),
-        pair_weight**i * math.factorial(i) * math.factorial(k - 2 * i),
-    )
+    pref, pref_f = _closed_form_prefactor(k, (k - 2 * i,), pair_weight)
     spread = (lam * lam - 1) ** i
     if isinstance(spread, float):
-        pref = float(pref)  # the same bits as Fraction's float fallback
+        pref = pref_f
     return pref * spread * lam ** (k - 2 * i)
 
 

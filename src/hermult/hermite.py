@@ -3,6 +3,13 @@
 All evaluators run three-term or coordinate-raising recurrences rather than
 coefficient tables, and work in either scalar field: float inputs give
 doubles, int/Fraction inputs give exact rationals.
+
+hermite_multi and hermite_multi_batch run the raising recurrence top down
+with a memo keyed by index tuples.  gf_partial_sum needs every index up to
+its degree cap, so it runs the same recurrence bottom up over a table built
+once per (arity, cap): each entry holds the positions of the entries it
+reads, and the sweep evaluates _raise_value's expression in the same
+operand order, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -194,15 +201,37 @@ def hermite_multi_product(
 
 
 @functools.lru_cache(maxsize=64)
-def _gf_terms(n: int, degree_cap: int) -> tuple:
-    """(parts, 1/k!, float(1/k!)) for every arity-n index k of total degree
-    <= degree_cap, in ascending degree, then the enumeration order within a
-    degree."""
+def _gf_table(n: int, degree_cap: int) -> tuple:
+    """The sweep plan of gf_partial_sum: one entry per arity-n index k of
+    total degree <= degree_cap, in ascending degree, then the enumeration
+    order within a degree, so every entry comes after the entries it reads.
+
+    An entry is (powers, 1/k!, float(1/k!), step).  `powers` holds the
+    (j, k_j) with k_j > 0.  step is (i, low, twice): i is the rightmost
+    positive coordinate of k, the one _raise_value lowers, `low` the
+    position of k - e_i and `twice` the (j, c, position of k - e_i - e_j)
+    for each j with c = (k - e_i)_j > 0, j ascending.  The first entry is
+    k = 0, whose step is None.
+    """
+    position = {}
     out = []
     for d in range(degree_cap + 1):
         for k in enumerate_fixed_degree(n, d):
+            parts = k.parts
+            position[parts] = len(out)
             inv = Fraction(1, mi_factorial(k))
-            out.append((k.parts, inv, float(inv)))
+            powers = tuple((j, c) for j, c in enumerate(parts) if c)
+            if not powers:
+                out.append((powers, inv, float(inv), None))
+                continue
+            i = powers[-1][0]
+            low = parts[:i] + (parts[i] - 1,) + parts[i + 1 :]
+            twice = tuple(
+                (j, c, position[low[:j] + (c - 1,) + low[j + 1 :]])
+                for j, c in enumerate(low)
+                if c
+            )
+            out.append((powers, inv, float(inv), (i, position[low], twice)))
     return tuple(out)
 
 
@@ -210,7 +239,12 @@ def gf_partial_sum(
     t: DenseVector, x: DenseVector, sigma: SpdMatrix, degree_cap: int
 ):
     """Partial sum over all indices of total degree <= degree_cap of
-    t^k / k! times the Hermite value at x."""
+    t^k / k! times the Hermite value at x.
+
+    The Hermite values come from one bottom-up sweep over _gf_table, which
+    fills every entry, including those whose t^k is zero.  Each value is
+    _raise_value's expression with its operands in the same order, so the
+    sum has the same bits as a sum of per-index hermite_multi values."""
     if degree_cap < 0:
         raise DomainError(f"degree cap must be >= 0, got {degree_cap}")
     if degree_cap > MAX_GF_DEGREE:
@@ -221,20 +255,28 @@ def gf_partial_sum(
         raise DimensionMismatchError(
             f"t dim {t.dim} does not match x dim {x.dim}"
         )
-    bx, b_rows, memo = _evaluation_state(x, sigma)
+    bx, b_rows, _ = _evaluation_state(x, sigma)
+    table = _gf_table(x.dim, degree_cap)
+    h = [1] * len(table)
+    for pos in range(1, len(table)):
+        i, low, twice = table[pos][3]
+        row = b_rows[i]
+        acc = bx[i] * h[low]
+        for j, c, below in twice:
+            acc = acc - c * row[j] * h[below]
+        h[pos] = acc
+    t_powers = [[None] + [ti**c for c in range(1, degree_cap + 1)] for ti in t.entries]
     total = 0
-    for parts, inv_factorial, inv_factorial_f in _gf_terms(x.dim, degree_cap):
+    for (powers, inv_factorial, inv_factorial_f, _), hk in zip(table, h):
         tk = 1
-        for ti, ki in zip(t.entries, parts):
-            if ki:
-                tk = tk * ti**ki
+        for j, c in powers:
+            tk = tk * t_powers[j][c]
         if tk == 0:
             continue
-        h = _raise_value(parts, bx, b_rows, memo)
         # Fraction * float computes float(Fraction) * float, so the float
         # twin gives the same bits without the Fraction dispatch.
         if isinstance(tk, float):
-            total = total + inv_factorial_f * tk * h
+            total = total + inv_factorial_f * tk * hk
         else:
-            total = total + inv_factorial * tk * h
+            total = total + inv_factorial * tk * hk
     return total

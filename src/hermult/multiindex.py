@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator
 
 from .errors import DomainError, InvalidArityError, SizeLimitError
@@ -80,12 +80,17 @@ class MultiIndex:
 
 def enumerate_fixed_degree(arity: int, degree: int) -> list[MultiIndex]:
     """All multi-indices of the given arity and total degree, graded
-    descending-lex order, no duplicates."""
+    descending-lex order, no duplicates.  Each call returns a new list of
+    shared (immutable) indices."""
     if arity < 1:
         raise InvalidArityError(f"arity must be >= 1, got {arity}")
     if degree < 0:
         raise DomainError(f"degree must be >= 0, got {degree}")
+    return list(_fixed_degree(arity, degree))
 
+
+@lru_cache(maxsize=256)
+def _fixed_degree(arity: int, degree: int) -> tuple[MultiIndex, ...]:
     def rec(m: int, d: int):
         if m == 1:
             yield (d,)
@@ -94,7 +99,7 @@ def enumerate_fixed_degree(arity: int, degree: int) -> list[MultiIndex]:
             for rest in rec(m - 1, d - first):
                 yield (first,) + rest
 
-    return [MultiIndex(parts) for parts in rec(arity, degree)]
+    return tuple(MultiIndex(parts) for parts in rec(arity, degree))
 
 
 def mi_factorial(k: MultiIndex | Iterable[int]) -> int:

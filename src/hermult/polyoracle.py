@@ -451,7 +451,8 @@ def oracle_compare(
     weighted = []
     for term in coeffs.expand_from_map(k, tmap, variant):
         h, h_den = basis.scaled_terms(term.q)
-        weighted.append((Fraction(term.coeff) / h_den, h))
+        c = term.coeff
+        weighted.append((Fraction(c.numerator, c.denominator * h_den), h))
     rhs_den = math.lcm(*(w.denominator for w, _ in weighted))
     rhs_terms: dict = {}
     for w, h in weighted:

@@ -4,7 +4,12 @@ Everything here is written once over duck-typed scalars and works for two
 fields: 64-bit floats and exact rationals (int / fractions.Fraction).  The
 int scalars 0 and 1 embed in both fields, so identity matrices and empty
 products stay field-agnostic.  `cleared` writes an exact matrix as C/d
-with C an int matrix; the exact inverse is fraction-free on C.
+with C an int matrix; the exact inverse is fraction-free on C.  Kronecker
+powers and dot products of operands whose entries are all Fractions run
+the same products on the cleared integers and divide once: by d^p for
+each entry of a p-fold power, by the product of the two d's for a dot.
+Every other operand (float, int, or int and Fraction mixed) runs the plain
+products, so no entry changes type; a power of degree 0 is the int [1].
 
 Flat tensor addressing: a 0-based slot tuple (j_1, ..., j_K) in [0, n)^K
 maps to flat index sum_p j_p * n^(K-1-p), which is exactly the layout
@@ -73,6 +78,10 @@ class DenseVector:
             raise DimensionMismatchError(
                 f"dot of dims {self.dim} and {other.dim}"
             )
+        if all_fractions(self.entries, other.entries):
+            a, da = _cleared_entries(self.entries)
+            b, db = _cleared_entries(other.entries)
+            return Fraction(sum(x * y for x, y in zip(a, b)), da * db)
         return sum(a * b for a, b in zip(self.entries, other.entries))
 
     def __iter__(self) -> Iterator:
@@ -195,6 +204,19 @@ def _check_len(length: int) -> None:
         )
 
 
+def _kron_entries(a: tuple, b: tuple) -> tuple:
+    """Entries of the Kronecker product of two vectors: a[i]*b[j] at
+    i*len(b)+j."""
+    return tuple(x * y for x in a for y in b)
+
+
+def _power_entries(v: tuple, p: int) -> tuple:
+    out = (1,)
+    for _ in range(p):
+        out = _kron_entries(out, v)
+    return out
+
+
 def kron(a, b):
     """Kronecker product of two vectors or two matrices.
 
@@ -202,7 +224,7 @@ def kron(a, b):
     """
     if isinstance(a, DenseVector) and isinstance(b, DenseVector):
         _check_len(a.dim * b.dim)
-        return DenseVector(tuple(x * y for x in a.entries for y in b.entries))
+        return DenseVector(_kron_entries(a.entries, b.entries))
     if isinstance(a, DenseMatrix) and isinstance(b, DenseMatrix):
         _check_len(a.rows * b.rows * a.cols * b.cols)
         data = tuple(
@@ -223,10 +245,11 @@ def kron_power(v: DenseVector, p: int) -> DenseVector:
     if p < 0:
         raise DomainError(f"Kronecker power must be >= 0, got {p}")
     _check_len(v.dim**p)
-    out = DenseVector((1,))
-    for _ in range(p):
-        out = kron(out, v)
-    return out
+    if p and all_fractions(v.entries):
+        c, d = _cleared_entries(v.entries)
+        den = d**p
+        return DenseVector(tuple(Fraction(x, den) for x in _power_entries(c, p)))
+    return DenseVector(_power_entries(v.entries, p))
 
 
 def colwise_kron_power(a: DenseMatrix, q: MultiIndex | Iterable[int]) -> DenseVector:
@@ -237,11 +260,23 @@ def colwise_kron_power(a: DenseMatrix, q: MultiIndex | Iterable[int]) -> DenseVe
         raise DimensionMismatchError(
             f"index arity {q.arity} does not match column count {a.cols}"
         )
-    _check_len(a.rows ** q.degree())
-    out = DenseVector((1,))
-    for j, power in enumerate(q.parts):
+    degree = q.degree()
+    _check_len(a.rows**degree)
+    if degree and all_fractions(*a.data):
+        c, d = cleared(a)
+        den = d**degree
+        return DenseVector(
+            tuple(Fraction(x, den) for x in _colwise_entries(c.data, q.parts))
+        )
+    return DenseVector(_colwise_entries(a.data, q.parts))
+
+
+def _colwise_entries(rows: tuple, parts: tuple) -> tuple:
+    out = (1,)
+    for j, power in enumerate(parts):
         if power:
-            out = kron(out, kron_power(a.col_vec(j), power))
+            column = tuple(row[j] for row in rows)
+            out = _kron_entries(out, _power_entries(column, power))
     return out
 
 
@@ -260,6 +295,18 @@ def cleared(mat: DenseMatrix) -> tuple[DenseMatrix, int]:
         tuple([v.numerator * (d // v.denominator) for v in row]) for row in mat.data
     )
     return DenseMatrix(mat.rows, mat.cols, data), d
+
+
+def all_fractions(*rows: tuple) -> bool:
+    """True when every entry of the given rows is a Fraction: the operands
+    that the exact paths clear to integers."""
+    return all(type(v) is Fraction for row in rows for v in row)
+
+
+def _cleared_entries(entries: tuple) -> tuple[tuple, int]:
+    """`cleared` for the entries of a vector: (c, d) with entries = c/d."""
+    c, d = cleared(DenseMatrix(1, len(entries), (entries,)))
+    return c.data[0], d
 
 
 def invert_matrix(m: DenseMatrix) -> DenseMatrix:

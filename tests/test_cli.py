@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -214,6 +215,24 @@ def test_verify_all_aggregates():
     }
     for rep in out["reports"].values():
         assert rep["failures"] == 0
+
+
+# sha256 of the stdout of `hermult verify --suite all --seed S` (default
+# trials), recorded before the generating-function sweep, the integer
+# Kronecker path and the per-shape caches: a speed change to any suite must
+# leave its report byte for byte as it was.
+VERIFY_ALL_STDOUT_SHA256 = {
+    1: "b3fd5657ab11b9d2c34df1b4286a4538c5d1c4ce6532b370efdebc68470c7051",
+    7: "5f141388f45bca94e3227890965aa781927802d7c8dba6aac291c8a1028549c5",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_ALL_STDOUT_SHA256))
+def test_verify_all_output_is_pinned(seed):
+    r = run_cli("verify", "--suite", "all", "--seed", str(seed))
+    assert r.returncode == 0
+    digest = hashlib.sha256(r.stdout.encode()).hexdigest()
+    assert digest == VERIFY_ALL_STDOUT_SHA256[seed]
 
 
 def test_oracle_compare_cli(permutation_spec):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -266,6 +267,49 @@ def test_coeff_univariate_values():
         coeff_univariate(3, 2, 1.0)
     with pytest.raises(DomainError):
         coeff_univariate(3, 0, 1.0, family=PHYSICISTS.scaled(2.0))
+
+
+def test_closed_forms_match_uncached_formula():
+    # The prefactor k!/(w^i q! i!) is cached with its float twin; every
+    # value, float bits and exact types included, must equal the formula
+    # evaluated afresh, for float, int and Fraction arguments.
+    rng = random.Random(41)
+    draws = (
+        lambda: rng.uniform(-2.0, 2.0),
+        lambda: rng.randint(-3, 3),
+        lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+    )
+    for draw in draws:
+        for _ in range(40):
+            k = rng.randint(0, 12)
+            m = rng.randint(1, 3)
+            lam = [draw() for _ in range(m)]
+            for w, fn in ((2, coeff_vec_prob), (1, coeff_vec_phys)):
+                for d in q_support(k):
+                    for q in enumerate_fixed_degree(m, d):
+                        i = (k - d) // 2
+                        pref = Fraction(math.factorial(k), w**i * mi_factorial(q) * math.factorial(i))
+                        lam_q = 1
+                        for lj, qj in zip(lam, q.parts):
+                            if qj:
+                                lam_q = lam_q * lj**qj
+                        if isinstance(lam_q, float):
+                            pref = float(pref)
+                        norm_sq = sum(lj * lj for lj in lam)
+                        want = pref * lam_q * (norm_sq - 1) ** i
+                        got = fn(k, q, DenseVector.from_entries(lam))
+                        assert repr(got) == repr(want), (k, q, lam)
+            for family, w in ((PROBABILISTS, 2), (PHYSICISTS, 1)):
+                for i in range(k // 2 + 1):
+                    pref = Fraction(
+                        math.factorial(k), w**i * math.factorial(i) * math.factorial(k - 2 * i)
+                    )
+                    spread = (lam[0] * lam[0] - 1) ** i
+                    if isinstance(spread, float):
+                        pref = float(pref)
+                    want = pref * spread * lam[0] ** (k - 2 * i)
+                    got = coeff_univariate(k, i, lam[0], family)
+                    assert repr(got) == repr(want), (k, i, lam[0])
 
 
 def test_coeff_univariate_zero_argument_collapses_to_constant_term():

@@ -26,6 +26,14 @@ def test_enumerate_fixed_degree_small():
     assert parts(enumerate_fixed_degree(3, 0)) == [(0, 0, 0)]
 
 
+def test_enumerate_returns_a_fresh_list_each_call():
+    first = enumerate_fixed_degree(2, 3)
+    first.clear()
+    again = enumerate_fixed_degree(2, 3)
+    assert parts(again) == [(3, 0), (2, 1), (1, 2), (0, 3)]
+    assert again is not enumerate_fixed_degree(2, 3)
+
+
 def test_enumerate_rejects_zero_arity():
     with pytest.raises(InvalidArityError):
         enumerate_fixed_degree(0, 2)

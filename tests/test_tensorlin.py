@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,67 @@ def test_colwise_kron_power():
     eye = DenseMatrix.identity(2)
     assert colwise_kron_power(eye, (1, 1)).entries == (0, 1, 0, 0)
     assert colwise_kron_power(a, (0, 0)).entries == (1,)
+
+
+def _power_ref(v: tuple, p: int) -> tuple:
+    out = (1,)
+    for _ in range(p):
+        out = tuple(x * y for x in out for y in v)
+    return out
+
+
+def _colwise_ref(rows: list, q) -> tuple:
+    out = (1,)
+    for j, power in enumerate(q.parts):
+        if power:
+            column = _power_ref(tuple(row[j] for row in rows), power)
+            out = tuple(x * y for x in out for y in column)
+    return out
+
+
+def _scalar(rng, kind):
+    """One entry of the given kind; exact kinds are zero a fifth of the time."""
+    if kind == "mixed":
+        kind = rng.choice(("int", "fraction"))
+    elif kind == "float-fraction":
+        kind = rng.choice(("float", "fraction"))
+    if kind == "float":
+        return rng.uniform(-2.0, 2.0)
+    v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if rng.random() < 0.2:
+        v = Fraction(0)
+    # Fractions of denominator 1 stay Fractions, as in the Fraction field.
+    return v if kind == "fraction" else int(v)
+
+
+@pytest.mark.parametrize("kind", ["fraction", "int", "float", "mixed", "float-fraction"])
+def test_kron_and_dot_match_plain_products(kind):
+    # Vectors of Fractions run on cleared integers; values and entry types
+    # must be those of the plain products, which every other kind still runs.
+    rng = random.Random(f"kron-{kind}")
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        v = [_scalar(rng, kind) for _ in range(dim)]
+        w = [_scalar(rng, kind) for _ in range(dim)]
+        p = rng.randint(0, 4)
+        got = kron_power(DenseVector(tuple(v)), p)
+        assert repr(got.entries) == repr(_power_ref(tuple(v), p))
+        got = DenseVector(tuple(v)).dot(DenseVector(tuple(w)))
+        assert repr(got) == repr(sum(x * y for x, y in zip(v, w)))
+        rows = [[_scalar(rng, kind) for _ in range(rng.randint(1, 3))]]
+        rows += [[_scalar(rng, kind) for _ in rows[0]] for _ in range(rng.randint(0, 2))]
+        a = DenseMatrix.from_rows(rows)
+        for q in enumerate_fixed_degree(a.cols, rng.randint(0, 3)):
+            got = colwise_kron_power(a, q)
+            assert repr(got.entries) == repr(_colwise_ref(rows, q))
+
+
+def test_exact_kron_of_degree_zero_is_int_one():
+    v = DenseVector((Fraction(1, 2), Fraction(3)))
+    assert repr(kron_power(v, 0).entries) == "(1,)"
+    a = DenseMatrix.from_rows([[Fraction(1, 2), Fraction(0)], [Fraction(2), Fraction(-1, 3)]])
+    assert repr(colwise_kron_power(a, (0, 0)).entries) == "(1,)"
+    assert repr(kron_power(v, 1).entries) == repr((Fraction(1, 2), Fraction(3)))
 
 
 def test_colwise_arity_mismatch():

@@ -12,7 +12,14 @@ import hermult
 from hermult import coeffs
 from hermult.coeffs import CoeffVariant
 from hermult.errors import SizeLimitError
-from hermult.hermite import PHYSICISTS, PROBABILISTS, hermite_multi, hermite_uni
+from hermult.hermite import (
+    MAX_GF_DEGREE,
+    PHYSICISTS,
+    PROBABILISTS,
+    gf_partial_sum,
+    hermite_multi,
+    hermite_uni,
+)
 from hermult.multiindex import (
     MultiIndex,
     enumerate_fixed_degree,
@@ -239,13 +246,10 @@ def _inner_product_error_per_term(family, k, lam, x):
     return _guarded(lhs, rhs, abs_sum)
 
 
-def _gf_error_per_term(t, x, sigma):
-    sig = spd_factorize(DenseMatrix.from_rows(sigma))
-    tv = DenseVector.from_entries(t)
-    xv = DenseVector.from_entries(x)
+def _gf_partial_per_term(tv, xv, sig, degree_cap):
     total = 0
-    for d in range(GF_DEGREE + 1):
-        for k in enumerate_fixed_degree(len(x), d):
+    for d in range(degree_cap + 1):
+        for k in enumerate_fixed_degree(xv.dim, d):
             tk = 1
             for ti, ki in zip(tv.entries, k.parts):
                 if ki:
@@ -253,6 +257,14 @@ def _gf_error_per_term(t, x, sigma):
             if tk == 0:
                 continue
             total = total + Fraction(1, mi_factorial(k)) * tk * hermite_multi(k, xv, sig)
+    return total
+
+
+def _gf_error_per_term(t, x, sigma):
+    sig = spd_factorize(DenseMatrix.from_rows(sigma))
+    tv = DenseVector.from_entries(t)
+    xv = DenseVector.from_entries(x)
+    total = _gf_partial_per_term(tv, xv, sig, GF_DEGREE)
     inv = sig.inverse()
     exponent = tv.dot(inv.matvec(xv)) - 0.5 * tv.dot(inv.matvec(tv))
     return abs(total - math.exp(exponent))
@@ -304,6 +316,35 @@ def test_gf_error_is_bit_identical_to_per_term():
         x = [rng.uniform(-1.0, 1.0) / math.sqrt(n) for _ in range(n)]
         sigma = _spd(rng, n)
         assert gf_error(t, x, sigma) == _gf_error_per_term(t, x, sigma)
+    # The partial sum at every cap, with exact zeros in t (whose terms are
+    # skipped) and in exact arithmetic, against a sum of hermite_multi values,
+    # each from _raise_value's memoized recursion.
+    for n in (1, 2, 3):
+        for cap in range(MAX_GF_DEGREE + 1):
+            x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+            sig = spd_factorize(DenseMatrix.from_rows(_spd(rng, n)))
+            exact_x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            q = DenseMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            exact_sig = spd_factorize(
+                q.transpose().matmul(q).add(DenseMatrix.identity(n)).scale(Fraction(1, 2))
+            )
+            for zeros in range(n + 1):
+                # |t| up to 2.5 keeps the high-degree terms, and so a last-bit
+                # change in any table entry, visible in the sum.
+                t = [2.5 * rng.uniform(-1.0, 1.0) for _ in range(n)]
+                exact_t = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                for j in rng.sample(range(n), zeros):
+                    t[j], exact_t[j] = 0.0, Fraction(0)
+                for tv, xv, s in (
+                    (t, x, sig),
+                    (exact_t, exact_x, exact_sig),
+                    (t, exact_x, exact_sig),
+                ):
+                    tv, xv = DenseVector.from_entries(tv), DenseVector.from_entries(xv)
+                    got = gf_partial_sum(tv, xv, s, cap)
+                    want = _gf_partial_per_term(tv, xv, s, cap)
+                    assert type(got) is type(want)
+                    assert repr(got) == repr(want), (n, cap, zeros)
 
 
 def test_import_does_not_load_numpy():
