@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import coeffs, polyoracle, verify
@@ -153,7 +153,11 @@ def load_problem_spec(path: str) -> ProblemSpec:
     for field in ("k", "Lambda", "Sigma", "Upsilon"):
         if field not in raw:
             raise DomainError(f"spec file missing field {field!r}")
-    rational = bool(raw.get("rational", False))
+    rational = raw.get("rational", False)
+    if not isinstance(rational, bool):
+        raise DomainError(
+            f"spec field 'rational' must be true or false, got {rational!r}"
+        )
     k = MultiIndex.of(raw["k"])
     lam = _parse_matrix(raw["Lambda"], "Lambda", rational)
     sigma = _parse_matrix(raw["Sigma"], "Sigma", rational)
@@ -296,6 +300,9 @@ _SUITE_DEFAULT_TOL = {
 
 def _run_suite(name: str, args) -> verify.VerifyReport:
     tol = args.tol if args.tol is not None else _SUITE_DEFAULT_TOL[name]
+    # Built before the selector branch, which draws no trials, so that every
+    # suite rejects the same bad --seed, --trials and --tol.
+    cfg = verify.TrialConfig(seed=args.seed, trials=args.trials, tol_rel=tol)
     if name == "selector":
         reports = []
         for n in range(1, 4):
@@ -310,21 +317,13 @@ def _run_suite(name: str, args) -> verify.VerifyReport:
             seed=0,
         )
     if name == "main":
-        cfg = verify.TrialConfig(seed=args.seed, trials=args.trials, tol_rel=tol)
         return verify.verify_main_identity(cfg, _variant(args.variant))
     if name == "gf":
-        cfg = verify.TrialConfig(seed=args.seed, trials=args.trials, tol_rel=tol)
         return verify.verify_generating_function(cfg)
     if name == "kron":
-        cfg = verify.TrialConfig(
-            seed=args.seed, trials=args.trials, tol_rel=tol, k_max=4
-        )
-        return verify.verify_kron_identity(cfg)
+        return verify.verify_kron_identity(replace(cfg, k_max=4))
     if name == "univariate":
-        cfg = verify.TrialConfig(
-            seed=args.seed, trials=args.trials, tol_rel=tol, k_max=12
-        )
-        return verify.verify_univariate_closed_forms(cfg)
+        return verify.verify_univariate_closed_forms(replace(cfg, k_max=12))
     raise DomainError(f"unknown suite {name!r}")
 
 

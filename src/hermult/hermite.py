@@ -1,12 +1,15 @@
 """Evaluation of univariate and general multivariate Hermite polynomials.
 
-All evaluators run three-term or coordinate-raising recurrences rather than
-coefficient tables, and work in either scalar field: float inputs give
-doubles, int/Fraction inputs give exact rationals.
+A univariate family (HermiteFamily) is one of the kinds "probabilists",
+"physicists" or "scaled"; the multivariate evaluators take the general SPD
+covariance itself.  All evaluators run three-term or coordinate-raising
+recurrences rather than coefficient tables, and work in either scalar
+field: float inputs give doubles, int/Fraction inputs give exact rationals.
 
-hermite_multi and hermite_multi_batch run the raising recurrence top down
-with a memo keyed by index tuples.  gf_partial_sum needs every index up to
-its degree cap, so it runs the same recurrence bottom up over a table built
+hermite_multi_batch runs the raising recurrence top down with one memo
+keyed by index tuples, shared by all the indices of a call; hermite_multi
+is the batch of one index.  gf_partial_sum needs every index up to its
+degree cap, so it runs the same recurrence bottom up over a table built
 once per (arity, cap): each entry holds the positions of the entries it
 reads, and the sweep evaluates _raise_value's expression in the same
 operand order, so both give the same bits.
@@ -33,29 +36,22 @@ MAX_GF_DEGREE = 12
 PROBABILISTS_KIND = "probabilists"
 PHYSICISTS_KIND = "physicists"
 SCALED_KIND = "scaled"
-GENERAL_KIND = "general"
 
 
 @dataclass(frozen=True)
 class HermiteFamily:
-    """One of the supported polynomial families.
+    """One of the supported univariate polynomial families.
 
     kind "probabilists" and "physicists" need no parameters; "scaled"
-    carries a positive variance sigma_sq; "general" carries an SPD
-    covariance.
+    carries a positive variance sigma_sq.  A general SPD covariance is not
+    a family: hermite_multi takes it directly.
     """
 
     kind: str
     sigma_sq: object = None
-    sigma: SpdMatrix | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (
-            PROBABILISTS_KIND,
-            PHYSICISTS_KIND,
-            SCALED_KIND,
-            GENERAL_KIND,
-        ):
+        if self.kind not in (PROBABILISTS_KIND, PHYSICISTS_KIND, SCALED_KIND):
             raise DomainError(f"unknown Hermite family kind {self.kind!r}")
         if self.kind == SCALED_KIND:
             s2 = self.sigma_sq
@@ -63,16 +59,10 @@ class HermiteFamily:
                 raise DomainError(f"scaled family needs sigma_sq > 0, got {s2!r}")
             if isinstance(s2, float) and not math.isfinite(s2):
                 raise DomainError(f"scaled family needs finite sigma_sq, got {s2!r}")
-        if self.kind == GENERAL_KIND and self.sigma is None:
-            raise DomainError("general family needs a covariance")
 
     @classmethod
     def scaled(cls, sigma_sq) -> "HermiteFamily":
         return cls(SCALED_KIND, sigma_sq=sigma_sq)
-
-    @classmethod
-    def general(cls, sigma: SpdMatrix) -> "HermiteFamily":
-        return cls(GENERAL_KIND, sigma=sigma)
 
 
 PROBABILISTS = HermiteFamily(PROBABILISTS_KIND)
@@ -84,10 +74,8 @@ def _inverse_variance(family: HermiteFamily):
         return 1
     if family.kind == PHYSICISTS_KIND:
         return 2
-    if family.kind == SCALED_KIND:
-        s2 = family.sigma_sq
-        return Fraction(1) / s2 if is_exact_scalar(s2) else 1.0 / s2
-    raise DomainError(f"univariate evaluation undefined for kind {family.kind!r}")
+    s2 = family.sigma_sq
+    return Fraction(1) / s2 if is_exact_scalar(s2) else 1.0 / s2
 
 
 def hermite_uni_all(family: HermiteFamily, k: int, x) -> list:
@@ -149,15 +137,7 @@ def _evaluation_state(x: DenseVector, sigma: SpdMatrix):
 
 def hermite_multi(k: MultiIndex | Iterable[int], x: DenseVector, sigma: SpdMatrix):
     """Value of the general multivariate Hermite polynomial at x."""
-    k = MultiIndex.of(k)
-    if k.arity != x.dim:
-        raise DimensionMismatchError(
-            f"index arity {k.arity} does not match point dim {x.dim}"
-        )
-    if k.degree() > MAX_DEGREE:
-        raise SizeLimitError(f"total degree {k.degree()} exceeds cap {MAX_DEGREE}")
-    bx, b_rows, memo = _evaluation_state(x, sigma)
-    return _raise_value(k.parts, bx, b_rows, memo)
+    return hermite_multi_batch([k], x, sigma)[0]
 
 
 def hermite_multi_batch(

@@ -44,7 +44,7 @@ class MultiIndex:
         parts = []
         for v in value:
             i = int(v)
-            if i != v:
+            if i != v or isinstance(v, bool):
                 raise DomainError(f"multi-index parts must be naturals, got {v!r}")
             parts.append(i)
         return cls(tuple(parts))

@@ -75,7 +75,10 @@ def as_rational(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"not a rational scalar: {value!r}") from exc
     raise DomainError(f"not an exact rational scalar: {value!r}")
 
 
@@ -194,23 +197,6 @@ class MPoly:
                 if c:
                     self.terms[mono] = c
 
-    @classmethod
-    def zero(cls, arity: int) -> "MPoly":
-        return cls(arity)
-
-    @classmethod
-    def constant(cls, arity: int, c) -> "MPoly":
-        return cls(arity, {(0,) * arity: as_rational(c)})
-
-    @classmethod
-    def variable(cls, arity: int, i: int) -> "MPoly":
-        if not 0 <= i < arity:
-            raise DimensionMismatchError(
-                f"variable index {i} out of range for arity {arity}"
-            )
-        mono = tuple(1 if j == i else 0 for j in range(arity))
-        return cls(arity, {mono: Fraction(1)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -220,43 +206,23 @@ class MPoly:
                 f"arity mismatch {self.arity} vs {other.arity}"
             )
 
-    def add(self, other: "MPoly") -> "MPoly":
+    def _plus(self, other: "MPoly", scale: int) -> "MPoly":
         self._check_arity(other)
-        out = dict(self.terms)
-        _add_into(out, other.terms)
         res = MPoly(self.arity)
-        res.terms = out
+        res.terms = dict(self.terms)
+        _add_into(res.terms, other.terms, scale)
         return res
 
-    def neg(self) -> "MPoly":
-        res = MPoly(self.arity)
-        res.terms = {mono: -c for mono, c in self.terms.items()}
-        return res
+    def add(self, other: "MPoly") -> "MPoly":
+        return self._plus(other, 1)
 
     def sub(self, other: "MPoly") -> "MPoly":
-        return self.add(other.neg())
-
-    def scale(self, c) -> "MPoly":
-        c = as_rational(c)
-        res = MPoly(self.arity)
-        if c:
-            res.terms = {mono: c * v for mono, v in self.terms.items()}
-        return res
+        return self._plus(other, -1)
 
     def mul(self, other: "MPoly") -> "MPoly":
         self._check_arity(other)
         res = MPoly(self.arity)
         res.terms = _mul_terms(self.terms, other.terms)
-        return res
-
-    def derivative(self, i: int) -> "MPoly":
-        """Exact partial derivative in coordinate i (0-based)."""
-        if not 0 <= i < self.arity:
-            raise DimensionMismatchError(
-                f"coordinate {i} out of range for arity {self.arity}"
-            )
-        res = MPoly(self.arity)
-        res.terms = _derivative_terms(self.terms, i)
         return res
 
     def compose_linear(self, lin: DenseMatrix) -> "MPoly":
@@ -287,9 +253,6 @@ class MPoly:
                     v = v * x**e
             total += v
         return total
-
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
 
     def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
         """Terms in canonical monomial order."""

@@ -4,7 +4,8 @@ Everything here is written once over duck-typed scalars and works for two
 fields: 64-bit floats and exact rationals (int / fractions.Fraction).  The
 int scalars 0 and 1 embed in both fields, so identity matrices and empty
 products stay field-agnostic.  `cleared` writes an exact matrix as C/d
-with C an int matrix; the exact inverse is fraction-free on C.  Kronecker
+with C an int matrix; `invert_matrix` is exact only and fraction-free on
+C (float matrices invert through `SpdMatrix.inverse`).  Kronecker
 powers and dot products of operands whose entries are all Fractions run
 the same products on the cleared integers and divide once: by d^p for
 each entry of a p-fold power, by the product of the two d's for a dot.
@@ -126,9 +127,6 @@ class DenseMatrix:
         )
         return cls(n, n, data)
 
-    def col_vec(self, j: int) -> DenseVector:
-        return DenseVector(tuple(row[j] for row in self.data))
-
     def transpose(self) -> "DenseMatrix":
         data = tuple(
             tuple(self.data[i][j] for i in range(self.rows))
@@ -217,27 +215,11 @@ def _power_entries(v: tuple, p: int) -> tuple:
     return out
 
 
-def kron(a, b):
-    """Kronecker product of two vectors or two matrices.
-
-    For vectors the entry at flat position i*len(b)+j is a[i]*b[j].
-    """
-    if isinstance(a, DenseVector) and isinstance(b, DenseVector):
-        _check_len(a.dim * b.dim)
-        return DenseVector(_kron_entries(a.entries, b.entries))
-    if isinstance(a, DenseMatrix) and isinstance(b, DenseMatrix):
-        _check_len(a.rows * b.rows * a.cols * b.cols)
-        data = tuple(
-            tuple(
-                a.data[i][j] * b.data[r][c]
-                for j in range(a.cols)
-                for c in range(b.cols)
-            )
-            for i in range(a.rows)
-            for r in range(b.rows)
-        )
-        return DenseMatrix(a.rows * b.rows, a.cols * b.cols, data)
-    raise DimensionMismatchError("kron operands must be two vectors or two matrices")
+def kron(a: DenseVector, b: DenseVector) -> DenseVector:
+    """Kronecker product of two vectors: a[i]*b[j] at flat position
+    i*len(b)+j."""
+    _check_len(a.dim * b.dim)
+    return DenseVector(_kron_entries(a.entries, b.entries))
 
 
 def kron_power(v: DenseVector, p: int) -> DenseVector:
@@ -310,56 +292,38 @@ def _cleared_entries(entries: tuple) -> tuple[tuple, int]:
 
 
 def invert_matrix(m: DenseMatrix) -> DenseMatrix:
-    """Matrix inverse by Gauss-Jordan elimination.
+    """Exact inverse of a matrix of int/Fraction entries, by fraction-free
+    Gauss-Jordan elimination (Bareiss).
 
-    Exact over rationals (entries all int/Fraction), floating otherwise.
-    Exact is fraction-free (Bareiss): with m = C/d, step `col` replaces each
-    row r but the pivot row of [C | I] by (p a_r - a_r[col] a_col) / prev,
-    p the pivot and prev the one before; the division is exact (Sylvester's
-    identity).  [D I | D C^-1] results, so m^-1 = (d/D) (D C^-1), one
-    Fraction per entry.  Any nonzero pivot will do; floats pivot partially.
+    With m = C/d, step `col` replaces each row r but the pivot row of
+    [C | I] by (p a_r - a_r[col] a_col) / prev, p the pivot and prev the one
+    before; the division is exact (Sylvester's identity).  [D I | D C^-1]
+    results, so m^-1 = (d/D) (D C^-1), one Fraction per entry.  Any nonzero
+    pivot will do.  Float matrices raise DomainError: the float path
+    inverts SPD covariances through `SpdMatrix.inverse`.
     """
     if m.rows != m.cols:
         raise DimensionMismatchError("inverse of a non-square matrix")
+    if not m.is_exact():
+        raise DomainError("invert_matrix requires exact rational entries")
     n = m.rows
-    if m.is_exact():
-        c, d = cleared(m)
-        eye = DenseMatrix.identity(n).data
-        a = [list(row + one) for row, one in zip(c.data, eye)]
-        prev = 1
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                raise SingularMatrixError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            top, p = a[col], a[col][col]
-            for r in range(n):
-                if r != col:
-                    f = a[r][col]
-                    a[r] = [(p * v - f * w) // prev for v, w in zip(a[r], top)]
-            prev = p
-        data = tuple(tuple(Fraction(d * v, prev) for v in row[n:]) for row in a)
-        return DenseMatrix(n, n, data)
-    a = [[float(v) for v in row] for row in m.data]
-    aug = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    c, d = cleared(m)
+    eye = DenseMatrix.identity(n).data
+    a = [list(row + one) for row, one in zip(c.data, eye)]
+    prev = 1
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0:
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
             raise SingularMatrixError("matrix is singular")
         a[col], a[piv] = a[piv], a[col]
-        aug[col], aug[piv] = aug[piv], aug[col]
-        d = a[col][col]
-        a[col] = [v / d for v in a[col]]
-        aug[col] = [v / d for v in aug[col]]
+        top, p = a[col], a[col][col]
         for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if f == 0:
-                continue
-            a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-            aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return DenseMatrix(n, n, tuple(tuple(row) for row in aug))
+            if r != col:
+                f = a[r][col]
+                a[r] = [(p * v - f * w) // prev for v, w in zip(a[r], top)]
+        prev = p
+    data = tuple(tuple(Fraction(d * v, prev) for v in row[n:]) for row in a)
+    return DenseMatrix(n, n, data)
 
 
 def check_symmetric(m: DenseMatrix, rtol: float | None = None) -> None:

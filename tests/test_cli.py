@@ -278,6 +278,46 @@ def test_oracle_compare_rejects_float_spec(generic_spec):
     assert r.returncode == 2
 
 
+# The rational permutation spec with one field made malformed: a zero
+# denominator, a flag that is not a JSON boolean, booleans as index parts.
+MALFORMED_SPEC_FIELDS = [
+    {"Sigma": [["1/0", 0], [0, 1]]},
+    {"rational": "false"},
+    {"k": [True, False]},
+]
+
+
+@pytest.mark.parametrize("command", ["expand", "oracle-compare"])
+@pytest.mark.parametrize(
+    "fields", MALFORMED_SPEC_FIELDS, ids=["zero-denominator", "flag-string", "bool-k"]
+)
+def test_malformed_spec_is_an_input_error(tmp_path, capsys, command, fields):
+    spec = {
+        "k": [1, 1],
+        "Lambda": [[0, 1], [1, 0]],
+        "Sigma": [[1, 0], [0, 1]],
+        "Upsilon": [[1, 0], [0, 1]],
+        "rational": True,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(spec, **fields)))
+    code = main([command, "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("suite", ["main", "gf", "kron", "selector", "univariate", "all"])
+@pytest.mark.parametrize("flag", [("--tol", "-1"), ("--seed", "-1"), ("--trials", "0")])
+def test_verify_rejects_bad_trial_flags(capsys, suite, flag):
+    assert main(["verify", "--suite", suite, *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_rational_mode_needs_symmetry_only(tmp_path):
     # indefinite but symmetric and invertible: fine in rational mode,
     # rejected in float mode (which demands positive definiteness)

@@ -110,6 +110,10 @@ def test_multiindex_validation():
         MultiIndex((1, -1))
     with pytest.raises(DomainError):
         MultiIndex.of((1.5, 2))  # type: ignore[arg-type]
+    with pytest.raises(DomainError):
+        MultiIndex.of([True])
+    with pytest.raises(DomainError):
+        MultiIndex.of((1, False))
 
 
 def test_multiindex_ordering_is_graded_then_descending_lex():

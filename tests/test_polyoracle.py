@@ -28,28 +28,20 @@ from hermult.verify import trial_rng
 
 
 def x(arity, i):
-    return MPoly.variable(arity, i)
+    return MPoly(arity, {tuple(int(j == i) for j in range(arity)): 1})
 
 
 def const(arity, c):
-    return MPoly.constant(arity, c)
+    return MPoly(arity, {(0,) * arity: c})
 
 
 def test_mpoly_cancellation_and_product():
     p = x(1, 0)
-    assert p.add(p.neg()).is_zero()
+    assert p.sub(p).is_zero()
+    assert p.add(const(1, 2)).sub(p) == const(1, 2)
     prod = x(1, 0).add(const(1, 1)).mul(x(1, 0).add(const(1, -1)))
     assert prod == MPoly(1, {(2,): 1, (0,): -1})
-    assert p.scale(0).is_zero()
-
-
-def test_mpoly_derivative():
-    p = MPoly(2, {(2, 1): 1})  # x0^2 x1
-    assert p.derivative(0) == MPoly(2, {(1, 1): 2})
-    assert x(2, 0).derivative(1).is_zero()
-    assert MPoly(1, {(3,): 1}).derivative(0) == MPoly(1, {(2,): 3})
-    with pytest.raises(DimensionMismatchError):
-        p.derivative(2)
+    assert MPoly(1, {(1,): 0}).is_zero()
 
 
 def test_mpoly_compose_linear():
@@ -139,7 +131,7 @@ def test_hermite_symbolic_total_degree_and_leading_pattern():
     for degree in range(0, 6):
         for k in enumerate_fixed_degree(2, degree):
             p = fam.poly(k)
-            assert p.total_degree() == degree
+            assert max(sum(m) for m in p.terms) == degree
             # leading part equals the expansion of (Bx)^k
             lead = const(2, 1)
             rows = [
