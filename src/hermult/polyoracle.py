@@ -42,14 +42,27 @@ only for the returned `lhs`, `rhs` and `diff`; each is reduced over its
 polynomial's denominator, so they equal a term-by-term rational build.
 Matrices are cleared to (C, d) by `tensorlin.cleared`, the helper that
 the exact inverse and the `coeffs` sweep use too.
+
+Inside the oracle a monomial x^a is one int, its code: the parts of a as
+digits in radix R = MAX_SYMBOLIC_DEGREE + 1, most significant first.  No
+polynomial the oracle builds has a part above MAX_SYMBOLIC_DEGREE, so a
+product of monomials is the sum of their codes, part i is code // w_i % R
+with w_i = R^(n-1-i), and lowering part i subtracts w_i.  The prefix
+cache of the substitution is keyed by prefix length and the number the
+leading digits spell, since prefixes of different lengths can spell the
+same number ((3, 0) and (0, 3) both give 3).  Codes are decoded to
+exponent tuples only where `MPoly` values are made, so `MPoly.terms` and
+everything read from it keep tuple keys; `MPoly.mul` and `compose_linear`
+code their operands in a radix they pick from the operands' parts.  The
+codes are the oracle's own: it does not share the coder of `coeffs`.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Iterable, Mapping
 
 from . import coeffs
@@ -68,6 +81,15 @@ MAX_SYMBOLIC_DEGREE = 8
 MAX_ORACLE_DEGREE = 6
 
 
+# Bounds on a parsed string, checked before `Fraction` sees it: Fraction
+# expands a decimal exponent in full, so "1e200000" alone would build a
+# 664,000-bit integer.
+MAX_RATIONAL_DIGITS = 400
+MAX_DECIMAL_EXPONENT = 400
+
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
+
+
 def as_rational(value) -> Fraction:
     """Coerce int/Fraction/"p/q" strings to Fraction; floats are refused."""
     if isinstance(value, bool):
@@ -75,6 +97,15 @@ def as_rational(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        if sum(ch.isdigit() for ch in value) > MAX_RATIONAL_DIGITS:
+            raise DomainError(
+                f"rational string has more than {MAX_RATIONAL_DIGITS} digits"
+            )
+        exp = _EXPONENT.search(value)
+        if exp and int(exp.group(1).replace("_", "") or 0) > MAX_DECIMAL_EXPONENT:
+            raise DomainError(
+                f"decimal exponent above {MAX_DECIMAL_EXPONENT} in {value!r}"
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -89,16 +120,51 @@ def rational_matrix(rows: Iterable[Iterable]) -> DenseMatrix:
     )
 
 
-# Coefficient dicts {monomial: coefficient} shared by MPoly (Fraction
-# coefficients) and the oracle (int coefficients).  Exact zeros are never
-# stored.
+# Coefficient dicts {monomial code: coefficient} shared by MPoly
+# (Fraction coefficients) and the oracle (int coefficients).  A code is
+# sum_i a_i w_i with w_i = radix^(arity-1-i) (see the module docstring);
+# products of codes carry no digit while every part stays below the
+# radix.  The oracle's radix is _RADIX; MPoly picks one above the parts
+# of its result.  Exact zeros are never stored.
+
+_RADIX = MAX_SYMBOLIC_DEGREE + 1
+
+
+def _weights(arity: int, radix: int) -> list[int]:
+    return [radix ** (arity - 1 - i) for i in range(arity)]
+
+
+def _encode(terms: Mapping[tuple, object], radix: int) -> dict:
+    out = {}
+    for mono, c in terms.items():
+        code = 0
+        for e in mono:
+            code = code * radix + e
+        out[code] = c
+    return out
+
+
+def _decode(code: int, arity: int, radix: int) -> tuple:
+    parts = [0] * arity
+    for i in range(arity - 1, -1, -1):
+        code, parts[i] = divmod(code, radix)
+    return tuple(parts)
+
+
+def _code_degree(code: int) -> int:
+    """Total degree of an oracle monomial code: its digit sum."""
+    total = 0
+    while code:
+        code, e = divmod(code, _RADIX)
+        total += e
+    return total
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
     out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            mono = tuple(map(add, ma, mb))
+            mono = ma + mb
             s = out.get(mono, 0) + ca * cb
             if s:
                 out[mono] = s
@@ -108,7 +174,7 @@ def _mul_terms(a: dict, b: dict) -> dict:
 
 
 def _add_into(out: dict, terms: dict, scale=1) -> None:
-    """out += scale * terms, in place."""
+    """out += scale * terms, in place (any monomial keys)."""
     for mono, c in terms.items():
         s = out.get(mono, 0) + scale * c
         if s:
@@ -117,58 +183,61 @@ def _add_into(out: dict, terms: dict, scale=1) -> None:
             out.pop(mono, None)
 
 
-def _derivative_terms(terms: dict, i: int) -> dict:
-    # Lowering coordinate i is injective on monomials with mono[i] > 0.
-    return {
-        mono[:i] + (mono[i] - 1,) + mono[i + 1 :]: mono[i] * c
-        for mono, c in terms.items()
-        if mono[i]
-    }
+def _derivative_terms(terms: dict, w: int) -> dict:
+    """d/dx_i of oracle terms, w = _RADIX^(arity-1-i) the weight of part i.
+    Lowering part i is injective on the monomials where it is positive."""
+    out = {}
+    for code, c in terms.items():
+        e = code // w % _RADIX
+        if e:
+            out[code - w] = e * c
+    return out
 
 
-def _linear_forms(rows, arity: int) -> list[dict]:
+def _linear_forms(rows, arity: int, radix: int) -> list[dict]:
     """Row r of `rows` as the linear form sum_j rows[r][j] x_j."""
-    return [
-        {
-            tuple(1 if c == j else 0 for c in range(arity)): v
-            for j, v in enumerate(row)
-            if v
-        }
-        for row in rows
-    ]
+    weights = _weights(arity, radix)
+    return [{w: v for w, v in zip(weights, row) if v} for row in rows]
 
 
-def _compose_terms(terms: dict, forms: list[dict], arity: int) -> dict:
-    """Substitute variable r by the linear form forms[r] (in `arity` new
-    variables).  Each product of powers is built once per monomial prefix."""
-    one = {(0,) * arity: 1}
+def _compose_terms(terms: dict, forms: list[dict], radix: int) -> dict:
+    """Substitute variable r by the linear form forms[r]; `terms` has
+    len(forms) digits per code and the forms' codes use the same radix.
+    Each product of powers is built once per monomial prefix, keyed by
+    its length and the number its leading digits spell: prefixes of
+    different lengths can spell the same number, as the first digit of
+    (3, 0) and both digits of (0, 3) do."""
+    one = {0: 1}
     powers = [[one] for _ in forms]
-    prefix: dict[tuple, dict] = {}
+    prefixes: list[dict] = [{} for _ in forms]
+    weights = _weights(len(forms), radix)
     out: dict = {}
-    for mono, c in terms.items():
+    for code, c in terms.items():
         prod = one
-        for j in range(1, len(mono) + 1):
-            key = mono[:j]
-            got = prefix.get(key)
+        for j, w in enumerate(weights):
+            key = code // w
+            got = prefixes[j].get(key)
             if got is None:
-                e = mono[j - 1]
+                e = key % radix
                 if e:
-                    pw = powers[j - 1]
+                    pw = powers[j]
                     while len(pw) <= e:
-                        pw.append(_mul_terms(pw[-1], forms[j - 1]))
+                        pw.append(_mul_terms(pw[-1], forms[j]))
                     got = _mul_terms(prod, pw[e])
                 else:
                     got = prod
-                prefix[key] = got
+                prefixes[j][key] = got
             prod = got
         _add_into(out, prod, c)
     return out
 
 
 def _over(arity: int, terms: dict, den: int) -> "MPoly":
-    """The MPoly terms/den, for integer terms."""
+    """The MPoly terms/den, for int oracle terms."""
     res = MPoly(arity)
-    res.terms = {mono: Fraction(c, den) for mono, c in terms.items()}
+    res.terms = {
+        _decode(code, arity, _RADIX): Fraction(c, den) for code, c in terms.items()
+    }
     return res
 
 
@@ -219,10 +288,15 @@ class MPoly:
     def sub(self, other: "MPoly") -> "MPoly":
         return self._plus(other, -1)
 
+    def _max_part(self) -> int:
+        return max((max(mono) for mono in self.terms), default=0)
+
     def mul(self, other: "MPoly") -> "MPoly":
         self._check_arity(other)
+        radix = self._max_part() + other._max_part() + 1
+        prod = _mul_terms(_encode(self.terms, radix), _encode(other.terms, radix))
         res = MPoly(self.arity)
-        res.terms = _mul_terms(self.terms, other.terms)
+        res.terms = {_decode(code, self.arity, radix): c for code, c in prod.items()}
         return res
 
     def compose_linear(self, lin: DenseMatrix) -> "MPoly":
@@ -232,11 +306,14 @@ class MPoly:
             raise DimensionMismatchError(
                 f"substitution matrix has {lin.rows} rows, arity is {self.arity}"
             )
+        # Every part on either side is at most the largest total degree.
+        radix = max((sum(mono) for mono in self.terms), default=0) + 1
         forms = _linear_forms(
-            [[as_rational(v) for v in row] for row in lin.data], lin.cols
+            [[as_rational(v) for v in row] for row in lin.data], lin.cols, radix
         )
+        out = _compose_terms(_encode(self.terms, radix), forms, radix)
         res = MPoly(lin.cols)
-        res.terms = _compose_terms(self.terms, forms, lin.cols)
+        res.terms = {_decode(code, lin.cols, radix): c for code, c in out.items()}
         return res
 
     def evaluate(self, xs: Iterable) -> Fraction:
@@ -311,16 +388,18 @@ class SymbolicHermiteFamily:
         n = b.rows
         self.arity = n
         rows, self._den = cleared(b)
-        self._rows = _linear_forms(rows.data, n)
-        self._memo: dict[tuple, dict] = {(0,) * n: {(0,) * n: 1}}
+        self._rows = _linear_forms(rows.data, n, _RADIX)
+        self._weights = _weights(n, _RADIX)
+        self._memo: dict[tuple, dict] = {(0,) * n: {0: 1}}
 
     def poly(self, k: MultiIndex | Iterable[int]) -> MPoly:
         terms, den = self.scaled_terms(k)
         return _over(self.arity, terms, den)
 
     def scaled_terms(self, k: MultiIndex | Iterable[int]) -> tuple[dict, int]:
-        """(terms, den) with p_k = terms / den: terms has int coefficients
-        and den = d^|k|.  The dict is the cached one; do not mutate it."""
+        """(terms, den) with p_k = terms / den: terms maps oracle monomial
+        codes to int coefficients and den = d^|k|.  The dict is the cached
+        one; do not mutate it."""
         k = MultiIndex.of(k)
         if k.arity != self.arity:
             raise DimensionMismatchError(
@@ -342,7 +421,7 @@ class SymbolicHermiteFamily:
         lowered = parts[:i] + (parts[i] - 1,) + parts[i + 1 :]
         prev = self._raise(lowered)
         res = _mul_terms(self._rows[i], prev)
-        _add_into(res, _derivative_terms(prev, i), -self._den)
+        _add_into(res, _derivative_terms(prev, self._weights[i]), -self._den)
         self._memo[parts] = res
         return res
 
@@ -403,9 +482,9 @@ def oracle_compare(
     p, p_den = SymbolicHermiteFamily(sigma_inv).scaled_terms(k)
     lam_t, e = cleared(lam.transpose())
     lhs_terms = _compose_terms(
-        {a: c * e ** (degree - sum(a)) for a, c in p.items()},
-        _linear_forms(lam_t.data, m),
-        m,
+        {a: c * e ** (degree - _code_degree(a)) for a, c in p.items()},
+        _linear_forms(lam_t.data, m, _RADIX),
+        _RADIX,
     )
     lhs_den = p_den * e**degree
 

@@ -347,9 +347,9 @@ def univariate_identity_error(
         coeffs.coeff_univariate(k, i, lam, family) for i in range(k // 2 + 1)
     ]
     worst = 0.0
-    for x in xs:
+    rows = _grid_rows(family, tuple(xs), max(k, _GRID_ROW_DEGREE))
+    for x, values in zip(xs, rows):
         lhs = hermite_uni(family, k, lam * x)
-        values = hermite_uni_all(family, k, x)
         rhs = 0.0
         abs_sum = 0.0
         for i, c in enumerate(coefficients):
@@ -358,6 +358,18 @@ def univariate_identity_error(
             abs_sum += abs(contrib)
         worst = max(worst, _guarded_rel_err(lhs, rhs, abs_sum))
     return worst
+
+
+# Degree of the cached grid rows: the univariate suite draws k <= 12.
+_GRID_ROW_DEGREE = 12
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_rows(family: HermiteFamily, xs: tuple, degree: int) -> tuple:
+    """hermite_uni_all(family, degree, x) for each x of xs.  The recurrence's
+    j-th value does not depend on the degree asked for, so the table of any
+    k <= degree is a prefix of its row, bit for bit."""
+    return tuple(hermite_uni_all(family, degree, x) for x in xs)
 
 
 def inner_product_error(
@@ -390,7 +402,7 @@ def inner_product_error(
     return _guarded_rel_err(lhs, rhs, abs_sum)
 
 
-_UNIVARIATE_GRID = [round(-3.0 + 0.3 * j, 10) for j in range(21)]
+_UNIVARIATE_GRID = tuple(round(-3.0 + 0.3 * j, 10) for j in range(21))
 
 _HALF = Fraction(1, 2)
 

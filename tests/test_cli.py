@@ -273,6 +273,65 @@ def test_oracle_compare_cli_output_is_pinned(permutation_spec, variant):
     assert r.stdout == stdout
 
 
+# Rational specs for oracle-compare beside the permutation spec pinned
+# above, and the exit code and stdout sha256 under each variant, recorded
+# before the oracle keyed its monomials by int codes: a speed change to
+# the oracle must leave its report byte for byte as it was.
+ORACLE_SPECS = {
+    "indefinite": {
+        "k": [2, 1], "Lambda": [[1, 0], [0, 1]],
+        "Sigma": [[1, 2], [2, 1]], "Upsilon": [[2, 0], [0, 3]],
+    },
+    "zero-row": {
+        "k": [2, 2, 2],
+        "Lambda": [["1/2", -1, "2/3"], [0, 0, 0], [1, "-1/3", 2]],
+        "Sigma": [[3, 1, 0], [1, 2, "1/2"], [0, "1/2", 2]],
+        "Upsilon": [[2, 1, 0], [1, 3, 1], [0, 1, 2]],
+    },
+    "decimal": {
+        "k": [3, 2],
+        "Lambda": [["-2.5e-1", 1], [2, "0.5"], ["1e0", "3/4"]],
+        "Sigma": [[2, "1/3"], ["1/3", 1]],
+        "Upsilon": [["1.5", 0, "0.25"], [0, 2, 0], ["0.25", 0, 1]],
+    },
+}
+ORACLE_STDOUT_SHA256 = {
+    ("indefinite", "symmetrized"): (0, "c87d3747d4e1626d329d6738df0f08e6abda61527db2c478f783012f29ed5177"),
+    ("indefinite", "paper-literal"): (1, "1b82059769771cb48290e2cc0f7cdc29f8ba6126c6273ae703e26b1e8243c23e"),
+    ("zero-row", "symmetrized"): (0, "6fc225d7b2e5bfeb7d617de9207f39bb9b3c2d0f87ff4cf7087778061cfaa12e"),
+    ("zero-row", "paper-literal"): (1, "7d924b6b0fd8d4e85167dd2f55a1e934852df6d0202c0c9a468ec5b233c9b5a2"),
+    ("decimal", "symmetrized"): (0, "950b02c56a8dd967aef271c4dd0837e066c8cfcbe10e99978ed3e353ad08323e"),
+    ("decimal", "paper-literal"): (1, "9ebc2b7020f9e13b6937558837c5a24def520479a498164679ff5d16ac6d4781"),
+}
+
+
+@pytest.mark.parametrize("name, variant", sorted(ORACLE_STDOUT_SHA256))
+def test_oracle_compare_output_sha256_is_pinned(tmp_path, name, variant):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(ORACLE_SPECS[name], rational=True)))
+    code, digest = ORACLE_STDOUT_SHA256[name, variant]
+    r = run_cli("oracle-compare", "--spec", str(path), "--variant", variant)
+    assert r.returncode == code
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["expand", "oracle-compare"])
+def test_rational_entries_are_bounded_before_parsing(tmp_path, capsys, command):
+    spec = dict(ORACLE_SPECS["indefinite"], rational=True)
+    path = tmp_path / "spec.json"
+    # A huge decimal exponent is refused before Fraction expands it.
+    path.write_text(json.dumps(dict(spec, Sigma=[["1e200000", 0], [0, 1]])))
+    assert main([command, "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "exponent" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    # Ordinary fractions, decimals and exponents still parse.
+    path.write_text(json.dumps(dict(spec, Sigma=[["3/4", "-2.5e-1"], ["-2.5e-1", "1e3"]])))
+    assert main([command, "--spec", str(path)]) == 0
+    capsys.readouterr()
+
+
 def test_oracle_compare_rejects_float_spec(generic_spec):
     r = run_cli("oracle-compare", "--spec", generic_spec)
     assert r.returncode == 2

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -16,6 +17,9 @@ from hermult.errors import (
 )
 from hermult.multiindex import enumerate_fixed_degree
 from hermult.polyoracle import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_ORACLE_DEGREE,
+    MAX_RATIONAL_DIGITS,
     MPoly,
     SymbolicHermiteFamily,
     as_rational,
@@ -23,7 +27,7 @@ from hermult.polyoracle import (
     oracle_compare,
     rational_matrix,
 )
-from hermult.tensorlin import DenseMatrix, invert_matrix
+from hermult.tensorlin import DenseMatrix, cleared, invert_matrix
 from hermult.verify import trial_rng
 
 
@@ -70,6 +74,23 @@ def test_as_rational_refuses_floats():
     assert as_rational(4) == 4
     with pytest.raises(DomainError):
         as_rational(0.5)
+
+
+def test_as_rational_bounds_strings():
+    assert as_rational("3/4") == Fraction(3, 4)
+    assert as_rational("-2.5e-1") == Fraction(-1, 4)
+    assert as_rational("1e3") == 1000
+    assert as_rational(f"1e-{MAX_DECIMAL_EXPONENT}") == Fraction(1, 10**MAX_DECIMAL_EXPONENT)
+    assert as_rational("7" * MAX_RATIONAL_DIGITS) == int("7" * MAX_RATIONAL_DIGITS)
+    for bad in (
+        "1e200000",
+        f"1e{MAX_DECIMAL_EXPONENT + 1}",
+        f"2.5E-{MAX_DECIMAL_EXPONENT + 1}",
+        "7" * (MAX_RATIONAL_DIGITS + 1),
+        "1/" + "3" * MAX_RATIONAL_DIGITS,
+    ):
+        with pytest.raises(DomainError):
+            as_rational(bad)
 
 
 small_poly = st.builds(
@@ -397,6 +418,202 @@ def test_oracle_matches_rational_reference():
     # The paper-literal variant is unequal on some multi-part k, so the
     # nonzero diff path is compared too.
     assert unequal > 0
+
+
+# Reference: the oracle's integer build as it ran with exponent tuples for
+# monomial keys, before monomials were coded as ints.  The same cleared
+# denominators, recursion, prefix-cached substitution and right-side sum.
+
+
+def _tuple_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(map(operator.add, ma, mb))
+            s = out.get(mono, 0) + ca * cb
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+    return out
+
+
+def _tuple_add_into(out, terms, scale=1):
+    for mono, c in terms.items():
+        s = out.get(mono, 0) + scale * c
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+
+
+def _tuple_forms(rows, arity):
+    return [
+        {tuple(1 if c == j else 0 for c in range(arity)): v for j, v in enumerate(row) if v}
+        for row in rows
+    ]
+
+
+def _tuple_compose(terms, forms, arity):
+    one = {(0,) * arity: 1}
+    powers = [[one] for _ in forms]
+    prefix = {}
+    out = {}
+    for mono, c in terms.items():
+        prod = one
+        for j in range(1, len(mono) + 1):
+            key = mono[:j]
+            got = prefix.get(key)
+            if got is None:
+                e = mono[j - 1]
+                if e:
+                    pw = powers[j - 1]
+                    while len(pw) <= e:
+                        pw.append(_tuple_mul(pw[-1], forms[j - 1]))
+                    got = _tuple_mul(prod, pw[e])
+                else:
+                    got = prod
+                prefix[key] = got
+            prod = got
+        _tuple_add_into(out, prod, c)
+    return out
+
+
+class _TupleFamily:
+    def __init__(self, b):
+        rows, self.den = cleared(b)
+        self.rows = _tuple_forms(rows.data, b.rows)
+        self.memo = {(0,) * b.rows: {(0,) * b.rows: 1}}
+
+    def scaled_terms(self, parts):
+        return self._raise(tuple(parts)), self.den ** sum(parts)
+
+    def _raise(self, parts):
+        got = self.memo.get(parts)
+        if got is not None:
+            return got
+        i = max(j for j, p in enumerate(parts) if p)
+        prev = self._raise(parts[:i] + (parts[i] - 1,) + parts[i + 1 :])
+        res = _tuple_mul(self.rows[i], prev)
+        deriv = {
+            mono[:i] + (mono[i] - 1,) + mono[i + 1 :]: mono[i] * c
+            for mono, c in prev.items()
+            if mono[i]
+        }
+        _tuple_add_into(res, deriv, -self.den)
+        self.memo[parts] = res
+        return res
+
+
+def _tuple_over(arity, terms, den):
+    return MPoly(arity, {mono: Fraction(c, den) for mono, c in terms.items()})
+
+
+def _tuple_oracle(k, lam, sigma, upsilon, variant):
+    sigma_inv, upsilon_inv = invert_matrix(sigma), invert_matrix(upsilon)
+    m, degree = upsilon.rows, sum(k)
+    p, p_den = _TupleFamily(sigma_inv).scaled_terms(k)
+    lam_t, e = cleared(lam.transpose())
+    lhs = _tuple_compose(
+        {a: c * e ** (degree - sum(a)) for a, c in p.items()},
+        _tuple_forms(lam_t.data, m),
+        m,
+    )
+    lhs_den = p_den * e**degree
+    tmap = coeffs.transformed_map_from_inverses(lam, sigma_inv, upsilon)
+    basis = _TupleFamily(upsilon_inv)
+    weighted = []
+    for term in coeffs.expand_from_map(k, tmap, variant):
+        h, h_den = basis.scaled_terms(term.q.parts)
+        c = term.coeff
+        weighted.append((Fraction(c.numerator, c.denominator * h_den), h))
+    rhs_den = math.lcm(*(w.denominator for w, _ in weighted))
+    rhs = {}
+    for w, h in weighted:
+        _tuple_add_into(rhs, h, w.numerator * (rhs_den // w.denominator))
+    den = math.lcm(lhs_den, rhs_den)
+    diff = {mono: c * (den // lhs_den) for mono, c in lhs.items()}
+    _tuple_add_into(diff, rhs, -(den // rhs_den))
+    return (
+        not diff,
+        _tuple_over(m, lhs, lhs_den),
+        _tuple_over(m, rhs, rhs_den),
+        _tuple_over(m, diff, den),
+    )
+
+
+def _assert_matches_tuple_oracle(case, variant):
+    res = oracle_compare(*case, variant)
+    equal, lhs, rhs, diff = _tuple_oracle(*case, variant)
+    assert res.equal is equal
+    for got, want in ((res.lhs, lhs), (res.rhs, rhs), (res.diff, diff)):
+        assert got.arity == want.arity
+        assert got.sorted_terms() == want.sorted_terms()
+    return res
+
+
+def _tuple_case(rng, n, m, degree, zero_row):
+    k = rng.choice(enumerate_fixed_degree(n, degree)).parts
+    lam_rows = [[_frac(rng, 2, 3) for _ in range(n)] for _ in range(m)]
+    if zero_row:
+        lam_rows[rng.randrange(m)] = [0] * n
+    sigma = _indefinite(rng, n) if rng.random() < 0.25 else _dominant_spd(rng, n)
+    return k, DenseMatrix.from_rows(lam_rows), sigma, _dominant_spd(rng, m)
+
+
+def test_oracle_codes_match_tuple_reference():
+    rng = random.Random(5151)
+    unequal = 0
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            for degree in range(MAX_ORACLE_DEGREE + 1):
+                for zero_row in (False, True):
+                    case = _tuple_case(rng, n, m, degree, zero_row)
+                    for variant in CoeffVariant:
+                        res = _assert_matches_tuple_oracle(case, variant)
+                        unequal += not res.equal
+    assert unequal > 0
+
+
+def test_oracle_codes_with_colliding_prefixes():
+    # A dense Sigma^-1 puts both y0^3 and y1^3 in H_k for |k| = 3: the
+    # first digit of (3, 0) and both digits of (0, 3) spell the same 3,
+    # so a prefix cache keyed by that number alone substitutes wrongly.
+    sigma = rational_matrix([[2, 1], [1, 3]])
+    lam = rational_matrix([[Fraction(1, 2), -1], [0, 0], [1, Fraction(2, 3)]])
+    ups = rational_matrix([[2, 1, 0], [1, 2, 0], [0, 0, 1]])
+    for k in [(3, 0), (2, 1), (1, 2), (3, 1), (2, 2)]:
+        terms = hermite_symbolic(k, invert_matrix(sigma)).terms
+        assert (3, 0) in terms or (4, 0) in terms
+        assert (0, 3) in terms or (0, 4) in terms
+        for variant in CoeffVariant:
+            _assert_matches_tuple_oracle((k, lam, sigma, ups), variant)
+    p = MPoly(2, {(3, 0): 1, (0, 3): 2, (1, 2): Fraction(1, 3)})
+    lin = rational_matrix([[1, 2, 0], [Fraction(-1, 2), 0, 3]])
+    want = _tuple_compose(p.terms, _tuple_forms(lin.data, 3), 3)
+    assert p.compose_linear(lin) == MPoly(3, want)
+
+
+def test_mpoly_products_above_oracle_radix():
+    x9 = MPoly(1, {(9,): 1})
+    assert x9.mul(x9) == MPoly(1, {(18,): 1})
+    rng = random.Random(77)
+    for _ in range(40):
+        arity = rng.randint(1, 3)
+        a, b = (
+            MPoly(arity, {
+                tuple(rng.randint(0, 12) for _ in range(arity)): _frac(rng, 3, 4)
+                for _ in range(rng.randint(0, 4))
+            })
+            for _ in range(2)
+        )
+        assert a.mul(b) == MPoly(arity, _tuple_mul(a.terms, b.terms))
+        cols = rng.randint(1, 3)
+        lin = DenseMatrix.from_rows(
+            [[_frac(rng, 2, 3) for _ in range(cols)] for _ in range(arity)]
+        )
+        want = _tuple_compose(a.terms, _tuple_forms(lin.data, cols), cols)
+        assert a.compose_linear(lin) == MPoly(cols, want)
 
 
 def test_mpoly_serialization_is_canonically_sorted():
