@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import coeffs, polyoracle, verify
@@ -289,50 +289,17 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-_SUITE_DEFAULT_TOL = {
-    "main": 1e-8,
-    "gf": 1e-10,
-    "kron": 1e-12,
-    "selector": 0.5,
-    "univariate": 1e-9,
-}
-
-
 def _run_suite(name: str, args) -> verify.VerifyReport:
-    tol = args.tol if args.tol is not None else _SUITE_DEFAULT_TOL[name]
-    # Built before the selector branch, which draws no trials, so that every
+    run, default_tol = verify.SUITES[name]
+    tol = default_tol if args.tol is None else args.tol
+    # Built for the selector suite too, which draws no trials, so that every
     # suite rejects the same bad --seed, --trials and --tol.
     cfg = verify.TrialConfig(seed=args.seed, trials=args.trials, tol_rel=tol)
-    if name == "selector":
-        reports = []
-        for n in range(1, 4):
-            for degree in range(0, 5):
-                reports.append(verify.verify_selector_orthonormality(n, degree))
-        return verify.VerifyReport(
-            checks_run=sum(r.checks_run for r in reports),
-            failures=sum(r.failures for r in reports),
-            max_rel_err=max(r.max_rel_err for r in reports),
-            worst_case=max(reports, key=lambda r: r.max_rel_err).worst_case,
-            rng="none",
-            seed=0,
-        )
-    if name == "main":
-        return verify.verify_main_identity(cfg, _variant(args.variant))
-    if name == "gf":
-        return verify.verify_generating_function(cfg)
-    if name == "kron":
-        return verify.verify_kron_identity(replace(cfg, k_max=4))
-    if name == "univariate":
-        return verify.verify_univariate_closed_forms(replace(cfg, k_max=12))
-    raise DomainError(f"unknown suite {name!r}")
+    return run(cfg, _variant(args.variant))
 
 
 def _cmd_verify(args) -> int:
-    names = (
-        ["main", "gf", "kron", "selector", "univariate"]
-        if args.suite == "all"
-        else [args.suite]
-    )
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     reports = {name: _run_suite(name, args) for name in names}
     if args.suite == "all":
         obj = {
@@ -347,11 +314,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle_compare(args) -> int:
     spec = load_problem_spec(args.spec)
-    lam = polyoracle.rational_matrix(spec.lam.to_lists())
-    sigma = polyoracle.rational_matrix(spec.sigma.to_lists())
-    upsilon = polyoracle.rational_matrix(spec.upsilon.to_lists())
     result = polyoracle.oracle_compare(
-        spec.k, lam, sigma, upsilon, _variant(args.variant)
+        spec.k, spec.lam, spec.sigma, spec.upsilon, _variant(args.variant)
     )
     obj = {
         "equal": result.equal,
@@ -403,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument(
         "--suite",
-        choices=["main", "gf", "kron", "selector", "univariate", "all"],
+        choices=[*verify.SUITES, "all"],
         required=True,
     )
     p_verify.add_argument("--seed", type=int, default=0)

@@ -47,19 +47,18 @@ coeff_from_map reads one.
 Exact maps run on integers.  T[k,q] has degree |q| in A and (|k|-|q|)/2
 in M, so with A = A_hat/alpha and M = M_hat/beta,
 T[k,q] = T_hat[k,q] / (alpha^|q| beta^((|k|-|q|)/2)), T_hat being the same
-sweep on the int rows of A_hat and M_hat, and one Fraction is made per
-returned entry.  That is done when A and M hold only Fractions; other maps
-run on their own entries, so no entry changes type (an entry that no pull
-reaches stays the int 0 it starts from).  transformed_map_from_inverses
-builds A_hat and M_hat from its cleared inputs and carries them on the
-map; a map built without them is cleared once per call.
+sweep on the int rows of A_hat and M_hat (`tensorlin.cleared` of A and
+M), and one Fraction is made per returned nonzero entry.  That is done when
+A and M hold only Fractions; other maps run on their own entries, so no
+entry changes type (an entry that no pull reaches stays the int 0 it starts
+from).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
@@ -124,17 +123,10 @@ class TransformedMap:
     G(Lambda^T x, t; Sigma) = G(x, A^T t; Upsilon) exp(t^T M t / 2), and its
     t_i-derivative gives T[k+e_i, q] = sum_j A_ij T[k, q-e_j]
     + sum_l M_il k_l T[k-e_l, q] with T[0, 0] = 1.
-
-    `cleared_rows` optionally carries what _sweep_rows computes for a map
-    of Fractions, ((A_hat rows, M_hat rows), (alpha, beta)) with
-    A = A_hat/alpha and M = M_hat/beta as `tensorlin.cleared` gives them,
-    so that a map built from cleared inputs is not cleared again.  It is
-    derived data: equality and hashing ignore it.
     """
 
     A: DenseMatrix
     M: DenseMatrix
-    cleared_rows: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -172,34 +164,18 @@ def transformed_map_from_inverses(
         # Every product of a Fraction Sigma^-1 is a Fraction, so they run on
         # Sigma^-1 = S/s, Lambda = L/e, Upsilon = U/u: with A_hat = S L^T U,
         # A = A_hat/(s e u) and M = (A_hat L S - s e^2 u S)/(s^2 e^2 u).
-        # Each pair is then reduced to the (C, d) that `cleared` gives for
-        # the Fraction matrix, and kept for the sweep.
         (sm, s), (lm, e), (um, u) = cleared(sigma_inv), cleared(lam), cleared(upsilon)
         a_hat = sm.matmul(lm.transpose()).matmul(um)
         m_hat = a_hat.matmul(lm).matmul(sm).sub(sm.scale(s * e * e * u))
         check_symmetric(m_hat)
-        (a_hat, alpha), (m_hat, beta) = (
-            _reduced(a_hat, s * e * u), _reduced(m_hat, s * s * e * e * u)
-        )
         return TransformedMap(
-            A=a_hat.scale(Fraction(1, alpha)),
-            M=m_hat.scale(Fraction(1, beta)),
-            cleared_rows=((a_hat.data, m_hat.data), (alpha, beta)),
+            A=a_hat.scale(Fraction(1, s * e * u)),
+            M=m_hat.scale(Fraction(1, s * s * e * e * u)),
         )
     a = sigma_inv.matmul(lam.transpose()).matmul(upsilon)
     m = a.matmul(lam).matmul(sigma_inv).sub(sigma_inv)
     check_symmetric(m, rtol=MAP_SYMMETRY_RTOL)
     return TransformedMap(A=a, M=m)
-
-
-def _reduced(num: DenseMatrix, den: int) -> tuple[DenseMatrix, int]:
-    """(C, d) with C/d = num/den and d the lcm of the entry denominators of
-    num/den, as `cleared` gives them: both divided by their common gcd."""
-    g = math.gcd(den, *[v for row in num.data for v in row])
-    if g == 1:
-        return num, den
-    data = tuple(tuple([v // g for v in row]) for row in num.data)
-    return DenseMatrix(num.rows, num.cols, data), den // g
 
 
 def _check_shape(k: MultiIndex, q_arity: int, tmap: TransformedMap) -> None:
@@ -246,8 +222,6 @@ def _literal_coeff(k: MultiIndex, q: MultiIndex, pairs: int, rows: tuple, den: i
 def _sweep_rows(tmap: TransformedMap):
     """((A rows, M rows), scales): the int rows of A_hat and M_hat with
     (alpha, beta) for a map of Fractions, else the map's rows and None."""
-    if tmap.cleared_rows is not None:
-        return tmap.cleared_rows
     if all_fractions(*tmap.A.data, *tmap.M.data):
         (a, alpha), (m, beta) = cleared(tmap.A), cleared(tmap.M)
         return (a.data, m.data), (alpha, beta)
@@ -400,17 +374,17 @@ def expand_from_map(
     rows, scales = _sweep_rows(tmap)
     alpha, beta = scales or (1, 1)
     table = None if _reads_one_tuple(k, variant) else _coeff_table(k.parts, *rows)
-    if table is not None and scales is not None:
-        for d in q_support(top):
-            den = alpha**d * beta ** ((top - d) // 2)
-            for code, _ in _q_level(tmap.A.cols, d):
-                table[code] = Fraction(table[code], den)
     terms = []
     for d in q_support(top):
         pairs = (top - d) // 2
         den = alpha**d * beta**pairs
         for code, q in _q_level(tmap.A.cols, d):
-            c = _literal_coeff(k, q, pairs, rows, den) if table is None else table[code]
+            if table is None:
+                c = _literal_coeff(k, q, pairs, rows, den)
+            else:
+                c = table[code]
+                if c and scales is not None:
+                    c = Fraction(c, den)
             if c != 0:
                 terms.append(ExpansionTerm(q, c))
     return terms

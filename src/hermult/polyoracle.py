@@ -74,11 +74,9 @@ from .errors import (
 from .multiindex import MultiIndex
 from .tensorlin import DenseMatrix, check_symmetric, cleared, invert_matrix
 
-# Symbolic construction above this total degree is rejected.
+# Symbolic construction, and so an oracle comparison, above this total
+# degree is rejected.
 MAX_SYMBOLIC_DEGREE = 8
-
-# Full oracle comparisons are capped lower; each one expands a whole table.
-MAX_ORACLE_DEGREE = 6
 
 
 # Bounds on a parsed string, checked before `Fraction` sees it: Fraction
@@ -460,9 +458,9 @@ def oracle_compare(
     invertible (positive definiteness is not needed for the algebra).
     """
     k = MultiIndex.of(k)
-    if k.degree() > MAX_ORACLE_DEGREE:
+    if k.degree() > MAX_SYMBOLIC_DEGREE:
         raise SizeLimitError(
-            f"oracle degree {k.degree()} exceeds cap {MAX_ORACLE_DEGREE}"
+            f"oracle degree {k.degree()} exceeds cap {MAX_SYMBOLIC_DEGREE}"
         )
     for mat in (lam, sigma, upsilon):
         if not mat.is_exact():

@@ -6,9 +6,10 @@ int scalars 0 and 1 embed in both fields, so identity matrices and empty
 products stay field-agnostic.  `cleared` writes an exact matrix as C/d
 with C an int matrix; `invert_matrix` is exact only and fraction-free on
 C (float matrices invert through `SpdMatrix.inverse`).  Kronecker
-powers and dot products of operands whose entries are all Fractions run
-the same products on the cleared integers and divide once: by d^p for
-each entry of a p-fold power, by the product of the two d's for a dot.
+powers (`kron_power` is `colwise_kron_power` of a one-column matrix) and
+dot products of operands whose entries are all Fractions run the same
+products on the cleared integers and divide once: by d^p for each entry
+of a p-fold power, by the product of the two d's for a dot.
 Every other operand (float, int, or int and Fraction mixed) runs the plain
 products, so no entry changes type; a power of degree 0 is the int [1].
 
@@ -226,12 +227,8 @@ def kron_power(v: DenseVector, p: int) -> DenseVector:
     """p-fold Kronecker power of a vector; the 0th power is [1]."""
     if p < 0:
         raise DomainError(f"Kronecker power must be >= 0, got {p}")
-    _check_len(v.dim**p)
-    if p and all_fractions(v.entries):
-        c, d = _cleared_entries(v.entries)
-        den = d**p
-        return DenseVector(tuple(Fraction(x, den) for x in _power_entries(c, p)))
-    return DenseVector(_power_entries(v.entries, p))
+    column = DenseMatrix(v.dim, 1, tuple((x,) for x in v.entries))
+    return colwise_kron_power(column, (p,))
 
 
 def colwise_kron_power(a: DenseMatrix, q: MultiIndex | Iterable[int]) -> DenseVector:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -46,6 +46,9 @@ RNG_NAME = "philox4x64"
 
 _MASK64 = (1 << 64) - 1
 
+# Interval of the uniform draws behind every randomized suite's inputs.
+ENTRY_RANGE = (-2.0, 2.0)
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -57,7 +60,6 @@ class TrialConfig:
     m_max: int = 3
     k_max: int = 5
     tol_rel: float = 1e-8
-    entry_range: tuple[float, float] = (-2.0, 2.0)
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -66,8 +68,6 @@ class TrialConfig:
             raise DomainError("trials must be >= 1")
         if not self.tol_rel > 0:
             raise DomainError("tol_rel must be > 0")
-        if not self.entry_range[0] < self.entry_range[1]:
-            raise DomainError("entry_range must be a nonempty interval")
 
 
 @dataclass
@@ -82,14 +82,7 @@ class VerifyReport:
     seed: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "checks_run": self.checks_run,
-            "failures": self.failures,
-            "max_rel_err": self.max_rel_err,
-            "worst_case": self.worst_case,
-            "rng": self.rng,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -193,7 +186,7 @@ def verify_main_identity(
     cfg: TrialConfig, variant: CoeffVariant = CoeffVariant.SYMMETRIZED
 ) -> VerifyReport:
     agg = _Aggregator(cfg.tol_rel)
-    lo, hi = cfg.entry_range
+    lo, hi = ENTRY_RANGE
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
         n = int(rng.integers(1, cfg.n_max + 1))
@@ -233,7 +226,7 @@ def gf_error(t: list[float], x: list[float], sigma: list[list[float]]) -> float:
 
 def verify_generating_function(cfg: TrialConfig) -> VerifyReport:
     agg = _Aggregator(cfg.tol_rel)
-    lo, hi = cfg.entry_range
+    lo, hi = ENTRY_RANGE
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
         n = int(rng.integers(1, min(cfg.n_max, 3) + 1))
@@ -280,7 +273,7 @@ def kron_identity_exact(a_num: list[list[int]], b_num: list[int], den: int, k: l
 
 def verify_kron_identity(cfg: TrialConfig) -> VerifyReport:
     agg = _Aggregator(cfg.tol_rel)
-    lo, hi = cfg.entry_range
+    lo, hi = ENTRY_RANGE
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
         rows = int(rng.integers(1, 5))
@@ -319,6 +312,21 @@ def verify_selector_orthonormality(n: int, total_degree: int) -> VerifyReport:
             f"selector check capped at n <= 3, degree <= 4, got ({n}, {total_degree})"
         )
     agg = _Aggregator(tol=0.5)
+    _record_selectors(agg, n, total_degree)
+    return agg.report(seed=0, rng_name="none")
+
+
+def verify_selectors() -> VerifyReport:
+    """verify_selector_orthonormality at every n <= 3 and degree <= 4, as
+    one report."""
+    agg = _Aggregator(tol=0.5)
+    for n in range(1, 4):
+        for degree in range(5):
+            _record_selectors(agg, n, degree)
+    return agg.report(seed=0, rng_name="none")
+
+
+def _record_selectors(agg: _Aggregator, n: int, total_degree: int) -> None:
     eye = DenseMatrix.identity(n)
     ks = enumerate_fixed_degree(n, total_degree)
     selectors = [colwise_kron_power(eye, k) for k in ks]
@@ -335,7 +343,6 @@ def verify_selector_orthonormality(n: int, total_degree: int) -> VerifyReport:
                     "k_b": ks[b].to_list(),
                 },
             )
-    return agg.report(seed=0, rng_name="none")
 
 
 def univariate_identity_error(
@@ -444,7 +451,7 @@ def verify_univariate_closed_forms(cfg: TrialConfig) -> VerifyReport:
     """Multiplication identity for scalar and inner-product arguments, plus
     exact agreement of every coefficient specialization."""
     agg = _Aggregator(cfg.tol_rel)
-    lo, hi = cfg.entry_range
+    lo, hi = ENTRY_RANGE
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
         k = int(rng.integers(0, min(cfg.k_max, 12) + 1))
@@ -479,3 +486,19 @@ def verify_univariate_closed_forms(cfg: TrialConfig) -> VerifyReport:
              "lam": str(lam_exact), "q": q.to_list()},
         )
     return agg.report(cfg.seed)
+
+
+# Each suite of `hermult verify`: a runner taking the trial config and the
+# coefficient variant, and the default tolerance.  `all` runs them in this
+# order.  The runners look each suite up by name when called, so a
+# rebinding of this module's functions (as a tracer does) reaches them.
+SUITES = {
+    "main": (lambda cfg, variant: verify_main_identity(cfg, variant), 1e-8),
+    "gf": (lambda cfg, variant: verify_generating_function(cfg), 1e-10),
+    "kron": (lambda cfg, variant: verify_kron_identity(cfg), 1e-12),
+    "selector": (lambda cfg, variant: verify_selectors(), 0.5),
+    "univariate": (
+        lambda cfg, variant: verify_univariate_closed_forms(replace(cfg, k_max=12)),
+        1e-9,
+    ),
+}

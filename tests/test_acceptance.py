@@ -85,15 +85,15 @@ def test_criterion_1_exact_oracle_equivalence():
     _report(1, "exact-oracle-equivalence", failures, started)
 
 
-def test_criterion_1_exact_oracle_at_degree_six():
-    # Certifies the coefficient recurrence at the oracle's cap, |k| = 6.
-    started = time.time()
+def _oracle_failures_at_degree(degree, seed):
+    """(failures, trials) of oracle_compare over every k of one degree, for
+    n, m <= 3, one seeded rational instance per (n, m, k)."""
     failures = []
     trial = 0
     for n in (1, 2, 3):
         for m in (1, 2, 3):
-            for k in enumerate_fixed_degree(n, 6):
-                rng = trial_rng(20261018, trial)
+            for k in enumerate_fixed_degree(n, degree):
+                rng = trial_rng(seed, trial)
                 trial += 1
                 lam = _rat_matrix(rng, m, n)
                 res = oracle_compare(
@@ -102,8 +102,22 @@ def test_criterion_1_exact_oracle_at_degree_six():
                 )
                 if not res.equal:
                     failures.append((n, m, k.parts, trial - 1))
-    assert trial == 108
+    return failures, trial
+
+
+def test_criterion_1_exact_oracle_at_degree_six():
+    started = time.time()
+    failures, trials = _oracle_failures_at_degree(6, 20261018)
+    assert trials == 108
     _report(1, "exact-oracle-degree-6", failures, started)
+
+
+def test_criterion_1_exact_oracle_at_degree_eight():
+    # Certifies the coefficient recurrence at the oracle's cap, |k| = 8.
+    started = time.time()
+    failures, trials = _oracle_failures_at_degree(8, 20261019)
+    assert trials == 165
+    _report(1, "exact-oracle-degree-8", failures, started)
 
 
 LAMBDAS_FLOAT = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]

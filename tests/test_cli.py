@@ -315,6 +315,36 @@ def test_oracle_compare_output_sha256_is_pinned(tmp_path, name, variant):
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
+# stdout sha256 of `hermult expand` on the same rational specs, under each
+# variant and format, recorded while the exact table was still rescaled to
+# Fractions in a pass of its own: the one-pass rescale must leave every
+# table byte for byte as it was.
+EXPAND_STDOUT_SHA256 = {
+    ("decimal", "paper-literal", "csv"): "ae28f90f8356fa7336b99058ea307d212185f0b7a377713bb755009174f2bba4",
+    ("decimal", "paper-literal", "json"): "45ced07ed752aa75ba1163e7ed6221f91e8a510b9bc5b7607abb5b3e52068656",
+    ("decimal", "symmetrized", "csv"): "3f4a8d45ae2f34e65e31eef309e9ae894181f537b04c14ff7c4b9cd05fb84bb6",
+    ("decimal", "symmetrized", "json"): "2f38df56156686205fbcbb8d72fe55573da24710054f607d7a072d7ea5009778",
+    ("indefinite", "paper-literal", "csv"): "691215a2ad55237d6f56c493242272814a0649e5a718f7ed8a0306d5c9c25309",
+    ("indefinite", "paper-literal", "json"): "f87ecd2e6b8336c7fc7541c897c297e25d639f3e5fc62336d59d1e0c7ac05a01",
+    ("indefinite", "symmetrized", "csv"): "d4f19ac108c2918c3bdaeffed2bd6670f8ebf35caca7ea1f27ad1a9fa69ed207",
+    ("indefinite", "symmetrized", "json"): "f6cf0e4e4d236328c1d9262c135a139c447a0102208ee3f6d8fa2c45d9a4ba19",
+    ("zero-row", "paper-literal", "csv"): "78ba17f826819afb79142c1daffdddff938d746a95b24769b2c8ea5df0faad7d",
+    ("zero-row", "paper-literal", "json"): "0211de423af2c103c373c90d4d0d04e1d40597e66e9c9294f648b9781a4d565c",
+    ("zero-row", "symmetrized", "csv"): "3a413b40da60c2b6759aa83a27124802d03237101767c5f73d9b0ba5fa16203d",
+    ("zero-row", "symmetrized", "json"): "a7102a816f98660dea5b72f4b53cfef99408b05700e2267101294c874bdddb7e",
+}
+
+
+@pytest.mark.parametrize("name, variant, fmt", sorted(EXPAND_STDOUT_SHA256))
+def test_expand_output_sha256_is_pinned(tmp_path, capsys, name, variant, fmt):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(ORACLE_SPECS[name], rational=True)))
+    code = main(["expand", "--spec", str(path), "--variant", variant, "--format", fmt])
+    assert code == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == EXPAND_STDOUT_SHA256[name, variant, fmt]
+
+
 @pytest.mark.parametrize("command", ["expand", "oracle-compare"])
 def test_rational_entries_are_bounded_before_parsing(tmp_path, capsys, command):
     spec = dict(ORACLE_SPECS["indefinite"], rational=True)

@@ -674,47 +674,3 @@ def test_evaluate_expansion_matches_direct_sum():
     terms = expand_general((2, 1), lam, sig, ups)
     direct = sum(t.coeff * hermite_multi(t.q, x, ups) for t in terms)
     assert evaluate_expansion(terms, x, ups) == pytest.approx(direct, rel=1e-15)
-
-
-def test_carried_integer_form_matches_plain_map():
-    """transformed_map_from_inverses carries A and M cleared to integers;
-    expand_from_map and coeff_from_map must give the values and entry types
-    of the same map built without that form, which is cleared per call."""
-    compared = 0
-    for trial in range(36):
-        rng = trial_rng(909, trial)
-        n, m = 1 + trial % 3, 1 + (trial // 3) % 3
-        lam = random_rational(rng, m, n)
-        if trial % 4 == 1:
-            lam = DenseMatrix.from_rows(
-                [[Fraction(0)] * n if r == 0 else list(row) for r, row in enumerate(lam.data)]
-            )
-        elif trial % 8 == 3:
-            lam = DenseMatrix.from_rows([[Fraction(0)] * n for _ in range(m)])
-        sigma_inv = random_rational(rng, n, n)
-        sigma_inv = sigma_inv.add(sigma_inv.transpose())
-        upsilon = random_rational_spd(rng, m).matrix
-        tmap = transformed_map_from_inverses(lam, sigma_inv, upsilon)
-        plain = TransformedMap(A=tmap.A, M=tmap.M)
-        assert tmap.cleared_rows is not None and plain.cleared_rows is None
-        assert plain == tmap and hash(plain) == hash(tmap)
-        # The carried form is the one `cleared` gives for the plain map.
-        (a_hat, alpha), (m_hat, beta) = cleared(plain.A), cleared(plain.M)
-        assert tmap.cleared_rows == ((a_hat.data, m_hat.data), (alpha, beta))
-        parts = [0] * n
-        for _ in range(int(rng.integers(0, 7))):
-            parts[int(rng.integers(0, n))] += 1
-        k = MultiIndex(tuple(parts))
-        for variant in CoeffVariant:
-            got = expand_from_map(k, tmap, variant)
-            want = expand_from_map(k, plain, variant)
-            assert [(t.q, t.coeff, type(t.coeff)) for t in got] == [
-                (t.q, t.coeff, type(t.coeff)) for t in want
-            ]
-            for d in q_support(k.degree()):
-                for q in enumerate_fixed_degree(m, d):
-                    a = coeff_from_map(k, q, tmap, variant)
-                    b = coeff_from_map(k, q, plain, variant)
-                    assert (a, type(a)) == (b, type(b))
-                    compared += 1
-    assert compared >= 300
