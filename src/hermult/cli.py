@@ -26,10 +26,11 @@ from .hermite import (
     HermiteFamily,
     hermite_multi,
     hermite_multi_product,
-    hermite_uni,
 )
 from .multiindex import MultiIndex
-from .tensorlin import DenseMatrix, DenseVector, invert_matrix, spd_factorize
+from .tensorlin import (
+    DenseMatrix, DenseVector, check_symmetric, invert_matrix, spd_factorize
+)
 
 
 # The encoder json.dumps applies to a str under its default ensure_ascii.
@@ -182,6 +183,11 @@ def _variant(token: str) -> CoeffVariant:
 
 def _expansion_terms(spec: ProblemSpec, variant: CoeffVariant) -> list[ExpansionTerm]:
     if spec.rational:
+        # The exact map never inverts Upsilon, so it is inverted here only to
+        # refuse a singular one, as the oracle does.
+        check_symmetric(spec.sigma)
+        check_symmetric(spec.upsilon)
+        invert_matrix(spec.upsilon)
         tmap = coeffs.transformed_map_from_inverses(
             spec.lam, invert_matrix(spec.sigma), spec.upsilon
         )
@@ -273,17 +279,7 @@ def _cmd_eval(args) -> int:
         sig = spd_factorize(spec.sigma)
         value = hermite_multi(k, xv, sig)
     else:
-        family = _parse_family(args.family)
-        if family.kind in ("probabilists", "physicists"):
-            value = hermite_multi_product(k, xv, family)
-        else:
-            if k.arity != xv.dim:
-                raise DimensionMismatchError(
-                    f"index arity {k.arity} does not match point dim {xv.dim}"
-                )
-            value = 1.0
-            for ki, xi in zip(k.parts, xv.entries):
-                value *= hermite_uni(family, ki, xi)
+        value = hermite_multi_product(k, xv, _parse_family(args.family))
     obj = {"family": args.family, "k": k.to_list(), "x": x, "value": _scalar_out(value)}
     sys.stdout.write(dumps(obj) + "\n")
     return 0

@@ -164,11 +164,8 @@ def hermite_multi_batch(
 def hermite_multi_product(
     k: MultiIndex | Iterable[int], x: DenseVector, family: HermiteFamily
 ):
-    """Product-form evaluation for the identity-like families."""
-    if family.kind not in (PROBABILISTS_KIND, PHYSICISTS_KIND):
-        raise DomainError(
-            f"product form requires probabilists or physicists, got {family.kind!r}"
-        )
+    """Product-form evaluation at the isotropic covariance of a family:
+    I, I/2, or sigma_sq * I for a scaled family."""
     k = MultiIndex.of(k)
     if k.arity != x.dim:
         raise DimensionMismatchError(

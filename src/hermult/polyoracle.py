@@ -44,8 +44,9 @@ Matrices are cleared to (C, d) by `tensorlin.cleared`, the helper that
 the exact inverse and the `coeffs` sweep use too.
 
 Inside the oracle a monomial x^a is one int, its code: the parts of a as
-digits in radix R = MAX_SYMBOLIC_DEGREE + 1, most significant first.  No
-polynomial the oracle builds has a part above MAX_SYMBOLIC_DEGREE, so a
+digits in radix R = coeffs.MAX_EXPANSION_DEGREE + 1, most significant
+first.  `SymbolicHermiteFamily.scaled_terms` refuses a degree above the
+engine's cap, so no polynomial the oracle builds has a part above it: a
 product of monomials is the sum of their codes, part i is code // w_i % R
 with w_i = R^(n-1-i), and lowering part i subtracts w_i.  The prefix
 cache of the substitution is keyed by prefix length and the number the
@@ -73,11 +74,6 @@ from .errors import (
 )
 from .multiindex import MultiIndex
 from .tensorlin import DenseMatrix, check_symmetric, cleared, invert_matrix
-
-# Symbolic construction, and so an oracle comparison, above this total
-# degree is rejected.
-MAX_SYMBOLIC_DEGREE = 8
-
 
 # Bounds on a parsed string, checked before `Fraction` sees it: Fraction
 # expands a decimal exponent in full, so "1e200000" alone would build a
@@ -125,7 +121,7 @@ def rational_matrix(rows: Iterable[Iterable]) -> DenseMatrix:
 # radix.  The oracle's radix is _RADIX; MPoly picks one above the parts
 # of its result.  Exact zeros are never stored.
 
-_RADIX = MAX_SYMBOLIC_DEGREE + 1
+_RADIX = coeffs.MAX_EXPANSION_DEGREE + 1
 
 
 def _weights(arity: int, radix: int) -> list[int]:
@@ -403,10 +399,9 @@ class SymbolicHermiteFamily:
             raise DimensionMismatchError(
                 f"index arity {k.arity} does not match matrix dim {self.arity}"
             )
-        if k.degree() > MAX_SYMBOLIC_DEGREE:
-            raise SizeLimitError(
-                f"symbolic degree {k.degree()} exceeds cap {MAX_SYMBOLIC_DEGREE}"
-            )
+        cap = coeffs.MAX_EXPANSION_DEGREE
+        if k.degree() > cap:
+            raise SizeLimitError(f"symbolic degree {k.degree()} exceeds cap {cap}")
         return self._raise(k.parts), self._den ** k.degree()
 
     def _raise(self, parts: tuple) -> dict:
@@ -455,13 +450,11 @@ def oracle_compare(
     polynomials as the basis.  Both are built and compared with integer
     coefficients over one denominator each (see the module docstring).
     Inputs must be exact rationals; the covariances must be symmetric and
-    invertible (positive definiteness is not needed for the algebra).
+    invertible (positive definiteness is not needed for the algebra).  A
+    |k| above the engine's cap raises SizeLimitError in the first
+    `scaled_terms` call, before any polynomial is built.
     """
     k = MultiIndex.of(k)
-    if k.degree() > MAX_SYMBOLIC_DEGREE:
-        raise SizeLimitError(
-            f"oracle degree {k.degree()} exceeds cap {MAX_SYMBOLIC_DEGREE}"
-        )
     for mat in (lam, sigma, upsilon):
         if not mat.is_exact():
             raise DomainError("oracle comparison requires exact rational inputs")

@@ -2,10 +2,12 @@
 single PASS/FAIL line (run with -s to see them on success)."""
 
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from hermult import (
     CoeffVariant,
@@ -42,13 +44,15 @@ def _report(num, name, failures, started):
     assert not failures, f"criterion {num} ({name}): {failures[:5]}"
 
 
-def _rat_matrix(rng, rows, cols):
+def _rat_matrix(rng, rows, cols, p_max=2, q_max=2):
+    """Entries p/q with |p| <= p_max and 1 <= q <= q_max."""
     return DenseMatrix.from_rows(
         [
             [
                 Fraction(int(a), int(b))
                 for a, b in zip(
-                    rng.integers(-2, 3, size=cols), rng.integers(1, 3, size=cols)
+                    rng.integers(-p_max, p_max + 1, size=cols),
+                    rng.integers(1, q_max + 1, size=cols),
                 )
             ]
             for _ in range(rows)
@@ -113,11 +117,32 @@ def test_criterion_1_exact_oracle_at_degree_six():
 
 
 def test_criterion_1_exact_oracle_at_degree_eight():
-    # Certifies the coefficient recurrence at the oracle's cap, |k| = 8.
+    # Certifies every |k| = 8 index for n, m <= 3.
     started = time.time()
     failures, trials = _oracle_failures_at_degree(8, 20261019)
     assert trials == 165
     _report(1, "exact-oracle-degree-8", failures, started)
+
+
+def test_criterion_1_exact_oracle_at_the_engine_cap():
+    # Certifies the coefficient recurrence at the engine's cap, which is the
+    # oracle's too: one seeded instance per (n, m), Lambda entries p/q with
+    # |p| <= 4 and q <= 4.  The symmetrized form must compare equal and the
+    # paper-literal form unequal.
+    started = time.time()
+    failures = []
+    for trial, (m, k) in enumerate([(2, (10, 10)), (2, (7, 7, 6)), (3, (7, 7, 6))]):
+        assert sum(k) == coeffs.MAX_EXPANSION_DEGREE
+        rng = trial_rng(20261020, trial)
+        n = len(k)
+        lam = _rat_matrix(rng, m, n, p_max=4, q_max=4)
+        sigma, upsilon = _rat_spd(rng, n), _rat_spd(rng, m)
+        for variant, want in (
+            (CoeffVariant.SYMMETRIZED, True), (CoeffVariant.PAPER_LITERAL, False)
+        ):
+            if oracle_compare(k, lam, sigma, upsilon, variant).equal != want:
+                failures.append((n, m, k, variant.value, trial))
+    _report(1, "exact-oracle-at-cap", failures, started)
 
 
 LAMBDAS_FLOAT = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
@@ -293,9 +318,15 @@ def test_criterion_8_cli_determinism_and_round_trip(tmp_path):
         )
     )
 
+    # The child runs the package this test imports, installed or not.
+    src = str(Path(coeffs.__file__).resolve().parent.parent)
+
     def run(*args):
         return subprocess.run(
-            [sys.executable, "-m", "hermult", *args], capture_output=True, text=True
+            [sys.executable, "-m", "hermult", *args],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
         )
 
     exp = run("expand", "--spec", str(spec_path))

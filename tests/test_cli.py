@@ -1,15 +1,21 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hermult
 from hermult import DenseVector, coeffs, spd_factorize
 from hermult.cli import dumps, load_problem_spec, main
 from hermult.errors import DomainError
+
+# The child runs the package these tests import, installed or not.
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(hermult.__file__).resolve().parent.parent))
 
 
 def run_cli(*args):
@@ -17,6 +23,7 @@ def run_cli(*args):
         [sys.executable, "-m", "hermult", *args],
         capture_output=True,
         text=True,
+        env=CLI_ENV,
     )
 
 
@@ -429,6 +436,33 @@ def test_rational_mode_needs_symmetry_only(tmp_path):
     )
     r = run_cli("expand", "--spec", str(flt))
     assert r.returncode == 2
+
+
+# Rational specs whose Upsilon is not symmetric, or singular: `expand`
+# must refuse them as `oracle-compare` does.
+BAD_RATIONAL_COVARIANCE_SPECS = {
+    "asymmetric-upsilon": {
+        "k": [2, 1], "Lambda": [[1, 0], [0, 0]],
+        "Sigma": [[1, 0], [0, 1]], "Upsilon": [[1, 1], [0, 1]],
+    },
+    "singular-upsilon": {
+        "k": [2, 0], "Lambda": [[1, 0], [0, 1]],
+        "Sigma": [[1, 0], [0, 1]], "Upsilon": [[0, 0], [0, 0]],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["expand", "oracle-compare"])
+@pytest.mark.parametrize("name", sorted(BAD_RATIONAL_COVARIANCE_SPECS))
+def test_rational_covariances_are_checked(tmp_path, capsys, command, name):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(BAD_RATIONAL_COVARIANCE_SPECS[name], rational=True)))
+    code = main([command, "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_main_entry_in_process(capsys, identity_spec):

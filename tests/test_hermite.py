@@ -156,6 +156,27 @@ def test_multi_equals_product_at_identity():
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
 
 
+def test_multi_equals_product_at_scaled_identity():
+    # A scaled family is the isotropic covariance s2 * I: exact at rational
+    # s2 and points, to rounding at float ones.
+    for trial in range(25):
+        rng = trial_rng(6, trial)
+        n = int(rng.integers(1, 4))
+        ks = enumerate_fixed_degree(n, int(rng.integers(0, 7)))
+        k = ks[int(rng.integers(0, len(ks)))]
+        s2 = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 5)))
+        x = [Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4))) for _ in range(n)]
+        sigma = spd_factorize(DenseMatrix.identity(n).scale(s2))
+        exact = hermite_multi(k, DenseVector.from_entries(x), sigma)
+        assert hermite_multi_product(
+            k, DenseVector.from_entries(x), HermiteFamily.scaled(s2)
+        ) == exact
+        xf = DenseVector.from_entries([float(v) for v in x])
+        lhs = hermite_multi(k, xf, spd_factorize(DenseMatrix.identity(n).scale(float(s2))))
+        rhs = hermite_multi_product(k, xf, HermiteFamily.scaled(float(s2)))
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
+
+
 def test_multi_matches_symbolic_at_rational_points():
     for n, sigma_rows in (
         (1, [[Fraction(4, 3)]]),
@@ -222,9 +243,6 @@ def test_multi_dimension_errors():
         hermite_multi((1, 1, 0), DenseVector.from_entries([1.0, 2.0]), sig)
     with pytest.raises(DimensionMismatchError):
         hermite_multi_product((1,), DenseVector.from_entries([1.0, 2.0]), PROBABILISTS)
-    with pytest.raises(DomainError):
-        hermite_multi_product((1, 1), DenseVector.from_entries([1.0, 2.0]),
-                              HermiteFamily.scaled(2.0))
 
 
 def test_gf_partial_sum_base_cases():

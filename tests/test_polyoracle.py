@@ -169,7 +169,7 @@ def test_hermite_symbolic_validation():
     from hermult.errors import NotSymmetricError
 
     with pytest.raises(SizeLimitError):
-        hermite_symbolic((9,), rational_matrix([[1]]))
+        hermite_symbolic((coeffs.MAX_EXPANSION_DEGREE + 1,), rational_matrix([[1]]))
     with pytest.raises(DomainError):
         hermite_symbolic((1,), DenseMatrix.from_rows([[1.0]]))
     with pytest.raises(DimensionMismatchError):
@@ -258,7 +258,7 @@ def test_oracle_rejects_bad_inputs():
     with pytest.raises(SingularMatrixError):
         oracle_compare((1, 1), lam, rational_matrix([[1, 1], [1, 1]]), eye)
     with pytest.raises(SizeLimitError):
-        oracle_compare((9, 0), lam, eye, eye)
+        oracle_compare((coeffs.MAX_EXPANSION_DEGREE + 1, 0), lam, eye, eye)
     with pytest.raises(DomainError):
         oracle_compare((1, 1), DenseMatrix.from_rows([[1.0, 0.0], [0.0, 1.0]]), eye, eye)
 
