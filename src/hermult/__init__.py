@@ -56,6 +56,7 @@ from .tensorlin import (
     DenseVector,
     SpdMatrix,
     colwise_kron_power,
+    covariance,
     invert_matrix,
     kron,
     kron_power,
@@ -98,6 +99,7 @@ __all__ = [
     "coeff_vec_phys",
     "coeff_vec_prob",
     "colwise_kron_power",
+    "covariance",
     "enumerate_fixed_degree",
     "errors",
     "evaluate_expansion",

@@ -28,9 +28,7 @@ from .hermite import (
     hermite_multi_product,
 )
 from .multiindex import MultiIndex
-from .tensorlin import (
-    DenseMatrix, DenseVector, check_symmetric, invert_matrix, spd_factorize
-)
+from .tensorlin import DenseMatrix, DenseVector, covariance
 
 
 # The encoder json.dumps applies to a str under its default ensure_ascii.
@@ -181,26 +179,12 @@ def _variant(token: str) -> CoeffVariant:
     return CoeffVariant(token)
 
 
-def _expansion_terms(spec: ProblemSpec, variant: CoeffVariant) -> list[ExpansionTerm]:
-    if spec.rational:
-        # The exact map never inverts Upsilon, so it is inverted here only to
-        # refuse a singular one, as the oracle does.
-        check_symmetric(spec.sigma)
-        check_symmetric(spec.upsilon)
-        invert_matrix(spec.upsilon)
-        tmap = coeffs.transformed_map_from_inverses(
-            spec.lam, invert_matrix(spec.sigma), spec.upsilon
-        )
-        return coeffs.expand_from_map(spec.k, tmap, variant)
-    sig = spd_factorize(spec.sigma)
-    ups = spd_factorize(spec.upsilon)
-    return coeffs.expand_general(spec.k, spec.lam, sig, ups, variant)
-
-
 def _cmd_expand(args) -> int:
     spec = load_problem_spec(args.spec)
     variant = _variant(args.variant)
-    terms = _expansion_terms(spec, variant)
+    terms = coeffs.expand_general(
+        spec.k, spec.lam, covariance(spec.sigma), covariance(spec.upsilon), variant
+    )
     if args.format == "csv":
         m = spec.upsilon.rows
         header = ",".join([f"q_{j + 1}" for j in range(m)] + ["coeff"])
@@ -257,8 +241,7 @@ def _cmd_eval(args) -> int:
             ExpansionTerm(MultiIndex.of(t["q"]), _parse_entry(t["coeff"], spec.rational))
             for t in raw["terms"]
         ]
-        ups = spd_factorize(spec.upsilon)
-        value = coeffs.evaluate_expansion(terms, xv, ups)
+        value = coeffs.evaluate_expansion(terms, xv, covariance(spec.upsilon))
         obj = {
             "k": raw.get("k"),
             "variant": raw.get("variant"),
@@ -270,16 +253,17 @@ def _cmd_eval(args) -> int:
     if not args.k:
         raise DomainError("--k is required unless --expansion is given")
     k = MultiIndex.of(int(v) for v in args.k.split(","))
-    x = _parse_point(args.at, rational=False)
-    xv = DenseVector.from_entries(x)
     if args.family == "general":
         if not args.spec:
             raise DomainError("family 'general' requires --spec for the covariance")
         spec = load_problem_spec(args.spec)
-        sig = spd_factorize(spec.sigma)
-        value = hermite_multi(k, xv, sig)
+        x = _parse_point(args.at, rational=spec.rational)
+        value = hermite_multi(k, DenseVector.from_entries(x), covariance(spec.sigma))
     else:
-        value = hermite_multi_product(k, xv, _parse_family(args.family))
+        x = _parse_point(args.at, rational=False)
+        value = hermite_multi_product(
+            k, DenseVector.from_entries(x), _parse_family(args.family)
+        )
     obj = {"family": args.family, "k": k.to_list(), "x": x, "value": _scalar_out(value)}
     sys.stdout.write(dumps(obj) + "\n")
     return 0

@@ -150,11 +150,9 @@ def transformed_map(
 def transformed_map_from_inverses(
     lam: DenseMatrix, sigma_inv: DenseMatrix, upsilon: DenseMatrix
 ) -> TransformedMap:
-    """Build (A, M) given the already-inverted left covariance.
-
-    Useful when the left covariance is symmetric and invertible but not
-    necessarily certified positive definite (the exact-oracle path).
-    """
+    """Build (A, M) given the already-inverted left covariance (the
+    oracle holds Sigma^-1 already; `transformed_map` reads it from its
+    `SpdMatrix`)."""
     if lam.rows != upsilon.rows or lam.cols != sigma_inv.rows:
         raise DimensionMismatchError(
             f"map shape {lam.rows}x{lam.cols} inconsistent with matrix dims "

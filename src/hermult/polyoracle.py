@@ -8,8 +8,9 @@ never shares an evaluation path with the numeric recurrences it checks:
 the left side is built by differentiation, never by the coefficient
 recurrence in `coeffs`, and nothing is imported from `hermite`.  The only
 production code it calls is `coeffs.expand_from_map` (with
-`transformed_map_from_inverses`) for T[k,q] on the right side, and the
-exact matrix inverse.
+`transformed_map_from_inverses`) for T[k,q] on the right side, and
+`tensorlin.covariance` for the checked exact inverses of Sigma and
+Upsilon.
 
 All building, substituting and comparing runs on integer coefficients.
 For an exponent matrix B = C/d, with d the lcm of the entry denominators
@@ -73,7 +74,7 @@ from .errors import (
     SizeLimitError,
 )
 from .multiindex import MultiIndex
-from .tensorlin import DenseMatrix, check_symmetric, cleared, invert_matrix
+from .tensorlin import DenseMatrix, check_symmetric, cleared, covariance
 
 # Bounds on a parsed string, checked before `Fraction` sees it: Fraction
 # expands a decimal exponent in full, so "1e200000" alone would build a
@@ -449,25 +450,24 @@ def oracle_compare(
     expansion from the production coefficient code, with symbolic Hermite
     polynomials as the basis.  Both are built and compared with integer
     coefficients over one denominator each (see the module docstring).
-    Inputs must be exact rationals; the covariances must be symmetric and
-    invertible (positive definiteness is not needed for the algebra).  A
-    |k| above the engine's cap raises SizeLimitError in the first
-    `scaled_terms` call, before any polynomial is built.
+    Inputs must be exact rationals; `tensorlin.covariance` checks that the
+    covariances are symmetric and invertible (positive definiteness is not
+    needed for the algebra).  A |k| above the engine's cap raises
+    SizeLimitError in the first `scaled_terms` call, before any polynomial
+    is built.
     """
     k = MultiIndex.of(k)
     for mat in (lam, sigma, upsilon):
         if not mat.is_exact():
             raise DomainError("oracle comparison requires exact rational inputs")
-    check_symmetric(sigma)
-    check_symmetric(upsilon)
+    sigma_inv = covariance(sigma).inverse()
+    upsilon_inv = covariance(upsilon).inverse()
     n, m = sigma.rows, upsilon.rows
     if lam.rows != m or lam.cols != n or k.arity != n:
         raise DimensionMismatchError(
             f"map shape {lam.rows}x{lam.cols} inconsistent with dims "
             f"n={n}, m={m}, arity {k.arity}"
         )
-    sigma_inv = invert_matrix(sigma)
-    upsilon_inv = invert_matrix(upsilon)
 
     degree = k.degree()
     p, p_den = SymbolicHermiteFamily(sigma_inv).scaled_terms(k)

@@ -1,17 +1,23 @@
-"""Dense vectors/matrices, Kronecker powers, vec, and SPD handling.
+"""Dense vectors/matrices, Kronecker powers, vec, and covariances.
 
 Everything here is written once over duck-typed scalars and works for two
 fields: 64-bit floats and exact rationals (int / fractions.Fraction).  The
 int scalars 0 and 1 embed in both fields, so identity matrices and empty
 products stay field-agnostic.  `cleared` writes an exact matrix as C/d
 with C an int matrix; `invert_matrix` is exact only and fraction-free on
-C (float matrices invert through `SpdMatrix.inverse`).  Kronecker
-powers (`kron_power` is `colwise_kron_power` of a one-column matrix) and
-dot products of operands whose entries are all Fractions run the same
-products on the cleared integers and divide once: by d^p for each entry
-of a p-fold power, by the product of the two d's for a dot.
-Every other operand (float, int, or int and Fraction mixed) runs the plain
-products, so no entry changes type; a power of degree 0 is the int [1].
+C.  Kronecker powers (`kron_power` is `colwise_kron_power` of a
+one-column matrix) and dot products of operands whose entries are all
+Fractions run the same products on the cleared integers and divide once:
+by d^p for each entry of a p-fold power, by the product of the two d's
+for a dot.  Every other operand (float, int, or int and Fraction mixed)
+runs the plain products, so no entry changes type; a power of degree 0 is
+the int [1].
+
+A covariance is an `SpdMatrix`: the checked matrix and its inverse.
+`covariance` holds the one rule for outside input.  A float covariance
+must be positive definite and is inverted through its L*D*L^T
+factorization (`spd_factorize`); an exact one need only be symmetric and
+invertible (`invert_matrix`).
 
 Flat tensor addressing: a 0-based slot tuple (j_1, ..., j_K) in [0, n)^K
 maps to flat index sum_p j_p * n^(K-1-p), which is exactly the layout
@@ -297,7 +303,7 @@ def invert_matrix(m: DenseMatrix) -> DenseMatrix:
     before; the division is exact (Sylvester's identity).  [D I | D C^-1]
     results, so m^-1 = (d/D) (D C^-1), one Fraction per entry.  Any nonzero
     pivot will do.  Float matrices raise DomainError: the float path
-    inverts SPD covariances through `SpdMatrix.inverse`.
+    inverts covariances in `spd_factorize`.
     """
     if m.rows != m.cols:
         raise DimensionMismatchError("inverse of a non-square matrix")
@@ -348,55 +354,25 @@ def check_symmetric(m: DenseMatrix, rtol: float | None = None) -> None:
 
 
 class SpdMatrix:
-    """Symmetric positive-definite matrix with a cached factorization.
+    """A checked covariance and its inverse: `H_k(x; S)` reads S only
+    through S^-1.
 
-    Factorization is the square-root-free L*D*L^T form, which stays inside
-    the scalar field: exact for rational entries, ordinary doubles for
-    floats.  Positive definiteness is certified by all pivots d_i > 0.
+    `spd_factorize` builds one that it has certified positive definite;
+    `covariance` also builds exact ones that are only symmetric and
+    invertible, so the name says more than an exact instance promises.
     """
 
-    __slots__ = ("matrix", "_lower", "_diag", "_inverse")
+    __slots__ = ("matrix", "_inverse")
 
-    def __init__(self, matrix: DenseMatrix, lower: tuple, diag: tuple):
+    def __init__(self, matrix: DenseMatrix, inverse: DenseMatrix):
         self.matrix = matrix
-        self._lower = lower
-        self._diag = diag
-        self._inverse: DenseMatrix | None = None
+        self._inverse = inverse
 
     @property
     def dim(self) -> int:
         return self.matrix.rows
 
-    def inverse_apply(self, v: DenseVector) -> DenseVector:
-        """Solve S u = v via the cached factorization."""
-        n = self.dim
-        if v.dim != n:
-            raise DimensionMismatchError(
-                f"inverse_apply of dim {n} to vector of dim {v.dim}"
-            )
-        low = self._lower
-        z = list(v.entries)
-        for i in range(n):
-            z[i] = z[i] - sum(low[i][j] * z[j] for j in range(i))
-        w = [z[i] / self._diag[i] for i in range(n)]
-        for i in range(n - 1, -1, -1):
-            w[i] = w[i] - sum(low[j][i] * w[j] for j in range(i + 1, n))
-        return DenseVector(tuple(w))
-
     def inverse(self) -> DenseMatrix:
-        """The full inverse matrix, computed once and cached."""
-        if self._inverse is None:
-            n = self.dim
-            cols = [
-                self.inverse_apply(
-                    DenseVector(tuple(1 if i == j else 0 for i in range(n)))
-                )
-                for j in range(n)
-            ]
-            data = tuple(
-                tuple(cols[j].entries[i] for j in range(n)) for i in range(n)
-            )
-            self._inverse = DenseMatrix(n, n, data)
         return self._inverse
 
     def __repr__(self) -> str:
@@ -404,7 +380,14 @@ class SpdMatrix:
 
 
 def spd_factorize(s: DenseMatrix) -> SpdMatrix:
-    """Validate symmetry, factorize, and certify positive definiteness."""
+    """Validate symmetry, certify positive definiteness by the pivots of the
+    square-root-free L*D*L^T factorization (all d_i > 0), and invert.
+
+    The factorization stays inside the scalar field: exact for rational
+    entries, ordinary doubles for floats.  The inverse solves L D L^T X = I
+    by one forward pass, a scaling by D and one back pass, run on every
+    column of X at once.
+    """
     if s.rows != s.cols:
         raise DimensionMismatchError("SPD input must be square")
     check_symmetric(s)
@@ -427,4 +410,28 @@ def spd_factorize(s: DenseMatrix) -> SpdMatrix:
         for i in range(j + 1, n):
             v = a[i][j] - sum(low[i][k] * low[j][k] * diag[k] for k in range(j))
             low[i][j] = v / pivot
-    return SpdMatrix(s, tuple(tuple(row) for row in low), tuple(diag))
+    cols = range(n)
+    x = [[1 if i == c else 0 for c in cols] for i in cols]
+    for i in range(n):
+        x[i] = [x[i][c] - sum(low[i][j] * x[j][c] for j in range(i)) for c in cols]
+    x = [[v / d for v in row] for row, d in zip(x, diag)]
+    for i in range(n - 1, -1, -1):
+        x[i] = [
+            x[i][c] - sum(low[j][i] * x[j][c] for j in range(i + 1, n)) for c in cols
+        ]
+    return SpdMatrix(s, DenseMatrix(n, n, tuple(tuple(row) for row in x)))
+
+
+def covariance(m: DenseMatrix) -> SpdMatrix:
+    """The one rule for a covariance read from outside input.
+
+    A float matrix must be symmetric positive definite (`spd_factorize`).
+    An exact matrix need only be symmetric and invertible: `H_k(x; S)`
+    reads S only through S^-1, so the exact algebra holds for an indefinite
+    S too.  Raises NotSymmetricError, NotPositiveDefiniteError or
+    SingularMatrixError.
+    """
+    if not m.is_exact():
+        return spd_factorize(m)
+    check_symmetric(m)
+    return SpdMatrix(m, invert_matrix(m))

@@ -243,31 +243,29 @@ def verify_generating_function(cfg: TrialConfig) -> VerifyReport:
     return agg.report(cfg.seed)
 
 
-def kron_identity_error(a: list[list[float]], b: list[float], k: list[int]) -> float:
-    """Relative gap between the componentwise power of A^T b and the
-    columnwise-Kronecker-power contraction."""
+def _kron_sides(a: list[list], b: list, k: list[int]) -> tuple:
+    """Both sides of the identity, in the field of the entries: the
+    componentwise power (A^T b)^k and the columnwise-Kronecker-power
+    contraction."""
     am = DenseMatrix.from_rows(a)
     bv = DenseVector.from_entries(b)
     ki = MultiIndex.of(k)
-    atb = am.transpose().matvec(bv)
-    lhs = 1.0
-    for v, e in zip(atb.entries, ki.parts):
+    lhs = 1
+    for v, e in zip(am.transpose().matvec(bv).entries, ki.parts):
         lhs *= v**e
-    rhs = colwise_kron_power(am, ki).dot(kron_power(bv, ki.degree()))
+    return lhs, colwise_kron_power(am, ki).dot(kron_power(bv, ki.degree()))
+
+
+def kron_identity_error(a: list[list[float]], b: list[float], k: list[int]) -> float:
+    """Relative gap between the two sides of the identity at float inputs."""
+    lhs, rhs = _kron_sides(a, b, k)
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
 def kron_identity_exact(a_num: list[list[int]], b_num: list[int], den: int, k: list[int]) -> bool:
     """Exact-field check of the same identity at rational inputs."""
     d = Fraction(1, den)
-    am = DenseMatrix.from_rows([[v * d for v in row] for row in a_num])
-    bv = DenseVector.from_entries([v * d for v in b_num])
-    ki = MultiIndex.of(k)
-    atb = am.transpose().matvec(bv)
-    lhs = Fraction(1)
-    for v, e in zip(atb.entries, ki.parts):
-        lhs *= v**e
-    rhs = colwise_kron_power(am, ki).dot(kron_power(bv, ki.degree()))
+    lhs, rhs = _kron_sides([[v * d for v in row] for row in a_num], [v * d for v in b_num], k)
     return lhs == rhs
 
 

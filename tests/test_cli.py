@@ -13,6 +13,8 @@ import hermult
 from hermult import DenseVector, coeffs, spd_factorize
 from hermult.cli import dumps, load_problem_spec, main
 from hermult.errors import DomainError
+from hermult.polyoracle import hermite_symbolic, oracle_compare
+from hermult.tensorlin import invert_matrix
 
 # The child runs the package these tests import, installed or not.
 CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(hermult.__file__).resolve().parent.parent))
@@ -463,6 +465,47 @@ def test_rational_covariances_are_checked(tmp_path, capsys, command, name):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_eval_expansion_with_indefinite_rational_upsilon(tmp_path, capsys):
+    # Upsilon is symmetric and invertible but indefinite: `eval --expansion`
+    # takes it as `expand` does, and the right side it evaluates equals the
+    # oracle's left side.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "k": [2, 1], "Lambda": [[1, 0], [0, 1]], "Sigma": [[2, 0], [0, 3]],
+        "Upsilon": [[1, 2], [2, 1]], "rational": True,
+    }))
+    assert main(["expand", "--spec", str(path)]) == 0
+    expansion = tmp_path / "exp.json"
+    expansion.write_text(capsys.readouterr().out)
+    spec = load_problem_spec(str(path))
+    lhs = oracle_compare(spec.k, spec.lam, spec.sigma, spec.upsilon).lhs
+    for point in ("1,2", "-1/2,3", "0,0", "7/3,-5"):
+        code = main(["eval", "--expansion", str(expansion), "--spec", str(path), f"--at={point}"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        value = json.loads(captured.out)["value"]
+        assert Fraction(value) == lhs.evaluate(point.split(","))
+        if point == "1,2":
+            assert value == "-1/6"
+
+
+def test_eval_general_family_is_exact_for_rational_spec(tmp_path, capsys):
+    # A rational spec's point parses exactly and its value prints as "p/q",
+    # with Sigma (indefinite here) read through its exact inverse.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(ORACLE_SPECS["indefinite"], rational=True)))
+    sigma = load_problem_spec(str(path)).sigma
+    for k, point in (("2,1", "1/2,2"), ("1,3", "-3,5/7"), ("0,2", "1,1")):
+        code = main(["eval", "--family", "general", "--k", k, f"--at={point}", "--spec", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        out = json.loads(captured.out)
+        assert out["x"] == [str(Fraction(v)) for v in point.split(",")]
+        expected = hermite_symbolic([int(v) for v in k.split(",")], invert_matrix(sigma))
+        assert isinstance(out["value"], str)
+        assert Fraction(out["value"]) == expected.evaluate(point.split(","))
 
 
 def test_main_entry_in_process(capsys, identity_spec):

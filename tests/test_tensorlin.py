@@ -19,6 +19,7 @@ from hermult.tensorlin import (
     DenseMatrix,
     DenseVector,
     colwise_kron_power,
+    covariance,
     invert_matrix,
     kron,
     kron_power,
@@ -277,6 +278,27 @@ def seeded_square(rng, n, kind):
                 row[i] = sum(abs(v) for v in row[: n - 1]) + 1
             row[-1] = sum(c * v for c, v in zip(mix, row))
     return DenseMatrix.from_rows(rows)
+
+
+def test_covariance_rule_in_each_field():
+    # Float: symmetric positive definite, through spd_factorize.
+    flt = DenseMatrix.from_rows([[2.0, 0.5], [0.5, 1.0]])
+    assert covariance(flt).inverse().data == spd_factorize(flt).inverse().data
+    with pytest.raises(NotPositiveDefiniteError):
+        covariance(DenseMatrix.from_rows([[1.0, 2.0], [2.0, 1.0]]))
+    # Exact: symmetric and invertible is enough.
+    indefinite = DenseMatrix.from_rows([[1, Fraction(1, 2)], [Fraction(1, 2), -3]])
+    cov = covariance(indefinite)
+    assert cov.matrix is indefinite
+    assert cov.inverse().data == invert_matrix(indefinite).data
+    with pytest.raises(NotPositiveDefiniteError):
+        spd_factorize(indefinite)
+    with pytest.raises(SingularMatrixError):
+        covariance(DenseMatrix.from_rows([[1, 2], [2, 4]]))
+    # Symmetry is checked first, in both fields.
+    for rows in ([[1.0, 2.0], [0.0, 1.0]], [[1, 2], [0, 1]], [[0, 1], [0, 0]]):
+        with pytest.raises(NotSymmetricError):
+            covariance(DenseMatrix.from_rows(rows))
 
 
 def test_exact_inverse_matches_fraction_gauss_jordan():
