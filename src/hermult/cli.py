@@ -46,12 +46,9 @@ def _emit(obj, out: list[str]) -> None:
     # Exact types first: the isinstance chain below pays an ABC check for
     # Fraction on every number.
     t = type(obj)
-    if t is float:
-        _emit_float(obj, out)
-    elif t is int:
-        out.append(repr(obj))
-    elif t is str:
-        out.append(_encode_str(obj))
+    leaf = _LEAF.get(t)
+    if leaf is not None:
+        out.append(leaf(obj))
     elif t is list:
         _emit_items(obj, out)
     elif t is dict:
@@ -67,7 +64,7 @@ def _emit(obj, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(repr(obj))
     elif isinstance(obj, float):
-        _emit_float(obj, out)
+        out.append(_float_text(obj))
     elif isinstance(obj, str):
         out.append(_encode_str(obj))
     elif isinstance(obj, (list, tuple)):
@@ -78,30 +75,34 @@ def _emit(obj, out: list[str]) -> None:
         raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit_float(obj, out: list[str]) -> None:
+def _float_text(obj) -> str:
     if not math.isfinite(obj):
         raise DomainError(f"cannot serialize non-finite number {obj!r}")
-    out.append(format(obj, ".17g"))
+    return format(obj, ".17g")
+
+
+# Exact leaf types and their writers; _emit tries these first.
+_LEAF = {float: _float_text, int: int.__repr__, str: _encode_str}
 
 
 def _emit_items(obj, out: list[str]) -> None:
-    out.append("[")
-    for i, v in enumerate(obj):
-        if i:
-            out.append(",")
+    sep = "["
+    for v in obj:
+        out.append(sep)
+        sep = ","
         _emit(v, out)
-    out.append("]")
+    out.append("]" if obj else "[]")
 
 
 def _emit_dict(obj, out: list[str]) -> None:
-    out.append("{")
-    for i, (k, v) in enumerate(obj.items()):
-        if i:
-            out.append(",")
+    sep = "{"
+    for k, v in obj.items():
+        out.append(sep)
+        sep = ","
         out.append(_encode_str(str(k)))
         out.append(":")
         _emit(v, out)
-    out.append("}")
+    out.append("}" if obj else "{}")
 
 
 def _scalar_out(v):
@@ -175,13 +176,9 @@ def load_problem_spec(path: str) -> ProblemSpec:
     return ProblemSpec(k=k, lam=lam, sigma=sigma, upsilon=upsilon, rational=rational)
 
 
-def _variant(token: str) -> CoeffVariant:
-    return CoeffVariant(token)
-
-
 def _cmd_expand(args) -> int:
     spec = load_problem_spec(args.spec)
-    variant = _variant(args.variant)
+    variant = CoeffVariant(args.variant)
     terms = coeffs.expand_general(
         spec.k, spec.lam, covariance(spec.sigma), covariance(spec.upsilon), variant
     )
@@ -275,7 +272,7 @@ def _run_suite(name: str, args) -> verify.VerifyReport:
     # Built for the selector suite too, which draws no trials, so that every
     # suite rejects the same bad --seed, --trials and --tol.
     cfg = verify.TrialConfig(seed=args.seed, trials=args.trials, tol_rel=tol)
-    return run(cfg, _variant(args.variant))
+    return run(cfg, CoeffVariant(args.variant))
 
 
 def _cmd_verify(args) -> int:
@@ -295,7 +292,7 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle_compare(args) -> int:
     spec = load_problem_spec(args.spec)
     result = polyoracle.oracle_compare(
-        spec.k, spec.lam, spec.sigma, spec.upsilon, _variant(args.variant)
+        spec.k, spec.lam, spec.sigma, spec.upsilon, CoeffVariant(args.variant)
     )
     obj = {
         "equal": result.equal,
@@ -375,6 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a point such as -0.5,1 for an option; joined to its
+    # flag it can only be the value.
+    i = argv.index("--at") if "--at" in argv[:-1] else -1
+    if i >= 0 and not argv[i + 1].startswith("--"):
+        argv[i : i + 2] = [f"--at={argv[i + 1]}"]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -25,12 +25,13 @@ A^{(.)q} (x) vec(M)^{(x)i} summed over the |k|!/k! slot tuples of k.  The
 symmetrized variant runs the recurrence; paper-literal reads the ascending
 slot tuple only.
 
-The recurrence runs as one bottom-up sweep per source index k.  A top-down
-pass first finds the k' the sweep needs, starting from k: with i the
-rightmost positive coordinate of a needed k', it needs k' - e_i, and
-k' - e_i - e_l for every l with M_il != 0 and (k' - e_i)_l > 0.  The sweep
-then visits those k' in increasing degree and pulls each T[k', q'] from
-the two layers below it, for every q' of the parity of |k'|:
+The recurrence runs as one bottom-up sweep per source index k.  Its plan
+lists the k' the sweep needs, from k down: with i the rightmost positive
+coordinate of a needed k', it needs k' - e_i, and k' - e_i - e_l for every
+l with M_il != 0 and c = (k' - e_i)_l > 0.  The plan (_sweep_plan) depends
+only on k and the zero pattern of M and holds the int c, not c * M_il.  The
+value pass visits the planned k' in increasing degree and pulls each
+T[k', q'] from the two layers below it, for every q' of the parity of |k'|:
 
     acc = 0;  acc = acc + A_ij T[k'-e_i, q'-e_j]       for j ascending,
                     skipping A_ij == 0 and q'_j == 0;
@@ -40,9 +41,9 @@ the two layers below it, for every q' of the parity of |k'|:
 Only the layers of degree d-1 and d-2 are kept while degree d is built.
 Each entry is this one expression, in this operand order, over entries of
 lower degree, so a float table is reproducible bit for bit.  q' is
-addressed by its digits in radix MAX_EXPANSION_DEGREE + 1, so q' - e_j is
-a fixed offset; expand_from_map reads every q from the table of k and
-coeff_from_map reads one.
+addressed by its digits in radix MAX_EXPANSION_DEGREE + 1, listed with the
+codes of its q' - e_j (_q_level); expand_from_map reads every q from the
+table of k and coeff_from_map reads one.
 
 Exact maps run on integers.  T[k,q] has degree |q| in A and (|k|-|q|)/2
 in M, so with A = A_hat/alpha and M = M_hat/beta,
@@ -61,7 +62,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -129,8 +130,7 @@ class TransformedMap:
     M: DenseMatrix
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
+class ExpansionTerm(NamedTuple):
     q: MultiIndex
     coeff: object
 
@@ -242,9 +242,15 @@ _Q_RADIX = MAX_EXPANSION_DEGREE + 1
 
 @functools.lru_cache(maxsize=128)
 def _q_level(m: int, d: int) -> tuple:
-    """The (code, q) pairs of every arity-m index q of degree d, in
-    canonical order; lowering q_j subtracts _Q_RADIX**(m-1-j) from the code."""
-    return tuple((_q_code(q.parts), q) for q in enumerate_fixed_degree(m, d))
+    """The (code, q, lowers) triples of every arity-m index q of degree d,
+    in canonical order; lowers holds (j, code of q - e_j) for each j with
+    q_j > 0, ascending."""
+    weights = [_Q_RADIX ** (m - 1 - j) for j in range(m)]
+    codes = [(_q_code(q.parts), q) for q in enumerate_fixed_degree(m, d)]
+    return tuple(
+        (code, q, tuple((j, code - weights[j]) for j, p in enumerate(q.parts) if p))
+        for code, q in codes
+    )
 
 
 def _q_code(parts: tuple) -> int:
@@ -254,15 +260,11 @@ def _q_code(parts: tuple) -> int:
     return code
 
 
-def _coeff_table(k: tuple, a_rows, m_rows) -> dict:
-    """T[k, q] for every q of the parity of |k|, keyed by _q_code(q); see
-    the module docstring for the sweep."""
+def _sweep_plan(k: tuple, m_rows) -> list:
+    """The sweep's steps: steps[d], for d = 1..|k|, maps each needed k' of
+    degree d to (i, k' - e_i, ((c, l, k' - e_i - e_l), ...)).  It reads
+    only which entries of M are nonzero; see the module docstring."""
     top = sum(k)
-    m = len(a_rows[0])
-    weights = [_Q_RADIX ** (m - 1 - j) for j in range(m)]
-    # Top down, the k' the sweep needs and how each is reached: the
-    # rightmost positive coordinate i is lowered to give `low`, then each
-    # l with M_il != 0 and low_l > 0 is lowered too.
     steps = [{} for _ in range(top + 1)]
     steps[top][k] = None
     for d in range(top, 0, -1):
@@ -276,27 +278,34 @@ def _coeff_table(k: tuple, a_rows, m_rows) -> dict:
                 c = low[l]
                 if mv and c:
                     lower = low[:l] + (c - 1,) + low[l + 1 :]
-                    twice.append((c * mv, lower))
+                    twice.append((c, l, lower))
                     steps[d - 2][lower] = None
             steps[d - 1][low] = None
             steps[d][kp] = (i, low, twice)
-    # Bottom up, keeping only the layers of degree d-1 and d-2.
+    return steps
+
+
+def _coeff_table(k: tuple, a_rows, m_rows) -> dict:
+    """T[k, q] for every q of the parity of |k|, keyed by _q_code(q): the
+    value pass over _sweep_plan (see the module docstring)."""
+    m = len(a_rows[0])
+    steps = _sweep_plan(k, m_rows)
     below, prev = {}, {(0,) * len(k): {0: 1}}
-    for d in range(1, top + 1):
+    for d in range(1, len(steps)):
         cur = {}
         for kp, (i, low, twice) in steps[d].items():
             src = prev[low]
-            a_pulls = [(j, a, weights[j]) for j, a in enumerate(a_rows[i]) if a]
-            m_pulls = [(cm, below[lower]) for cm, lower in twice]
+            a_row, m_row = a_rows[i], m_rows[i]
+            m_pulls = [(c * m_row[l], below[lower]) for c, l, lower in twice]
             t = {}
             for dq in range(d, -1, -2):
                 pulls = m_pulls if dq < d else ()
-                for code, q in _q_level(m, dq):
-                    parts = q.parts
+                for code, _, lowers in _q_level(m, dq):
                     acc = 0
-                    for j, a, w in a_pulls:
-                        if parts[j]:
-                            acc = acc + a * src[code - w]
+                    for j, lower_code in lowers:
+                        a = a_row[j]
+                        if a:
+                            acc = acc + a * src[lower_code]
                     for cm, lower_t in pulls:
                         acc = acc + cm * lower_t[code]
                     t[code] = acc
@@ -376,7 +385,7 @@ def expand_from_map(
     for d in q_support(top):
         pairs = (top - d) // 2
         den = alpha**d * beta**pairs
-        for code, q in _q_level(tmap.A.cols, d):
+        for code, q, _ in _q_level(tmap.A.cols, d):
             if table is None:
                 c = _literal_coeff(k, q, pairs, rows, den)
             else:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -154,6 +155,16 @@ def test_eval_family_values():
     assert json.loads(r.stdout)["value"] == 2
     r = run_cli("eval", "--family", "scaled:0.5", "--k", "2", "--at", "1.0")
     assert json.loads(r.stdout)["value"] == 2
+
+
+def test_eval_point_with_negative_first_coordinate(capsys):
+    expected = '{"family":"he","k":[2,1],"x":[-0.5,1],"value":-0.75}\n'
+    for at in (["--at", "-0.5,1"], ["--at=-0.5,1"]):
+        assert main(["eval", "--family", "he", "--k", "2,1", *at]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected, "")
+    r = run_cli("eval", "--family", "he", "--k", "2,1", "--at", "-0.5,1")
+    assert (r.returncode, r.stdout) == (0, expected)
 
 
 def test_eval_general_family(generic_spec):
@@ -352,6 +363,55 @@ def test_expand_output_sha256_is_pinned(tmp_path, capsys, name, variant, fmt):
     assert code == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == EXPAND_STDOUT_SHA256[name, variant, fmt]
+
+
+def float_spec(seed, k):
+    """A seeded float spec with n = m = len(k): Lambda entries in [-1, 1],
+    covariances with diagonal in [1.5, 2.5] and off-diagonal entries in
+    [-0.3, 0.3], so positive definite; every entry has three decimals."""
+    rng = random.Random(seed)
+    dim = len(k)
+
+    def entry(lo, hi):
+        return round(rng.uniform(lo, hi), 3)
+
+    def cov():
+        rows = [[0.0] * dim for _ in range(dim)]
+        for i in range(dim):
+            rows[i][i] = entry(1.5, 2.5)
+            for j in range(i):
+                rows[i][j] = rows[j][i] = entry(-0.3, 0.3)
+        return rows
+
+    lam = [[entry(-1, 1) for _ in range(dim)] for _ in range(dim)]
+    return {"k": list(k), "Lambda": lam, "Sigma": cov(), "Upsilon": cov()}
+
+
+FLOAT_SPECS = {"n3-k333": (13, (3, 3, 3)), "n4-k0125": (14, (0, 1, 2, 5))}
+
+# stdout sha256 of `hermult expand` on the seeded float specs, recorded
+# before the sweep plan was cached and the emitter wrote leaves inline: the
+# float sweep and the float emitter must leave every byte as it was.
+FLOAT_EXPAND_STDOUT_SHA256 = {
+    ("n3-k333", "paper-literal", "csv"): "6e918046071aaf4a55cc145f23cdead2306f016d2e6aa728270b39959348e2f4",
+    ("n3-k333", "paper-literal", "json"): "be0a819f1eb99392009bf7b2aff9efac184736f3a99ae51059963898d13d39ba",
+    ("n3-k333", "symmetrized", "csv"): "38cda2acc03f4d17f7ed9d4496641e77d90ee9da2f3e9aff3141468e056c369f",
+    ("n3-k333", "symmetrized", "json"): "ddaf2fcb284de680fe56d0e7dedcd1fd25df7b43d7a49e825032deb22602ef5c",
+    ("n4-k0125", "paper-literal", "csv"): "bc78453716c5dff66f87fe05fca42a58a806772ad8331d1aea54cdd17c0a5dc5",
+    ("n4-k0125", "paper-literal", "json"): "4460986e7b3237a2cb97ef78d21a031ac52513b4e12f5d107fb7d73df332bae2",
+    ("n4-k0125", "symmetrized", "csv"): "8503b77615dfe9f370f3da74e1ce5efb6715645dec266dce52b5f42e37eb8009",
+    ("n4-k0125", "symmetrized", "json"): "16d3432a40f38128fef64f4714ce339e0e5d244db3b9b411493967cc6caebe4c",
+}
+
+
+@pytest.mark.parametrize("name, variant, fmt", sorted(FLOAT_EXPAND_STDOUT_SHA256))
+def test_float_expand_output_sha256_is_pinned(tmp_path, capsys, name, variant, fmt):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(float_spec(*FLOAT_SPECS[name])))
+    code = main(["expand", "--spec", str(path), "--variant", variant, "--format", fmt])
+    assert code == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == FLOAT_EXPAND_STDOUT_SHA256[name, variant, fmt]
 
 
 @pytest.mark.parametrize("command", ["expand", "oracle-compare"])

@@ -6,6 +6,7 @@ import pytest
 
 from hermult.coeffs import (
     CoeffVariant,
+    ExpansionTerm,
     TransformedMap,
     coeff_from_map,
     coeff_general,
@@ -496,6 +497,27 @@ def test_coeff_table_matches_recursion_reference():
     assert checked_from_map >= 300
 
 
+def test_sweep_plan_follows_the_zero_pattern_of_m():
+    # The plan for k skips zero entries of M, so one k on a sparse M and on
+    # a dense M needs two plans; both orders guard against a plan reused
+    # across the two.  Under the sparse M no pull reaches T[(2,2), 0], which
+    # stays the int 0; the dense M pulls into it.
+    a = DenseMatrix.from_rows([[0.6, -1.1], [0.3, 0.9]])
+    sparse = TransformedMap(A=a, M=DenseMatrix.from_rows([[0.5, 0.0], [0.0, 0.0]]))
+    dense = TransformedMap(A=a, M=DenseMatrix.from_rows([[0.5, -0.25], [-0.25, 0.75]]))
+    for order in ((sparse, dense), (dense, sparse)):
+        for tmap in order:
+            for k in ((2, 2), (3, 2)):
+                memo = {((0, 0), (0, 0)): 1}
+                for d in q_support(sum(k)):
+                    for q in enumerate_fixed_degree(2, d):
+                        expected = raise_coeff_reference(
+                            k, q.parts, (sum(k) - d) // 2, a.data, tmap.M.data, memo
+                        )
+                        assert repr(coeff_from_map(k, q, tmap)) == repr(expected)
+    assert repr(coeff_from_map((2, 2), (0, 0), sparse)) == "0"
+
+
 def fraction_table_reference(k, a_rows, m_rows):
     """The bottom-up sweep as it ran directly on the map's own entries
     before exact maps were cleared to integers: the same pulls in the same
@@ -656,6 +678,22 @@ def test_exact_transformed_map_matches_fraction_products():
             assert [(v, type(v)) for row in got.data for v in row] == [
                 (v, type(v)) for row in want.data for v in row
             ]
+
+
+def test_expansion_term_fields_hash_and_repr():
+    q = MultiIndex((1, 0))
+    term = ExpansionTerm(q=q, coeff=0.5)
+    assert (term.q, term.coeff) == (q, 0.5)
+    assert term == ExpansionTerm(q, 0.5) == (q, 0.5)
+    assert hash(term) == hash(ExpansionTerm(MultiIndex((1, 0)), 0.5)) == hash((q, 0.5))
+    assert repr(term) == "ExpansionTerm(q=MultiIndex(parts=(1, 0)), coeff=0.5)"
+    assert term != ExpansionTerm(q, Fraction(1, 3))
+    # A term is a tuple (q, coeff): it unpacks and indexes, and is immutable.
+    assert isinstance(term, tuple) and len(term) == 2 and term[1] == 0.5
+    q_out, coeff_out = term
+    assert (q_out, coeff_out) == (q, 0.5)
+    with pytest.raises(AttributeError):
+        term.coeff = 1.0
 
 
 def test_zero_suppression_in_float_mode():
