@@ -14,7 +14,6 @@ from .coeffs import (
     TransformedMap,
     coeff_from_map,
     coeff_general,
-    coeff_isotropic,
     coeff_univariate,
     coeff_vec_phys,
     coeff_vec_prob,
@@ -47,7 +46,6 @@ from .polyoracle import (
     MPoly,
     OracleComparison,
     SymbolicHermiteFamily,
-    hermite_symbolic,
     oracle_compare,
     rational_matrix,
 )
@@ -58,10 +56,8 @@ from .tensorlin import (
     colwise_kron_power,
     covariance,
     invert_matrix,
-    kron,
     kron_power,
     spd_factorize,
-    vec,
 )
 from .verify import (
     TrialConfig,
@@ -94,7 +90,6 @@ __all__ = [
     "ascending_tuple",
     "coeff_from_map",
     "coeff_general",
-    "coeff_isotropic",
     "coeff_univariate",
     "coeff_vec_phys",
     "coeff_vec_prob",
@@ -109,12 +104,10 @@ __all__ = [
     "hermite_multi",
     "hermite_multi_batch",
     "hermite_multi_product",
-    "hermite_symbolic",
     "hermite_uni",
     "hermite_uni_all",
     "index_tuples",
     "invert_matrix",
-    "kron",
     "kron_power",
     "mi_factorial",
     "oracle_compare",
@@ -123,7 +116,6 @@ __all__ = [
     "spd_factorize",
     "transformed_map",
     "transformed_map_from_inverses",
-    "vec",
     "verify_generating_function",
     "verify_kron_identity",
     "verify_main_identity",

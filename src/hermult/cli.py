@@ -187,7 +187,7 @@ def _cmd_expand(args) -> int:
         header = ",".join([f"q_{j + 1}" for j in range(m)] + ["coeff"])
         lines = [header]
         for t in terms:
-            coeff = str(t.coeff) if spec.rational else format(float(t.coeff), ".17g")
+            coeff = str(t.coeff) if spec.rational else _float_text(float(t.coeff))
             lines.append(",".join([str(p) for p in t.q.parts] + [coeff]))
         sys.stdout.write("\n".join(lines) + "\n")
     else:
@@ -306,8 +306,16 @@ def _cmd_oracle_compare(args) -> int:
     return 0 if result.equal else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so `main` reports them in one line; the
+    subcommand parsers are made of this class too."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hermult",
         description=(
             "Expansion coefficients, evaluation, and verification for "
@@ -382,10 +390,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except HermultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (HermultError, OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,7 @@
 Given covariances for both sides and a linear map, the Hermite polynomial
 of the mapped argument expands over Hermite polynomials of the original
 argument; this module computes the expansion coefficients in full
-generality plus the isotropic, inner-product, and univariate reductions.
+generality plus the inner-product and univariate reductions.
 
 The map Lambda is m x n: its transpose sends points in R^m to arguments in
 R^n, and the left index k has arity n.  With A = Sigma^-1 Lambda^T Upsilon
@@ -91,7 +91,6 @@ from .tensorlin import (
     all_fractions,
     check_symmetric,
     cleared,
-    spd_factorize,
 )
 
 # Expansion sources above this degree are rejected.  The recurrence is
@@ -139,11 +138,6 @@ def transformed_map(
     lam: DenseMatrix, sigma: SpdMatrix, upsilon: SpdMatrix
 ) -> TransformedMap:
     """Build (A, M) from the map and the two covariances."""
-    if lam.rows != upsilon.dim or lam.cols != sigma.dim:
-        raise DimensionMismatchError(
-            f"map shape {lam.rows}x{lam.cols} inconsistent with covariance "
-            f"dims {sigma.dim} and {upsilon.dim}"
-        )
     return transformed_map_from_inverses(lam, sigma.inverse(), upsilon.matrix)
 
 
@@ -395,24 +389,6 @@ def expand_from_map(
             if c != 0:
                 terms.append(ExpansionTerm(q, c))
     return terms
-
-
-def coeff_isotropic(
-    k: MultiIndex | Iterable[int],
-    q: MultiIndex | Iterable[int],
-    lam: DenseMatrix,
-    sigma_sq,
-    variant: CoeffVariant = CoeffVariant.SYMMETRIZED,
-):
-    """Coefficient when both covariances are sigma_sq times the identity:
-    coeff_general there, with A = Lambda^T, M = (Lambda^T Lambda - I) / sigma_sq."""
-    if not sigma_sq > 0:
-        raise DomainError(f"sigma_sq must be > 0, got {sigma_sq!r}")
-    if isinstance(sigma_sq, float) and not math.isfinite(sigma_sq):
-        raise DomainError(f"sigma_sq must be finite, got {sigma_sq!r}")
-    sigma = spd_factorize(DenseMatrix.identity(lam.cols).scale(sigma_sq))
-    upsilon = spd_factorize(DenseMatrix.identity(lam.rows).scale(sigma_sq))
-    return coeff_general(k, q, lam, sigma, upsilon, variant)
 
 
 @functools.lru_cache(maxsize=1024)

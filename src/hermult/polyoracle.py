@@ -311,21 +311,6 @@ class MPoly:
         res.terms = {_decode(code, lin.cols, radix): c for code, c in out.items()}
         return res
 
-    def evaluate(self, xs: Iterable) -> Fraction:
-        xs = [as_rational(v) for v in xs]
-        if len(xs) != self.arity:
-            raise DimensionMismatchError(
-                f"point of dim {len(xs)} for arity {self.arity}"
-            )
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            v = c
-            for x, e in zip(xs, mono):
-                if e:
-                    v = v * x**e
-            total += v
-        return total
-
     def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
         """Terms in canonical monomial order."""
         return sorted(
@@ -418,11 +403,6 @@ class SymbolicHermiteFamily:
         _add_into(res, _derivative_terms(prev, self._weights[i]), -self._den)
         self._memo[parts] = res
         return res
-
-
-def hermite_symbolic(k: MultiIndex | Iterable[int], b: DenseMatrix) -> MPoly:
-    """The Hermite polynomial of exponent matrix b as an exact polynomial."""
-    return SymbolicHermiteFamily(b).poly(k)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Dense vectors/matrices, Kronecker powers, vec, and covariances.
+"""Dense vectors/matrices, Kronecker powers, and covariances.
 
 Everything here is written once over duck-typed scalars and works for two
 fields: 64-bit floats and exact rationals (int / fractions.Fraction).  The
@@ -21,7 +21,7 @@ invertible (`invert_matrix`).
 
 Flat tensor addressing: a 0-based slot tuple (j_1, ..., j_K) in [0, n)^K
 maps to flat index sum_p j_p * n^(K-1-p), which is exactly the layout
-produced by iterated `kron`.
+produced by iterated `_kron_entries`.
 """
 
 from __future__ import annotations
@@ -222,13 +222,6 @@ def _power_entries(v: tuple, p: int) -> tuple:
     return out
 
 
-def kron(a: DenseVector, b: DenseVector) -> DenseVector:
-    """Kronecker product of two vectors: a[i]*b[j] at flat position
-    i*len(b)+j."""
-    _check_len(a.dim * b.dim)
-    return DenseVector(_kron_entries(a.entries, b.entries))
-
-
 def kron_power(v: DenseVector, p: int) -> DenseVector:
     """p-fold Kronecker power of a vector; the 0th power is [1]."""
     if p < 0:
@@ -263,13 +256,6 @@ def _colwise_entries(rows: tuple, parts: tuple) -> tuple:
             column = tuple(row[j] for row in rows)
             out = _kron_entries(out, _power_entries(column, power))
     return out
-
-
-def vec(m: DenseMatrix) -> DenseVector:
-    """Columnwise vectorization: columns stacked top to bottom."""
-    return DenseVector(
-        tuple(m.data[i][j] for j in range(m.cols) for i in range(m.rows))
-    )
 
 
 def cleared(mat: DenseMatrix) -> tuple[DenseMatrix, int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -49,6 +49,14 @@ _MASK64 = (1 << 64) - 1
 # Interval of the uniform draws behind every randomized suite's inputs.
 ENTRY_RANGE = (-2.0, 2.0)
 
+# Largest dimension drawn for n and m by the main, gf and inner-product
+# checks, and the largest degree |k| each randomized check draws.
+MAX_DIM = 3
+MAIN_MAX_DEGREE = 5
+KRON_MAX_DEGREE = 4
+UNIVARIATE_MAX_DEGREE = 12
+INNER_PRODUCT_MAX_DEGREE = 8
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -56,9 +64,6 @@ class TrialConfig:
 
     seed: int
     trials: int = 100
-    n_max: int = 3
-    m_max: int = 3
-    k_max: int = 5
     tol_rel: float = 1e-8
 
     def __post_init__(self) -> None:
@@ -189,9 +194,9 @@ def verify_main_identity(
     lo, hi = ENTRY_RANGE
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
-        n = int(rng.integers(1, cfg.n_max + 1))
-        m = int(rng.integers(1, cfg.m_max + 1))
-        k = _draw_multiindex(rng, n, cfg.k_max)
+        n = int(rng.integers(1, MAX_DIM + 1))
+        m = int(rng.integers(1, MAX_DIM + 1))
+        k = _draw_multiindex(rng, n, MAIN_MAX_DEGREE)
         inputs = {
             "trial": trial,
             "k": k.to_list(),
@@ -229,7 +234,7 @@ def verify_generating_function(cfg: TrialConfig) -> VerifyReport:
     lo, hi = ENTRY_RANGE
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
-        n = int(rng.integers(1, min(cfg.n_max, 3) + 1))
+        n = int(rng.integers(1, MAX_DIM + 1))
         scale_t = 0.1 / math.sqrt(n)
         scale_x = 1.0 / math.sqrt(n)
         inputs = {
@@ -276,7 +281,7 @@ def verify_kron_identity(cfg: TrialConfig) -> VerifyReport:
         rng = trial_rng(cfg.seed, trial)
         rows = int(rng.integers(1, 5))
         cols = int(rng.integers(1, 5))
-        k = _draw_multiindex(rng, cols, min(cfg.k_max, 4))
+        k = _draw_multiindex(rng, cols, KRON_MAX_DEGREE)
         inputs = {
             "trial": trial,
             "A": _uniform_rows(rng, rows, cols, lo, hi),
@@ -352,7 +357,7 @@ def univariate_identity_error(
         coeffs.coeff_univariate(k, i, lam, family) for i in range(k // 2 + 1)
     ]
     worst = 0.0
-    rows = _grid_rows(family, tuple(xs), max(k, _GRID_ROW_DEGREE))
+    rows = _grid_rows(family, tuple(xs), max(k, UNIVARIATE_MAX_DEGREE))
     for x, values in zip(xs, rows):
         lhs = hermite_uni(family, k, lam * x)
         rhs = 0.0
@@ -363,10 +368,6 @@ def univariate_identity_error(
             abs_sum += abs(contrib)
         worst = max(worst, _guarded_rel_err(lhs, rhs, abs_sum))
     return worst
-
-
-# Degree of the cached grid rows: the univariate suite draws k <= 12.
-_GRID_ROW_DEGREE = 12
 
 
 @functools.lru_cache(maxsize=16)
@@ -452,7 +453,7 @@ def verify_univariate_closed_forms(cfg: TrialConfig) -> VerifyReport:
     lo, hi = ENTRY_RANGE
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
-        k = int(rng.integers(0, min(cfg.k_max, 12) + 1))
+        k = int(rng.integers(0, UNIVARIATE_MAX_DEGREE + 1))
         lam = float(rng.uniform(lo, hi))
         for family, name in ((PROBABILISTS, "he"), (PHYSICISTS, "h")):
             err = univariate_identity_error(family, k, lam, _UNIVARIATE_GRID)
@@ -461,8 +462,8 @@ def verify_univariate_closed_forms(cfg: TrialConfig) -> VerifyReport:
                 {"trial": trial, "check": "scalar", "family": name, "k": k,
                  "lam": lam},
             )
-        m = int(rng.integers(1, cfg.m_max + 1))
-        k_ip = int(rng.integers(0, min(cfg.k_max, 8) + 1))
+        m = int(rng.integers(1, MAX_DIM + 1))
+        k_ip = int(rng.integers(0, INNER_PRODUCT_MAX_DEGREE + 1))
         lam_vec = _uniform_list(rng, m, lo, hi)
         x_vec = _uniform_list(rng, m, lo, hi)
         for family, name in ((PROBABILISTS, "he"), (PHYSICISTS, "h")):
@@ -495,8 +496,5 @@ SUITES = {
     "gf": (lambda cfg, variant: verify_generating_function(cfg), 1e-10),
     "kron": (lambda cfg, variant: verify_kron_identity(cfg), 1e-12),
     "selector": (lambda cfg, variant: verify_selectors(), 0.5),
-    "univariate": (
-        lambda cfg, variant: verify_univariate_closed_forms(replace(cfg, k_max=12)),
-        1e-9,
-    ),
+    "univariate": (lambda cfg, variant: verify_univariate_closed_forms(cfg), 1e-9),
 }

@@ -14,8 +14,9 @@ import hermult
 from hermult import DenseVector, coeffs, spd_factorize
 from hermult.cli import dumps, load_problem_spec, main
 from hermult.errors import DomainError
-from hermult.polyoracle import hermite_symbolic, oracle_compare
+from hermult.polyoracle import SymbolicHermiteFamily, oracle_compare
 from hermult.tensorlin import invert_matrix
+from polyvalue import poly_value
 
 # The child runs the package these tests import, installed or not.
 CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(hermult.__file__).resolve().parent.parent))
@@ -244,6 +245,13 @@ def test_verify_all_aggregates():
 VERIFY_ALL_STDOUT_SHA256 = {
     1: "b3fd5657ab11b9d2c34df1b4286a4538c5d1c4ce6532b370efdebc68470c7051",
     7: "5f141388f45bca94e3227890965aa781927802d7c8dba6aac291c8a1028549c5",
+    42: "f32f86d25e6b4dd443f8a04b4d49002ae44f452a441f45430b0d445ba9aa92e6",
+    123: "c3e8a11d0b6034267583cc6dbf367cafad977c9e780041b01bd942d971f8a187",
+}
+
+# paper-literal fails its documented counterexample checks, so it exits 1.
+VERIFY_ALL_PAPER_LITERAL_STDOUT_SHA256 = {
+    1: "8c84cca3ba9c7f52d39c9cb33bb1374b10f51860c23532b7cb0e25fe24110f42",
 }
 
 
@@ -253,6 +261,16 @@ def test_verify_all_output_is_pinned(seed):
     assert r.returncode == 0
     digest = hashlib.sha256(r.stdout.encode()).hexdigest()
     assert digest == VERIFY_ALL_STDOUT_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_ALL_PAPER_LITERAL_STDOUT_SHA256))
+def test_verify_all_paper_literal_output_is_pinned(seed):
+    r = run_cli(
+        "verify", "--suite", "all", "--seed", str(seed), "--variant", "paper-literal"
+    )
+    assert r.returncode == 1
+    digest = hashlib.sha256(r.stdout.encode()).hexdigest()
+    assert digest == VERIFY_ALL_PAPER_LITERAL_STDOUT_SHA256[seed]
 
 
 def test_oracle_compare_cli(permutation_spec):
@@ -476,6 +494,51 @@ def test_verify_rejects_bad_trial_flags(capsys, suite, flag):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_expand_refuses_non_finite_coefficients(tmp_path, capsys, fmt):
+    # |k| = 6 powers of 1e120 overflow: both formats exit 2 and print nothing.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "k": [3, 3], "Lambda": [[1e120, 0.5], [0.25, 1e120]],
+        "Sigma": [[1.0, 0.0], [0.0, 1.0]], "Upsilon": [[1.0, 0.0], [0.0, 1.0]],
+    }))
+    code = main(["expand", "--spec", str(path), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: cannot serialize non-finite number inf\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--k", "2,1"],
+        ["expand", "--bogus"],
+        ["expand", "--spec", "spec.json", "--bogus"],
+        ["eval", "--family", "he", "--k", "2,1", "--a", "-0.5,1"],
+        ["verify", "--suite", "nope"],
+        [],
+        ["nope"],
+    ],
+    ids=["missing-at", "missing-spec", "unknown-flag", "abbreviated-at",
+         "bad-choice", "no-command", "unknown-command"],
+)
+def test_usage_errors_are_one_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hermult")
+
+
 def test_rational_mode_needs_symmetry_only(tmp_path):
     # indefinite but symmetric and invertible: fine in rational mode,
     # rejected in float mode (which demands positive definiteness)
@@ -546,7 +609,7 @@ def test_eval_expansion_with_indefinite_rational_upsilon(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 0, captured.err
         value = json.loads(captured.out)["value"]
-        assert Fraction(value) == lhs.evaluate(point.split(","))
+        assert Fraction(value) == poly_value(lhs, point.split(","))
         if point == "1,2":
             assert value == "-1/6"
 
@@ -563,9 +626,10 @@ def test_eval_general_family_is_exact_for_rational_spec(tmp_path, capsys):
         assert code == 0, captured.err
         out = json.loads(captured.out)
         assert out["x"] == [str(Fraction(v)) for v in point.split(",")]
-        expected = hermite_symbolic([int(v) for v in k.split(",")], invert_matrix(sigma))
+        family = SymbolicHermiteFamily(invert_matrix(sigma))
+        expected = family.poly([int(v) for v in k.split(",")])
         assert isinstance(out["value"], str)
-        assert Fraction(out["value"]) == expected.evaluate(point.split(","))
+        assert Fraction(out["value"]) == poly_value(expected, point.split(","))
 
 
 def test_main_entry_in_process(capsys, identity_spec):

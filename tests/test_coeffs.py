@@ -10,7 +10,6 @@ from hermult.coeffs import (
     TransformedMap,
     coeff_from_map,
     coeff_general,
-    coeff_isotropic,
     coeff_univariate,
     coeff_vec_phys,
     coeff_vec_prob,
@@ -191,45 +190,18 @@ def test_coeff_parity_and_size_errors():
         coeff_general(big, (21, 0), lam, EYE2, EYE2)
 
 
-def test_coeff_isotropic_reductions():
-    lam = rational_matrix([[1, 2], [3, 1], [0, 1]])
-    for k in [(2, 0), (1, 1), (2, 2)]:
-        for d in q_support(sum(k)):
-            for q in enumerate_fixed_degree(3, d):
-                iso = coeff_isotropic(k, q, lam, 1)
-                gen = coeff_general(
-                    k, q, lam, EYE2, spd_factorize(DenseMatrix.identity(3))
-                )
-                assert iso == gen
-
-
-def test_coeff_isotropic_scaled_matches_general():
-    lam = rational_matrix([[1, 2], [3, 1]])
-    s2 = Fraction(3, 2)
-    sig = spd_factorize(DenseMatrix.identity(2).scale(s2))
-    ups = spd_factorize(DenseMatrix.identity(2).scale(s2))
-    for k in [(2, 0), (1, 1), (3, 1)]:
-        for d in q_support(sum(k)):
-            for q in enumerate_fixed_degree(2, d):
-                assert coeff_isotropic(k, q, lam, s2) == coeff_general(
-                    k, q, lam, sig, ups
-                )
-
-
 def test_coeff_isotropic_orthonormal_columns_kill_corrections():
     # map columns orthonormal means the quadratic part vanishes
     c, s = Fraction(3, 5), Fraction(4, 5)
     lam = DenseMatrix.from_rows([[c], [s]])
-    assert coeff_isotropic((3,), (1, 0), lam, 1) == 0
-    assert coeff_isotropic((2,), (0, 0), lam, 1) == 0
+    assert coeff_general((3,), (1, 0), lam, EYE1, EYE2) == 0
+    assert coeff_general((2,), (0, 0), lam, EYE1, EYE2) == 0
 
 
 def test_coeff_isotropic_univariate_value():
     lam = rational_matrix([[2]])
     # one-variable cubic: expansion of the scaled argument
-    assert coeff_isotropic((3,), (1,), lam, 1) == 18
-    with pytest.raises(DomainError):
-        coeff_isotropic((2,), (0,), lam, 0)
+    assert coeff_general((3,), (1,), lam, EYE1, EYE1) == 18
 
 
 def test_coeff_vec_prob_values():
@@ -390,7 +362,8 @@ def test_recurrence_matches_tuple_sum_reference():
                     ref = tuple_sum_coeff(k, q, tmap, variant)
                     assert coeff_general(k, q, lam, sig, ups, variant) == ref
                     iso_ref = tuple_sum_coeff(k, q, iso_map, variant)
-                    assert coeff_isotropic(k, q, lam, s2, variant) == iso_ref
+                    iso = coeff_general(k, q, lam, iso_sig, iso_ups, variant)
+                    assert iso == iso_ref
                     if ref:
                         expected[q.parts] = ref
             assert terms_dict(expand_general(k, lam, sig, ups, variant)) == expected

@@ -22,7 +22,6 @@ from hermult.polyoracle import (
     MPoly,
     SymbolicHermiteFamily,
     as_rational,
-    hermite_symbolic,
     oracle_compare,
     rational_matrix,
 )
@@ -117,12 +116,12 @@ def test_mpoly_ring_axioms(p, q, r):
 
 
 def test_hermite_symbolic_base_cases():
-    assert hermite_symbolic((0,), rational_matrix([[1]])) == const(1, 1)
-    assert hermite_symbolic((2,), rational_matrix([[1]])) == MPoly(
+    assert SymbolicHermiteFamily(rational_matrix([[1]])).poly((0,)) == const(1, 1)
+    assert SymbolicHermiteFamily(rational_matrix([[1]])).poly((2,)) == MPoly(
         1, {(2,): 1, (0,): -1}
     )
     eye2 = rational_matrix([[1, 0], [0, 1]])
-    assert hermite_symbolic((1, 1), eye2) == MPoly(2, {(1, 1): 1})
+    assert SymbolicHermiteFamily(eye2).poly((1, 1)) == MPoly(2, {(1, 1): 1})
 
 
 def test_hermite_symbolic_product_structure_at_identity():
@@ -140,9 +139,9 @@ def test_hermite_symbolic_product_structure_at_identity():
                         ((tuple(Fraction(1 if j == i else 0) for j in range(n))),),
                     )
                     expected = expected.mul(
-                        hermite_symbolic((ki,), one).compose_linear(embed)
+                        SymbolicHermiteFamily(one).poly((ki,)).compose_linear(embed)
                     )
-                assert hermite_symbolic(k, eye) == expected
+                assert SymbolicHermiteFamily(eye).poly(k) == expected
 
 
 def test_hermite_symbolic_total_degree_and_leading_pattern():
@@ -168,14 +167,15 @@ def test_hermite_symbolic_total_degree_and_leading_pattern():
 def test_hermite_symbolic_validation():
     from hermult.errors import NotSymmetricError
 
+    one = SymbolicHermiteFamily(rational_matrix([[1]]))
     with pytest.raises(SizeLimitError):
-        hermite_symbolic((coeffs.MAX_EXPANSION_DEGREE + 1,), rational_matrix([[1]]))
+        one.poly((coeffs.MAX_EXPANSION_DEGREE + 1,))
     with pytest.raises(DomainError):
-        hermite_symbolic((1,), DenseMatrix.from_rows([[1.0]]))
+        SymbolicHermiteFamily(DenseMatrix.from_rows([[1.0]])).poly((1,))
     with pytest.raises(DimensionMismatchError):
-        hermite_symbolic((1, 1), rational_matrix([[1]]))
+        one.poly((1, 1))
     with pytest.raises(NotSymmetricError):
-        hermite_symbolic((1, 1), rational_matrix([[1, 2], [0, 1]]))
+        SymbolicHermiteFamily(rational_matrix([[1, 2], [0, 1]])).poly((1, 1))
 
 
 def test_oracle_identity_map_single_term():
@@ -188,7 +188,7 @@ def test_oracle_identity_map_single_term():
         res = oracle_compare(k, eye_lam, sigma, sigma)
         assert res.equal
         # the whole right-hand side collapses to the single term (k, 1)
-        assert res.rhs == hermite_symbolic(k, sigma_inv)
+        assert res.rhs == SymbolicHermiteFamily(sigma_inv).poly(k)
 
 
 def test_oracle_permutation_counterexample():
@@ -586,7 +586,7 @@ def test_oracle_codes_with_colliding_prefixes():
     lam = rational_matrix([[Fraction(1, 2), -1], [0, 0], [1, Fraction(2, 3)]])
     ups = rational_matrix([[2, 1, 0], [1, 2, 0], [0, 0, 1]])
     for k in [(3, 0), (2, 1), (1, 2), (3, 1), (2, 2)]:
-        terms = hermite_symbolic(k, invert_matrix(sigma)).terms
+        terms = SymbolicHermiteFamily(invert_matrix(sigma)).poly(k).terms
         assert (3, 0) in terms or (4, 0) in terms
         assert (0, 3) in terms or (0, 4) in terms
         for variant in CoeffVariant:
