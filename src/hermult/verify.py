@@ -1,8 +1,9 @@
 """Randomized and exhaustive verification of the expansion identities.
 
-Each suite draws every trial's inputs from its own counter-based stream, so
-reports depend only on the seed, never on execution order.  Failures are
-data: suites count them and record the worst trial instead of raising.
+Each suite draws every trial's inputs from its own counter-based stream, a
+Philox4x64-10 keyed by (seed, trial) (`philox.PhiloxStream`), so reports
+depend only on the seed, never on execution order.  Failures are data:
+suites count them and record the worst trial instead of raising.
 
 Per-trial error functions take plain JSON-friendly inputs (nested lists of
 floats), so any report's worst case can be replayed directly.
@@ -14,7 +15,6 @@ import functools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import coeffs
 from .coeffs import CoeffVariant
@@ -30,6 +30,7 @@ from .hermite import (
     gf_partial_sum,
 )
 from .multiindex import MultiIndex, enumerate_fixed_degree, q_support
+from .philox import PhiloxStream
 from .tensorlin import (
     DenseMatrix,
     DenseVector,
@@ -39,12 +40,7 @@ from .tensorlin import (
     spd_factorize,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 RNG_NAME = "philox4x64"
-
-_MASK64 = (1 << 64) - 1
 
 # Interval of the uniform draws behind every randomized suite's inputs.
 ENTRY_RANGE = (-2.0, 2.0)
@@ -67,8 +63,8 @@ class TrialConfig:
     tol_rel: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise DomainError("seed must be a natural")
+        if not 0 <= self.seed < 1 << 64:
+            raise DomainError("seed must be a natural below 2**64")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
         if not self.tol_rel > 0:
@@ -90,37 +86,24 @@ class VerifyReport:
         return asdict(self)
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent per-trial stream: Philox keyed by (seed, trial).
-
-    numpy is imported here, not at module load, so that commands which
-    draw no trials never load it."""
-    import numpy as np
-
-    return np.random.Generator(
-        np.random.Philox(key=[seed & _MASK64, trial & _MASK64])
-    )
-
-
-def _uniform_rows(rng, rows: int, cols: int, lo: float, hi: float) -> list[list[float]]:
-    return rng.uniform(lo, hi, size=(rows, cols)).tolist()
-
-
-def _uniform_list(rng, dim: int, lo: float, hi: float) -> list[float]:
-    return rng.uniform(lo, hi, size=dim).tolist()
+def trial_rng(seed: int, trial: int) -> PhiloxStream:
+    """Independent per-trial stream: Philox4x64-10 keyed by (seed, trial),
+    both in [0, 2**64).  Its draws are those of numpy's
+    `Generator(Philox(key=[seed, trial]))` on the exact key; numpy rounds a
+    key list holding a word >= 2**63 through float64, this stream does not."""
+    return PhiloxStream(seed, trial)
 
 
 def _spd_rows(rng, dim: int, lo: float, hi: float) -> list[list[float]]:
     """Q^T Q + I for uniform Q: symmetric, positive definite, moderate
     condition number."""
-    q = DenseMatrix.from_rows(_uniform_rows(rng, dim, dim, lo, hi))
+    q = DenseMatrix.from_rows(rng.uniform(lo, hi, size=(dim, dim)))
     return q.transpose().matmul(q).add(DenseMatrix.identity(dim)).to_lists()
 
 
 def _draw_multiindex(rng, arity: int, k_max: int) -> MultiIndex:
-    degree = int(rng.integers(0, k_max + 1))
-    choices = enumerate_fixed_degree(arity, degree)
-    return choices[int(rng.integers(0, len(choices)))]
+    choices = enumerate_fixed_degree(arity, rng.integers(0, k_max + 1))
+    return choices[rng.integers(0, len(choices))]
 
 
 class _Aggregator:
@@ -194,16 +177,16 @@ def verify_main_identity(
     lo, hi = ENTRY_RANGE
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
-        n = int(rng.integers(1, MAX_DIM + 1))
-        m = int(rng.integers(1, MAX_DIM + 1))
+        n = rng.integers(1, MAX_DIM + 1)
+        m = rng.integers(1, MAX_DIM + 1)
         k = _draw_multiindex(rng, n, MAIN_MAX_DEGREE)
         inputs = {
             "trial": trial,
             "k": k.to_list(),
-            "Lambda": _uniform_rows(rng, m, n, lo, hi),
+            "Lambda": rng.uniform(lo, hi, size=(m, n)),
             "Sigma": _spd_rows(rng, n, lo, hi),
             "Upsilon": _spd_rows(rng, m, lo, hi),
-            "x": _uniform_list(rng, m, lo, hi),
+            "x": rng.uniform(lo, hi, size=m),
             "variant": variant.value,
         }
         err = main_identity_error(
@@ -234,13 +217,13 @@ def verify_generating_function(cfg: TrialConfig) -> VerifyReport:
     lo, hi = ENTRY_RANGE
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
-        n = int(rng.integers(1, MAX_DIM + 1))
+        n = rng.integers(1, MAX_DIM + 1)
         scale_t = 0.1 / math.sqrt(n)
         scale_x = 1.0 / math.sqrt(n)
         inputs = {
             "trial": trial,
-            "t": [scale_t * v for v in _uniform_list(rng, n, -1.0, 1.0)],
-            "x": [scale_x * v for v in _uniform_list(rng, n, -1.0, 1.0)],
+            "t": [scale_t * v for v in rng.uniform(-1.0, 1.0, size=n)],
+            "x": [scale_x * v for v in rng.uniform(-1.0, 1.0, size=n)],
             "Sigma": _spd_rows(rng, n, lo, hi),
         }
         err = gf_error(inputs["t"], inputs["x"], inputs["Sigma"])
@@ -279,21 +262,21 @@ def verify_kron_identity(cfg: TrialConfig) -> VerifyReport:
     lo, hi = ENTRY_RANGE
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
-        rows = int(rng.integers(1, 5))
-        cols = int(rng.integers(1, 5))
+        rows = rng.integers(1, 5)
+        cols = rng.integers(1, 5)
         k = _draw_multiindex(rng, cols, KRON_MAX_DEGREE)
         inputs = {
             "trial": trial,
-            "A": _uniform_rows(rng, rows, cols, lo, hi),
-            "b": _uniform_list(rng, rows, lo, hi),
+            "A": rng.uniform(lo, hi, size=(rows, cols)),
+            "b": rng.uniform(lo, hi, size=rows),
             "k": k.to_list(),
         }
         agg.record(
             kron_identity_error(inputs["A"], inputs["b"], inputs["k"]), inputs
         )
-        a_num = [[int(v) for v in row] for row in rng.integers(-4, 5, size=(rows, cols))]
-        b_num = [int(v) for v in rng.integers(-4, 5, size=rows)]
-        den = int(rng.integers(1, 4))
+        a_num = rng.integers(-4, 5, size=(rows, cols))
+        b_num = rng.integers(-4, 5, size=rows)
+        den = rng.integers(1, 4)
         exact_inputs = {
             "trial": trial,
             "A_num": a_num,
@@ -453,8 +436,8 @@ def verify_univariate_closed_forms(cfg: TrialConfig) -> VerifyReport:
     lo, hi = ENTRY_RANGE
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
-        k = int(rng.integers(0, UNIVARIATE_MAX_DEGREE + 1))
-        lam = float(rng.uniform(lo, hi))
+        k = rng.integers(0, UNIVARIATE_MAX_DEGREE + 1)
+        lam = rng.uniform(lo, hi)
         for family, name in ((PROBABILISTS, "he"), (PHYSICISTS, "h")):
             err = univariate_identity_error(family, k, lam, _UNIVARIATE_GRID)
             agg.record(
@@ -462,10 +445,10 @@ def verify_univariate_closed_forms(cfg: TrialConfig) -> VerifyReport:
                 {"trial": trial, "check": "scalar", "family": name, "k": k,
                  "lam": lam},
             )
-        m = int(rng.integers(1, MAX_DIM + 1))
-        k_ip = int(rng.integers(0, INNER_PRODUCT_MAX_DEGREE + 1))
-        lam_vec = _uniform_list(rng, m, lo, hi)
-        x_vec = _uniform_list(rng, m, lo, hi)
+        m = rng.integers(1, MAX_DIM + 1)
+        k_ip = rng.integers(0, INNER_PRODUCT_MAX_DEGREE + 1)
+        lam_vec = rng.uniform(lo, hi, size=m)
+        x_vec = rng.uniform(lo, hi, size=m)
         for family, name in ((PROBABILISTS, "he"), (PHYSICISTS, "h")):
             err = inner_product_error(family, k_ip, lam_vec, x_vec)
             agg.record(
@@ -473,11 +456,11 @@ def verify_univariate_closed_forms(cfg: TrialConfig) -> VerifyReport:
                 {"trial": trial, "check": "inner-product", "family": name,
                  "k": k_ip, "lam": lam_vec, "x": x_vec},
             )
-        lam_exact = Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+        lam_exact = Fraction(rng.integers(-4, 5), rng.integers(1, 4))
         degrees = q_support(k_ip)
-        degree = degrees[int(rng.integers(0, len(degrees)))]
+        degree = degrees[rng.integers(0, len(degrees))]
         qs = enumerate_fixed_degree(m, degree)
-        q = qs[int(rng.integers(0, len(qs)))]
+        q = qs[rng.integers(0, len(qs))]
         ok = _coeff_chain_exact(k_ip, lam_exact, m, q)
         agg.record_exact(
             ok,

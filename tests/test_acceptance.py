@@ -191,8 +191,8 @@ def test_criterion_3_inner_product_identity():
         rng = trial_rng(33, trial)
         m = int(rng.integers(1, 6))
         k = int(rng.integers(0, 9))
-        lam = rng.uniform(-2, 2, size=m).tolist()
-        x = rng.uniform(-2, 2, size=m).tolist()
+        lam = rng.uniform(-2, 2, size=m)
+        x = rng.uniform(-2, 2, size=m)
         for family, name in ((PROBABILISTS, "he"), (PHYSICISTS, "h")):
             err = inner_product_error(family, k, lam, x)
             if not err <= 1e-8:
@@ -233,8 +233,8 @@ def test_criterion_5_kron_identity_and_selector():
                     rhs = colwise_kron_power(a, k).dot(kron_power(b, degree))
                     if lhs != rhs:
                         failures.append(("exact", n, cols, k.parts))
-                    af = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(n, cols)).tolist())
-                    bf = DenseVector.from_entries(rng.uniform(-2, 2, size=n).tolist())
+                    af = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(n, cols)))
+                    bf = DenseVector.from_entries(rng.uniform(-2, 2, size=n))
                     atbf = af.transpose().matvec(bf)
                     lhs_f = 1.0
                     for v, e in zip(atbf.entries, k.parts):

@@ -247,7 +247,14 @@ VERIFY_ALL_STDOUT_SHA256 = {
     7: "5f141388f45bca94e3227890965aa781927802d7c8dba6aac291c8a1028549c5",
     42: "f32f86d25e6b4dd443f8a04b4d49002ae44f452a441f45430b0d445ba9aa92e6",
     123: "c3e8a11d0b6034267583cc6dbf367cafad977c9e780041b01bd942d971f8a187",
+    # 2**63 - 1: the largest seed the numpy-keyed stream took exactly.
+    2**63 - 1: "2f466da68036484ebacef5b870bf05bef7456b36fa5f87eecb446257932862f6",
 }
+
+# `hermult verify --suite kron --seed 3 --trials 2000`: many long streams.
+VERIFY_KRON_LONG_STDOUT_SHA256 = (
+    "e1faa27631cb44cce0954c69981fc57bb53be43e61e9d06c898fd104f564f273"
+)
 
 # paper-literal fails its documented counterexample checks, so it exits 1.
 VERIFY_ALL_PAPER_LITERAL_STDOUT_SHA256 = {
@@ -261,6 +268,12 @@ def test_verify_all_output_is_pinned(seed):
     assert r.returncode == 0
     digest = hashlib.sha256(r.stdout.encode()).hexdigest()
     assert digest == VERIFY_ALL_STDOUT_SHA256[seed]
+
+
+def test_verify_kron_long_run_output_is_pinned():
+    r = run_cli("verify", "--suite", "kron", "--seed", "3", "--trials", "2000")
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == VERIFY_KRON_LONG_STDOUT_SHA256
 
 
 @pytest.mark.parametrize("seed", sorted(VERIFY_ALL_PAPER_LITERAL_STDOUT_SHA256))

@@ -167,9 +167,9 @@ def test_expand_parity_completeness():
         m = int(rng.integers(1, 4))
         ks = enumerate_fixed_degree(n, int(rng.integers(0, 6)))
         k = ks[int(rng.integers(0, len(ks)))]
-        lam = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(m, n)).tolist())
-        q_mat = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(n, n)).tolist())
-        u_mat = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(m, m)).tolist())
+        lam = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(m, n)))
+        q_mat = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(n, n)))
+        u_mat = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(m, m)))
         sig = spd_factorize(q_mat.transpose().matmul(q_mat).add(DenseMatrix.identity(n)))
         ups = spd_factorize(u_mat.transpose().matmul(u_mat).add(DenseMatrix.identity(m)))
         for t in expand_general(k, lam, sig, ups):
@@ -399,6 +399,13 @@ def raise_coeff_reference(k, q, pairs, a_rows, m_rows, memo):
     return acc
 
 
+def numpy_trial_rng(seed, trial):
+    """numpy's Generator on trial_rng's key: the same draws, and `choice`."""
+    import numpy as np
+
+    return np.random.Generator(np.random.Philox(key=[seed, trial]))
+
+
 def sparse_map(rng, n, m, exact):
     """A TransformedMap with about one in six A and M entries set to exact
     zero (-0.0 too in float mode), M symmetric.  About a third of the maps
@@ -434,7 +441,7 @@ def sparse_map(rng, n, m, exact):
 def test_coeff_table_matches_recursion_reference():
     checked_from_map = 0
     for trial in range(48):
-        rng = trial_rng(515, trial)
+        rng = numpy_trial_rng(515, trial)
         exact = trial % 2 == 1
         n, m = 2 + trial % 3, 1 + (trial // 3) % 4
         cap = {2: 10, 3: 8, 4: 6}[n] if exact else 10
@@ -601,7 +608,7 @@ def test_integer_sweep_matches_fraction_reference():
     zero_types = set()
     compared = 0
     for trial in range(64):
-        rng = trial_rng(616, trial)
+        rng = numpy_trial_rng(616, trial)
         kind = kinds[trial % 4]
         n, m = 1 + (trial // 4) % 4, 1 + (trial // 16) % 4
         cap = {1: 10, 2: 10, 3: 8, 4: 6}[n] - (2 if kind == "float" and n > 1 else 0)
@@ -677,11 +684,11 @@ def test_zero_suppression_in_float_mode():
 
 def test_evaluate_expansion_matches_direct_sum():
     rng = trial_rng(13, 0)
-    lam = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(2, 2)).tolist())
-    q_mat = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(2, 2)).tolist())
+    lam = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(2, 2)))
+    q_mat = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(2, 2)))
     sig = spd_factorize(q_mat.transpose().matmul(q_mat).add(DenseMatrix.identity(2)))
     ups = EYE2
-    x = DenseVector.from_entries(rng.uniform(-2, 2, size=2).tolist())
+    x = DenseVector.from_entries(rng.uniform(-2, 2, size=2))
     terms = expand_general((2, 1), lam, sig, ups)
     direct = sum(t.coeff * hermite_multi(t.q, x, ups) for t in terms)
     assert evaluate_expansion(terms, x, ups) == pytest.approx(direct, rel=1e-15)

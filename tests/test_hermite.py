@@ -151,7 +151,7 @@ def test_multi_equals_product_at_identity():
         degree = int(rng.integers(0, 7))
         ks = enumerate_fixed_degree(n, degree)
         k = ks[int(rng.integers(0, len(ks)))]
-        x = DenseVector.from_entries(rng.uniform(-2, 2, size=n).tolist())
+        x = DenseVector.from_entries(rng.uniform(-2, 2, size=n))
         lhs = hermite_multi(k, x, identity_spd(n))
         rhs = hermite_multi_product(k, x, PROBABILISTS)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
@@ -264,13 +264,13 @@ def test_gf_approximates_exponential():
     for trial in range(20):
         rng = trial_rng(23, trial)
         n = int(rng.integers(1, 4))
-        q = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(n, n)).tolist())
+        q = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(n, n)))
         sig = spd_factorize(q.transpose().matmul(q).add(DenseMatrix.identity(n)))
         t = DenseVector.from_entries(
-            (0.1 / math.sqrt(n) * rng.uniform(-1, 1, size=n)).tolist()
+            [0.1 / math.sqrt(n) * v for v in rng.uniform(-1, 1, size=n)]
         )
         x = DenseVector.from_entries(
-            (1.0 / math.sqrt(n) * rng.uniform(-1, 1, size=n)).tolist()
+            [1.0 / math.sqrt(n) * v for v in rng.uniform(-1, 1, size=n)]
         )
         inv = sig.inverse()
         target = math.exp(t.dot(inv.matvec(x)) - 0.5 * t.dot(inv.matvec(t)))

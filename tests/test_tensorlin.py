@@ -214,7 +214,7 @@ def test_spd_inverse_float_roundtrip():
     for trial in range(20):
         rng = trial_rng(31, trial)
         n = int(rng.integers(1, 5))
-        q = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(n, n)).tolist())
+        q = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(n, n)))
         s = q.transpose().matmul(q).add(DenseMatrix.identity(n))
         spd = spd_factorize(s)
         prod = s.matmul(spd.inverse())
@@ -261,7 +261,7 @@ def seeded_square(rng, n, kind):
     leading (n-1) x (n-1) block is diagonally dominant and whose last column
     is a combination of the others, or floats."""
     if kind == "float":
-        return DenseMatrix.from_rows(rng.uniform(-2, 2, size=(n, n)).tolist())
+        return DenseMatrix.from_rows(rng.uniform(-2, 2, size=(n, n)))
 
     def entry():
         if kind == "from-float":
@@ -371,8 +371,8 @@ def test_power_of_mapped_vector_float_tolerance():
         rng = trial_rng(77, trial)
         rows = int(rng.integers(1, 5))
         cols = int(rng.integers(1, 5))
-        a = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(rows, cols)).tolist())
-        b = DenseVector.from_entries(rng.uniform(-2, 2, size=rows).tolist())
+        a = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(rows, cols)))
+        b = DenseVector.from_entries(rng.uniform(-2, 2, size=rows))
         degree = int(rng.integers(0, 5))
         for k in enumerate_fixed_degree(cols, degree):
             atb = a.transpose().matvec(b)

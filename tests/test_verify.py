@@ -1,8 +1,10 @@
+import json
 import math
 import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +13,8 @@ import pytest
 import hermult
 from hermult import coeffs
 from hermult.coeffs import CoeffVariant
-from hermult.errors import SizeLimitError
+from hermult.cli import main
+from hermult.errors import DomainError, SizeLimitError
 from hermult.hermite import (
     MAX_GF_DEGREE,
     PHYSICISTS,
@@ -177,11 +180,106 @@ def test_univariate_error_helpers():
 
 
 def test_trial_rng_streams_are_stable_and_independent():
-    a = trial_rng(42, 0).uniform(0, 1, 3).tolist()
-    b = trial_rng(42, 0).uniform(0, 1, 3).tolist()
-    c = trial_rng(42, 1).uniform(0, 1, 3).tolist()
+    a = trial_rng(42, 0).uniform(0, 1, 3)
+    b = trial_rng(42, 0).uniform(0, 1, 3)
+    c = trial_rng(42, 1).uniform(0, 1, 3)
     assert a == b
     assert a != c
+
+
+def _draw_plan(pick: random.Random, count: int) -> list[tuple]:
+    """Seeded mix of every draw pattern verify and the tests use, plus wide
+    integer spans that take Lemire's rejection branch."""
+    plan = []
+    for _ in range(count):
+        size = pick.choice([None, None, pick.randint(1, 5), (pick.randint(1, 4), pick.randint(1, 4))])
+        kind = pick.random()
+        if kind < 0.45:
+            low = pick.randint(-20, 20)
+            plan.append(("integers", (low, low + pick.randint(1, 40)), size))
+        elif kind < 0.5:
+            span = pick.choice([2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32])
+            plan.append(("integers", (-7, span - 7), size))
+        elif kind < 0.6:
+            plan.append(("uniform", (), None))
+        else:
+            low = pick.uniform(-3.0, 3.0)
+            plan.append(("uniform", (low, low + pick.uniform(0.1, 4.0)), size))
+    return plan
+
+
+def _plain(value):
+    """numpy draws as Python numbers and lists."""
+    return value.tolist() if hasattr(value, "tolist") else value
+
+
+def test_trial_rng_matches_numpy_philox_bit_for_bit():
+    import numpy as np
+
+    pick = random.Random(20261018)
+    seeds = [0, 1, 42, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1]
+    seeds += [pick.randrange(2**64) for _ in range(12)] + [pick.randrange(1000) for _ in range(4)]
+    trials = [0, 1, 2, 99, 2**31, 2**32 - 1, 2**32, 2**64 - 1]
+    keys = [(s, t) for s in seeds for t in trials]
+    assert len(keys) >= 200
+    for seed, trial in keys:
+        # A uint64 key array keys numpy exactly; below 2**63 it equals the
+        # key list [seed, trial].
+        twin = np.random.Generator(
+            np.random.Philox(key=np.array([seed, trial], dtype=np.uint64))
+        )
+        stream = trial_rng(seed, trial)
+        for method, args, size in _draw_plan(pick, 12):
+            got = getattr(stream, method)(*args, size=size)
+            want = _plain(getattr(twin, method)(*args, size=size))
+            assert repr(got) == repr(want), (seed, trial, method, args, size)
+    # Below 2**63 numpy takes the key list as it is.
+    for seed, trial in [(2**63 - 1, 2**32), (7, 3)]:
+        twin = np.random.Generator(np.random.Philox(key=[seed, trial]))
+        assert trial_rng(seed, trial).uniform(size=9) == twin.uniform(size=9).tolist()
+
+
+def test_trial_rng_integer_spans():
+    stream = trial_rng(5, 5)
+    assert stream.integers(-3, -2, size=(2, 3)) == [[-3] * 3] * 2
+    # A span of 1 takes no draw.
+    assert stream.integers(0, 9, size=5) == trial_rng(5, 5).integers(0, 9, size=5)
+    for low, high in [(0, 0), (3, 2), (0, 2**32 + 1)]:
+        with pytest.raises(DomainError):
+            stream.integers(low, high)
+    for key in [(2**64, 0), (0, -1)]:
+        with pytest.raises(DomainError):
+            trial_rng(*key)
+
+
+def test_seeds_above_two_to_the_63_are_distinct():
+    # numpy's key list went through float64 above 2**63: 2**63 + 1 gave the
+    # trials of 2**63, and 2**64 - 1 those of seed 0.
+    def body(seed):
+        return dict(verify_main_identity(TrialConfig(seed=seed, trials=4)).to_json_obj(), seed=None)
+
+    assert body(2**63) != body(2**63 + 1)
+    assert body(2**64 - 1) != body(0)
+
+
+def test_largest_seed_runs_without_warnings(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--suite", "main", "--seed", str(2**64 - 1), "--trials", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["report"]["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 1, 2**65])
+def test_seeds_from_two_to_the_64_are_refused(capsys, seed):
+    with pytest.raises(DomainError):
+        TrialConfig(seed=seed)
+    assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_report_json_shape():
@@ -355,9 +453,15 @@ def test_gf_error_is_bit_identical_to_per_term():
 
 
 def test_import_does_not_load_numpy():
-    # numpy serves only the verify suites' trial streams.
+    # No hermult command needs numpy, the verify suites' streams included.
     src = str(Path(hermult.__file__).resolve().parent.parent)
-    code = "import sys, hermult, hermult.cli; print('numpy' in sys.modules)"
+    code = (
+        "import contextlib, io, sys, hermult, hermult.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = hermult.cli.main(['verify', '--suite', 'all', '--seed', '1', '--trials', '5'])\n"
+        "print(code, 'numpy' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -365,4 +469,4 @@ def test_import_does_not_load_numpy():
         check=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "0", "False"]
