@@ -314,6 +314,15 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+# The --variant flag of expand, verify and oracle-compare.
+_VARIANT = {"choices": [v.value for v in CoeffVariant], "default": CoeffVariant.SYMMETRIZED.value}
+
+
+def _add_spec_and_variant(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--spec", required=True, help="JSON problem spec file")
+    p.add_argument("--variant", **_VARIANT)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hermult",
@@ -325,12 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_expand = sub.add_parser("expand", help="expansion table for one spec file")
-    p_expand.add_argument("--spec", required=True, help="JSON problem spec file")
-    p_expand.add_argument(
-        "--variant",
-        choices=["symmetrized", "paper-literal"],
-        default="symmetrized",
-    )
+    _add_spec_and_variant(p_expand)
     p_expand.add_argument("--format", choices=["json", "csv"], default="json")
     p_expand.set_defaults(func=_cmd_expand)
 
@@ -358,23 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument(
-        "--variant",
-        choices=["symmetrized", "paper-literal"],
-        default="symmetrized",
-    )
+    p_verify.add_argument("--variant", **_VARIANT)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_oracle = sub.add_parser(
         "oracle-compare",
         help="exact symbolic comparison of both sides of one expansion",
     )
-    p_oracle.add_argument("--spec", required=True, help="JSON problem spec file")
-    p_oracle.add_argument(
-        "--variant",
-        choices=["symmetrized", "paper-literal"],
-        default="symmetrized",
-    )
+    _add_spec_and_variant(p_oracle)
     p_oracle.set_defaults(func=_cmd_oracle_compare)
     return parser
 

@@ -56,9 +56,6 @@ class MultiIndex:
     def degree(self) -> int:
         return sum(self.parts)
 
-    def factorial(self) -> int:
-        return mi_factorial(self)
-
     def sort_key(self) -> tuple:
         return (self.degree(), tuple(-p for p in self.parts))
 
@@ -70,9 +67,6 @@ class MultiIndex:
 
     def __len__(self) -> int:
         return len(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
 
     def to_list(self) -> list[int]:
         return list(self.parts)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -91,15 +91,6 @@ class DenseVector:
             b, db = _cleared_entries(other.entries)
             return Fraction(sum(x * y for x, y in zip(a, b)), da * db)
         return sum(a * b for a, b in zip(self.entries, other.entries))
-
-    def __iter__(self) -> Iterator:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int):
-        return self.entries[i]
 
 
 @dataclass(frozen=True)
@@ -315,27 +306,23 @@ def invert_matrix(m: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(n, n, data)
 
 
-def check_symmetric(m: DenseMatrix, rtol: float | None = None) -> None:
+def check_symmetric(m: DenseMatrix, rtol: float = SPD_SYMMETRY_RTOL) -> None:
     """Raise NotSymmetricError unless m is symmetric.
 
-    Exact-field matrices must be exactly symmetric; float matrices are
-    checked entrywise against |m_ij - m_ji| <= rtol * max(1, |m_ij|).
+    Exact-field matrices must be exactly symmetric.  Float matrices are
+    checked entrywise against |m_ij - m_ji| <= rtol * max_kl |m_kl|, a
+    normwise test that scaling m does not change.
     """
     if m.rows != m.cols:
         raise DimensionMismatchError("symmetry check on a non-square matrix")
     exact = m.is_exact()
-    tol = SPD_SYMMETRY_RTOL if rtol is None else rtol
+    tol = 0 if exact else rtol * max(abs(v) for row in m.data for v in row)
     for i in range(m.rows):
         for j in range(i + 1, m.cols):
             a, b = m.data[i][j], m.data[j][i]
-            if exact:
-                if a != b:
-                    raise NotSymmetricError(
-                        f"entries ({i},{j}) and ({j},{i}) differ: {a} vs {b}"
-                    )
-            elif not abs(a - b) <= tol * max(1.0, abs(a)):
+            if a != b and (exact or not abs(a - b) <= tol):
                 raise NotSymmetricError(
-                    f"entries ({i},{j}) and ({j},{i}) differ: {a!r} vs {b!r}"
+                    f"entries ({i},{j}) and ({j},{i}) differ: {a} vs {b}"
                 )
 
 

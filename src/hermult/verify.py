@@ -15,6 +15,7 @@ import functools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import coeffs
 from .coeffs import CoeffVariant
@@ -139,8 +140,19 @@ class _Aggregator:
 
 
 def _guarded_rel_err(lhs: float, rhs: float, abs_term_sum: float) -> float:
-    den = max(1.0, abs(lhs), abs_term_sum)
-    return abs(lhs - rhs) / den
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs_term_sum)
+
+
+def _sum_error(lhs: float, contribs) -> float:
+    """Guarded relative error of lhs against the sum of contribs.  The sum
+    and the sum of magnitudes run left to right from 0.0; the denominator
+    max(1, |lhs|, sum |contrib|) keeps a cancelling sum from inflating it."""
+    rhs = 0.0
+    abs_sum = 0.0
+    for contrib in contribs:
+        rhs += contrib
+        abs_sum += abs(contrib)
+    return _guarded_rel_err(lhs, rhs, abs_sum)
 
 
 def main_identity_error(
@@ -161,13 +173,7 @@ def main_identity_error(
     lhs = hermite_multi(ki, lam_m.transpose().matvec(xv), sig)
     terms = coeffs.expand_general(ki, lam_m, sig, ups, variant)
     values = hermite_multi_batch([term.q for term in terms], xv, ups)
-    rhs = 0.0
-    abs_sum = 0.0
-    for term, h in zip(terms, values):
-        contrib = term.coeff * h
-        rhs += contrib
-        abs_sum += abs(contrib)
-    return _guarded_rel_err(lhs, rhs, abs_sum)
+    return _sum_error(lhs, [term.coeff * h for term, h in zip(terms, values)])
 
 
 def verify_main_identity(
@@ -247,7 +253,7 @@ def _kron_sides(a: list[list], b: list, k: list[int]) -> tuple:
 def kron_identity_error(a: list[list[float]], b: list[float], k: list[int]) -> float:
     """Relative gap between the two sides of the identity at float inputs."""
     lhs, rhs = _kron_sides(a, b, k)
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    return _sum_error(lhs, (rhs,))
 
 
 def kron_identity_exact(a_num: list[list[int]], b_num: list[int], den: int, k: list[int]) -> bool:
@@ -343,13 +349,8 @@ def univariate_identity_error(
     rows = _grid_rows(family, tuple(xs), max(k, UNIVARIATE_MAX_DEGREE))
     for x, values in zip(xs, rows):
         lhs = hermite_uni(family, k, lam * x)
-        rhs = 0.0
-        abs_sum = 0.0
-        for i, c in enumerate(coefficients):
-            contrib = c * values[k - 2 * i]
-            rhs += contrib
-            abs_sum += abs(contrib)
-        worst = max(worst, _guarded_rel_err(lhs, rhs, abs_sum))
+        # coefficient i multiplies H_{k-2i}(x): values k, k-2, ... down.
+        worst = max(worst, _sum_error(lhs, map(mul, coefficients, values[k::-2])))
     return worst
 
 
@@ -375,8 +376,7 @@ def inner_product_error(
     )
     lhs = hermite_uni(family, k, lam_v.dot(x_v))
     tables = [hermite_uni_all(family, k, xj) for xj in x]
-    rhs = 0.0
-    abs_sum = 0.0
+    contribs = []
     for d in q_support(k):
         for q in enumerate_fixed_degree(lam_v.dim, d):
             t = coeff_fn(k, q, lam_v)
@@ -385,10 +385,8 @@ def inner_product_error(
             prod = 1.0
             for qj, table in zip(q.parts, tables):
                 prod *= table[qj]
-            contrib = t * prod
-            rhs += contrib
-            abs_sum += abs(contrib)
-    return _guarded_rel_err(lhs, rhs, abs_sum)
+            contribs.append(t * prod)
+    return _sum_error(lhs, contribs)
 
 
 _UNIVARIATE_GRID = tuple(round(-3.0 + 0.3 * j, 10) for j in range(21))
@@ -400,14 +398,8 @@ _HALF = Fraction(1, 2)
 def _exact_base_covariances(m: int) -> tuple[SpdMatrix, SpdMatrix]:
     """The exact identity and half-identity of dimension m, factorised:
     the covariances of the probabilists' and physicists' families."""
-    eye = spd_factorize(DenseMatrix.identity(m))
-    half = spd_factorize(
-        DenseMatrix(m, m, tuple(
-            tuple(_HALF if i == j else Fraction(0) for j in range(m))
-            for i in range(m)
-        ))
-    )
-    return eye, half
+    eye = DenseMatrix.identity(m)
+    return spd_factorize(eye), spd_factorize(eye.scale(_HALF))
 
 
 def _coeff_chain_exact(k: int, lam: Fraction, m: int, q: MultiIndex) -> bool:

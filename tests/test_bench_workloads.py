@@ -5,7 +5,8 @@
 the program itself needs.  A rename or deletion in `src/hermult/` would
 then fail only the benchmark run.  The tier-1 suite does not collect
 `perfbench/`, so this test loads the workloads by path and runs set-up,
-the first op and its check of each, and both negative controls.
+every op of the first cycle with its check, both negative controls and
+the scale probe.
 """
 
 import importlib.util
@@ -36,12 +37,19 @@ workloads = load_workloads()
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_first_op_of_each_workload_passes_its_check(name):
+    # Every op of cycle 0, each with its check.
     workload = workloads.WORKLOADS[name](SEED)
     workload.setup(workload.setup_inputs())
-    case = workload.cycle(0)[0]
-    assert workload.check(case, workload.run(case))
+    for case in workload.cycle(0):
+        assert workload.check(case, workload.run(case))
 
 
 def test_negative_controls_are_rejected():
     assert workloads.paper_literal_control()
     assert workloads.perturbed_table_control(SEED)
+
+
+def test_scale_probe_expands_every_scaled_table():
+    # The probe's covariances are scaled by 10**s, s in [-6, 6]; a table
+    # that raises there stops the whole benchmark run.
+    assert workloads.scale_probe(SEED) == (0, 16)

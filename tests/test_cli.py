@@ -468,17 +468,29 @@ def test_oracle_compare_rejects_float_spec(generic_spec):
 
 
 # The rational permutation spec with one field made malformed: a zero
-# denominator, a flag that is not a JSON boolean, booleans as index parts.
+# denominator, a flag that is not a JSON boolean, booleans as index parts,
+# a Lambda that is not an array of rows, a float entry in a rational spec,
+# a "p/q" string in a float spec, and an Upsilon or Lambda of the wrong
+# shape.  (A Sigma whose size does not match k is in
+# test_expand_rejects_bad_inputs.)
 MALFORMED_SPEC_FIELDS = [
     {"Sigma": [["1/0", 0], [0, 1]]},
     {"rational": "false"},
     {"k": [True, False]},
+    {"Lambda": [0, 1]},
+    {"Sigma": [[1.5, 0], [0, 1]]},
+    {"rational": False, "Sigma": [["1/2", 0], [0, 1]]},
+    {"Upsilon": [[1, 0]]},
+    {"Lambda": [[0, 1, 0], [1, 0, 0]]},
 ]
 
 
 @pytest.mark.parametrize("command", ["expand", "oracle-compare"])
 @pytest.mark.parametrize(
-    "fields", MALFORMED_SPEC_FIELDS, ids=["zero-denominator", "flag-string", "bool-k"]
+    "fields",
+    MALFORMED_SPEC_FIELDS,
+    ids=["zero-denominator", "flag-string", "bool-k", "flat-lambda",
+         "float-in-rational", "fraction-in-float", "upsilon-1x2", "lambda-2x3"],
 )
 def test_malformed_spec_is_an_input_error(tmp_path, capsys, command, fields):
     spec = {
@@ -490,7 +502,22 @@ def test_malformed_spec_is_an_input_error(tmp_path, capsys, command, fields):
     }
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(dict(spec, **fields)))
-    code = main([command, "--spec", str(path)])
+    assert_one_line_input_error(capsys, main([command, "--spec", str(path)]))
+
+
+@pytest.mark.parametrize("command", ["expand", "oracle-compare"])
+@pytest.mark.parametrize(
+    "content",
+    [[{"k": [1]}], {"k": [1], "Lambda": [[1]], "Sigma": [[1]]}],
+    ids=["json-array", "no-upsilon"],
+)
+def test_spec_file_that_is_not_a_spec_is_an_input_error(tmp_path, capsys, command, content):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(content))
+    assert_one_line_input_error(capsys, main([command, "--spec", str(path)]))
+
+
+def assert_one_line_input_error(capsys, code):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -532,16 +559,19 @@ def test_expand_refuses_non_finite_coefficients(tmp_path, capsys, fmt):
         ["verify", "--suite", "nope"],
         [],
         ["nope"],
+        ["eval", "--family", "nope", "--k", "1", "--at", "0"],
+        ["eval", "--expansion", "exp.json", "--at", "0"],
+        ["eval", "--at", "0"],
+        ["eval", "--family", "general", "--k", "1", "--at", "0"],
+        ["eval", "--k", "1", "--at", ","],
     ],
     ids=["missing-at", "missing-spec", "unknown-flag", "abbreviated-at",
-         "bad-choice", "no-command", "unknown-command"],
+         "bad-choice", "no-command", "unknown-command", "unknown-family",
+         "expansion-without-spec", "missing-k", "general-without-spec",
+         "empty-point"],
 )
 def test_usage_errors_are_one_line(capsys, argv):
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert len(captured.err.splitlines()) == 1
+    assert_one_line_input_error(capsys, main(argv))
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])

@@ -22,6 +22,7 @@ from hermult.coeffs import (
 from hermult.errors import (
     DimensionMismatchError,
     DomainError,
+    NotSymmetricError,
     ParityError,
     SizeLimitError,
 )
@@ -692,3 +693,31 @@ def test_evaluate_expansion_matches_direct_sum():
     terms = expand_general((2, 1), lam, sig, ups)
     direct = sum(t.coeff * hermite_multi(t.q, x, ups) for t in terms)
     assert evaluate_expansion(terms, x, ups) == pytest.approx(direct, rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+def test_map_symmetry_rule_does_not_depend_on_scale(s):
+    # Sigma^-1 = I/s and Lambda = I give M = Upsilon/s^2 - I/s: an Upsilon
+    # asymmetric by 1e-7 relative leaves M asymmetric by that much at every
+    # scale, and M must be refused; a symmetric Upsilon gives a symmetric M.
+    inv = DenseMatrix.from_rows([[1 / s, 0.0], [0.0, 1 / s]])
+    eye = DenseMatrix.identity(2)
+    skewed = DenseMatrix.from_rows([[2 * s, s * (1 + 1e-7)], [s, 2 * s]])
+    with pytest.raises(NotSymmetricError):
+        transformed_map_from_inverses(eye, inv, skewed)
+    m = transformed_map_from_inverses(eye, inv, skewed.transpose().add(skewed)).M
+    assert m.data[0][1] == m.data[1][0]
+    # Lambda = 0 gives M = -Sigma^-1, so an asymmetric Sigma^-1 alone is refused.
+    zero = DenseMatrix.from_rows([[0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(NotSymmetricError):
+        transformed_map_from_inverses(zero, skewed.scale(1 / s**2), eye)
+    # Sigma = Lambda^T Upsilon Lambda makes M zero, so the float M is
+    # rounding error alone, with no scale of its own; it is accepted.
+    lam = DenseMatrix.from_rows([[0.7, -0.3], [0.25, 1.1]])
+    upsilon = DenseMatrix.from_rows([[2 * s, 0.5 * s], [0.5 * s, s]])
+    sigma = lam.transpose().matmul(upsilon).matmul(lam)
+    sigma = DenseMatrix.from_rows(
+        [[(sigma.data[i][j] + sigma.data[j][i]) / 2 for j in range(2)] for i in range(2)]
+    )
+    m = transformed_map(lam, spd_factorize(sigma), spd_factorize(upsilon)).M
+    assert max(abs(v) for row in m.data for v in row) <= 1e-12 / s

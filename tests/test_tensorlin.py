@@ -403,3 +403,13 @@ def test_matrix_shape_errors():
     with pytest.raises(DimensionMismatchError):
         DenseMatrix.from_rows([])
     assert math.isfinite(sum(DenseVector(a.data[0]).entries))
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+def test_float_symmetry_rule_does_not_depend_on_scale(s):
+    # A relative asymmetry of 1e-7 is refused at every scale, and an exactly
+    # symmetric matrix is accepted at every scale.
+    with pytest.raises(NotSymmetricError):
+        covariance(DenseMatrix.from_rows([[2 * s, s * (1 + 1e-7)], [s, 2 * s]]))
+    cov = covariance(DenseMatrix.from_rows([[2 * s, s], [s, 2 * s]]))
+    assert cov.inverse().data[0][0] == pytest.approx(2 / (3 * s))
