@@ -45,14 +45,20 @@ addressed by its digits in radix MAX_EXPANSION_DEGREE + 1, listed with the
 codes of its q' - e_j (_q_level); expand_from_map reads every q from the
 table of k and coeff_from_map reads one.
 
-Exact maps run on integers.  T[k,q] has degree |q| in A and (|k|-|q|)/2
-in M, so with A = A_hat/alpha and M = M_hat/beta,
+Exact work runs on integers.  An exact (A, M) is built on int rows: with
+Sigma^-1 = S/s, Lambda = L/e and Upsilon = U/u (`tensorlin.cleared_rows`),
+A_hat = S L^T U and M_hat = A_hat L S - s e^2 u S are products of int rows
+(the `tensorlin` kernels), M_hat's symmetry is checked on those rows, and
+each returned entry is one Fraction: A = A_hat/(s e u) and
+M = M_hat/(s^2 e^2 u).  That is done when Sigma^-1 holds only Fractions
+and Lambda and Upsilon are exact; other inputs run the plain products.
+T[k,q] has degree |q| in A and (|k|-|q|)/2 in M, so with A = A_hat/alpha
+and M = M_hat/beta (`tensorlin.cleared_rows` of A and M),
 T[k,q] = T_hat[k,q] / (alpha^|q| beta^((|k|-|q|)/2)), T_hat being the same
-sweep on the int rows of A_hat and M_hat (`tensorlin.cleared` of A and
-M), and one Fraction is made per returned nonzero entry.  That is done when
-A and M hold only Fractions; other maps run on their own entries, so no
-entry changes type (an entry that no pull reaches stays the int 0 it starts
-from).
+sweep on the int rows, and one Fraction is made per returned nonzero entry.
+That is done when A and M hold only Fractions; other maps run on their own
+entries, so no entry changes type (an entry that no pull reaches stays the
+int 0 it starts from).
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -90,7 +97,13 @@ from .tensorlin import (
     SpdMatrix,
     all_fractions,
     check_symmetric,
-    cleared,
+    check_symmetric_rows,
+    cleared_rows,
+    entrywise_rows,
+    fraction_rows,
+    matmul_rows,
+    scale_rows,
+    transpose_rows,
 )
 
 # Expansion sources above this degree are rejected.  The recurrence is
@@ -154,15 +167,19 @@ def transformed_map_from_inverses(
         )
     if all_fractions(*sigma_inv.data) and lam.is_exact() and upsilon.is_exact():
         # Every product of a Fraction Sigma^-1 is a Fraction, so they run on
-        # Sigma^-1 = S/s, Lambda = L/e, Upsilon = U/u: with A_hat = S L^T U,
-        # A = A_hat/(s e u) and M = (A_hat L S - s e^2 u S)/(s^2 e^2 u).
-        (sm, s), (lm, e), (um, u) = cleared(sigma_inv), cleared(lam), cleared(upsilon)
-        a_hat = sm.matmul(lm.transpose()).matmul(um)
-        m_hat = a_hat.matmul(lm).matmul(sm).sub(sm.scale(s * e * e * u))
-        check_symmetric(m_hat)
+        # the int rows of Sigma^-1 = S/s, Lambda = L/e, Upsilon = U/u: with
+        # A_hat = S L^T U, A = A_hat/(s e u) and
+        # M = (A_hat L S - s e^2 u S)/(s^2 e^2 u).
+        rows = (sigma_inv.data, lam.data, upsilon.data)
+        (sm, s), (lm, e), (um, u) = map(cleared_rows, rows)
+        a_hat = matmul_rows(matmul_rows(sm, transpose_rows(lm)), um)
+        p_hat = matmul_rows(matmul_rows(a_hat, lm), sm)
+        m_hat = entrywise_rows(sub, p_hat, scale_rows(s * e * e * u, sm))
+        check_symmetric_rows(m_hat, True)
+        n, m = lam.cols, lam.rows
         return TransformedMap(
-            A=a_hat.scale(Fraction(1, s * e * u)),
-            M=m_hat.scale(Fraction(1, s * s * e * e * u)),
+            A=DenseMatrix(n, m, fraction_rows(a_hat, s * e * u)),
+            M=DenseMatrix(n, n, fraction_rows(m_hat, s * s * e * e * u)),
         )
     a = sigma_inv.matmul(lam.transpose()).matmul(upsilon)
     p = a.matmul(lam).matmul(sigma_inv)
@@ -218,8 +235,8 @@ def _sweep_rows(tmap: TransformedMap):
     """((A rows, M rows), scales): the int rows of A_hat and M_hat with
     (alpha, beta) for a map of Fractions, else the map's rows and None."""
     if all_fractions(*tmap.A.data, *tmap.M.data):
-        (a, alpha), (m, beta) = cleared(tmap.A), cleared(tmap.M)
-        return (a.data, m.data), (alpha, beta)
+        (a, alpha), (m, beta) = cleared_rows(tmap.A.data), cleared_rows(tmap.M.data)
+        return (a, m), (alpha, beta)
     return (tmap.A.data, tmap.M.data), None
 
 

@@ -8,9 +8,9 @@ never shares an evaluation path with the numeric recurrences it checks:
 the left side is built by differentiation, never by the coefficient
 recurrence in `coeffs`, and nothing is imported from `hermite`.  The only
 production code it calls is `coeffs.expand_from_map` (with
-`transformed_map_from_inverses`) for T[k,q] on the right side, and
-`tensorlin.covariance` for the checked exact inverses of Sigma and
-Upsilon.
+`transformed_map_from_inverses`) for T[k,q] on the right side,
+`tensorlin.exact_covariance` for the checked exact inverses of Sigma and
+Upsilon, and the `tensorlin` row kernels.
 
 All building, substituting and comparing runs on integer coefficients.
 For an exponent matrix B = C/d, with d the lcm of the entry denominators
@@ -41,8 +41,12 @@ the common denominator lcm((d e)^|k|, D), and the identity holds exactly
 when the integer difference is zero.  `Fraction` coefficients are made
 only for the returned `lhs`, `rhs` and `diff`; each is reduced over its
 polynomial's denominator, so they equal a term-by-term rational build.
-Matrices are cleared to (C, d) by `tensorlin.cleared`, the helper that
-the exact inverse and the `coeffs` sweep use too.
+Matrices are cleared to (C, d) on their rows by `tensorlin.cleared_rows`,
+the helper that the exact inverse and the `coeffs` sweep use too.
+`oracle_compare` tests each input for exactness once and hands Sigma and
+Upsilon to `exact_covariance`, which checks symmetry and inverts on the
+rows without testing exactness again; `SymbolicHermiteFamily` tests its
+matrix once and checks its symmetry on the rows.
 
 Inside the oracle a monomial x^a is one int, its code: the parts of a as
 digits in radix R = coeffs.MAX_EXPANSION_DEGREE + 1, most significant
@@ -74,7 +78,13 @@ from .errors import (
     SizeLimitError,
 )
 from .multiindex import MultiIndex
-from .tensorlin import DenseMatrix, check_symmetric, cleared, covariance
+from .tensorlin import (
+    DenseMatrix,
+    check_symmetric_rows,
+    cleared_rows,
+    exact_covariance,
+    transpose_rows,
+)
 
 # Bounds on a parsed string, checked before `Fraction` sees it: Fraction
 # expands a decimal exponent in full, so "1e200000" alone would build a
@@ -364,11 +374,11 @@ class SymbolicHermiteFamily:
             raise DomainError(
                 "symbolic construction requires exact rational entries"
             )
-        check_symmetric(b)
+        check_symmetric_rows(b.data, True)
         n = b.rows
         self.arity = n
-        rows, self._den = cleared(b)
-        self._rows = _linear_forms(rows.data, n, _RADIX)
+        rows, self._den = cleared_rows(b.data)
+        self._rows = _linear_forms(rows, n, _RADIX)
         self._weights = _weights(n, _RADIX)
         self._memo: dict[tuple, dict] = {(0,) * n: {0: 1}}
 
@@ -430,8 +440,8 @@ def oracle_compare(
     expansion from the production coefficient code, with symbolic Hermite
     polynomials as the basis.  Both are built and compared with integer
     coefficients over one denominator each (see the module docstring).
-    Inputs must be exact rationals; `tensorlin.covariance` checks that the
-    covariances are symmetric and invertible (positive definiteness is not
+    Inputs must be exact rationals; `tensorlin.exact_covariance` checks
+    that the covariances are symmetric and invertible (positive definiteness is not
     needed for the algebra).  A |k| above the engine's cap raises
     SizeLimitError in the first `scaled_terms` call, before any polynomial
     is built.
@@ -440,8 +450,8 @@ def oracle_compare(
     for mat in (lam, sigma, upsilon):
         if not mat.is_exact():
             raise DomainError("oracle comparison requires exact rational inputs")
-    sigma_inv = covariance(sigma).inverse()
-    upsilon_inv = covariance(upsilon).inverse()
+    sigma_inv = exact_covariance(sigma).inverse()
+    upsilon_inv = exact_covariance(upsilon).inverse()
     n, m = sigma.rows, upsilon.rows
     if lam.rows != m or lam.cols != n or k.arity != n:
         raise DimensionMismatchError(
@@ -451,10 +461,10 @@ def oracle_compare(
 
     degree = k.degree()
     p, p_den = SymbolicHermiteFamily(sigma_inv).scaled_terms(k)
-    lam_t, e = cleared(lam.transpose())
+    lam_t, e = cleared_rows(transpose_rows(lam.data))
     lhs_terms = _compose_terms(
         {a: c * e ** (degree - _code_degree(a)) for a, c in p.items()},
-        _linear_forms(lam_t.data, m, _RADIX),
+        _linear_forms(lam_t, m, _RADIX),
         _RADIX,
     )
     lhs_den = p_den * e**degree

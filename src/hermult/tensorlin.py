@@ -3,21 +3,32 @@
 Everything here is written once over duck-typed scalars and works for two
 fields: 64-bit floats and exact rationals (int / fractions.Fraction).  The
 int scalars 0 and 1 embed in both fields, so identity matrices and empty
-products stay field-agnostic.  `cleared` writes an exact matrix as C/d
-with C an int matrix; `invert_matrix` is exact only and fraction-free on
-C.  Kronecker powers (`kron_power` is `colwise_kron_power` of a
-one-column matrix) and dot products of operands whose entries are all
-Fractions run the same products on the cleared integers and divide once:
-by d^p for each entry of a p-fold power, by the product of the two d's
-for a dot.  Every other operand (float, int, or int and Fraction mixed)
-runs the plain products, so no entry changes type; a power of degree 0 is
-the int [1].
+products stay field-agnostic.
+
+Each matrix operation is one kernel on plain row tuples (`matmul_rows`,
+`transpose_rows`, `cleared_rows`, ...).  The `DenseMatrix` and
+`DenseVector` methods check shapes and wrap them; the exact paths of
+`coeffs` and `polyoracle` call them on int rows directly.  A product entry
+is `sum(map(mul, row, col))`: the operands, order and builtin `sum` of a
+plain loop, so float bits do not depend on the kernel.  `cleared_rows`
+writes exact rows as C/d with C int rows; `inverse_rows` is exact only and
+fraction-free on C.
+
+One rule covers every exact product.  When every entry of the operands is
+a Fraction, matrix and vector products, dot products and Kronecker powers
+(`kron_power` is `colwise_kron_power` of a one-column matrix) run the same
+products on the cleared integers and make one Fraction per result entry:
+over the product of the operands' d's, or over d^p for a p-fold power.
+Every other operand (float, int, or int and Fraction mixed) runs the plain
+products, so no entry changes type; a power of degree 0 is the int [1].
 
 A covariance is an `SpdMatrix`: the checked matrix and its inverse.
 `covariance` holds the one rule for outside input.  A float covariance
 must be positive definite and is inverted through its L*D*L^T
 factorization (`spd_factorize`); an exact one need only be symmetric and
-invertible (`invert_matrix`).
+invertible.  `exact_covariance` applies that rule to a matrix its caller
+has already tested exact, so each input is tested once; `check_symmetric`
+and `invert_matrix` test their input and wrap the same row helpers.
 
 Flat tensor addressing: a 0-based slot tuple (j_1, ..., j_K) in [0, n)^K
 maps to flat index sum_p j_p * n^(K-1-p), which is exactly the layout
@@ -29,6 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -47,6 +60,8 @@ MAX_TENSOR_LEN = 10**7
 # Relative symmetry tolerance for float-valued SPD inputs.
 SPD_SYMMETRY_RTOL = 1e-12
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
 
 def is_exact_scalar(v) -> bool:
     """True for scalars of the exact rational field (int or Fraction)."""
@@ -57,6 +72,100 @@ def _check_finite(values: Iterable) -> None:
     for v in values:
         if isinstance(v, float) and not math.isfinite(v):
             raise DomainError(f"non-finite entry {v!r}")
+
+
+# ------------------------------------------------ kernels on row tuples
+#
+# A matrix is a tuple of equal-length row tuples, a vector a tuple.  The
+# kernels do no shape checks; the DenseMatrix and DenseVector methods do.
+
+
+def all_fractions(*rows: tuple) -> bool:
+    """True when every entry of the given rows is a Fraction: the operands
+    that the exact paths clear to integers.  The first entry is tested
+    before the scan, so a float or int operand costs one test."""
+    return type(rows[0][0]) is Fraction and all(
+        type(v) is Fraction for row in rows for v in row
+    )
+
+
+def cleared_rows(rows: tuple) -> tuple[tuple, int]:
+    """(C, d) with rows = C/d for exact rows: d is the lcm of the entry
+    denominators and C holds ints."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+    d = math.lcm(*[q for row in ratios for _, q in row])
+    return tuple(tuple([p * (d // q) for p, q in row]) for row in ratios), d
+
+
+def transpose_rows(rows: tuple) -> tuple:
+    return tuple(zip(*rows))
+
+
+def matmul_rows(a: tuple, b: tuple) -> tuple:
+    """sum(map(mul, row, col)) for each row of a and column of b, or
+    `_fraction_products` when every entry of a and b is a Fraction."""
+    cols = tuple(zip(*b))
+    if all_fractions(*a, *cols):
+        return _fraction_products(a, cols)
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+
+
+def _fraction_products(rows: tuple, cols: tuple) -> tuple:
+    """sum(map(mul, row, col)) for each row and column of Fraction operands,
+    run on their cleared integers and made one Fraction over the product of
+    the two denominators: the value and type of the sum of Fractions."""
+    (rows, dr), (cols, dc) = cleared_rows(rows), cleared_rows(cols)
+    den = dr * dc
+    return tuple(
+        tuple([Fraction(sum(map(mul, row, col)), den) for col in cols]) for row in rows
+    )
+
+
+def entrywise_rows(op, a: tuple, b: tuple) -> tuple:
+    """op(x, y) for each entry x of a and the entry y of b at its place."""
+    return tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a, b))
+
+
+def scale_rows(c, rows: tuple) -> tuple:
+    """c * v for every entry v, in that operand order."""
+    return tuple(tuple([c * v for v in row]) for row in rows)
+
+
+def fraction_rows(rows: tuple, den: int) -> tuple:
+    """Fraction(v, den) for every int entry v."""
+    return tuple(tuple([Fraction(v, den) for v in row]) for row in rows)
+
+
+def check_symmetric_rows(rows: tuple, exact: bool, rtol: float = SPD_SYMMETRY_RTOL):
+    """`check_symmetric` on square rows whose exactness the caller knows."""
+    tol = 0 if exact else rtol * max(abs(v) for row in rows for v in row)
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(row)):
+            a, b = row[j], rows[j][i]
+            if a != b and (exact or not abs(a - b) <= tol):
+                raise NotSymmetricError(
+                    f"entries ({i},{j}) and ({j},{i}) differ: {a} vs {b}"
+                )
+
+
+def inverse_rows(rows: tuple) -> tuple:
+    """`invert_matrix` on square rows that the caller has tested exact."""
+    n = len(rows)
+    c, d = cleared_rows(rows)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(c)]
+    prev = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        top, p = a[col], a[col][col]
+        for r in range(n):
+            if r != col:
+                f = a[r][col]
+                a[r] = [(p * v - f * w) // prev for v, w in zip(a[r], top)]
+        prev = p
+    return tuple(tuple([Fraction(d * v, prev) for v in row[n:]]) for row in a)
 
 
 @dataclass(frozen=True)
@@ -86,11 +195,10 @@ class DenseVector:
             raise DimensionMismatchError(
                 f"dot of dims {self.dim} and {other.dim}"
             )
-        if all_fractions(self.entries, other.entries):
-            a, da = _cleared_entries(self.entries)
-            b, db = _cleared_entries(other.entries)
-            return Fraction(sum(x * y for x, y in zip(a, b)), da * db)
-        return sum(a * b for a, b in zip(self.entries, other.entries))
+        a, b = self.entries, other.entries
+        if all_fractions(a, b):
+            return _fraction_products((a,), (b,))[0][0]
+        return sum(map(mul, a, b))
 
 
 @dataclass(frozen=True)
@@ -104,9 +212,7 @@ class DenseMatrix:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise DimensionMismatchError("matrix dimensions must be >= 1")
-        if len(self.data) != self.rows or any(
-            len(row) != self.cols for row in self.data
-        ):
+        if len(self.data) != self.rows or set(map(len, self.data)) != {self.cols}:
             raise DimensionMismatchError("matrix data does not match shape")
 
     @classmethod
@@ -126,11 +232,7 @@ class DenseMatrix:
         return cls(n, n, data)
 
     def transpose(self) -> "DenseMatrix":
-        data = tuple(
-            tuple(self.data[i][j] for i in range(self.rows))
-            for j in range(self.cols)
-        )
-        return DenseMatrix(self.cols, self.rows, data)
+        return DenseMatrix(self.cols, self.rows, transpose_rows(self.data))
 
     def matmul(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.cols != other.rows:
@@ -138,46 +240,30 @@ class DenseMatrix:
                 f"matmul of {self.rows}x{self.cols} and "
                 f"{other.rows}x{other.cols}"
             )
-        data = tuple(
-            tuple(
-                sum(self.data[i][k] * other.data[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            )
-            for i in range(self.rows)
-        )
-        return DenseMatrix(self.rows, other.cols, data)
+        return DenseMatrix(self.rows, other.cols, matmul_rows(self.data, other.data))
 
     def matvec(self, v: DenseVector) -> DenseVector:
         if self.cols != v.dim:
             raise DimensionMismatchError(
                 f"matvec of {self.rows}x{self.cols} and dim {v.dim}"
             )
-        return DenseVector(
-            tuple(
-                sum(row[k] * v.entries[k] for k in range(self.cols))
-                for row in self.data
-            )
-        )
+        rows, x = self.data, v.entries
+        if all_fractions(*rows, x):
+            return DenseVector(tuple([r[0] for r in _fraction_products(rows, (x,))]))
+        return DenseVector(tuple([sum(map(mul, row, x)) for row in rows]))
 
     def add(self, other: "DenseMatrix") -> "DenseMatrix":
         self._same_shape(other)
-        data = tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.data, other.data)
-        )
+        data = entrywise_rows(add, self.data, other.data)
         return DenseMatrix(self.rows, self.cols, data)
 
     def sub(self, other: "DenseMatrix") -> "DenseMatrix":
         self._same_shape(other)
-        data = tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.data, other.data)
-        )
+        data = entrywise_rows(sub, self.data, other.data)
         return DenseMatrix(self.rows, self.cols, data)
 
     def scale(self, c) -> "DenseMatrix":
-        data = tuple(tuple(c * v for v in row) for row in self.data)
-        return DenseMatrix(self.rows, self.cols, data)
+        return DenseMatrix(self.rows, self.cols, scale_rows(c, self.data))
 
     def _same_shape(self, other: "DenseMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -187,7 +273,11 @@ class DenseMatrix:
             )
 
     def is_exact(self) -> bool:
-        return all(is_exact_scalar(v) for row in self.data for v in row)
+        """True when every entry is an exact scalar; bools and subclasses
+        of int or Fraction go through `is_exact_scalar` one by one."""
+        if set(map(type, chain.from_iterable(self.data))) <= _EXACT_TYPES:
+            return True
+        return all(map(is_exact_scalar, chain.from_iterable(self.data)))
 
     def to_lists(self) -> list[list]:
         return [list(row) for row in self.data]
@@ -232,10 +322,10 @@ def colwise_kron_power(a: DenseMatrix, q: MultiIndex | Iterable[int]) -> DenseVe
     degree = q.degree()
     _check_len(a.rows**degree)
     if degree and all_fractions(*a.data):
-        c, d = cleared(a)
+        c, d = cleared_rows(a.data)
         den = d**degree
         return DenseVector(
-            tuple(Fraction(x, den) for x in _colwise_entries(c.data, q.parts))
+            tuple(Fraction(x, den) for x in _colwise_entries(c, q.parts))
         )
     return DenseVector(_colwise_entries(a.data, q.parts))
 
@@ -252,23 +342,8 @@ def _colwise_entries(rows: tuple, parts: tuple) -> tuple:
 def cleared(mat: DenseMatrix) -> tuple[DenseMatrix, int]:
     """(C, d) with mat = C/d for an exact matrix: d is the lcm of the entry
     denominators and C has int entries."""
-    d = math.lcm(*[v.denominator for row in mat.data for v in row])
-    data = tuple(
-        tuple([v.numerator * (d // v.denominator) for v in row]) for row in mat.data
-    )
-    return DenseMatrix(mat.rows, mat.cols, data), d
-
-
-def all_fractions(*rows: tuple) -> bool:
-    """True when every entry of the given rows is a Fraction: the operands
-    that the exact paths clear to integers."""
-    return all(type(v) is Fraction for row in rows for v in row)
-
-
-def _cleared_entries(entries: tuple) -> tuple[tuple, int]:
-    """`cleared` for the entries of a vector: (c, d) with entries = c/d."""
-    c, d = cleared(DenseMatrix(1, len(entries), (entries,)))
-    return c.data[0], d
+    c, d = cleared_rows(mat.data)
+    return DenseMatrix(mat.rows, mat.cols, c), d
 
 
 def invert_matrix(m: DenseMatrix) -> DenseMatrix:
@@ -286,24 +361,7 @@ def invert_matrix(m: DenseMatrix) -> DenseMatrix:
         raise DimensionMismatchError("inverse of a non-square matrix")
     if not m.is_exact():
         raise DomainError("invert_matrix requires exact rational entries")
-    n = m.rows
-    c, d = cleared(m)
-    eye = DenseMatrix.identity(n).data
-    a = [list(row + one) for row, one in zip(c.data, eye)]
-    prev = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        top, p = a[col], a[col][col]
-        for r in range(n):
-            if r != col:
-                f = a[r][col]
-                a[r] = [(p * v - f * w) // prev for v, w in zip(a[r], top)]
-        prev = p
-    data = tuple(tuple(Fraction(d * v, prev) for v in row[n:]) for row in a)
-    return DenseMatrix(n, n, data)
+    return DenseMatrix(m.rows, m.rows, inverse_rows(m.data))
 
 
 def check_symmetric(m: DenseMatrix, rtol: float = SPD_SYMMETRY_RTOL) -> None:
@@ -315,15 +373,7 @@ def check_symmetric(m: DenseMatrix, rtol: float = SPD_SYMMETRY_RTOL) -> None:
     """
     if m.rows != m.cols:
         raise DimensionMismatchError("symmetry check on a non-square matrix")
-    exact = m.is_exact()
-    tol = 0 if exact else rtol * max(abs(v) for row in m.data for v in row)
-    for i in range(m.rows):
-        for j in range(i + 1, m.cols):
-            a, b = m.data[i][j], m.data[j][i]
-            if a != b and (exact or not abs(a - b) <= tol):
-                raise NotSymmetricError(
-                    f"entries ({i},{j}) and ({j},{i}) differ: {a} vs {b}"
-                )
+    check_symmetric_rows(m.data, m.is_exact(), rtol)
 
 
 class SpdMatrix:
@@ -363,9 +413,9 @@ def spd_factorize(s: DenseMatrix) -> SpdMatrix:
     """
     if s.rows != s.cols:
         raise DimensionMismatchError("SPD input must be square")
-    check_symmetric(s)
-    n = s.rows
     exact = s.is_exact()
+    check_symmetric_rows(s.data, exact)
+    n = s.rows
     if exact:
         a = [[Fraction(v) for v in row] for row in s.data]
     else:
@@ -406,5 +456,12 @@ def covariance(m: DenseMatrix) -> SpdMatrix:
     """
     if not m.is_exact():
         return spd_factorize(m)
-    check_symmetric(m)
-    return SpdMatrix(m, invert_matrix(m))
+    return exact_covariance(m)
+
+
+def exact_covariance(m: DenseMatrix) -> SpdMatrix:
+    """`covariance` of a matrix that the caller has tested exact."""
+    if m.rows != m.cols:
+        raise DimensionMismatchError("symmetry check on a non-square matrix")
+    check_symmetric_rows(m.data, True)
+    return SpdMatrix(m, DenseMatrix(m.rows, m.rows, inverse_rows(m.data)))

@@ -711,3 +711,46 @@ def test_dumps_formats():
     for bad in (math.nan, math.inf, -math.inf, Real(math.inf), {1, 2}, object()):
         with pytest.raises(DomainError):
             dumps({"v": [bad]})
+
+
+# The child loads hermult, runs verify, expand and oracle-compare
+# in-process, and prints every module it then holds.
+IMPORT_GUARD_CHILD = """
+import contextlib, io, json, sys
+from hermult import cli
+runs = [["verify", "--suite", "all", "--seed", "1"]]
+for path in sys.argv[1:]:
+    runs += [["expand", "--spec", path], ["oracle-compare", "--spec", path]]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(argv)
+print(*sys.modules)
+"""
+
+
+def test_commands_load_only_the_standard_library(tmp_path):
+    # pyproject lists no runtime dependency: every module the commands load
+    # beyond a bare interpreter's (which holds whatever site loads) must be
+    # in the standard library or in hermult.
+    paths = []
+    specs = [dict(spec, rational=True) for spec in ORACLE_SPECS.values()]
+    specs += [float_spec(*args) for args in FLOAT_SPECS.values()]
+    for i, spec in enumerate(specs):
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(json.dumps(spec))
+        paths.append(str(path))
+
+    def modules(*argv):
+        r = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=CLI_ENV)
+        assert r.returncode == 0, r.stderr
+        return set(r.stdout.split())
+
+    bare = modules("-c", "import sys; print(*sys.modules)")
+    loaded = modules("-c", IMPORT_GUARD_CHILD, *paths)
+    assert "hermult.polyoracle" in loaded and "hermult.verify" in loaded
+    foreign = sorted(
+        name
+        for name in loaded - bare
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"hermult"}
+    )
+    assert foreign == []

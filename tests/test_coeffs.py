@@ -661,6 +661,77 @@ def test_exact_transformed_map_matches_fraction_products():
             ]
 
 
+def _products_reference(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _clear_reference(a):
+    d = math.lcm(*[v.denominator for row in a for v in row])
+    return [[v.numerator * (d // v.denominator) for v in row] for row in a], d
+
+
+def map_reference(lam, sigma_inv, upsilon):
+    """(A rows, M rows) by the formulas transformed_map_from_inverses ran on
+    DenseMatrix products: on a Fraction Sigma^-1 with exact Lambda and
+    Upsilon, A = A_hat.scale(Fraction(1, s e u)) and
+    M = M_hat.scale(Fraction(1, s^2 e^2 u)) over the cleared integers,
+    else the products of the given entries."""
+    lam_t = [list(col) for col in zip(*lam)]
+    if all(type(v) is Fraction for row in sigma_inv for v in row):
+        (sm, s), (lm, e), (um, u) = map(_clear_reference, (sigma_inv, lam, upsilon))
+        a_hat = _products_reference(_products_reference(sm, [list(c) for c in zip(*lm)]), um)
+        p_hat = _products_reference(_products_reference(a_hat, lm), sm)
+        m_hat = [[x - s * e * e * u * y for x, y in zip(pr, sr)] for pr, sr in zip(p_hat, sm)]
+        return (
+            [[Fraction(1, s * e * u) * v for v in row] for row in a_hat],
+            [[Fraction(1, s * s * e * e * u) * v for v in row] for row in m_hat],
+        )
+    a = _products_reference(_products_reference(sigma_inv, lam_t), upsilon)
+    p = _products_reference(_products_reference(a, lam), sigma_inv)
+    return a, [[x - y for x, y in zip(pr, sr)] for pr, sr in zip(p, sigma_inv)]
+
+
+def test_exact_map_and_table_keep_values_and_types():
+    """(A, M) built on int rows, and the tables read from them, equal the
+    DenseMatrix formulas entry by entry in repr: every entry of a Fraction
+    map is a Fraction (zeros are Fraction(0)), and int and mixed inputs run
+    the plain products."""
+    kinds = ("fraction", "int", "mixed")
+    rng = random.Random(1818)
+    for trial in range(72):
+        kind = kinds[trial % 3]
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+
+        def entry():
+            v = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+                return int(v)
+            return v
+
+        def symmetric(dim):
+            upper = [[entry() for _ in range(dim)] for _ in range(dim)]
+            return [[upper[min(i, j)][max(i, j)] for j in range(dim)] for i in range(dim)]
+
+        lam = [[entry() for _ in range(n)] for _ in range(m)]
+        if m >= 2 and trial % 2:
+            lam[rng.randrange(m)] = [0 * v for v in lam[0]]
+        sigma_inv, upsilon = symmetric(n), symmetric(m)
+        tmap = transformed_map_from_inverses(
+            DenseMatrix.from_rows(lam), DenseMatrix.from_rows(sigma_inv), DenseMatrix.from_rows(upsilon)
+        )
+        a, mm = map_reference(lam, sigma_inv, upsilon)
+        assert repr(tmap.A.data) == repr(tuple(map(tuple, a)))
+        assert repr(tmap.M.data) == repr(tuple(map(tuple, mm)))
+        if kind == "fraction":
+            assert all(type(v) is Fraction for row in tmap.A.data + tmap.M.data for v in row)
+        ref_map = TransformedMap(A=DenseMatrix.from_rows(a), M=DenseMatrix.from_rows(mm))
+        k = MultiIndex(tuple(rng.randint(0, 3) for _ in range(n)))
+        for variant in CoeffVariant:
+            got = [(t.q, t.coeff) for t in expand_from_map(k, tmap, variant)]
+            want = [(q, c) for q, c in expand_reference(k, ref_map, variant) if c != 0]
+            assert repr(got) == repr(want)
+
+
 def test_expansion_term_fields_hash_and_repr():
     q = MultiIndex((1, 0))
     term = ExpansionTerm(q=q, coeff=0.5)

@@ -12,6 +12,8 @@ from hermult.coeffs import CoeffVariant
 from hermult.errors import (
     DimensionMismatchError,
     DomainError,
+    NotPositiveDefiniteError,
+    NotSymmetricError,
     SingularMatrixError,
     SizeLimitError,
 )
@@ -19,13 +21,22 @@ from hermult.multiindex import enumerate_fixed_degree
 from hermult.polyoracle import (
     MAX_DECIMAL_EXPONENT,
     MAX_RATIONAL_DIGITS,
+    _RADIX,
     MPoly,
     SymbolicHermiteFamily,
+    _decode,
     as_rational,
     oracle_compare,
     rational_matrix,
 )
-from hermult.tensorlin import DenseMatrix, cleared, invert_matrix
+from hermult.tensorlin import (
+    DenseMatrix,
+    check_symmetric,
+    cleared,
+    covariance,
+    invert_matrix,
+    spd_factorize,
+)
 from hermult.verify import trial_rng
 
 
@@ -263,6 +274,94 @@ def test_oracle_rejects_bad_inputs():
         oracle_compare((1, 1), DenseMatrix.from_rows([[1.0, 0.0], [0.0, 1.0]]), eye, eye)
 
 
+
+_ASYM = rational_matrix([[2, Fraction(1, 2)], [1, 3]])
+_SINGULAR = rational_matrix([["1/2", 1], [1, 2]])
+_FLOAT = DenseMatrix.from_rows([[1.0, 2.0], [2.0, 1.0]])
+_FLOAT_ASYM = DenseMatrix.from_rows([[1.0, 2.0], [2.5, 1.0]])
+_EYE = rational_matrix([[1, 0], [0, 1]])
+_LAM = rational_matrix([[1, "1/2"], [0, 2]])
+
+# Each refused input, with the error class and message it raised before
+# exactness and symmetry were tested once per input.
+REFUSALS = {
+    "covariance-asym": (
+        lambda: covariance(_ASYM), NotSymmetricError,
+        "entries (0,1) and (1,0) differ: 1/2 vs 1",
+    ),
+    "covariance-singular": (
+        lambda: covariance(_SINGULAR), SingularMatrixError, "matrix is singular",
+    ),
+    "covariance-float-indefinite": (
+        lambda: covariance(_FLOAT), NotPositiveDefiniteError,
+        "non-positive pivot -3.0 at index 1",
+    ),
+    "covariance-float-asym": (
+        lambda: covariance(_FLOAT_ASYM), NotSymmetricError,
+        "entries (0,1) and (1,0) differ: 2.0 vs 2.5",
+    ),
+    "covariance-nonsquare": (
+        lambda: covariance(rational_matrix([[1, 2]])), DimensionMismatchError,
+        "symmetry check on a non-square matrix",
+    ),
+    "invert-float": (
+        lambda: invert_matrix(_FLOAT), DomainError,
+        "invert_matrix requires exact rational entries",
+    ),
+    "invert-singular": (
+        lambda: invert_matrix(_SINGULAR), SingularMatrixError, "matrix is singular",
+    ),
+    "invert-nonsquare": (
+        lambda: invert_matrix(rational_matrix([[1, 2]])), DimensionMismatchError,
+        "inverse of a non-square matrix",
+    ),
+    "check-symmetric-asym": (
+        lambda: check_symmetric(_ASYM), NotSymmetricError,
+        "entries (0,1) and (1,0) differ: 1/2 vs 1",
+    ),
+    "spd-asym": (
+        lambda: spd_factorize(_ASYM), NotSymmetricError,
+        "entries (0,1) and (1,0) differ: 1/2 vs 1",
+    ),
+    "family-float": (
+        lambda: SymbolicHermiteFamily(_FLOAT), DomainError,
+        "symbolic construction requires exact rational entries",
+    ),
+    "family-asym": (
+        lambda: SymbolicHermiteFamily(_ASYM), NotSymmetricError,
+        "entries (0,1) and (1,0) differ: 1/2 vs 1",
+    ),
+    "oracle-float": (
+        lambda: oracle_compare((1, 1), _LAM, _FLOAT, _EYE), DomainError,
+        "oracle comparison requires exact rational inputs",
+    ),
+    "oracle-asym": (
+        lambda: oracle_compare((1, 1), _LAM, _ASYM, _EYE), NotSymmetricError,
+        "entries (0,1) and (1,0) differ: 1/2 vs 1",
+    ),
+    "oracle-singular": (
+        lambda: oracle_compare((1, 1), _LAM, _EYE, _SINGULAR), SingularMatrixError,
+        "matrix is singular",
+    ),
+    "map-asym": (
+        lambda: coeffs.transformed_map_from_inverses(_LAM, _ASYM, _EYE), NotSymmetricError,
+        "entries (0,1) and (1,0) differ: 160 vs 276",
+    ),
+    "map-float-asym": (
+        lambda: coeffs.transformed_map_from_inverses(_LAM, _FLOAT_ASYM, _EYE),
+        NotSymmetricError, "entries (0,1) and (1,0) differ: 13.0 vs 16.75",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refused_inputs_keep_error_class_and_message(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
 # Reference: the oracle as a rational build, term by term in Fraction
 # arithmetic with no denominator clearing: the differentiation recursion in
 # B = Sigma^-1, substitution by chained products of cached row-form powers,
@@ -349,6 +448,39 @@ def _ref_oracle(k, lam, sigma, upsilon, variant):
     m = upsilon.rows
     return not diff, MPoly(m, lhs), MPoly(m, rhs), MPoly(m, diff)
 
+
+
+@pytest.mark.parametrize("kind", ["fraction", "int", "mixed"])
+def test_symbolic_family_terms_match_rational_reference(kind):
+    """scaled_terms gives d^|k| H_k with int coefficients and den = d^|k|,
+    d the lcm of the entry denominators of b, for every mix of entry
+    types; the reference builds H_k in Fractions and clears by itself."""
+    rng = random.Random(f"family-{kind}")
+    for _ in range(24):
+        n = rng.randint(1, 4)
+
+        def entry():
+            v = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            return int(v) if kind == "int" or (kind == "mixed" and rng.random() < 0.5) else v
+
+        upper = [[entry() for _ in range(n)] for _ in range(n)]
+        b = DenseMatrix.from_rows(
+            [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        )
+        d = math.lcm(*[v.denominator for row in b.data for v in row])
+        family, forms, memo = SymbolicHermiteFamily(b), _ref_row_forms(b), {}
+        for k in enumerate_fixed_degree(n, rng.randint(0, 4)):
+            terms, den = family.scaled_terms(k)
+            scale = d ** k.degree()
+            want = {
+                mono: c * scale for mono, c in _ref_hermite(k.parts, forms, memo).items()
+            }
+            assert all(c.denominator == 1 for c in want.values())
+            got = {_decode(code, n, _RADIX): c for code, c in terms.items()}
+            assert repr(sorted(got.items())) == repr(
+                sorted((mono, int(c)) for mono, c in want.items())
+            )
+            assert repr(den) == repr(scale)
 
 def _frac(rng, num, max_den):
     return Fraction(rng.randint(-num, num), rng.randint(1, max_den))

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from hermult.multiindex import enumerate_fixed_degree
 from hermult.tensorlin import (
     DenseMatrix,
     DenseVector,
+    check_symmetric,
+    cleared,
     colwise_kron_power,
     covariance,
     invert_matrix,
@@ -96,6 +99,12 @@ def _colwise_ref(rows: list, q) -> tuple:
     return out
 
 
+# Signed zero, subnormals and entries whose products overflow to inf.
+FLOAT_EDGES = (-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300)
+
+KINDS = ["fraction", "int", "float", "mixed", "float-fraction", "float-edge"]
+
+
 def _scalar(rng, kind):
     """One entry of the given kind; exact kinds are zero a fifth of the time."""
     if kind == "mixed":
@@ -104,6 +113,8 @@ def _scalar(rng, kind):
         kind = rng.choice(("float", "fraction"))
     if kind == "float":
         return rng.uniform(-2.0, 2.0)
+    if kind == "float-edge":
+        return rng.choice(FLOAT_EDGES + (rng.uniform(-2.0, 2.0),))
     v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     if rng.random() < 0.2:
         v = Fraction(0)
@@ -111,7 +122,7 @@ def _scalar(rng, kind):
     return v if kind == "fraction" else int(v)
 
 
-@pytest.mark.parametrize("kind", ["fraction", "int", "float", "mixed", "float-fraction"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_kron_and_dot_match_plain_products(kind):
     # Vectors of Fractions run on cleared integers; values and entry types
     # must be those of the plain products, which every other kind still runs.
@@ -131,6 +142,116 @@ def test_kron_and_dot_match_plain_products(kind):
         for q in enumerate_fixed_degree(a.cols, rng.randint(0, 3)):
             got = colwise_kron_power(a, q)
             assert repr(got.entries) == repr(_colwise_ref(rows, q))
+
+
+# Reference loops: the generator formulas the DenseMatrix methods ran
+# before they were written over row-tuple kernels.
+
+
+def _ref_transpose(a):
+    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
+
+
+def _ref_matmul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def _ref_matvec(a, v):
+    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+
+
+def _ref_elementwise(op, a, b):
+    return tuple(tuple(op(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _ref_scale(c, a):
+    return tuple(tuple(c * v for v in row) for row in a)
+
+
+def _ref_is_exact(a):
+    return all(
+        isinstance(v, (int, Fraction)) and not isinstance(v, bool) for row in a for v in row
+    )
+
+
+def _ref_cleared(a):
+    d = math.lcm(*[v.denominator for row in a for v in row])
+    return tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in a), d
+
+
+def _ref_symmetry_error(a, rtol=1e-12):
+    """(error class name, message) that the symmetry check raised, or None."""
+    exact = _ref_is_exact(a)
+    tol = 0 if exact else rtol * max(abs(v) for row in a for v in row)
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            x, y = a[i][j], a[j][i]
+            if x != y and (exact or not abs(x - y) <= tol):
+                return "NotSymmetricError", f"entries ({i},{j}) and ({j},{i}) differ: {x} vs {y}"
+    return None
+
+
+def _symmetry_error(m):
+    try:
+        check_symmetric(m)
+    except NotSymmetricError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+class _Int(int):
+    pass
+
+
+class _Frac(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_matrix_kernels_match_reference_loops(kind):
+    # Every entry must keep the bits (floats) or the type and value (exact
+    # scalars) of the reference loops, so entries are compared by repr.
+    # Operands of Fractions only run on cleared integers.
+    rng = random.Random(f"kernels-{kind}")
+
+    def rows(r, c):
+        return tuple(tuple(_scalar(rng, kind) for _ in range(c)) for _ in range(r))
+
+    for _ in range(60):
+        r, c, p = (rng.randint(1, 4) for _ in range(3))
+        a, b, a2 = rows(r, c), rows(c, p), rows(r, c)
+        v, w = rows(1, c)[0], rows(1, c)[0]
+        ma, mb, ma2 = DenseMatrix(r, c, a), DenseMatrix(c, p, b), DenseMatrix(r, c, a2)
+        scalar = _scalar(rng, kind)
+        assert repr(ma.transpose().data) == repr(_ref_transpose(a))
+        assert repr(ma.matmul(mb).data) == repr(_ref_matmul(a, b))
+        assert repr(ma.matvec(DenseVector(v)).entries) == repr(_ref_matvec(a, v))
+        assert repr(DenseVector(v).dot(DenseVector(w))) == repr(sum(x * y for x, y in zip(v, w)))
+        assert repr(ma.add(ma2).data) == repr(_ref_elementwise(operator.add, a, a2))
+        assert repr(ma.sub(ma2).data) == repr(_ref_elementwise(operator.sub, a, a2))
+        assert repr(ma.scale(scalar).data) == repr(_ref_scale(scalar, a))
+        assert ma.is_exact() is _ref_is_exact(a)
+        if _ref_is_exact(a):
+            got, d = cleared(ma)
+            assert repr((got.data, d)) == repr(_ref_cleared(a))
+        sq = rows(r, r)
+        if rng.random() < 0.5:
+            sq = tuple(tuple(sq[min(i, j)][max(i, j)] for j in range(r)) for i in range(r))
+        assert _symmetry_error(DenseMatrix(r, r, sq)) == _ref_symmetry_error(sq)
+
+
+def test_is_exact_takes_bools_and_subclasses_one_by_one():
+    rng = random.Random("is-exact")
+    odd = (True, False, _Int(3), _Frac(1, 2), 2.5, Fraction(1, 3), 4)
+    for _ in range(200):
+        r, c = rng.randint(1, 3), rng.randint(1, 3)
+        data = tuple(tuple(rng.choice(odd) for _ in range(c)) for _ in range(r))
+        assert DenseMatrix(r, c, data).is_exact() is _ref_is_exact(data)
+    assert DenseMatrix(1, 2, ((_Int(1), _Frac(1, 2)),)).is_exact() is True
+    assert DenseMatrix(1, 2, ((1, True),)).is_exact() is False
 
 
 def test_exact_kron_of_degree_zero_is_int_one():
@@ -333,6 +454,29 @@ def test_exact_inverse_matches_fraction_gauss_jordan():
         assert got == expected
         assert all(type(v) is Fraction for row in got for v in row)
         assert m.matmul(invert_matrix(m)).data == DenseMatrix.identity(n).data
+
+
+@pytest.mark.parametrize("kind", ["fraction", "int", "mixed"])
+def test_exact_covariance_inverse_matches_gauss_jordan_by_repr(kind):
+    # covariance checks an exact input once and inverts it on its rows; the
+    # inverse holds Fractions of the reference's values, zeros included.
+    rng = random.Random(f"covariance-{kind}")
+    inverted = 0
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        upper = [[_scalar(rng, kind) for _ in range(n)] for _ in range(n)]
+        sym = DenseMatrix.from_rows(
+            [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        )
+        try:
+            expected = gauss_jordan_reference(sym)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+                covariance(sym)
+            continue
+        assert repr(covariance(sym).inverse().data) == repr(expected)
+        inverted += 1
+    assert inverted >= 40
 
 
 small_fraction = st.fractions(
