@@ -46,26 +46,31 @@ codes of its q' - e_j (_q_level); expand_from_map reads every q from the
 table of k and coeff_from_map reads one.
 
 Exact work runs on integers.  An exact (A, M) is built on int rows: with
-Sigma^-1 = S/s, Lambda = L/e and Upsilon = U/u (`tensorlin.cleared_rows`),
-A_hat = S L^T U and M_hat = A_hat L S - s e^2 u S are products of int rows
-(the `tensorlin` kernels), M_hat's symmetry is checked on those rows, and
-each returned entry is one Fraction: A = A_hat/(s e u) and
-M = M_hat/(s^2 e^2 u).  That is done when Sigma^-1 holds only Fractions
-and Lambda and Upsilon are exact; other inputs run the plain products.
-T[k,q] has degree |q| in A and (|k|-|q|)/2 in M, so with A = A_hat/alpha
-and M = M_hat/beta (`tensorlin.cleared_rows` of A and M),
+Sigma^-1 = S/s, Lambda = L/e and Upsilon = U/u (each matrix's
+`DenseMatrix.cleared_rows`), A_hat = S L^T U and M_hat = A_hat L S -
+s e^2 u S are products of int rows (the `tensorlin` kernels), M_hat's
+symmetry is checked on those rows, and each returned entry is one
+Fraction: A = A_hat/(s e u) and M = M_hat/(s^2 e^2 u).  That is done when
+Sigma^-1 holds only Fractions and Lambda and Upsilon are exact; other
+inputs run the plain products.  T[k,q] has degree |q| in A and
+(|k|-|q|)/2 in M, so with A = A_hat/alpha and M = M_hat/beta,
 T[k,q] = T_hat[k,q] / (alpha^|q| beta^((|k|-|q|)/2)), T_hat being the same
 sweep on the int rows, and one Fraction is made per returned nonzero entry.
-That is done when A and M hold only Fractions; other maps run on their own
-entries, so no entry changes type (an entry that no pull reaches stays the
-int 0 it starts from).
+The map carries the int rows it was built from (`TransformedMap.sweep_rows`,
+alpha = s e u and beta = s^2 e^2 u), so the sweep reads them instead of
+clearing the Fractions just made from them; a map of Fractions built
+elsewhere is cleared once, on its first sweep.  Other maps run on their
+own entries, so no entry changes type (an entry that no pull reaches stays
+the int 0 it starts from).  The literal product (`_literal_coeff`) makes
+one Fraction per exact coefficient, and reads the slot tuples and
+factorials of k and q from a cache per index.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import sub
@@ -98,7 +103,6 @@ from .tensorlin import (
     all_fractions,
     check_symmetric,
     check_symmetric_rows,
-    cleared_rows,
     entrywise_rows,
     fraction_rows,
     matmul_rows,
@@ -136,10 +140,14 @@ class TransformedMap:
     G(Lambda^T x, t; Sigma) = G(x, A^T t; Upsilon) exp(t^T M t / 2), and its
     t_i-derivative gives T[k+e_i, q] = sum_j A_ij T[k, q-e_j]
     + sum_l M_il k_l T[k-e_l, q] with T[0, 0] = 1.
+
+    `sweep_rows` holds the sweep's operands once known (`_sweep_rows`);
+    it takes no part in equality or repr.
     """
 
     A: DenseMatrix
     M: DenseMatrix
+    sweep_rows: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 class ExpansionTerm(NamedTuple):
@@ -170,17 +178,21 @@ def transformed_map_from_inverses(
         # the int rows of Sigma^-1 = S/s, Lambda = L/e, Upsilon = U/u: with
         # A_hat = S L^T U, A = A_hat/(s e u) and
         # M = (A_hat L S - s e^2 u S)/(s^2 e^2 u).
-        rows = (sigma_inv.data, lam.data, upsilon.data)
-        (sm, s), (lm, e), (um, u) = map(cleared_rows, rows)
+        (sm, s), (lm, e), (um, u) = (
+            sigma_inv.cleared_rows(), lam.cleared_rows(), upsilon.cleared_rows()
+        )
         a_hat = matmul_rows(matmul_rows(sm, transpose_rows(lm)), um)
         p_hat = matmul_rows(matmul_rows(a_hat, lm), sm)
         m_hat = entrywise_rows(sub, p_hat, scale_rows(s * e * e * u, sm))
         check_symmetric_rows(m_hat, True)
         n, m = lam.cols, lam.rows
-        return TransformedMap(
-            A=DenseMatrix(n, m, fraction_rows(a_hat, s * e * u)),
-            M=DenseMatrix(n, n, fraction_rows(m_hat, s * s * e * e * u)),
+        alpha, beta = s * e * u, s * s * e * e * u
+        tmap = TransformedMap(
+            A=DenseMatrix(n, m, fraction_rows(a_hat, alpha)),
+            M=DenseMatrix(n, n, fraction_rows(m_hat, beta)),
         )
+        object.__setattr__(tmap, "sweep_rows", ((a_hat, m_hat), (alpha, beta)))
+        return tmap
     a = sigma_inv.matmul(lam.transpose()).matmul(upsilon)
     p = a.matmul(lam).matmul(sigma_inv)
     # M = P - Sigma^-1 is checked term by term, so an M that is rounding
@@ -211,33 +223,50 @@ def _parity_split(k: MultiIndex, q: MultiIndex) -> int:
     return (kd - qd) // 2
 
 
+@functools.lru_cache(maxsize=256)
+def _slots(parts: tuple) -> tuple:
+    """(ascending slot tuple, index factorial) of an index's parts."""
+    return ascending_tuple(parts), mi_factorial(parts)
+
+
 def _literal_coeff(k: MultiIndex, q: MultiIndex, pairs: int, rows: tuple, den: int):
     """k!/(2^i q! i!), i = pairs, times the contraction tensor at the
     ascending slot tuple e of k, over den; rows = (A rows, M rows).  The
     first |q| slots of e run in blocks of sizes q_j, block j multiplying
     column j of A; the remaining 2*pairs slots are read pairwise, pair
-    (a, b) reading M[b][a]."""
+    (a, b) reading M[b][a].  An exact product makes one Fraction.  A float
+    product takes the int quotient k!/(2^i q! i! den), correctly rounded
+    like the float of that Fraction, so the bits are those of Fraction's
+    float fallback."""
     a_rows, m_rows = rows
-    e = ascending_tuple(k)
+    e, k_fact = _slots(k.parts)
+    e_q, q_fact = _slots(q.parts)
     prod = 1
-    for slot, col in zip(e, ascending_tuple(q)):
+    for slot, col in zip(e, e_q):
         prod = prod * a_rows[slot][col]
-    split = q.degree()
+    split = len(e_q)
     for p in range(split, split + 2 * pairs, 2):
         prod = prod * m_rows[e[p + 1]][e[p]]
-    pref = Fraction(
-        mi_factorial(k), (1 << pairs) * mi_factorial(q) * math.factorial(pairs) * den
-    )
-    return pref * prod
+    pden = (1 << pairs) * q_fact * math.factorial(pairs) * den
+    if isinstance(prod, float):
+        return k_fact / pden * prod
+    return Fraction(k_fact * prod, pden)
 
 
 def _sweep_rows(tmap: TransformedMap):
     """((A rows, M rows), scales): the int rows of A_hat and M_hat with
-    (alpha, beta) for a map of Fractions, else the map's rows and None."""
-    if all_fractions(*tmap.A.data, *tmap.M.data):
-        (a, alpha), (m, beta) = cleared_rows(tmap.A.data), cleared_rows(tmap.M.data)
-        return (a, m), (alpha, beta)
-    return (tmap.A.data, tmap.M.data), None
+    (alpha, beta) for a map of Fractions, else the map's rows and None.
+    The result is kept on the map: the map builder stores the rows it made
+    A and M from, and any other map of Fractions is cleared here once."""
+    got = tmap.sweep_rows
+    if got is None:
+        if all_fractions(*tmap.A.data, *tmap.M.data):
+            (a, alpha), (m, beta) = tmap.A.cleared_rows(), tmap.M.cleared_rows()
+            got = (a, m), (alpha, beta)
+        else:
+            got = (tmap.A.data, tmap.M.data), None
+        object.__setattr__(tmap, "sweep_rows", got)
+    return got
 
 
 def _pulls_into(k: tuple, q: tuple, a_rows, m_rows) -> bool:
@@ -437,16 +466,56 @@ def _vec_coeff(k: int, q: MultiIndex, lam: DenseVector, pair_weight: int):
         raise ParityError(
             f"degrees k={k}, |q|={qd} must satisfy |q| <= k with equal parity"
         )
-    i = (k - qd) // 2
-    pref, pref_f = _closed_form_prefactor(k, q.parts, pair_weight)
-    lam_q = 1
-    for lj, qj in zip(lam.entries, q.parts):
-        if qj:
-            lam_q = lam_q * lj**qj
-    norm_sq = sum(lj * lj for lj in lam.entries)
-    if isinstance(lam_q, float):
-        pref = pref_f
-    return pref * lam_q * (norm_sq - 1) ** i
+    return _vec_values(k, (q.parts,), lam.entries, pair_weight)[0]
+
+
+def _vec_values(k: int, qs, lam: tuple, pair_weight: int) -> list:
+    """pref * lam_q * (norm_sq - 1) ** i for each q of qs (parts tuples),
+    i = (k - |q|)/2, pref from _closed_form_prefactor and lam_q the product
+    of lam_j ** q_j built left to right over j.  norm_sq - 1, each of its
+    powers and each lam_j ** c are taken once for all of qs.  A lam of
+    Fractions runs on its int rows: with lam = L/d and N = |L|^2 - d^2,
+    the entry is pref * L^q * N^i / d^k, one Fraction per entry."""
+    scale = None
+    if all_fractions(lam):
+        d = math.lcm(*[v.denominator for v in lam])
+        lam = [v.numerator * (d // v.denominator) for v in lam]
+        scale = d**k
+        spread = sum(lj * lj for lj in lam) - d * d
+    else:
+        spread = sum(lj * lj for lj in lam) - 1
+    spreads = {}
+    powers = [{} for _ in lam]
+    out = []
+    for parts in qs:
+        pref, pref_f = _closed_form_prefactor(k, parts, pair_weight)
+        lam_q = 1
+        for lj, seen, qj in zip(lam, powers, parts):
+            if qj:
+                p = seen.get(qj)
+                if p is None:
+                    p = seen[qj] = lj**qj
+                lam_q = lam_q * p
+        i = (k - sum(parts)) // 2
+        s = spreads.get(i)
+        if s is None:
+            s = spreads[i] = spread**i
+        if scale is not None:
+            out.append(Fraction(pref.numerator * lam_q * s, pref.denominator * scale))
+        elif isinstance(lam_q, float):
+            out.append(pref_f * lam_q * s)
+        else:
+            out.append(pref * lam_q * s)
+    return out
+
+
+def coeff_vec_table(k: int, lam: DenseVector, pair_weight: int) -> list[ExpansionTerm]:
+    """Every nonzero inner-product coefficient of degree k, in the order of
+    expand_from_map, from one pass: pair_weight 2 gives coeff_vec_prob's
+    values, 1 gives coeff_vec_phys's."""
+    qs = [q for d in q_support(k) for q in enumerate_fixed_degree(lam.dim, d)]
+    values = _vec_values(k, [q.parts for q in qs], lam.entries, pair_weight)
+    return [ExpansionTerm(q, t) for q, t in zip(qs, values) if t != 0]
 
 
 def coeff_vec_prob(k: int, q: MultiIndex | Iterable[int], lam: DenseVector):

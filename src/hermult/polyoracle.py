@@ -31,8 +31,9 @@ p_k becomes (L x)^a / e^|a|, and since |a| <= |k|,
 is an integer polynomial.  The products (L x)^a are built once per
 monomial prefix (a_0..a_j), each from its shorter prefix and one cached
 power of a row form.  The right side uses Upsilon^-1 = G/f, so
-f^|q| H_q(x; Upsilon) is integer; with w_q = T[k,q] / f^|q| and D the lcm
-of the denominators of the w_q,
+f^|q| H_q(x; Upsilon) is integer; with w_q = T[k,q] / f^|q|, kept as the
+int pair (numerator of T[k,q], its denominator times f^|q|), and D the lcm
+of those denominators,
 
     D sum_q T[k,q] H_q(x; Upsilon) = sum_q (D w_q) f^|q| H_q(x; Upsilon)
 
@@ -41,8 +42,10 @@ the common denominator lcm((d e)^|k|, D), and the identity holds exactly
 when the integer difference is zero.  `Fraction` coefficients are made
 only for the returned `lhs`, `rhs` and `diff`; each is reduced over its
 polynomial's denominator, so they equal a term-by-term rational build.
-Matrices are cleared to (C, d) on their rows by `tensorlin.cleared_rows`,
-the helper that the exact inverse and the `coeffs` sweep use too.
+Matrices are cleared to (C, d) by `DenseMatrix.cleared_rows`, which keeps
+the pair, so Sigma^-1 and Lambda are cleared once for both the oracle and
+the (A, M) that `coeffs` builds, and Upsilon once for its inverse and
+the map.
 `oracle_compare` tests each input for exactness once and hands Sigma and
 Upsilon to `exact_covariance`, which checks symmetry and inverts on the
 rows without testing exactness again; `SymbolicHermiteFamily` tests its
@@ -81,7 +84,6 @@ from .multiindex import MultiIndex
 from .tensorlin import (
     DenseMatrix,
     check_symmetric_rows,
-    cleared_rows,
     exact_covariance,
     transpose_rows,
 )
@@ -377,7 +379,7 @@ class SymbolicHermiteFamily:
         check_symmetric_rows(b.data, True)
         n = b.rows
         self.arity = n
-        rows, self._den = cleared_rows(b.data)
+        rows, self._den = b.cleared_rows()
         self._rows = _linear_forms(rows, n, _RADIX)
         self._weights = _weights(n, _RADIX)
         self._memo: dict[tuple, dict] = {(0,) * n: {0: 1}}
@@ -461,7 +463,8 @@ def oracle_compare(
 
     degree = k.degree()
     p, p_den = SymbolicHermiteFamily(sigma_inv).scaled_terms(k)
-    lam_t, e = cleared_rows(transpose_rows(lam.data))
+    lam_c, e = lam.cleared_rows()
+    lam_t = transpose_rows(lam_c)
     lhs_terms = _compose_terms(
         {a: c * e ** (degree - _code_degree(a)) for a, c in p.items()},
         _linear_forms(lam_t, m, _RADIX),
@@ -475,11 +478,11 @@ def oracle_compare(
     for term in coeffs.expand_from_map(k, tmap, variant):
         h, h_den = basis.scaled_terms(term.q)
         c = term.coeff
-        weighted.append((Fraction(c.numerator, c.denominator * h_den), h))
-    rhs_den = math.lcm(*(w.denominator for w, _ in weighted))
+        weighted.append((c.numerator, c.denominator * h_den, h))
+    rhs_den = math.lcm(*(w_den for _, w_den, _ in weighted))
     rhs_terms: dict = {}
-    for w, h in weighted:
-        _add_into(rhs_terms, h, w.numerator * (rhs_den // w.denominator))
+    for w_num, w_den, h in weighted:
+        _add_into(rhs_terms, h, w_num * (rhs_den // w_den))
 
     den = math.lcm(lhs_den, rhs_den)
     diff_terms = {mono: c * (den // lhs_den) for mono, c in lhs_terms.items()}

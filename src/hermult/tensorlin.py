@@ -12,7 +12,10 @@ Each matrix operation is one kernel on plain row tuples (`matmul_rows`,
 is `sum(map(mul, row, col))`: the operands, order and builtin `sum` of a
 plain loop, so float bits do not depend on the kernel.  `cleared_rows`
 writes exact rows as C/d with C int rows; `inverse_rows` is exact only and
-fraction-free on C.
+fraction-free on C.  A `DenseMatrix` keeps the (C, d) of its rows once
+asked for (`DenseMatrix.cleared_rows`), so each exact matrix is cleared at
+most once: its inverse, the exact (A, M) built from it and the oracle's
+polynomials all read the same pair.
 
 One rule covers every exact product.  When every entry of the operands is
 a Fraction, matrix and vector products, dot products and Kronecker powers
@@ -25,10 +28,11 @@ products, so no entry changes type; a power of degree 0 is the int [1].
 A covariance is an `SpdMatrix`: the checked matrix and its inverse.
 `covariance` holds the one rule for outside input.  A float covariance
 must be positive definite and is inverted through its L*D*L^T
-factorization (`spd_factorize`); an exact one need only be symmetric and
-invertible.  `exact_covariance` applies that rule to a matrix its caller
-has already tested exact, so each input is tested once; `check_symmetric`
-and `invert_matrix` test their input and wrap the same row helpers.
+factorization (`spd_factorize`), and must not be singular to working
+precision; an exact one need only be symmetric and invertible.
+`exact_covariance` applies that rule to a matrix its caller has already
+tested exact, so each input is tested once; `check_symmetric` and
+`invert_matrix` test their input and wrap the same row helpers.
 
 Flat tensor addressing: a 0-based slot tuple (j_1, ..., j_K) in [0, n)^K
 maps to flat index sum_p j_p * n^(K-1-p), which is exactly the layout
@@ -38,7 +42,7 @@ produced by iterated `_kron_entries`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import add, mul, sub
@@ -59,6 +63,10 @@ MAX_TENSOR_LEN = 10**7
 
 # Relative symmetry tolerance for float-valued SPD inputs.
 SPD_SYMMETRY_RTOL = 1e-12
+
+# Unit roundoff of a double, 2^-52: a float covariance S of dimension n is
+# singular to working precision when n * eps * max|S| * max|S^-1| >= 1.
+_EPS = 2.0**-52
 
 _EXACT_TYPES = frozenset((int, Fraction))
 
@@ -148,10 +156,10 @@ def check_symmetric_rows(rows: tuple, exact: bool, rtol: float = SPD_SYMMETRY_RT
                 )
 
 
-def inverse_rows(rows: tuple) -> tuple:
-    """`invert_matrix` on square rows that the caller has tested exact."""
-    n = len(rows)
-    c, d = cleared_rows(rows)
+def inverse_rows(c: tuple, d: int) -> tuple:
+    """`invert_matrix` of the exact square matrix C/d, given as its
+    `cleared_rows` (C, d)."""
+    n = len(c)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(c)]
     prev = 1
     for col in range(n):
@@ -208,6 +216,8 @@ class DenseMatrix:
     rows: int
     cols: int
     data: tuple  # tuple of row tuples
+    # cleared_rows(data) once asked for; not part of equality or repr.
+    _cleared: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -282,6 +292,15 @@ class DenseMatrix:
     def to_lists(self) -> list[list]:
         return [list(row) for row in self.data]
 
+    def cleared_rows(self) -> tuple[tuple, int]:
+        """`cleared_rows` of an exact matrix's rows, made on the first call
+        and kept, so each matrix is cleared at most once."""
+        got = self._cleared
+        if got is None:
+            got = cleared_rows(self.data)
+            object.__setattr__(self, "_cleared", got)
+        return got
+
 
 def _check_len(length: int) -> None:
     if length > MAX_TENSOR_LEN:
@@ -322,7 +341,7 @@ def colwise_kron_power(a: DenseMatrix, q: MultiIndex | Iterable[int]) -> DenseVe
     degree = q.degree()
     _check_len(a.rows**degree)
     if degree and all_fractions(*a.data):
-        c, d = cleared_rows(a.data)
+        c, d = a.cleared_rows()
         den = d**degree
         return DenseVector(
             tuple(Fraction(x, den) for x in _colwise_entries(c, q.parts))
@@ -342,7 +361,7 @@ def _colwise_entries(rows: tuple, parts: tuple) -> tuple:
 def cleared(mat: DenseMatrix) -> tuple[DenseMatrix, int]:
     """(C, d) with mat = C/d for an exact matrix: d is the lcm of the entry
     denominators and C has int entries."""
-    c, d = cleared_rows(mat.data)
+    c, d = mat.cleared_rows()
     return DenseMatrix(mat.rows, mat.cols, c), d
 
 
@@ -361,7 +380,7 @@ def invert_matrix(m: DenseMatrix) -> DenseMatrix:
         raise DimensionMismatchError("inverse of a non-square matrix")
     if not m.is_exact():
         raise DomainError("invert_matrix requires exact rational entries")
-    return DenseMatrix(m.rows, m.rows, inverse_rows(m.data))
+    return DenseMatrix(m.rows, m.rows, inverse_rows(*m.cleared_rows()))
 
 
 def check_symmetric(m: DenseMatrix, rtol: float = SPD_SYMMETRY_RTOL) -> None:
@@ -409,7 +428,10 @@ def spd_factorize(s: DenseMatrix) -> SpdMatrix:
     The factorization stays inside the scalar field: exact for rational
     entries, ordinary doubles for floats.  The inverse solves L D L^T X = I
     by one forward pass, a scaling by D and one back pass, run on every
-    column of X at once.
+    column of X at once.  Rounding can keep every pivot of a singular float
+    matrix positive, so a float S is also refused unless
+    n * eps * max|S| * max|S^-1| < 1 (eps = 2^-52), a test that scaling S
+    does not change.
     """
     if s.rows != s.cols:
         raise DimensionMismatchError("SPD input must be square")
@@ -442,6 +464,14 @@ def spd_factorize(s: DenseMatrix) -> SpdMatrix:
         x[i] = [
             x[i][c] - sum(low[j][i] * x[j][c] for j in range(i + 1, n)) for c in cols
         ]
+    if not exact:
+        size = n * _EPS * max(map(abs, chain.from_iterable(a)))
+        size *= max(map(abs, chain.from_iterable(x)))
+        if not size < 1:
+            raise NotPositiveDefiniteError(
+                f"covariance is singular to working precision: "
+                f"n*eps*max|S|*max|S^-1| = {size:.3g} >= 1"
+            )
     return SpdMatrix(s, DenseMatrix(n, n, tuple(tuple(row) for row in x)))
 
 
@@ -464,4 +494,4 @@ def exact_covariance(m: DenseMatrix) -> SpdMatrix:
     if m.rows != m.cols:
         raise DimensionMismatchError("symmetry check on a non-square matrix")
     check_symmetric_rows(m.data, True)
-    return SpdMatrix(m, DenseMatrix(m.rows, m.rows, inverse_rows(m.data)))
+    return SpdMatrix(m, DenseMatrix(m.rows, m.rows, inverse_rows(*m.cleared_rows())))

@@ -6,7 +6,10 @@ depend only on the seed, never on execution order.  Failures are data:
 suites count them and record the worst trial instead of raising.
 
 Per-trial error functions take plain JSON-friendly inputs (nested lists of
-floats), so any report's worst case can be replayed directly.
+floats), so any report's worst case can be replayed directly.  The
+univariate checks read tables built once per check: H_k at every point
+from one pass (`hermite.hermite_uni_grid`) and every inner-product
+coefficient from one pass (`coeffs.coeff_vec_table`).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .hermite import (
     hermite_multi,
     hermite_multi_batch,
     hermite_uni,
-    hermite_uni_all,
+    hermite_uni_grid,
     gf_partial_sum,
 )
 from .multiindex import MultiIndex, enumerate_fixed_degree, q_support
@@ -347,8 +350,8 @@ def univariate_identity_error(
     ]
     worst = 0.0
     rows = _grid_rows(family, tuple(xs), max(k, UNIVARIATE_MAX_DEGREE))
-    for x, values in zip(xs, rows):
-        lhs = hermite_uni(family, k, lam * x)
+    lhs_row = hermite_uni_grid(family, k, [lam * x for x in xs])[k]
+    for lhs, values in zip(lhs_row, rows):
         # coefficient i multiplies H_{k-2i}(x): values k, k-2, ... down.
         worst = max(worst, _sum_error(lhs, map(mul, coefficients, values[k::-2])))
     return worst
@@ -356,10 +359,10 @@ def univariate_identity_error(
 
 @functools.lru_cache(maxsize=16)
 def _grid_rows(family: HermiteFamily, xs: tuple, degree: int) -> tuple:
-    """hermite_uni_all(family, degree, x) for each x of xs.  The recurrence's
+    """The values of degrees 0..degree at each x of xs.  The recurrence's
     j-th value does not depend on the degree asked for, so the table of any
     k <= degree is a prefix of its row, bit for bit."""
-    return tuple(hermite_uni_all(family, degree, x) for x in xs)
+    return tuple(zip(*hermite_uni_grid(family, degree, xs)))
 
 
 def inner_product_error(
@@ -369,23 +372,15 @@ def inner_product_error(
     one point."""
     lam_v = DenseVector.from_entries(lam)
     x_v = DenseVector.from_entries(x)
-    coeff_fn = (
-        coeffs.coeff_vec_prob
-        if family.kind == PROBABILISTS.kind
-        else coeffs.coeff_vec_phys
-    )
     lhs = hermite_uni(family, k, lam_v.dot(x_v))
-    tables = [hermite_uni_all(family, k, xj) for xj in x]
+    tables = list(zip(*hermite_uni_grid(family, k, x)))
+    pair_weight = 2 if family.kind == PROBABILISTS.kind else 1
     contribs = []
-    for d in q_support(k):
-        for q in enumerate_fixed_degree(lam_v.dim, d):
-            t = coeff_fn(k, q, lam_v)
-            if t == 0:
-                continue
-            prod = 1.0
-            for qj, table in zip(q.parts, tables):
-                prod *= table[qj]
-            contribs.append(t * prod)
+    for t in coeffs.coeff_vec_table(k, lam_v, pair_weight):
+        prod = 1.0
+        for qj, table in zip(t.q.parts, tables):
+            prod *= table[qj]
+        contribs.append(t.coeff * prod)
     return _sum_error(lhs, contribs)
 
 

@@ -754,3 +754,27 @@ def test_commands_load_only_the_standard_library(tmp_path):
         if name.partition(".")[0] not in sys.stdlib_module_names | {"hermult"}
     )
     assert foreign == []
+
+
+def test_singular_float_covariance_exits_2(tmp_path):
+    # Sigma = Lambda^T Upsilon Lambda with n = 2 > m = 1 has rank 1; its
+    # pivots stay positive by rounding, and it is refused as singular to
+    # working precision with one error line.
+    a, b = 0.1, 1 / 7
+    path = tmp_path / "singular.json"
+    path.write_text(
+        json.dumps(
+            {
+                "k": [1, 1],
+                "Lambda": [[a, b]],
+                "Sigma": [[a * a, a * b], [a * b, b * b]],
+                "Upsilon": [[1.0]],
+            }
+        )
+    )
+    proc = run_cli("expand", "--spec", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: covariance is singular to working precision")

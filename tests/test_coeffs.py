@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hermult import coeffs
 from hermult.coeffs import (
     CoeffVariant,
     ExpansionTerm,
@@ -13,6 +14,7 @@ from hermult.coeffs import (
     coeff_univariate,
     coeff_vec_phys,
     coeff_vec_prob,
+    coeff_vec_table,
     evaluate_expansion,
     expand_from_map,
     expand_general,
@@ -284,6 +286,131 @@ def test_closed_forms_match_uncached_formula():
                     want = pref * spread * lam[0] ** (k - 2 * i)
                     got = coeff_univariate(k, i, lam[0], family)
                     assert repr(got) == repr(want), (k, i, lam[0])
+
+
+def vec_coeff_reference(k, q, lam, pair_weight):
+    """One inner-product coefficient, each power taken afresh: the
+    per-entry formula that the one-pass table replaces."""
+    i = (k - q.degree()) // 2
+    pref = Fraction(math.factorial(k), pair_weight**i * mi_factorial(q) * math.factorial(i))
+    lam_q = 1
+    for lj, qj in zip(lam, q.parts):
+        if qj:
+            lam_q = lam_q * lj**qj
+    norm_sq = sum(lj * lj for lj in lam)
+    if isinstance(lam_q, float):
+        pref = float(pref)
+    return pref * lam_q * (norm_sq - 1) ** i
+
+
+def test_vec_table_matches_per_entry_formula():
+    # The table takes each power once for all q, and a Fraction lam runs on
+    # its int rows; every entry keeps the bits and type of the per-entry
+    # formula, and the table keeps exactly its nonzero entries, in order.
+    rng = random.Random(1919)
+    draws = (
+        lambda: rng.choice([rng.uniform(-2.0, 2.0), 0.0, -0.0]),
+        lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        lambda: rng.choice([rng.randint(-2, 2), Fraction(rng.randint(-4, 4), 3)]),
+    )
+    for draw in draws:
+        for _ in range(30):
+            k, m = rng.randint(0, 8), rng.randint(1, 3)
+            lam = [draw() for _ in range(m)]
+            lam_v = DenseVector.from_entries(lam)
+            for w, fn in ((2, coeff_vec_prob), (1, coeff_vec_phys)):
+                want = []
+                for d in q_support(k):
+                    for q in enumerate_fixed_degree(m, d):
+                        c = vec_coeff_reference(k, q, lam, w)
+                        assert repr(fn(k, q, lam_v)) == repr(c), (k, q, lam)
+                        if c != 0:
+                            want.append((q, c))
+                got = [(t.q, t.coeff) for t in coeff_vec_table(k, lam_v, w)]
+                assert repr(got) == repr(want), (k, lam)
+    with pytest.raises(DomainError):
+        coeff_vec_table(-1, DenseVector.from_entries([1.0]), 2)
+
+
+def literal_coeff_reference(k, q, pairs, rows, den):
+    """The literal product with a Fraction prefactor: the value and type
+    that the Fraction arithmetic of the product gives."""
+    a_rows, m_rows = rows
+    e = ascending_tuple(k)
+    prod = 1
+    for slot, col in zip(e, ascending_tuple(q)):
+        prod = prod * a_rows[slot][col]
+    split = q.degree()
+    for p in range(split, split + 2 * pairs, 2):
+        prod = prod * m_rows[e[p + 1]][e[p]]
+    pref = Fraction(
+        mi_factorial(k), (1 << pairs) * mi_factorial(q) * math.factorial(pairs) * den
+    )
+    return pref * prod
+
+
+def test_literal_coeff_matches_fraction_formula():
+    # One Fraction per exact coefficient, the float prefactor for a float
+    # product: values and types stay those of the Fraction formula, k = 0
+    # included (a Fraction(1) even on a float map).
+    rng = random.Random(1920)
+    draws = {
+        "float": lambda: rng.uniform(-2.0, 2.0),
+        "int": lambda: rng.randint(-3, 3),
+        "fraction": lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        "mixed": lambda: rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-4, 4), 3)]),
+        "float-mixed": lambda: rng.choice([rng.uniform(-2.0, 2.0), Fraction(1, 3), 2]),
+    }
+    types = set()
+    for kind, draw in draws.items():
+        for _ in range(20):
+            n, m = rng.randint(1, 3), rng.randint(1, 3)
+            a_rows = tuple(tuple(draw() for _ in range(m)) for _ in range(n))
+            upper = [[draw() for _ in range(n)] for _ in range(n)]
+            m_rows = tuple(tuple(upper[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
+            den = rng.choice([1, 6]) if kind == "int" else 1
+            for d in range(5):
+                for k in enumerate_fixed_degree(n, d):
+                    for dq in q_support(d):
+                        for q in enumerate_fixed_degree(m, dq):
+                            pairs = (d - dq) // 2
+                            got = coeffs._literal_coeff(k, q, pairs, (a_rows, m_rows), den)
+                            want = literal_coeff_reference(k, q, pairs, (a_rows, m_rows), den)
+                            assert repr(got) == repr(want), (kind, k, q)
+                            types.add(type(got))
+    assert types == {float, Fraction}
+    zero = MultiIndex((0,))
+    assert repr(coeffs._literal_coeff(zero, zero, 0, (((0.5,),), ((0.25,),)), 1)) == "Fraction(1, 1)"
+
+
+def test_carried_rows_give_the_rebuilt_maps_table():
+    # The map builder hands its int rows to the sweep; the same map rebuilt
+    # from its Fraction matrices is cleared on its own first sweep, and both
+    # give the same table, value and type, in both variants.
+    for trial in range(40):
+        rng = trial_rng(1921, trial)
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        lam = random_rational(rng, m, n)
+        if m >= 2 and trial % 2:
+            rows = [list(row) for row in lam.data]
+            rows[int(rng.integers(0, m))] = [Fraction(0)] * n
+            lam = DenseMatrix.from_rows(rows)
+        sigma_inv = random_rational_spd(rng, n).inverse()
+        upsilon = random_rational_spd(rng, m).matrix
+        tmap = transformed_map_from_inverses(lam, sigma_inv, upsilon)
+        assert tmap.sweep_rows is not None
+        rebuilt = TransformedMap(A=DenseMatrix.from_rows(tmap.A.data), M=DenseMatrix.from_rows(tmap.M.data))
+        assert rebuilt.sweep_rows is None
+        assert rebuilt == tmap and repr(rebuilt) == repr(tmap)
+        k = [int(rng.integers(0, 4)) for _ in range(n)]
+        if trial % 3 == 0:
+            k = [0] * n
+            k[int(rng.integers(0, n))] = int(rng.integers(0, 7))
+        for variant in CoeffVariant:
+            want = expand_from_map(k, rebuilt, variant)
+            assert repr(expand_from_map(k, tmap, variant)) == repr(want)
+            for t in want[:3]:
+                assert repr(coeff_from_map(k, t.q, tmap, variant)) == repr(t.coeff)
 
 
 def test_coeff_univariate_zero_argument_collapses_to_constant_term():

@@ -15,6 +15,7 @@ from hermult.hermite import (
     hermite_multi_product,
     hermite_uni,
     hermite_uni_all,
+    hermite_uni_grid,
 )
 from hermult.multiindex import enumerate_fixed_degree, mi_factorial
 from hermult.polyoracle import SymbolicHermiteFamily, rational_matrix
@@ -83,6 +84,30 @@ def test_all_degrees_match_symbolic_construction():
     for family, sym in ((PROBABILISTS, he), (PHYSICISTS, h)):
         values = hermite_uni_all(family, 8, x)
         assert values == [poly_value(sym.poly((k,)), [x]) for k in range(9)]
+
+
+@pytest.mark.parametrize("family", [PROBABILISTS, PHYSICISTS])
+def test_grid_pass_matches_single_points(family):
+    # One pass over all the points gives each point's own values, bit for
+    # bit and type for type.
+    rng = trial_rng(1919, 0)
+    points = [0.0, -0.0, 3, Fraction(-5, 3)] + list(rng.uniform(-3.0, 3.0, size=21))
+    for k in range(13):
+        rows = hermite_uni_grid(family, k, points)
+        assert len(rows) == k + 1
+        for j, row in enumerate(rows):
+            assert repr(row) == repr([hermite_uni(family, j, x) for x in points])
+    assert hermite_uni_grid(family, 3, []) == [[], [], [], []]
+
+
+def test_grid_pass_errors_match_single_point():
+    for k, xs, error in (
+        (-1, [0.0], DomainError),
+        (MAX_DEGREE + 1, [0.0], SizeLimitError),
+        (3, [0.5, float("nan")], DomainError),
+    ):
+        with pytest.raises(error):
+            hermite_uni_grid(PROBABILISTS, k, xs)
 
 
 @pytest.mark.parametrize(

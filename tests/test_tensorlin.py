@@ -322,6 +322,33 @@ def test_spd_rejects_asymmetric_and_indefinite():
         spd_factorize(DenseMatrix.from_rows([[1.0, 0.0]]))
 
 
+def rank_one_covariance(scale, b):
+    """Lambda^T Upsilon Lambda for Lambda = [[0.1, b]], Upsilon = [[scale]]:
+    a 2x2 covariance of rank 1, whose second pivot is rounding error."""
+    a = 0.1
+    return DenseMatrix.from_rows(
+        [[scale * a * a, scale * a * b], [scale * a * b, scale * b * b]]
+    )
+
+
+@pytest.mark.parametrize("scale, b", [(1e-6, 3 / 7), (1.0, 1 / 7), (1e6, 1 / 7)])
+def test_spd_refuses_singular_to_working_precision(scale, b):
+    # Rounding leaves both pivots of these rank-one matrices positive, so
+    # only n * eps * max|S| * max|S^-1| >= 1 refuses them, at every scale.
+    with pytest.raises(NotPositiveDefiniteError, match="singular to working precision"):
+        spd_factorize(rank_one_covariance(scale, b))
+    # A well-conditioned covariance at the same scale passes, far below 1.
+    s = DenseMatrix.from_rows([[2.0 * scale, 0.5 * scale], [0.5 * scale, scale]])
+    inv = spd_factorize(s).inverse().data
+    size = 2 * 2.0**-52 * (2.0 * scale) * max(abs(v) for row in inv for v in row)
+    assert size < 1e-14
+    assert inv[0][0] == pytest.approx(1 / (1.75 * scale), rel=1e-14)
+    # Exact covariances keep the exact rule: a singular one is refused by
+    # its zero pivot.
+    with pytest.raises(NotPositiveDefiniteError, match="non-positive pivot"):
+        spd_factorize(DenseMatrix.from_rows([[1, 2], [2, 4]]))
+
+
 def test_spd_inverse_exact_in_rational_field():
     s = DenseMatrix.from_rows(
         [[Fraction(5), Fraction(2)], [Fraction(2), Fraction(3)]]

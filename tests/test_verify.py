@@ -470,3 +470,30 @@ def test_import_does_not_load_numpy():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert out.stdout.split() == ["False", "0", "False"]
+
+
+def test_each_exact_matrix_is_cleared_once(monkeypatch):
+    # Every exact matrix keeps its cleared (C, d), and the map carries the
+    # int rows it was built from: across one oracle comparison and one
+    # exact coefficient-chain trial, no rows are cleared twice.
+    from hermult import polyoracle, tensorlin, verify
+
+    cleared = []
+    real = tensorlin.cleared_rows
+
+    def counting(rows):
+        cleared.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(tensorlin, "cleared_rows", counting)
+    lam = polyoracle.rational_matrix([["1/2", -1], [0, "3/2"], [2, "1/3"]])
+    sigma = polyoracle.rational_matrix([[2, "1/2"], ["1/2", 3]])
+    upsilon = polyoracle.rational_matrix([[3, 1, 0], [1, 2, "1/3"], [0, "1/3", 1]])
+    assert polyoracle.oracle_compare((2, 1), lam, sigma, upsilon).equal
+    # Sigma, Upsilon, their inverses and Lambda.
+    assert len(cleared) == 5
+    verify._exact_base_covariances.cache_clear()
+    assert verify._coeff_chain_exact(4, Fraction(3, 2), 2, MultiIndex((1, 1)))
+    # Lambda, the inverses of the 1x1 covariances and the 2x2 Upsilons.
+    assert len(cleared) == 10
+    assert len(set(cleared)) == len(cleared)
