@@ -56,21 +56,19 @@ inputs run the plain products.  T[k,q] has degree |q| in A and
 (|k|-|q|)/2 in M, so with A = A_hat/alpha and M = M_hat/beta,
 T[k,q] = T_hat[k,q] / (alpha^|q| beta^((|k|-|q|)/2)), T_hat being the same
 sweep on the int rows, and one Fraction is made per returned nonzero entry.
-The map carries the int rows it was built from (`TransformedMap.sweep_rows`,
-alpha = s e u and beta = s^2 e^2 u), so the sweep reads them instead of
-clearing the Fractions just made from them; a map of Fractions built
-elsewhere is cleared once, on its first sweep.  Other maps run on their
-own entries, so no entry changes type (an entry that no pull reaches stays
-the int 0 it starts from).  The literal product (`_literal_coeff`) makes
-one Fraction per exact coefficient, and reads the slot tuples and
-factorials of k and q from a cache per index.
+A map of Fractions is swept on the `DenseMatrix.cleared_rows` of A and M,
+which each matrix keeps, so a map is cleared once however often it is
+swept.  Other maps run on their own entries, so no entry changes type (an
+entry that no pull reaches stays the int 0 it starts from).  The literal
+product (`_literal_coeff`) makes one Fraction per exact coefficient, and
+reads the slot tuples and factorials of k and q from a cache per index.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import sub
@@ -140,14 +138,10 @@ class TransformedMap:
     G(Lambda^T x, t; Sigma) = G(x, A^T t; Upsilon) exp(t^T M t / 2), and its
     t_i-derivative gives T[k+e_i, q] = sum_j A_ij T[k, q-e_j]
     + sum_l M_il k_l T[k-e_l, q] with T[0, 0] = 1.
-
-    `sweep_rows` holds the sweep's operands once known (`_sweep_rows`);
-    it takes no part in equality or repr.
     """
 
     A: DenseMatrix
     M: DenseMatrix
-    sweep_rows: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 class ExpansionTerm(NamedTuple):
@@ -186,13 +180,10 @@ def transformed_map_from_inverses(
         m_hat = entrywise_rows(sub, p_hat, scale_rows(s * e * e * u, sm))
         check_symmetric_rows(m_hat, True)
         n, m = lam.cols, lam.rows
-        alpha, beta = s * e * u, s * s * e * e * u
-        tmap = TransformedMap(
-            A=DenseMatrix(n, m, fraction_rows(a_hat, alpha)),
-            M=DenseMatrix(n, n, fraction_rows(m_hat, beta)),
+        return TransformedMap(
+            A=DenseMatrix(n, m, fraction_rows(a_hat, s * e * u)),
+            M=DenseMatrix(n, n, fraction_rows(m_hat, s * s * e * e * u)),
         )
-        object.__setattr__(tmap, "sweep_rows", ((a_hat, m_hat), (alpha, beta)))
-        return tmap
     a = sigma_inv.matmul(lam.transpose()).matmul(upsilon)
     p = a.matmul(lam).matmul(sigma_inv)
     # M = P - Sigma^-1 is checked term by term, so an M that is rounding
@@ -254,19 +245,13 @@ def _literal_coeff(k: MultiIndex, q: MultiIndex, pairs: int, rows: tuple, den: i
 
 
 def _sweep_rows(tmap: TransformedMap):
-    """((A rows, M rows), scales): the int rows of A_hat and M_hat with
-    (alpha, beta) for a map of Fractions, else the map's rows and None.
-    The result is kept on the map: the map builder stores the rows it made
-    A and M from, and any other map of Fractions is cleared here once."""
-    got = tmap.sweep_rows
-    if got is None:
-        if all_fractions(*tmap.A.data, *tmap.M.data):
-            (a, alpha), (m, beta) = tmap.A.cleared_rows(), tmap.M.cleared_rows()
-            got = (a, m), (alpha, beta)
-        else:
-            got = (tmap.A.data, tmap.M.data), None
-        object.__setattr__(tmap, "sweep_rows", got)
-    return got
+    """((A rows, M rows), scales): for a map of Fractions the int rows of
+    A = A_hat/alpha and M = M_hat/beta with (alpha, beta), each matrix's
+    kept `DenseMatrix.cleared_rows`; else the map's rows and None."""
+    if all_fractions(*tmap.A.data, *tmap.M.data):
+        (a, alpha), (m, beta) = tmap.A.cleared_rows(), tmap.M.cleared_rows()
+        return (a, m), (alpha, beta)
+    return (tmap.A.data, tmap.M.data), None
 
 
 def _pulls_into(k: tuple, q: tuple, a_rows, m_rows) -> bool:

@@ -6,9 +6,9 @@ covariance itself.  All evaluators run three-term or coordinate-raising
 recurrences rather than coefficient tables, and work in either scalar
 field: float inputs give doubles, int/Fraction inputs give exact rationals.
 
-hermite_uni_grid runs the univariate recurrence once over a list of
-points, each point with its own expression, so a point's values do not
-depend on the others; hermite_uni_all is its one-point column.
+hermite_uni_grid runs the univariate recurrence at each point of a list,
+checking the degree and the family once; hermite_uni_all is its one-point
+case and hermite_uni reads its top degree.
 
 hermite_multi_batch runs the raising recurrence top down with one memo
 keyed by index tuples, shared by all the indices of a call; hermite_multi
@@ -84,16 +84,20 @@ def _inverse_variance(family: HermiteFamily):
 
 def hermite_uni_all(family: HermiteFamily, k: int, x) -> list:
     """Values of degrees 0..k of the univariate polynomial of the given
-    family at x: the one-point column of hermite_uni_grid."""
-    return [row[0] for row in hermite_uni_grid(family, k, (x,))]
+    family at x."""
+    return _uni_values(_checked_inverse_variance(family, k, (x,)), k, x)
 
 
 def hermite_uni_grid(family: HermiteFamily, k: int, xs) -> list[list]:
-    """Values of degrees 0..k at every point of xs, row j holding degree
-    j, from one pass of the recurrence p_{j+1} = b*x*p_j - j*b*p_{j-1}
-    over all the points, b the inverse variance (1, 2, or 1/sigma_sq).
-    Each point runs the same expression as alone, so the bits do not
-    depend on the other points."""
+    """hermite_uni_all at every point of xs, one list per point, with the
+    degree and the family checked once."""
+    b = _checked_inverse_variance(family, k, xs)
+    return [_uni_values(b, k, x) for x in xs]
+
+
+def _checked_inverse_variance(family: HermiteFamily, k: int, xs):
+    """The family's inverse variance, once the degree k and every point
+    of xs are checked."""
     if k < 0:
         raise DomainError(f"degree must be >= 0, got {k}")
     if k > MAX_DEGREE:
@@ -101,15 +105,20 @@ def hermite_uni_grid(family: HermiteFamily, k: int, xs) -> list[list]:
     for x in xs:
         if isinstance(x, float) and not math.isfinite(x):
             raise DomainError(f"non-finite evaluation point {x!r}")
-    b = _inverse_variance(family)
-    bxs = [b * x for x in xs]
-    prev, cur = [0] * len(bxs), [1] * len(bxs)
-    rows = [cur]
+    return _inverse_variance(family)
+
+
+def _uni_values(b, k: int, x) -> list:
+    """Degrees 0..k at x from one pass of the recurrence
+    p_{j+1} = b*x*p_j - j*b*p_{j-1}, b the inverse variance (1, 2, or
+    1/sigma_sq)."""
+    bx = b * x
+    prev, cur = 0, 1
+    values = [cur]
     for j in range(k):
-        jb = j * b
-        prev, cur = cur, [bx * c - jb * p for bx, c, p in zip(bxs, cur, prev)]
-        rows.append(cur)
-    return rows
+        prev, cur = cur, bx * cur - j * b * prev
+        values.append(cur)
+    return values
 
 
 def hermite_uni(family: HermiteFamily, k: int, x):

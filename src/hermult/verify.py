@@ -8,7 +8,7 @@ suites count them and record the worst trial instead of raising.
 Per-trial error functions take plain JSON-friendly inputs (nested lists of
 floats), so any report's worst case can be replayed directly.  The
 univariate checks read tables built once per check: H_k at every point
-from one pass (`hermite.hermite_uni_grid`) and every inner-product
+from one call (`hermite.hermite_uni_grid`) and every inner-product
 coefficient from one pass (`coeffs.coeff_vec_table`).
 """
 
@@ -350,19 +350,19 @@ def univariate_identity_error(
     ]
     worst = 0.0
     rows = _grid_rows(family, tuple(xs), max(k, UNIVARIATE_MAX_DEGREE))
-    lhs_row = hermite_uni_grid(family, k, [lam * x for x in xs])[k]
-    for lhs, values in zip(lhs_row, rows):
+    lhs_tables = hermite_uni_grid(family, k, [lam * x for x in xs])
+    for lhs, values in zip(lhs_tables, rows):
         # coefficient i multiplies H_{k-2i}(x): values k, k-2, ... down.
-        worst = max(worst, _sum_error(lhs, map(mul, coefficients, values[k::-2])))
+        worst = max(worst, _sum_error(lhs[k], map(mul, coefficients, values[k::-2])))
     return worst
 
 
 @functools.lru_cache(maxsize=16)
 def _grid_rows(family: HermiteFamily, xs: tuple, degree: int) -> tuple:
-    """The values of degrees 0..degree at each x of xs.  The recurrence's
+    """hermite_uni_all(family, degree, x) for each x of xs.  The recurrence's
     j-th value does not depend on the degree asked for, so the table of any
     k <= degree is a prefix of its row, bit for bit."""
-    return tuple(zip(*hermite_uni_grid(family, degree, xs)))
+    return tuple(hermite_uni_grid(family, degree, xs))
 
 
 def inner_product_error(
@@ -373,7 +373,7 @@ def inner_product_error(
     lam_v = DenseVector.from_entries(lam)
     x_v = DenseVector.from_entries(x)
     lhs = hermite_uni(family, k, lam_v.dot(x_v))
-    tables = list(zip(*hermite_uni_grid(family, k, x)))
+    tables = hermite_uni_grid(family, k, x)
     pair_weight = 2 if family.kind == PROBABILISTS.kind else 1
     contribs = []
     for t in coeffs.coeff_vec_table(k, lam_v, pair_weight):

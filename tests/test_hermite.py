@@ -86,18 +86,31 @@ def test_all_degrees_match_symbolic_construction():
         assert values == [poly_value(sym.poly((k,)), [x]) for k in range(9)]
 
 
-@pytest.mark.parametrize("family", [PROBABILISTS, PHYSICISTS])
-def test_grid_pass_matches_single_points(family):
-    # One pass over all the points gives each point's own values, bit for
-    # bit and type for type.
+def uni_reference(b, k, x):
+    """p_{j+1} = b*x*p_j - j*b*p_{j-1} at one point, written out: the
+    single-point recurrence the grid and hermite_uni must reproduce."""
+    prev, cur = 0, 1
+    for j in range(k):
+        prev, cur = cur, b * x * cur - j * b * prev
+    return cur
+
+
+@pytest.mark.parametrize(
+    "family, b",
+    [(PROBABILISTS, 1), (PHYSICISTS, 2), (HermiteFamily.scaled(0.7), 1.0 / 0.7)],
+)
+def test_grid_pass_matches_single_points(family, b):
+    # The grid gives each point's own values, bit for bit and type for
+    # type: those of hermite_uni and of the written-out recurrence.
     rng = trial_rng(1919, 0)
     points = [0.0, -0.0, 3, Fraction(-5, 3)] + list(rng.uniform(-3.0, 3.0, size=21))
     for k in range(13):
-        rows = hermite_uni_grid(family, k, points)
-        assert len(rows) == k + 1
-        for j, row in enumerate(rows):
-            assert repr(row) == repr([hermite_uni(family, j, x) for x in points])
-    assert hermite_uni_grid(family, 3, []) == [[], [], [], []]
+        grid = hermite_uni_grid(family, k, points)
+        assert len(grid) == len(points)
+        for x, values in zip(points, grid):
+            assert repr(values) == repr([hermite_uni(family, j, x) for j in range(k + 1)])
+            assert repr(values) == repr([uni_reference(b, j, x) for j in range(k + 1)])
+    assert hermite_uni_grid(family, 3, []) == []
 
 
 def test_grid_pass_errors_match_single_point():

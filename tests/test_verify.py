@@ -473,9 +473,9 @@ def test_import_does_not_load_numpy():
 
 
 def test_each_exact_matrix_is_cleared_once(monkeypatch):
-    # Every exact matrix keeps its cleared (C, d), and the map carries the
-    # int rows it was built from: across one oracle comparison and one
-    # exact coefficient-chain trial, no rows are cleared twice.
+    # Every exact matrix keeps its cleared (C, d): across one oracle
+    # comparison and one exact coefficient-chain trial, no matrix's rows
+    # are cleared twice.
     from hermult import polyoracle, tensorlin, verify
 
     cleared = []
@@ -490,10 +490,12 @@ def test_each_exact_matrix_is_cleared_once(monkeypatch):
     sigma = polyoracle.rational_matrix([[2, "1/2"], ["1/2", 3]])
     upsilon = polyoracle.rational_matrix([[3, 1, 0], [1, 2, "1/3"], [0, "1/3", 1]])
     assert polyoracle.oracle_compare((2, 1), lam, sigma, upsilon).equal
-    # Sigma, Upsilon, their inverses and Lambda.
-    assert len(cleared) == 5
+    # Sigma, Upsilon, their inverses, Lambda, and the map's A and M.
+    assert len(cleared) == 7
     verify._exact_base_covariances.cache_clear()
     assert verify._coeff_chain_exact(4, Fraction(3, 2), 2, MultiIndex((1, 1)))
-    # Lambda, the inverses of the 1x1 covariances and the 2x2 Upsilons.
-    assert len(cleared) == 10
-    assert len(set(cleared)) == len(cleared)
+    # Lambda once; per family the 1x1 Sigma^-1, Upsilon, A and M.
+    assert len(cleared) == 16
+    # The two families' maps have equal A rows, held by two matrices, so
+    # rows are told apart by the tuple object that holds them.
+    assert len({id(rows) for rows in cleared}) == len(cleared)
