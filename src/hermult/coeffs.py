@@ -56,12 +56,14 @@ inputs run the plain products.  T[k,q] has degree |q| in A and
 (|k|-|q|)/2 in M, so with A = A_hat/alpha and M = M_hat/beta,
 T[k,q] = T_hat[k,q] / (alpha^|q| beta^((|k|-|q|)/2)), T_hat being the same
 sweep on the int rows, and one Fraction is made per returned nonzero entry.
-A map of Fractions is swept on the `DenseMatrix.cleared_rows` of A and M,
-which each matrix keeps, so a map is cleared once however often it is
-swept.  Other maps run on their own entries, so no entry changes type (an
-entry that no pull reaches stays the int 0 it starts from).  The literal
-product (`_literal_coeff`) makes one Fraction per exact coefficient, and
-reads the slot tuples and factorials of k and q from a cache per index.
+That integer sweep serves expand_from_map: a map of Fractions is swept on
+the `DenseMatrix.cleared_rows` of A and M, which each matrix keeps, so a
+map is cleared once however often it is expanded.  coeff_from_map, and
+expand_from_map on other maps, sweep the map's own entries in whatever
+field they hold, so no entry changes type (an entry that no pull reaches
+stays the int 0 it starts from).  The literal product (`_literal_coeff`)
+makes one Fraction per exact coefficient, and reads the slot tuples and
+factorials of k and q from a cache per index.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ from .errors import (
     SizeLimitError,
 )
 from .hermite import (
+    PHYSICISTS,
     PHYSICISTS_KIND,
     PROBABILISTS,
     PROBABILISTS_KIND,
@@ -101,6 +104,7 @@ from .tensorlin import (
     all_fractions,
     check_symmetric,
     check_symmetric_rows,
+    cleared_rows,
     entrywise_rows,
     fraction_rows,
     matmul_rows,
@@ -254,15 +258,6 @@ def _sweep_rows(tmap: TransformedMap):
     return (tmap.A.data, tmap.M.data), None
 
 
-def _pulls_into(k: tuple, q: tuple, a_rows, m_rows) -> bool:
-    """Whether the sweep adds any pull into T[k, q], for k != 0."""
-    i = max(j for j, c in enumerate(k) if c)
-    low = k[:i] + (k[i] - 1,) + k[i + 1 :]
-    return any(a and qj for a, qj in zip(a_rows[i], q)) or (
-        sum(q) < sum(k) and any(mv and c for mv, c in zip(m_rows[i], low))
-    )
-
-
 # Indices q are coded by their digits in this radix: every part of an
 # expanded q is at most MAX_EXPANSION_DEGREE.
 _Q_RADIX = MAX_EXPANSION_DEGREE + 1
@@ -356,20 +351,17 @@ def coeff_from_map(
     variant: CoeffVariant = CoeffVariant.SYMMETRIZED,
 ):
     """Expansion coefficient for one (k, q) pair from a prebuilt map: one
-    entry of the table that expand_from_map reads."""
+    entry of the table that expand_from_map reads, swept on the map's own
+    entries."""
     k = MultiIndex.of(k)
     q = MultiIndex.of(q)
     _check_shape(k, q.arity, tmap)
     pairs = _parity_split(k, q)
-    rows, scales = _sweep_rows(tmap)
-    alpha, beta = scales or (1, 1)
-    den = alpha ** q.degree() * beta**pairs
     if _reads_one_tuple(k, variant):
-        return _literal_coeff(k, q, pairs, rows, den)
-    c = _coeff_table(k.parts, *rows)[_q_code(q.parts)]
-    if scales is None or not (c or _pulls_into(k.parts, q.parts, *rows)):
-        return c
-    return Fraction(c, den)
+        rows, scales = _sweep_rows(tmap)
+        alpha, beta = scales or (1, 1)
+        return _literal_coeff(k, q, pairs, rows, alpha ** q.degree() * beta**pairs)
+    return _coeff_table(k.parts, tmap.A.data, tmap.M.data)[_q_code(q.parts)]
 
 
 def coeff_general(
@@ -425,6 +417,21 @@ def expand_from_map(
     return terms
 
 
+# The pair weight w of each family's closed forms k!/(w^i q! i!).
+_PAIR_WEIGHTS = {PROBABILISTS_KIND: 2, PHYSICISTS_KIND: 1}
+
+
+def _pair_weight(family: HermiteFamily) -> int:
+    """w of the family's closed forms; other families have none."""
+    w = _PAIR_WEIGHTS.get(family.kind)
+    if w is None:
+        raise DomainError(
+            f"closed-form coefficients need probabilists or physicists, "
+            f"got {family.kind!r}"
+        )
+    return w
+
+
 @functools.lru_cache(maxsize=1024)
 def _closed_form_prefactor(k: int, q_parts: tuple, pair_weight: int) -> tuple:
     """(k!/(w^i q! i!), its float) with w = pair_weight, i = (k - |q|)/2:
@@ -439,7 +446,7 @@ def _closed_form_prefactor(k: int, q_parts: tuple, pair_weight: int) -> tuple:
     return pref, float(pref)
 
 
-def _vec_coeff(k: int, q: MultiIndex, lam: DenseVector, pair_weight: int):
+def _vec_coeff(k: int, q: MultiIndex, lam: DenseVector, family: HermiteFamily):
     if k < 0:
         raise DomainError(f"degree must be >= 0, got {k}")
     if q.arity != lam.dim:
@@ -451,20 +458,20 @@ def _vec_coeff(k: int, q: MultiIndex, lam: DenseVector, pair_weight: int):
         raise ParityError(
             f"degrees k={k}, |q|={qd} must satisfy |q| <= k with equal parity"
         )
-    return _vec_values(k, (q.parts,), lam.entries, pair_weight)[0]
+    return _vec_values(k, (q.parts,), lam.entries, family)[0]
 
 
-def _vec_values(k: int, qs, lam: tuple, pair_weight: int) -> list:
+def _vec_values(k: int, qs, lam: tuple, family: HermiteFamily) -> list:
     """pref * lam_q * (norm_sq - 1) ** i for each q of qs (parts tuples),
     i = (k - |q|)/2, pref from _closed_form_prefactor and lam_q the product
     of lam_j ** q_j built left to right over j.  norm_sq - 1, each of its
     powers and each lam_j ** c are taken once for all of qs.  A lam of
     Fractions runs on its int rows: with lam = L/d and N = |L|^2 - d^2,
     the entry is pref * L^q * N^i / d^k, one Fraction per entry."""
+    pair_weight = _pair_weight(family)
     scale = None
     if all_fractions(lam):
-        d = math.lcm(*[v.denominator for v in lam])
-        lam = [v.numerator * (d // v.denominator) for v in lam]
+        (lam,), d = cleared_rows((lam,))
         scale = d**k
         spread = sum(lj * lj for lj in lam) - d * d
     else:
@@ -494,37 +501,31 @@ def _vec_values(k: int, qs, lam: tuple, pair_weight: int) -> list:
     return out
 
 
-def coeff_vec_table(k: int, lam: DenseVector, pair_weight: int) -> list[ExpansionTerm]:
+def coeff_vec_table(
+    k: int, lam: DenseVector, family: HermiteFamily
+) -> list[ExpansionTerm]:
     """Every nonzero inner-product coefficient of degree k, in the order of
-    expand_from_map, from one pass: pair_weight 2 gives coeff_vec_prob's
-    values, 1 gives coeff_vec_phys's."""
+    expand_from_map, from one pass: the probabilists' family gives
+    coeff_vec_prob's values, the physicists' coeff_vec_phys's."""
     qs = [q for d in q_support(k) for q in enumerate_fixed_degree(lam.dim, d)]
-    values = _vec_values(k, [q.parts for q in qs], lam.entries, pair_weight)
+    values = _vec_values(k, [q.parts for q in qs], lam.entries, family)
     return [ExpansionTerm(q, t) for q, t in zip(qs, values) if t != 0]
 
 
 def coeff_vec_prob(k: int, q: MultiIndex | Iterable[int], lam: DenseVector):
     """Inner-product expansion coefficient, probabilists' family."""
-    return _vec_coeff(k, MultiIndex.of(q), lam, 2)
+    return _vec_coeff(k, MultiIndex.of(q), lam, PROBABILISTS)
 
 
 def coeff_vec_phys(k: int, q: MultiIndex | Iterable[int], lam: DenseVector):
     """Inner-product expansion coefficient, physicists' family."""
-    return _vec_coeff(k, MultiIndex.of(q), lam, 1)
+    return _vec_coeff(k, MultiIndex.of(q), lam, PHYSICISTS)
 
 
 def coeff_univariate(k: int, i: int, lam, family: HermiteFamily = PROBABILISTS):
     """Coefficient of the degree k-2i term in the univariate multiplication
     identity for the scaled argument lam * x."""
-    if family.kind == PROBABILISTS_KIND:
-        pair_weight = 2
-    elif family.kind == PHYSICISTS_KIND:
-        pair_weight = 1
-    else:
-        raise DomainError(
-            f"univariate coefficients need probabilists or physicists, "
-            f"got {family.kind!r}"
-        )
+    pair_weight = _pair_weight(family)
     if k < 0:
         raise DomainError(f"degree must be >= 0, got {k}")
     if i < 0 or 2 * i > k:

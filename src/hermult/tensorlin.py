@@ -358,13 +358,6 @@ def _colwise_entries(rows: tuple, parts: tuple) -> tuple:
     return out
 
 
-def cleared(mat: DenseMatrix) -> tuple[DenseMatrix, int]:
-    """(C, d) with mat = C/d for an exact matrix: d is the lcm of the entry
-    denominators and C has int entries."""
-    c, d = mat.cleared_rows()
-    return DenseMatrix(mat.rows, mat.cols, c), d
-
-
 def invert_matrix(m: DenseMatrix) -> DenseMatrix:
     """Exact inverse of a matrix of int/Fraction entries, by fraction-free
     Gauss-Jordan elimination (Bareiss).

@@ -374,9 +374,8 @@ def inner_product_error(
     x_v = DenseVector.from_entries(x)
     lhs = hermite_uni(family, k, lam_v.dot(x_v))
     tables = hermite_uni_grid(family, k, x)
-    pair_weight = 2 if family.kind == PROBABILISTS.kind else 1
     contribs = []
-    for t in coeffs.coeff_vec_table(k, lam_v, pair_weight):
+    for t in coeffs.coeff_vec_table(k, lam_v, family):
         prod = 1.0
         for qj, table in zip(t.q.parts, tables):
             prod *= table[qj]

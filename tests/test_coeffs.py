@@ -28,7 +28,7 @@ from hermult.errors import (
     ParityError,
     SizeLimitError,
 )
-from hermult.hermite import PHYSICISTS, PROBABILISTS, hermite_multi
+from hermult.hermite import PHYSICISTS, PROBABILISTS, HermiteFamily, hermite_multi
 from hermult.multiindex import (
     MultiIndex,
     ascending_tuple,
@@ -38,8 +38,8 @@ from hermult.multiindex import (
     q_support,
 )
 from hermult.polyoracle import rational_matrix
-from hermult.tensorlin import DenseMatrix, DenseVector, cleared, spd_factorize
-from hermult.verify import trial_rng
+from hermult.tensorlin import DenseMatrix, DenseVector, spd_factorize
+from hermult.verify import inner_product_error, trial_rng
 
 EYE1 = spd_factorize(DenseMatrix.identity(1))
 EYE2 = spd_factorize(DenseMatrix.identity(2))
@@ -318,7 +318,10 @@ def test_vec_table_matches_per_entry_formula():
             k, m = rng.randint(0, 8), rng.randint(1, 3)
             lam = [draw() for _ in range(m)]
             lam_v = DenseVector.from_entries(lam)
-            for w, fn in ((2, coeff_vec_prob), (1, coeff_vec_phys)):
+            for family, w, fn in (
+                (PROBABILISTS, 2, coeff_vec_prob),
+                (PHYSICISTS, 1, coeff_vec_phys),
+            ):
                 want = []
                 for d in q_support(k):
                     for q in enumerate_fixed_degree(m, d):
@@ -326,10 +329,23 @@ def test_vec_table_matches_per_entry_formula():
                         assert repr(fn(k, q, lam_v)) == repr(c), (k, q, lam)
                         if c != 0:
                             want.append((q, c))
-                got = [(t.q, t.coeff) for t in coeff_vec_table(k, lam_v, w)]
+                got = [(t.q, t.coeff) for t in coeff_vec_table(k, lam_v, family)]
                 assert repr(got) == repr(want), (k, lam)
     with pytest.raises(DomainError):
-        coeff_vec_table(-1, DenseVector.from_entries([1.0]), 2)
+        coeff_vec_table(-1, DenseVector.from_entries([1.0]), PROBABILISTS)
+
+
+def test_closed_forms_refuse_other_families():
+    # The closed forms k!/(w^i q! i!) have a pair weight w only for the
+    # probabilists' (2) and physicists' (1) families; a scaled family is
+    # refused rather than checked against either formula.
+    scaled = HermiteFamily.scaled(2.0)
+    with pytest.raises(DomainError):
+        inner_product_error(scaled, 4, [1.5, 0.5], [0.3, -0.4])
+    with pytest.raises(DomainError):
+        coeff_vec_table(4, DenseVector.from_entries([1.5, 0.5]), scaled)
+    with pytest.raises(DomainError):
+        coeff_univariate(4, 1, 1.5, scaled)
 
 
 def literal_coeff_reference(k, q, pairs, rows, den):

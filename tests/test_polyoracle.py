@@ -32,7 +32,6 @@ from hermult.polyoracle import (
 from hermult.tensorlin import (
     DenseMatrix,
     check_symmetric,
-    cleared,
     covariance,
     invert_matrix,
     spd_factorize,
@@ -612,8 +611,8 @@ def _tuple_compose(terms, forms, arity):
 
 class _TupleFamily:
     def __init__(self, b):
-        rows, self.den = cleared(b)
-        self.rows = _tuple_forms(rows.data, b.rows)
+        rows, self.den = b.cleared_rows()
+        self.rows = _tuple_forms(rows, b.rows)
         self.memo = {(0,) * b.rows: {(0,) * b.rows: 1}}
 
     def scaled_terms(self, parts):
@@ -644,10 +643,10 @@ def _tuple_oracle(k, lam, sigma, upsilon, variant):
     sigma_inv, upsilon_inv = invert_matrix(sigma), invert_matrix(upsilon)
     m, degree = upsilon.rows, sum(k)
     p, p_den = _TupleFamily(sigma_inv).scaled_terms(k)
-    lam_t, e = cleared(lam.transpose())
+    lam_t, e = lam.transpose().cleared_rows()
     lhs = _tuple_compose(
         {a: c * e ** (degree - sum(a)) for a, c in p.items()},
-        _tuple_forms(lam_t.data, m),
+        _tuple_forms(lam_t, m),
         m,
     )
     lhs_den = p_den * e**degree
