@@ -73,7 +73,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -107,6 +107,7 @@ from .tensorlin import (
     cleared_rows,
     entrywise_rows,
     fraction_rows,
+    left_sum,
     matmul_rows,
     scale_rows,
     transpose_rows,
@@ -447,17 +448,11 @@ def _closed_form_prefactor(k: int, q_parts: tuple, pair_weight: int) -> tuple:
 
 
 def _vec_coeff(k: int, q: MultiIndex, lam: DenseVector, family: HermiteFamily):
-    if k < 0:
-        raise DomainError(f"degree must be >= 0, got {k}")
     if q.arity != lam.dim:
         raise DimensionMismatchError(
             f"index arity {q.arity} does not match vector dim {lam.dim}"
         )
-    qd = q.degree()
-    if qd > k or (k - qd) % 2:
-        raise ParityError(
-            f"degrees k={k}, |q|={qd} must satisfy |q| <= k with equal parity"
-        )
+    _parity_split(MultiIndex((k,)), q)
     return _vec_values(k, (q.parts,), lam.entries, family)[0]
 
 
@@ -475,7 +470,7 @@ def _vec_values(k: int, qs, lam: tuple, family: HermiteFamily) -> list:
         scale = d**k
         spread = sum(lj * lj for lj in lam) - d * d
     else:
-        spread = sum(lj * lj for lj in lam) - 1
+        spread = left_sum(lj * lj for lj in lam) - 1
     spreads = {}
     powers = [{} for _ in lam]
     out = []
@@ -543,7 +538,4 @@ def evaluate_expansion(
     """Right-hand-side value sum(coeff * H_q(x)) in the given term order."""
     terms = list(terms)
     values = hermite_multi_batch([t.q for t in terms], x, upsilon)
-    total = 0
-    for t, h in zip(terms, values):
-        total = total + t.coeff * h
-    return total
+    return left_sum(map(mul, [t.coeff for t in terms], values))

@@ -91,6 +91,7 @@ def hermite_uni_all(family: HermiteFamily, k: int, x) -> list:
 def hermite_uni_grid(family: HermiteFamily, k: int, xs) -> list[list]:
     """hermite_uni_all at every point of xs, one list per point, with the
     degree and the family checked once."""
+    xs = tuple(xs)
     b = _checked_inverse_variance(family, k, xs)
     return [_uni_values(b, k, x) for x in xs]
 

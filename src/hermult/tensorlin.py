@@ -9,13 +9,14 @@ Each matrix operation is one kernel on plain row tuples (`matmul_rows`,
 `transpose_rows`, `cleared_rows`, ...).  The `DenseMatrix` and
 `DenseVector` methods check shapes and wrap them; the exact paths of
 `coeffs` and `polyoracle` call them on int rows directly.  A product entry
-is `sum(map(mul, row, col))`: the operands, order and builtin `sum` of a
-plain loop, so float bits do not depend on the kernel.  `cleared_rows`
-writes exact rows as C/d with C int rows; `inverse_rows` is exact only and
-fraction-free on C.  A `DenseMatrix` keeps the (C, d) of its rows once
-asked for (`DenseMatrix.cleared_rows`), so each exact matrix is cleared at
-most once: its inverse, the exact (A, M) built from it and the oracle's
-polynomials all read the same pair.
+is `left_sum(map(mul, row, col))`, and every float sum of the package goes
+through `left_sum`: left to right from 0 on every Python, so float bits do
+not depend on the kernel or the interpreter.  `cleared_rows` writes exact
+rows as C/d with C int rows; `inverse_rows` is exact only and fraction-free
+on C.  A `DenseMatrix` keeps the (C, d) of its rows once asked for
+(`DenseMatrix.cleared_rows`), so each exact matrix is cleared at most once:
+its inverse, the exact (A, M) built from it and the oracle's polynomials
+all read the same pair.
 
 One rule covers every exact product.  When every entry of the operands is
 a Fraction, matrix and vector products, dot products and Kronecker powers
@@ -42,8 +43,10 @@ produced by iterated `_kron_entries`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from operator import add, mul, sub
 from typing import Iterable, Sequence
@@ -69,6 +72,10 @@ SPD_SYMMETRY_RTOL = 1e-12
 _EPS = 2.0**-52
 
 _EXACT_TYPES = frozenset((int, Fraction))
+
+# Builtin sum adds left to right from the int 0 up to Python 3.11; from 3.12
+# it compensates float sums (gh-100425), so there left_sum is a plain fold.
+left_sum = sum if sys.version_info < (3, 12) else lambda values: reduce(add, values, 0)
 
 
 def is_exact_scalar(v) -> bool:
@@ -110,18 +117,18 @@ def transpose_rows(rows: tuple) -> tuple:
 
 
 def matmul_rows(a: tuple, b: tuple) -> tuple:
-    """sum(map(mul, row, col)) for each row of a and column of b, or
+    """left_sum(map(mul, row, col)) for each row of a and column of b, or
     `_fraction_products` when every entry of a and b is a Fraction."""
     cols = tuple(zip(*b))
     if all_fractions(*a, *cols):
         return _fraction_products(a, cols)
-    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+    return tuple([tuple([left_sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def _fraction_products(rows: tuple, cols: tuple) -> tuple:
-    """sum(map(mul, row, col)) for each row and column of Fraction operands,
-    run on their cleared integers and made one Fraction over the product of
-    the two denominators: the value and type of the sum of Fractions."""
+    """left_sum(map(mul, row, col)) for each row and column of Fraction
+    operands, run on their cleared integers and made one Fraction over the
+    product of the two denominators: the value and type of their left_sum."""
     (rows, dr), (cols, dc) = cleared_rows(rows), cleared_rows(cols)
     den = dr * dc
     return tuple(
@@ -206,7 +213,7 @@ class DenseVector:
         a, b = self.entries, other.entries
         if all_fractions(a, b):
             return _fraction_products((a,), (b,))[0][0]
-        return sum(map(mul, a, b))
+        return left_sum(map(mul, a, b))
 
 
 @dataclass(frozen=True)
@@ -260,7 +267,7 @@ class DenseMatrix:
         rows, x = self.data, v.entries
         if all_fractions(*rows, x):
             return DenseVector(tuple([r[0] for r in _fraction_products(rows, (x,))]))
-        return DenseVector(tuple([sum(map(mul, row, x)) for row in rows]))
+        return DenseVector(tuple([left_sum(map(mul, row, x)) for row in rows]))
 
     def add(self, other: "DenseMatrix") -> "DenseMatrix":
         self._same_shape(other)
@@ -438,7 +445,7 @@ def spd_factorize(s: DenseMatrix) -> SpdMatrix:
     low = [[0] * n for _ in range(n)]
     diag = [0] * n
     for j in range(n):
-        pivot = a[j][j] - sum(low[j][k] * low[j][k] * diag[k] for k in range(j))
+        pivot = a[j][j] - left_sum(low[j][k] * low[j][k] * diag[k] for k in range(j))
         if not pivot > 0:
             raise NotPositiveDefiniteError(
                 f"non-positive pivot {pivot!r} at index {j}"
@@ -446,17 +453,16 @@ def spd_factorize(s: DenseMatrix) -> SpdMatrix:
         diag[j] = pivot
         low[j][j] = 1
         for i in range(j + 1, n):
-            v = a[i][j] - sum(low[i][k] * low[j][k] * diag[k] for k in range(j))
+            v = a[i][j] - left_sum(low[i][k] * low[j][k] * diag[k] for k in range(j))
             low[i][j] = v / pivot
     cols = range(n)
     x = [[1 if i == c else 0 for c in cols] for i in cols]
     for i in range(n):
-        x[i] = [x[i][c] - sum(low[i][j] * x[j][c] for j in range(i)) for c in cols]
+        x[i] = [x[i][c] - left_sum(low[i][j] * x[j][c] for j in range(i)) for c in cols]
     x = [[v / d for v in row] for row, d in zip(x, diag)]
     for i in range(n - 1, -1, -1):
-        x[i] = [
-            x[i][c] - sum(low[j][i] * x[j][c] for j in range(i + 1, n)) for c in cols
-        ]
+        back = range(i + 1, n)
+        x[i] = [x[i][c] - left_sum(low[j][i] * x[j][c] for j in back) for c in cols]
     if not exact:
         size = n * _EPS * max(map(abs, chain.from_iterable(a)))
         size *= max(map(abs, chain.from_iterable(x)))

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -443,6 +444,43 @@ def test_float_expand_output_sha256_is_pinned(tmp_path, capsys, name, variant, f
     assert code == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == FLOAT_EXPAND_STDOUT_SHA256[name, variant, fmt]
+
+
+def other_interpreters():
+    """python3.10 to python3.14 on PATH, but the running minor version,
+    that answer --version: a pyenv shim of a version that is not selected
+    exits non-zero, so it counts as absent."""
+    found = []
+    for minor in range(10, 15):
+        exe = shutil.which(f"python3.{minor}")
+        if minor != sys.version_info.minor and exe is not None:
+            if subprocess.run([exe, "--version"], capture_output=True).returncode == 0:
+                found.append(exe)
+    return found
+
+
+def test_float_pins_hold_on_other_interpreters(tmp_path):
+    # Every float sum adds left to right from 0 on every Python (builtin
+    # sum compensates float sums from 3.12 on), so other interpreters must
+    # print the same pinned bytes.
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.10 to python3.14 on PATH")
+    cases = [
+        (("verify", "--suite", "all", "--seed", str(seed)), VERIFY_ALL_STDOUT_SHA256[seed])
+        for seed in (1, 7)
+    ]
+    for (name, variant, fmt), digest in sorted(FLOAT_EXPAND_STDOUT_SHA256.items()):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(float_spec(*FLOAT_SPECS[name])))
+        cases.append((("expand", "--spec", str(path), "--variant", variant, "--format", fmt), digest))
+    mismatched = []
+    for exe in interpreters:
+        for args, digest in cases:
+            r = subprocess.run([exe, "-m", "hermult", *args], capture_output=True, text=True, env=CLI_ENV)
+            if r.returncode != 0 or hashlib.sha256(r.stdout.encode()).hexdigest() != digest:
+                mismatched.append((exe, *args))
+    assert mismatched == []
 
 
 @pytest.mark.parametrize("command", ["expand", "oracle-compare"])

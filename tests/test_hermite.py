@@ -101,12 +101,14 @@ def uni_reference(b, k, x):
 )
 def test_grid_pass_matches_single_points(family, b):
     # The grid gives each point's own values, bit for bit and type for
-    # type: those of hermite_uni and of the written-out recurrence.
+    # type: those of hermite_uni and of the written-out recurrence.  A
+    # one-shot iterator of the points gives the same rows as the list.
     rng = trial_rng(1919, 0)
     points = [0.0, -0.0, 3, Fraction(-5, 3)] + list(rng.uniform(-3.0, 3.0, size=21))
     for k in range(13):
         grid = hermite_uni_grid(family, k, points)
         assert len(grid) == len(points)
+        assert repr(hermite_uni_grid(family, k, iter(points))) == repr(grid)
         for x, values in zip(points, grid):
             assert repr(values) == repr([hermite_uni(family, j, x) for j in range(k + 1)])
             assert repr(values) == repr([uni_reference(b, j, x) for j in range(k + 1)])

@@ -2,6 +2,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from hermult.tensorlin import (
     covariance,
     invert_matrix,
     kron_power,
+    left_sum,
     spd_factorize,
     _kron_entries,
 )
@@ -44,6 +46,21 @@ def vec(m):
     return DenseVector(
         tuple(m.data[i][j] for j in range(m.cols) for i in range(m.rows))
     )
+
+
+def test_left_sum_adds_left_to_right_from_int_zero():
+    # A compensated sum would give 1.0 here; the left fold loses the 1.0.
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum([]) == 0 and type(left_sum([])) is int
+    assert left_sum([3, -4, 5]) == 4 and type(left_sum([3, -4, 5])) is int
+    total = left_sum([Fraction(1, 3), Fraction(1, 6)])
+    assert total == Fraction(1, 2) and type(total) is Fraction
+    rng = random.Random(2112)
+    for size in (1, 2, 3, 7, 40, 300):
+        xs = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(size)]
+        want = reduce(operator.add, xs, 0)
+        assert left_sum(xs).hex() == want.hex()
+        assert left_sum(iter(xs)).hex() == want.hex()
 
 
 def test_kron_vectors():
