@@ -43,7 +43,6 @@ produced by iterated `_kron_entries`.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -73,9 +72,11 @@ _EPS = 2.0**-52
 
 _EXACT_TYPES = frozenset((int, Fraction))
 
-# Builtin sum adds left to right from the int 0 up to Python 3.11; from 3.12
-# it compensates float sums (gh-100425), so there left_sum is a plain fold.
-left_sum = sum if sys.version_info < (3, 12) else lambda values: reduce(add, values, 0)
+
+def left_sum(values):
+    """values added left to right from the int 0, on every Python: builtin
+    sum compensates float sums from Python 3.12 on (gh-100425)."""
+    return reduce(add, values, 0)
 
 
 def is_exact_scalar(v) -> bool:
