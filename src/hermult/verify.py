@@ -9,7 +9,10 @@ Per-trial error functions take plain JSON-friendly inputs (nested lists of
 floats), so any report's worst case can be replayed directly.  The
 univariate checks read tables built once per check: H_k at every point
 from one call (`hermite.hermite_uni_grid`) and every inner-product
-coefficient from one pass (`coeffs.coeff_vec_table`).
+coefficient from one pass (`coeffs.coeff_vec_table`).  The kron suite's
+exact half compares the two sides on the integer numerators of its
+rational point: both sides have degree |k| in A and in b, so the common
+denominator cancels (`kron_identity_exact`).
 """
 
 from __future__ import annotations
@@ -260,9 +263,15 @@ def kron_identity_error(a: list[list[float]], b: list[float], k: list[int]) -> f
 
 
 def kron_identity_exact(a_num: list[list[int]], b_num: list[int], den: int, k: list[int]) -> bool:
-    """Exact-field check of the same identity at rational inputs."""
-    d = Fraction(1, den)
-    lhs, rhs = _kron_sides([[v * d for v in row] for row in a_num], [v * d for v in b_num], k)
+    """Exact check of the same identity at the rational point
+    A = a_num/den, b = b_num/den, run on the numerators.  Each side has
+    degree |k| in A and |k| in b, so at that point both equal their value
+    on the numerators times den^(-2|k|), and they agree there exactly when
+    they agree on the integers.  den must be nonzero; a negative den names
+    a valid point, since den^(2|k|) > 0."""
+    if den == 0:
+        raise DomainError("den must be nonzero")
+    lhs, rhs = _kron_sides(a_num, b_num, k)
     return lhs == rhs
 
 

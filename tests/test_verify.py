@@ -499,3 +499,75 @@ def test_each_exact_matrix_is_cleared_once(monkeypatch):
     # The two families' maps have equal A rows, held by two matrices, so
     # rows are told apart by the tuple object that holds them.
     assert len({id(rows) for rows in cleared}) == len(cleared)
+
+
+def _kron_exact_draws(monkeypatch, seed, trials):
+    # The (a_num, b_num, den, k) of each trial, as verify_kron_identity
+    # draws them: its calls to kron_identity_exact are recorded.
+    from hermult import verify
+
+    draws = []
+    real = verify.kron_identity_exact
+
+    def recording(a_num, b_num, den, k):
+        draws.append((a_num, b_num, den, k))
+        return real(a_num, b_num, den, k)
+
+    monkeypatch.setattr(verify, "kron_identity_exact", recording)
+    verify.verify_kron_identity(TrialConfig(seed=seed, trials=trials))
+    return draws
+
+
+def test_kron_sides_scale_by_den_to_minus_two_degree(monkeypatch):
+    # Both sides have degree |k| in A and in b: at A = a_num/den,
+    # b = b_num/den each is its value on the numerators times den^(-2|k|).
+    from hermult.verify import _kron_sides
+
+    draws = _kron_exact_draws(monkeypatch, seed=11, trials=60)
+    assert {den for _, _, den, _ in draws} == {1, 2, 3}
+    assert max(sum(k) for _, _, _, k in draws) >= 3
+    for a_num, b_num, den, k in draws:
+        a = [[Fraction(v, den) for v in row] for row in a_num]
+        b = [Fraction(v, den) for v in b_num]
+        scale = Fraction(1, den ** (2 * sum(k)))
+        lhs, rhs = _kron_sides(a, b, k)
+        lhs_num, rhs_num = _kron_sides(a_num, b_num, k)
+        assert type(lhs_num) is int and type(rhs_num) is int
+        assert lhs == lhs_num * scale
+        assert rhs == rhs_num * scale
+
+
+def test_kron_exact_check_catches_a_wrong_side(monkeypatch):
+    from hermult import verify
+    from hermult.tensorlin import colwise_kron_power
+    from hermult.verify import kron_identity_exact
+
+    draws = [
+        d for d in _kron_exact_draws(monkeypatch, seed=5, trials=40)
+        if sum(d[3]) >= 1 and d[1][0] != 0
+    ]
+    assert len(draws) >= 10
+    for draw in draws:
+        assert kron_identity_exact(*draw)
+
+    def skewed(a, q):
+        # Entry 0 meets b_0^|k| != 0 in the contraction.
+        v = colwise_kron_power(a, q)
+        return DenseVector((v.entries[0] + 1,) + v.entries[1:])
+
+    monkeypatch.setattr(verify, "colwise_kron_power", skewed)
+    for draw in draws:
+        assert not kron_identity_exact(*draw)
+
+
+def test_kron_exact_needs_a_rational_point():
+    from hermult.verify import _kron_sides, kron_identity_exact
+
+    a_num, b_num, k = [[1, -2], [3, 4]], [2, -1], [2, 1]
+    with pytest.raises(DomainError, match="den"):
+        kron_identity_exact(a_num, b_num, 0, k)
+    # A negative den names a valid point: den^(2|k|) > 0.
+    assert kron_identity_exact(a_num, b_num, -3, k)
+    a = [[Fraction(v, -3) for v in row] for row in a_num]
+    lhs, rhs = _kron_sides(a, [Fraction(v, -3) for v in b_num], k)
+    assert lhs == rhs
