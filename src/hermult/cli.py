@@ -5,6 +5,15 @@ All configuration is explicit flags (no environment variables), output is
 UTF-8 with newline-terminated records, and floats are emitted with 17
 significant digits so that every number round-trips bit-for-bit.
 
+`dumps` writes a list of flat dicts, such as an expansion table's rows, with
+one `%` format when every row is an exact `dict` with the first row's exact
+`str` keys in its order, and each column holds one exact type: finite
+`float`, `int`, `Fraction`, `str`, or equal-length `list`s of exact `int`s.
+The bytes are the recursive writer's: `"%.17g" % x` and `format(x, ".17g")`
+both call `PyOS_double_to_string(x, "g", 17, 0)`, `%d` of an exact int is its
+`repr`, `%s` of an exact Fraction its `str`, and keys and strings share one
+encoder.  Any other list goes to the recursive writer, errors included.
+
 Exit codes: 0 success, 1 verification/comparison failure, 2 input error.
 """
 
@@ -16,6 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import coeffs, polyoracle, verify
 from .coeffs import CoeffVariant, ExpansionTerm
@@ -78,14 +88,46 @@ def _emit(obj, out: list[str]) -> None:
 def _float_text(obj) -> str:
     if not math.isfinite(obj):
         raise DomainError(f"cannot serialize non-finite number {obj!r}")
-    return format(obj, ".17g")
+    return "%.17g" % obj
 
 
 # Exact leaf types and their writers; _emit tries these first.
 _LEAF = {float: _float_text, int: int.__repr__, str: _encode_str}
 
+# Table-path cells by a column's one exact type (int lists: one %d per entry).
+_CELL = {float: "%.17g", int: "%d", Fraction: '"%s"', str: "%s"}
+
+
+def _table_text(rows) -> str | None:
+    """A list of flat dicts as text (see the module docstring), or None."""
+    if set(map(type, rows)) != {dict} or not set(map(type, chain.from_iterable(rows))) <= {str}:
+        return None
+    keys = tuple(rows[0])
+    if list(map(tuple, rows)).count(keys) != len(rows):
+        return None
+    cells, columns = [], []
+    for key, col in zip(keys, zip(*map(dict.values, rows))):
+        kinds = set(map(type, col))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        int_lists = kind is list and set(map(type, chain.from_iterable(col))) <= {int}
+        if int_lists and len(set(map(len, col))) == 1:
+            cell = "[" + ",".join(["%d"] * len(col[0])) + "]"
+            columns += zip(*col)
+        elif kind in _CELL and (kind is not float or all(map(math.isfinite, col))):
+            cell = _CELL[kind]
+            columns.append(map(_encode_str, col) if kind is str else col)
+        else:
+            return None
+        cells.append(_encode_str(key).replace("%", "%%") + ":" + cell)
+    row = "{" + ",".join(cells) + "}"
+    return ("[" + ",".join([row] * len(rows)) + "]") % tuple(chain.from_iterable(zip(*columns)))
+
 
 def _emit_items(obj, out: list[str]) -> None:
+    text = obj and type(obj[0]) is dict and _table_text(obj)
+    if text:
+        out.append(text)
+        return
     sep = "["
     for v in obj:
         out.append(sep)
@@ -130,7 +172,10 @@ def _parse_entry(v, rational: bool):
         return polyoracle.as_rational(v)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise DomainError(f"numeric entry expected, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise DomainError("integer entry is beyond float range") from None
 
 
 def _parse_matrix(obj, name: str, rational: bool) -> DenseMatrix:

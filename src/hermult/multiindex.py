@@ -43,7 +43,10 @@ class MultiIndex:
             return value
         parts = []
         for v in value:
-            i = int(v)
+            try:
+                i = int(v)
+            except (OverflowError, ValueError):  # inf, NaN, or text that is no integer
+                i = None
             if i != v or isinstance(v, bool):
                 raise DomainError(f"multi-index parts must be naturals, got {v!r}")
             parts.append(i)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hermult
-from hermult import DenseVector, coeffs, spd_factorize
+from hermult import DenseMatrix, DenseVector, cli, coeffs, spd_factorize
 from hermult.cli import dumps, load_problem_spec, main
 from hermult.errors import DomainError
 from hermult.polyoracle import SymbolicHermiteFamily, oracle_compare
@@ -587,6 +587,30 @@ def test_expand_refuses_non_finite_coefficients(tmp_path, capsys, fmt):
     assert captured.err == "error: cannot serialize non-finite number inf\n"
 
 
+# JSON holds integers of any size and reads 1e400 as inf: a float spec entry
+# or expansion coefficient beyond float range, and an infinite index part,
+# are input errors.
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "k, lam",
+    [("[1, 1]", f"[[{HUGE}, 0], [0, 1]]"), ("[1, 1e400]", "[[1, 0], [0, 1]]")],
+    ids=["lambda-int", "k-inf"],
+)
+def test_spec_entries_beyond_float_range_are_input_errors(tmp_path, capsys, k, lam):
+    path = tmp_path / "spec.json"
+    path.write_text(f'{{"k": {k}, "Lambda": {lam}, "Sigma": [[1, 0], [0, 1]], "Upsilon": [[1, 0], [0, 1]]}}')
+    assert_one_line_input_error(capsys, main(["expand", "--spec", str(path)]))
+
+
+def test_expansion_coefficient_beyond_float_range_is_an_input_error(tmp_path, capsys, generic_spec):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"k": [2, 1], "terms": [{"q": [1, 0], "coeff": HUGE}]}))
+    argv = ["eval", "--expansion", str(path), "--spec", generic_spec, "--at", "0.5,1"]
+    assert_one_line_input_error(capsys, main(argv))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -749,6 +773,123 @@ def test_dumps_formats():
     for bad in (math.nan, math.inf, -math.inf, Real(math.inf), {1, 2}, object()):
         with pytest.raises(DomainError):
             dumps({"v": [bad]})
+
+
+# sha256 over `dumps` of 640 seeded float expand documents (below),
+# recorded with the recursive writer before lists of uniform rows took a
+# table path: that path must leave every byte as it was.
+SEEDED_EXPAND_DUMPS_SHA256 = "fb30e6cdac231a5cdf545cb4b3efd9708862025842b481b03b3551e3d0e0370a"
+
+
+def seeded_expand_documents(count=640, seed=23):
+    """The documents `hermult expand` writes for `count` seeded float specs
+    at n = m = 2..4 and |k| <= 12, both variants in turn."""
+    rng = random.Random(seed)
+    variants = [v.value for v in coeffs.CoeffVariant]
+    for i in range(count):
+        n = 2 + i % 3
+        degree = rng.randint(1, 12)
+        cuts = sorted(rng.randint(0, degree) for _ in range(n - 1))
+        k = [b - a for a, b in zip([0, *cuts], [*cuts, degree])]
+        spec = float_spec(rng.randrange(2**31), k)
+        variant = variants[i % 2]
+        sigma, upsilon = (
+            spd_factorize(DenseMatrix.from_rows(spec[name])) for name in ("Sigma", "Upsilon")
+        )
+        lam = DenseMatrix.from_rows(spec["Lambda"])
+        terms = coeffs.expand_general(k, lam, sigma, upsilon, coeffs.CoeffVariant(variant))
+        yield {
+            "k": k,
+            "variant": variant,
+            "terms": [{"q": t.q.to_list(), "coeff": float(t.coeff)} for t in terms],
+        }
+
+
+def test_seeded_expand_documents_are_pinned():
+    h = hashlib.sha256()
+    for doc in seeded_expand_documents():
+        h.update(dumps(doc).encode() + b"\n")
+    assert h.hexdigest() == SEEDED_EXPAND_DUMPS_SHA256
+
+
+def reference_dumps(obj):
+    """The JSON text `dumps` writes, one value at a time."""
+    if obj is None or isinstance(obj, bool):
+        return json.dumps(obj)
+    if isinstance(obj, Fraction):
+        return json.dumps(str(obj))
+    if isinstance(obj, int):
+        return repr(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise DomainError(f"cannot serialize non-finite number {obj!r}")
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(reference_dumps, obj)) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(str(k)) + ":" + reference_dumps(v) for k, v in obj.items()) + "}"
+    raise DomainError(f"cannot serialize {type(obj).__name__}")
+
+
+class Tag(str):
+    def __str__(self):
+        return "tag"
+
+
+class Real(float):
+    pass
+
+
+class Count(int):
+    def __repr__(self):
+        return "7"
+
+
+# Lists of dicts that the table path writes (True) or leaves to the general
+# writer (False); each must read as reference_dumps writes it.
+TABLE_CASES = [
+    (True, [{"q": [2, 0], "coeff": 0.1}, {"q": [1, 1], "coeff": -0.0}, {"q": [0, 2], "coeff": 5e-324}]),
+    (True, [{"mono": [3], "coeff": "-7/3"}, {"mono": [1], "coeff": "1"}]),
+    (True, [{"q": [10**30, -1], "coeff": Fraction(-7, 3)}, {"q": [0, 0], "coeff": Fraction(2)}]),
+    (True, [{"%d": 1e300, "é€": "x%sy \"q\" \\ \n\x01"}, {"%d": -1.5, "é€": ""}]),
+    (True, [{}, {}]),
+    (True, [{"q": []}, {"q": []}]),
+    (True, ({"a": 1}, {"a": 2})),
+    (False, [{"a": 1, "b": 2}, {"b": 2, "a": 1}]),
+    (False, [{}, {"a": 1}]),
+    (False, [{1: 2}, {1: 3}]),
+    (False, [{1: 0}, {True: 0}]),
+    (False, [{"a": 0}, {Tag("a"): 0}]),
+    (False, [{"a": True}, {"a": False}]),
+    (False, [{"a": None}, {"a": None}]),
+    (False, [{"a": 1}, {"a": 1.5}]),
+    (False, [{"a": 0.5}, {"a": Real(0.1)}]),
+    (False, [{"a": 1}, {"a": Count(3)}]),
+    (False, [{"q": [1]}, {"q": [1, 2]}]),
+    (False, [{"q": [[1]]}, {"q": [[2]]}]),
+    (False, [{"q": [True]}, {"q": [1]}]),
+    (False, [{"q": [0.5]}, {"q": [1.5]}]),
+    (False, [{"q": (1, 2)}, {"q": (3, 4)}]),
+    (False, [{"a": {"b": 1}}, {"a": {"b": 2}}]),
+    (False, [{"a": 1}, [1]]),
+]
+
+
+@pytest.mark.parametrize("tabled, rows", TABLE_CASES)
+def test_table_path_writes_the_general_writers_bytes(tabled, rows):
+    assert (cli._table_text(rows) is not None) == tabled
+    assert dumps(rows) == reference_dumps(rows)
+    assert dumps({"terms": rows}) == reference_dumps({"terms": rows})
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_table_path_leaves_non_finite_floats_to_the_general_writer(bad):
+    rows = [{"q": [1], "coeff": 0.5}, {"q": [0], "coeff": bad}]
+    with pytest.raises(DomainError) as exc:
+        dumps(rows)
+    assert str(exc.value) == f"cannot serialize non-finite number {bad!r}"
 
 
 # The child loads hermult, runs verify, expand and oracle-compare

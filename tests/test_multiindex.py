@@ -114,6 +114,9 @@ def test_multiindex_validation():
         MultiIndex.of([True])
     with pytest.raises(DomainError):
         MultiIndex.of((1, False))
+    for bad in (math.inf, math.nan, "x"):
+        with pytest.raises(DomainError):
+            MultiIndex.of((1, bad))
 
 
 def test_multiindex_ordering_is_graded_then_descending_lex():
