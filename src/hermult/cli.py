@@ -3,7 +3,8 @@ suites, and exact oracle comparison.
 
 All configuration is explicit flags (no environment variables), output is
 UTF-8 with newline-terminated records, and floats are emitted with 17
-significant digits so that every number round-trips bit-for-bit.
+significant digits, so every number but -0.0 parses back to the exact
+double; -0.0 prints as `-0`, which `json.loads` reads as the int 0.
 
 `dumps` writes a list of flat dicts, such as an expansion table's rows, with
 one `%` format when every row is an exact `dict` with the first row's exact

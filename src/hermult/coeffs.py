@@ -104,7 +104,6 @@ from .tensorlin import (
     all_fractions,
     check_symmetric,
     check_symmetric_rows,
-    cleared_rows,
     entrywise_rows,
     fraction_rows,
     left_sum,
@@ -460,17 +459,11 @@ def _vec_values(k: int, qs, lam: tuple, family: HermiteFamily) -> list:
     """pref * lam_q * (norm_sq - 1) ** i for each q of qs (parts tuples),
     i = (k - |q|)/2, pref from _closed_form_prefactor and lam_q the product
     of lam_j ** q_j built left to right over j.  norm_sq - 1, each of its
-    powers and each lam_j ** c are taken once for all of qs.  A lam of
-    Fractions runs on its int rows: with lam = L/d and N = |L|^2 - d^2,
-    the entry is pref * L^q * N^i / d^k, one Fraction per entry."""
+    powers and each lam_j ** c are taken once for all of qs.  Fractions run
+    plain Fraction arithmetic (the univariate suite's exact chain, one q per
+    call); floats serve that suite's whole tables (`coeff_vec_table`)."""
     pair_weight = _pair_weight(family)
-    scale = None
-    if all_fractions(lam):
-        (lam,), d = cleared_rows((lam,))
-        scale = d**k
-        spread = sum(lj * lj for lj in lam) - d * d
-    else:
-        spread = left_sum(lj * lj for lj in lam) - 1
+    spread = left_sum(lj * lj for lj in lam) - 1
     spreads = {}
     powers = [{} for _ in lam]
     out = []
@@ -487,9 +480,7 @@ def _vec_values(k: int, qs, lam: tuple, family: HermiteFamily) -> list:
         s = spreads.get(i)
         if s is None:
             s = spreads[i] = spread**i
-        if scale is not None:
-            out.append(Fraction(pref.numerator * lam_q * s, pref.denominator * scale))
-        elif isinstance(lam_q, float):
+        if isinstance(lam_q, float):
             out.append(pref_f * lam_q * s)
         else:
             out.append(pref * lam_q * s)

@@ -18,13 +18,12 @@ on C.  A `DenseMatrix` keeps the (C, d) of its rows once asked for
 its inverse, the exact (A, M) built from it and the oracle's polynomials
 all read the same pair.
 
-One rule covers every exact product.  When every entry of the operands is
-a Fraction, matrix and vector products, dot products and Kronecker powers
-(`kron_power` is `colwise_kron_power` of a one-column matrix) run the same
-products on the cleared integers and make one Fraction per result entry:
-over the product of the operands' d's, or over d^p for a p-fold power.
-Every other operand (float, int, or int and Fraction mixed) runs the plain
-products, so no entry changes type; a power of degree 0 is the int [1].
+Each product kernel has one body for both fields, so no entry changes
+type and a power of degree 0 is the int [1].  Exact work that a workload
+repeats runs on int rows: `inverse_rows` for every exact inverse, and in
+the callers the exact (A, M) build and table sweep of `coeffs` (`expand`
+and `oracle-compare` on rational specs), the oracle's polynomials, and
+the kron suite's exact half, which `verify` runs on integer numerators.
 
 A covariance is an `SpdMatrix`: the checked matrix and its inverse.
 `covariance` holds the one rule for outside input.  A float covariance
@@ -118,23 +117,9 @@ def transpose_rows(rows: tuple) -> tuple:
 
 
 def matmul_rows(a: tuple, b: tuple) -> tuple:
-    """left_sum(map(mul, row, col)) for each row of a and column of b, or
-    `_fraction_products` when every entry of a and b is a Fraction."""
+    """left_sum(map(mul, row, col)) for each row of a and column of b."""
     cols = tuple(zip(*b))
-    if all_fractions(*a, *cols):
-        return _fraction_products(a, cols)
     return tuple([tuple([left_sum(map(mul, row, col)) for col in cols]) for row in a])
-
-
-def _fraction_products(rows: tuple, cols: tuple) -> tuple:
-    """left_sum(map(mul, row, col)) for each row and column of Fraction
-    operands, run on their cleared integers and made one Fraction over the
-    product of the two denominators: the value and type of their left_sum."""
-    (rows, dr), (cols, dc) = cleared_rows(rows), cleared_rows(cols)
-    den = dr * dc
-    return tuple(
-        tuple([Fraction(sum(map(mul, row, col)), den) for col in cols]) for row in rows
-    )
 
 
 def entrywise_rows(op, a: tuple, b: tuple) -> tuple:
@@ -211,10 +196,7 @@ class DenseVector:
             raise DimensionMismatchError(
                 f"dot of dims {self.dim} and {other.dim}"
             )
-        a, b = self.entries, other.entries
-        if all_fractions(a, b):
-            return _fraction_products((a,), (b,))[0][0]
-        return left_sum(map(mul, a, b))
+        return left_sum(map(mul, self.entries, other.entries))
 
 
 @dataclass(frozen=True)
@@ -265,10 +247,8 @@ class DenseMatrix:
             raise DimensionMismatchError(
                 f"matvec of {self.rows}x{self.cols} and dim {v.dim}"
             )
-        rows, x = self.data, v.entries
-        if all_fractions(*rows, x):
-            return DenseVector(tuple([r[0] for r in _fraction_products(rows, (x,))]))
-        return DenseVector(tuple([left_sum(map(mul, row, x)) for row in rows]))
+        x = v.entries
+        return DenseVector(tuple([left_sum(map(mul, row, x)) for row in self.data]))
 
     def add(self, other: "DenseMatrix") -> "DenseMatrix":
         self._same_shape(other)
@@ -334,8 +314,8 @@ def kron_power(v: DenseVector, p: int) -> DenseVector:
     """p-fold Kronecker power of a vector; the 0th power is [1]."""
     if p < 0:
         raise DomainError(f"Kronecker power must be >= 0, got {p}")
-    column = DenseMatrix(v.dim, 1, tuple((x,) for x in v.entries))
-    return colwise_kron_power(column, (p,))
+    _check_len(v.dim**p)
+    return DenseVector(_power_entries(v.entries, p))
 
 
 def colwise_kron_power(a: DenseMatrix, q: MultiIndex | Iterable[int]) -> DenseVector:
@@ -346,14 +326,7 @@ def colwise_kron_power(a: DenseMatrix, q: MultiIndex | Iterable[int]) -> DenseVe
         raise DimensionMismatchError(
             f"index arity {q.arity} does not match column count {a.cols}"
         )
-    degree = q.degree()
-    _check_len(a.rows**degree)
-    if degree and all_fractions(*a.data):
-        c, d = a.cleared_rows()
-        den = d**degree
-        return DenseVector(
-            tuple(Fraction(x, den) for x in _colwise_entries(c, q.parts))
-        )
+    _check_len(a.rows ** q.degree())
     return DenseVector(_colwise_entries(a.data, q.parts))
 
 

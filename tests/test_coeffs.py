@@ -304,9 +304,9 @@ def vec_coeff_reference(k, q, lam, pair_weight):
 
 
 def test_vec_table_matches_per_entry_formula():
-    # The table takes each power once for all q, and a Fraction lam runs on
-    # its int rows; every entry keeps the bits and type of the per-entry
-    # formula, and the table keeps exactly its nonzero entries, in order.
+    # The table takes each power once for all q; every entry keeps the bits
+    # and type of the per-entry formula, and the table keeps exactly its
+    # nonzero entries, in order.
     rng = random.Random(1919)
     draws = (
         lambda: rng.choice([rng.uniform(-2.0, 2.0), 0.0, -0.0]),

@@ -76,6 +76,8 @@ def test_kron_power():
     assert kron_power(vec2(a, b), 2).entries == (a * a, a * b, b * a, b * b)
     assert kron_power(vec2(7, 9), 0).entries == (1,)
     assert kron_power(vec2(0, 1), 2).entries == (0, 0, 0, 1)
+    with pytest.raises(DomainError):
+        kron_power(vec2(1, 2), -1)
 
 
 def test_kron_power_chains():
@@ -140,8 +142,9 @@ def _scalar(rng, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_kron_and_dot_match_plain_products(kind):
-    # Vectors of Fractions run on cleared integers; values and entry types
-    # must be those of the plain products, which every other kind still runs.
+    # Every kind runs the plain products, so values and entry types must be
+    # those of the reference loops; kron_power must equal colwise_kron_power
+    # of the one-column matrix.
     rng = random.Random(f"kron-{kind}")
     for _ in range(60):
         dim = rng.randint(1, 4)
@@ -150,6 +153,8 @@ def test_kron_and_dot_match_plain_products(kind):
         p = rng.randint(0, 4)
         got = kron_power(DenseVector(tuple(v)), p)
         assert repr(got.entries) == repr(_power_ref(tuple(v), p))
+        column = DenseMatrix.from_rows([[x] for x in v])
+        assert repr(got.entries) == repr(colwise_kron_power(column, (p,)).entries)
         got = DenseVector(tuple(v)).dot(DenseVector(tuple(w)))
         assert repr(got) == repr(sum(x * y for x, y in zip(v, w)))
         rows = [[_scalar(rng, kind) for _ in range(rng.randint(1, 3))]]
@@ -230,7 +235,7 @@ class _Frac(Fraction):
 def test_matrix_kernels_match_reference_loops(kind):
     # Every entry must keep the bits (floats) or the type and value (exact
     # scalars) of the reference loops, so entries are compared by repr.
-    # Operands of Fractions only run on cleared integers.
+    # Operands of every kind, Fractions only included, run the same kernels.
     rng = random.Random(f"kernels-{kind}")
 
     def rows(r, c):
