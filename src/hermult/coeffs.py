@@ -45,25 +45,22 @@ addressed by its digits in radix MAX_EXPANSION_DEGREE + 1, listed with the
 codes of its q' - e_j (_q_level); expand_from_map reads every q from the
 table of k and coeff_from_map reads one.
 
-Exact work runs on integers.  An exact (A, M) is built on int rows: with
-Sigma^-1 = S/s, Lambda = L/e and Upsilon = U/u (each matrix's
-`DenseMatrix.cleared_rows`), A_hat = S L^T U and M_hat = A_hat L S -
-s e^2 u S are products of int rows (the `tensorlin` kernels), M_hat's
-symmetry is checked on those rows, and each returned entry is one
-Fraction: A = A_hat/(s e u) and M = M_hat/(s^2 e^2 u).  That is done when
-Sigma^-1 holds only Fractions and Lambda and Upsilon are exact; other
-inputs run the plain products.  T[k,q] has degree |q| in A and
-(|k|-|q|)/2 in M, so with A = A_hat/alpha and M = M_hat/beta,
-T[k,q] = T_hat[k,q] / (alpha^|q| beta^((|k|-|q|)/2)), T_hat being the same
-sweep on the int rows, and one Fraction is made per returned nonzero entry.
-That integer sweep serves expand_from_map: a map of Fractions is swept on
-the `DenseMatrix.cleared_rows` of A and M, which each matrix keeps, so a
-map is cleared once however often it is expanded.  coeff_from_map, and
-expand_from_map on other maps, sweep the map's own entries in whatever
-field they hold, so no entry changes type (an entry that no pull reaches
-stays the int 0 it starts from).  The literal product (`_literal_coeff`)
-makes one Fraction per exact coefficient, and reads the slot tuples and
-factorials of k and q from a cache per index.
+The field alone picks the route, and one body (_read_coeffs) serves both
+readers.  Exact work runs on integers.  With Sigma^-1 = S/s, Lambda = L/e
+and Upsilon = U/u (each matrix's `DenseMatrix.cleared_rows`), an exact
+(A, M) is built from the int products A_hat = S L^T U and M_hat =
+A_hat L S - s e^2 u S (the `tensorlin` kernels), the symmetry of M_hat
+and of S is checked on those rows, and each entry is one Fraction:
+A = A_hat/(s e u) and M = M_hat/(s^2 e^2 u).  An exact map is swept on
+the cleared rows of A = A_hat/alpha and M = M_hat/beta, which each matrix
+keeps, so it is cleared once however often it is read.  T[k,q] has
+degree |q| in A and (|k|-|q|)/2 in M, so T[k,q] = T_hat[k,q] /
+(alpha^|q| beta^((|k|-|q|)/2)), T_hat being the sweep on the int rows:
+each nonzero entry read becomes one Fraction, and a zero stays the int 0
+the sweep gives.  A float map, or one that mixes floats with exact
+entries, is built from and swept on its own entries.  The literal product
+(`_literal_coeff`) makes one Fraction per exact coefficient, and reads
+the slot tuples and factorials of k and q from a cache per index.
 """
 
 from __future__ import annotations
@@ -101,7 +98,6 @@ from .tensorlin import (
     DenseMatrix,
     DenseVector,
     SpdMatrix,
-    all_fractions,
     check_symmetric,
     check_symmetric_rows,
     entrywise_rows,
@@ -171,10 +167,9 @@ def transformed_map_from_inverses(
             f"map shape {lam.rows}x{lam.cols} inconsistent with matrix dims "
             f"{sigma_inv.rows} and {upsilon.rows}"
         )
-    if all_fractions(*sigma_inv.data) and lam.is_exact() and upsilon.is_exact():
-        # Every product of a Fraction Sigma^-1 is a Fraction, so they run on
-        # the int rows of Sigma^-1 = S/s, Lambda = L/e, Upsilon = U/u: with
-        # A_hat = S L^T U, A = A_hat/(s e u) and
+    if sigma_inv.is_exact() and lam.is_exact() and upsilon.is_exact():
+        # The products run on the int rows of Sigma^-1 = S/s, Lambda = L/e,
+        # Upsilon = U/u: with A_hat = S L^T U, A = A_hat/(s e u) and
         # M = (A_hat L S - s e^2 u S)/(s^2 e^2 u).
         (sm, s), (lm, e), (um, u) = (
             sigma_inv.cleared_rows(), lam.cleared_rows(), upsilon.cleared_rows()
@@ -183,6 +178,7 @@ def transformed_map_from_inverses(
         p_hat = matmul_rows(matmul_rows(a_hat, lm), sm)
         m_hat = entrywise_rows(sub, p_hat, scale_rows(s * e * e * u, sm))
         check_symmetric_rows(m_hat, True)
+        check_symmetric_rows(sm, True)
         n, m = lam.cols, lam.rows
         return TransformedMap(
             A=DenseMatrix(n, m, fraction_rows(a_hat, s * e * u)),
@@ -198,10 +194,11 @@ def transformed_map_from_inverses(
 
 
 def _check_shape(k: MultiIndex, q_arity: int, tmap: TransformedMap) -> None:
-    if k.arity != tmap.A.rows or q_arity != tmap.A.cols:
+    n, m, mm = tmap.A.rows, tmap.A.cols, tmap.M
+    if k.arity != n or q_arity != m or mm.rows != n or mm.cols != n:
         raise DimensionMismatchError(
-            f"arities ({k.arity}, {q_arity}) do not match map shape "
-            f"{tmap.A.rows}x{tmap.A.cols}"
+            f"arities ({k.arity}, {q_arity}) do not match map shapes "
+            f"A {n}x{m}, M {mm.rows}x{mm.cols}"
         )
     if k.degree() > MAX_EXPANSION_DEGREE:
         raise SizeLimitError(
@@ -249,10 +246,10 @@ def _literal_coeff(k: MultiIndex, q: MultiIndex, pairs: int, rows: tuple, den: i
 
 
 def _sweep_rows(tmap: TransformedMap):
-    """((A rows, M rows), scales): for a map of Fractions the int rows of
+    """((A rows, M rows), scales): for an exact map the int rows of
     A = A_hat/alpha and M = M_hat/beta with (alpha, beta), each matrix's
-    kept `DenseMatrix.cleared_rows`; else the map's rows and None."""
-    if all_fractions(*tmap.A.data, *tmap.M.data):
+    kept `DenseMatrix.cleared_rows`; for a float map its own rows and None."""
+    if tmap.A.is_exact() and tmap.M.is_exact():
         (a, alpha), (m, beta) = tmap.A.cleared_rows(), tmap.M.cleared_rows()
         return (a, m), (alpha, beta)
     return (tmap.A.data, tmap.M.data), None
@@ -337,11 +334,35 @@ def _coeff_table(k: tuple, a_rows, m_rows) -> dict:
     return prev[k]
 
 
-def _reads_one_tuple(k: MultiIndex, variant: CoeffVariant) -> bool:
-    """Whether T[k, .] is the literal product at the ascending slot tuple:
-    always under paper-literal, and under symmetrized when k has at most
-    one nonzero part, so its slot-tuple sum has a single tuple."""
-    return variant is CoeffVariant.PAPER_LITERAL or sum(1 for c in k.parts if c) <= 1
+def _read_coeffs(k: MultiIndex, tmap: TransformedMap, variant, levels) -> tuple:
+    """(terms, c): T[k, q] is read for each (code, q, _) of each (d, qs) of
+    levels, every q of qs having degree d and code _q_code(q.parts); terms
+    holds the ExpansionTerm of each nonzero one, in that order, and c is
+    the last one read, zero or not.  T[k, .] is the literal product at the
+    ascending slot tuple under paper-literal, and under symmetrized when k
+    has at most one nonzero part (its slot-tuple sum has a single tuple);
+    else it is read from k's table, divided by alpha^d beta^((|k|-d)/2) on
+    an exact map."""
+    variant = CoeffVariant(variant)
+    rows, scales = _sweep_rows(tmap)
+    alpha, beta = scales or (1, 1)
+    top = k.degree()
+    literal = variant is CoeffVariant.PAPER_LITERAL or sum(1 for c in k.parts if c) <= 1
+    table = None if literal else _coeff_table(k.parts, *rows)
+    terms = []
+    for d, qs in levels:
+        pairs = (top - d) // 2
+        den = alpha**d * beta**pairs
+        for code, q, _ in qs:
+            if table is None:
+                c = _literal_coeff(k, q, pairs, rows, den)
+            else:
+                c = table[code]
+                if c and scales is not None:
+                    c = Fraction(c, den)
+            if c != 0:
+                terms.append(ExpansionTerm(q, c))
+    return terms, c
 
 
 def coeff_from_map(
@@ -350,18 +371,14 @@ def coeff_from_map(
     tmap: TransformedMap,
     variant: CoeffVariant = CoeffVariant.SYMMETRIZED,
 ):
-    """Expansion coefficient for one (k, q) pair from a prebuilt map: one
-    entry of the table that expand_from_map reads, swept on the map's own
-    entries."""
+    """Expansion coefficient for one (k, q) pair from a prebuilt map: the
+    one-q read of what expand_from_map returns, zeros included."""
     k = MultiIndex.of(k)
     q = MultiIndex.of(q)
     _check_shape(k, q.arity, tmap)
-    pairs = _parity_split(k, q)
-    if _reads_one_tuple(k, variant):
-        rows, scales = _sweep_rows(tmap)
-        alpha, beta = scales or (1, 1)
-        return _literal_coeff(k, q, pairs, rows, alpha ** q.degree() * beta**pairs)
-    return _coeff_table(k.parts, tmap.A.data, tmap.M.data)[_q_code(q.parts)]
+    _parity_split(k, q)
+    level = (q.degree(), ((_q_code(q.parts), q, ()),))
+    return _read_coeffs(k, tmap, variant, (level,))[1]
 
 
 def coeff_general(
@@ -396,25 +413,10 @@ def expand_from_map(
     (descending degree, then descending-lex within a degree).  Only exact
     zeros are dropped, in float and exact mode alike."""
     k = MultiIndex.of(k)
-    _check_shape(k, tmap.A.cols, tmap)
-    top = k.degree()
-    rows, scales = _sweep_rows(tmap)
-    alpha, beta = scales or (1, 1)
-    table = None if _reads_one_tuple(k, variant) else _coeff_table(k.parts, *rows)
-    terms = []
-    for d in q_support(top):
-        pairs = (top - d) // 2
-        den = alpha**d * beta**pairs
-        for code, q, _ in _q_level(tmap.A.cols, d):
-            if table is None:
-                c = _literal_coeff(k, q, pairs, rows, den)
-            else:
-                c = table[code]
-                if c and scales is not None:
-                    c = Fraction(c, den)
-            if c != 0:
-                terms.append(ExpansionTerm(q, c))
-    return terms
+    m = tmap.A.cols
+    _check_shape(k, m, tmap)
+    levels = [(d, _q_level(m, d)) for d in q_support(k.degree())]
+    return _read_coeffs(k, tmap, variant, levels)[0]
 
 
 # The pair weight w of each family's closed forms k!/(w^i q! i!).

@@ -21,9 +21,9 @@ all read the same pair.
 Each product kernel has one body for both fields, so no entry changes
 type and a power of degree 0 is the int [1].  Exact work that a workload
 repeats runs on int rows: `inverse_rows` for every exact inverse, and in
-the callers the exact (A, M) build and table sweep of `coeffs` (`expand`
-and `oracle-compare` on rational specs), the oracle's polynomials, and
-the kron suite's exact half, which `verify` runs on integer numerators.
+the callers every exact (A, M) build and coefficient sweep of `coeffs`,
+the oracle's polynomials, and the kron suite's exact half, which `verify`
+runs on integer numerators.
 
 A covariance is an `SpdMatrix`: the checked matrix and its inverse.
 `covariance` holds the one rule for outside input.  A float covariance
@@ -93,15 +93,6 @@ def _check_finite(values: Iterable) -> None:
 #
 # A matrix is a tuple of equal-length row tuples, a vector a tuple.  The
 # kernels do no shape checks; the DenseMatrix and DenseVector methods do.
-
-
-def all_fractions(*rows: tuple) -> bool:
-    """True when every entry of the given rows is a Fraction: the operands
-    that the exact paths clear to integers.  The first entry is tested
-    before the scan, so a float or int operand costs one test."""
-    return type(rows[0][0]) is Fraction and all(
-        type(v) is Fraction for row in rows for v in row
-    )
 
 
 def cleared_rows(rows: tuple) -> tuple[tuple, int]:

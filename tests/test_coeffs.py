@@ -109,6 +109,23 @@ def test_transformed_map_dimension_error():
         transformed_map(lam, EYE2, EYE1)
 
 
+def test_exact_map_refuses_an_asymmetric_sigma_inverse():
+    # This Sigma^-1 is not symmetric, yet M = A Lambda Sigma^-1 - Sigma^-1
+    # is, so only a check of Sigma^-1 itself refuses it.
+    sigma_inv = [[1, 1], [-2, -1]]
+    lam, upsilon = [[-1, 1], [0, 1]], [[0, -1], [-1, 0]]
+    for field in (int, Fraction):
+        rows = [[[field(v) for v in row] for row in m] for m in (lam, sigma_inv, upsilon)]
+        with pytest.raises(NotSymmetricError):
+            transformed_map_from_inverses(*map(DenseMatrix.from_rows, rows))
+    with pytest.raises(NotSymmetricError):
+        transformed_map_from_inverses(
+            DenseMatrix.from_rows(lam),
+            DenseMatrix.from_rows(sigma_inv).scale(0.5),
+            DenseMatrix.from_rows(upsilon),
+        )
+
+
 def test_coeff_general_permutation_counterexample():
     lam = rational_matrix([[0, 1], [1, 0]])
     sym = coeff_general((1, 1), (1, 1), lam, EYE2, EYE2, CoeffVariant.SYMMETRIZED)
@@ -191,6 +208,37 @@ def test_coeff_parity_and_size_errors():
     big = MultiIndex((21, 0))
     with pytest.raises(SizeLimitError):
         coeff_general(big, (21, 0), lam, EYE2, EYE2)
+
+
+def test_readers_refuse_a_map_whose_m_is_not_n_by_n():
+    a = DenseMatrix.from_rows([[1, 2], [3, 4]])
+    for rows in ([[1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0]]):
+        for mm in (DenseMatrix.from_rows(rows), DenseMatrix.from_rows(rows).scale(0.5)):
+            tmap = TransformedMap(A=a, M=mm)
+            for variant in CoeffVariant:
+                with pytest.raises(DimensionMismatchError):
+                    expand_from_map((2, 1), tmap, variant)
+                with pytest.raises(DimensionMismatchError):
+                    coeff_from_map((2, 1), (1, 0), tmap, variant)
+
+
+def test_readers_take_a_variant_by_its_value_string():
+    # (1, 1) under the swap map: the ascending slot tuple alone drops the
+    # one term of the symmetrized expansion.
+    tmap = transformed_map(rational_matrix([[0, 1], [1, 0]]), EYE2, EYE2)
+    for variant in CoeffVariant:
+        want = expand_from_map((1, 1), tmap, variant)
+        assert expand_from_map((1, 1), tmap, variant.value) == want
+        assert coeff_from_map((1, 1), (1, 1), tmap, variant.value) == (
+            coeff_from_map((1, 1), (1, 1), tmap, variant)
+        )
+    assert coeff_from_map((1, 1), (1, 1), tmap, "paper-literal") == 0
+    assert coeff_from_map((1, 1), (1, 1), tmap, "symmetrized") == 1
+    for bad in ("bogus", "PAPER_LITERAL", None):
+        with pytest.raises(ValueError):
+            expand_from_map((1, 1), tmap, bad)
+        with pytest.raises(ValueError):
+            coeff_from_map((1, 1), (1, 1), tmap, bad)
 
 
 def test_coeff_isotropic_orthonormal_columns_kill_corrections():
@@ -579,6 +627,15 @@ def sparse_map(rng, n, m, exact):
     return TransformedMap(A=a, M=mm)
 
 
+def assert_coeff_contract(got, want, exact):
+    """A float map's coefficient has the reference's repr; an exact map's
+    has its value, and is a Fraction unless it is zero."""
+    if exact:
+        assert got == want and (type(got) is Fraction or got == 0), (got, want)
+    else:
+        assert repr(got) == repr(want)
+
+
 def test_coeff_table_matches_recursion_reference():
     checked_from_map = 0
     for trial in range(48):
@@ -600,9 +657,9 @@ def test_coeff_table_matches_recursion_reference():
             for q in enumerate_fixed_degree(m, d)
         ]
         terms = expand_from_map(k, tmap)
-        assert [(t.q, repr(t.coeff)) for t in terms] == [
-            (q, repr(c)) for q, c in reference if c != 0
-        ]
+        assert [t.q for t in terms] == [q for q, c in reference if c != 0]
+        for t, c in zip(terms, (c for _, c in reference if c != 0)):
+            assert_coeff_contract(t.coeff, c, exact)
         kept = {t.q for t in terms}
         assert [q for q, _ in reference if q not in kept] == [
             q for q, c in reference if c == 0
@@ -613,7 +670,7 @@ def test_coeff_table_matches_recursion_reference():
             picks = rng.choice(len(reference), size=8, replace=False).tolist()
         for at in picks:
             q, c = reference[at]
-            assert repr(coeff_from_map(k, q, tmap)) == repr(c)
+            assert_coeff_contract(coeff_from_map(k, q, tmap), c, exact)
             checked_from_map += 1
     assert checked_from_map >= 300
 
@@ -742,9 +799,11 @@ def typed_map(rng, n, m, kind):
 
 
 def test_integer_sweep_matches_fraction_reference():
-    """Exact maps are cleared to integers inside coeffs; every coefficient
-    must keep the value and the type (int or Fraction) that the sweep on
-    the map's own entries gives, exact zeros from coeff_from_map included."""
+    """Exact maps are swept on their cleared integers; every coefficient
+    keeps the value that the sweep on the map's own entries gives, and is
+    a Fraction unless it is zero.  The sweep on the own entries is the
+    table itself, checked against the reference in value and type, exact
+    zeros included."""
     kinds = ("fraction", "float", "int", "mixed")
     zero_types = set()
     compared = 0
@@ -758,11 +817,16 @@ def test_integer_sweep_matches_fraction_reference():
             parts[int(rng.integers(0, n))] += 1
         k = MultiIndex(tuple(parts))
         tmap = typed_map(rng, n, m, kind)
+        own = coeffs._coeff_table(k.parts, tmap.A.data, tmap.M.data)
+        want = fraction_table_reference(k.parts, tmap.A.data, tmap.M.data)
+        assert {q: (c, type(c)) for q, c in own.items()} == {
+            coeffs._q_code(q): (c, type(c)) for q, c in want.items()
+        }
         for variant in CoeffVariant:
             reference = expand_reference(k, tmap, variant)
             terms = expand_from_map(k, tmap, variant)
             assert [(t.q, t.coeff, type(t.coeff)) for t in terms] == [
-                (q, c, type(c)) for q, c in reference if c != 0
+                (q, c, Fraction) for q, c in reference if c != 0
             ]
             picks = range(len(reference))
             if k.degree() > 6 and len(reference) > 8:
@@ -770,8 +834,7 @@ def test_integer_sweep_matches_fraction_reference():
                 picks = zeros[:8] + rng.choice(len(reference), size=8).tolist()
             for at in picks:
                 q, c = reference[at]
-                got = coeff_from_map(k, q, tmap, variant)
-                assert (got, type(got)) == (c, type(c))
+                assert_coeff_contract(coeff_from_map(k, q, tmap, variant), c, True)
                 if c == 0 and kind in ("fraction", "float"):
                     zero_types.add(type(c))
                 compared += 1
@@ -781,7 +844,8 @@ def test_integer_sweep_matches_fraction_reference():
 
 def test_exact_transformed_map_matches_fraction_products():
     """(A, M) from integer products equal the products of the given
-    matrices in value and entry type, for every mix of entry types."""
+    matrices in value, for every mix of exact entry types, and every entry
+    is a Fraction."""
     kinds = ("fraction", "float", "int", "mixed")
     for trial in range(48):
         rng = trial_rng(626, trial)
@@ -797,7 +861,7 @@ def test_exact_transformed_map_matches_fraction_products():
         tmap = transformed_map_from_inverses(lam, sigma_inv, upsilon)
         for got, want in ((tmap.A, a), (tmap.M, mm)):
             assert [(v, type(v)) for row in got.data for v in row] == [
-                (v, type(v)) for row in want.data for v in row
+                (v, Fraction) for row in want.data for v in row
             ]
 
 
@@ -811,31 +875,25 @@ def _clear_reference(a):
 
 
 def map_reference(lam, sigma_inv, upsilon):
-    """(A rows, M rows) by the formulas transformed_map_from_inverses ran on
-    DenseMatrix products: on a Fraction Sigma^-1 with exact Lambda and
-    Upsilon, A = A_hat.scale(Fraction(1, s e u)) and
-    M = M_hat.scale(Fraction(1, s^2 e^2 u)) over the cleared integers,
-    else the products of the given entries."""
-    lam_t = [list(col) for col in zip(*lam)]
-    if all(type(v) is Fraction for row in sigma_inv for v in row):
-        (sm, s), (lm, e), (um, u) = map(_clear_reference, (sigma_inv, lam, upsilon))
-        a_hat = _products_reference(_products_reference(sm, [list(c) for c in zip(*lm)]), um)
-        p_hat = _products_reference(_products_reference(a_hat, lm), sm)
-        m_hat = [[x - s * e * e * u * y for x, y in zip(pr, sr)] for pr, sr in zip(p_hat, sm)]
-        return (
-            [[Fraction(1, s * e * u) * v for v in row] for row in a_hat],
-            [[Fraction(1, s * s * e * e * u) * v for v in row] for row in m_hat],
-        )
-    a = _products_reference(_products_reference(sigma_inv, lam_t), upsilon)
-    p = _products_reference(_products_reference(a, lam), sigma_inv)
-    return a, [[x - y for x, y in zip(pr, sr)] for pr, sr in zip(p, sigma_inv)]
+    """(A rows, M rows) of exact Sigma^-1, Lambda and Upsilon by the
+    formulas transformed_map_from_inverses ran on DenseMatrix products:
+    A = A_hat.scale(Fraction(1, s e u)) and
+    M = M_hat.scale(Fraction(1, s^2 e^2 u)) over the cleared integers."""
+    (sm, s), (lm, e), (um, u) = map(_clear_reference, (sigma_inv, lam, upsilon))
+    a_hat = _products_reference(_products_reference(sm, [list(c) for c in zip(*lm)]), um)
+    p_hat = _products_reference(_products_reference(a_hat, lm), sm)
+    m_hat = [[x - s * e * e * u * y for x, y in zip(pr, sr)] for pr, sr in zip(p_hat, sm)]
+    return (
+        [[Fraction(1, s * e * u) * v for v in row] for row in a_hat],
+        [[Fraction(1, s * s * e * e * u) * v for v in row] for row in m_hat],
+    )
 
 
 def test_exact_map_and_table_keep_values_and_types():
     """(A, M) built on int rows, and the tables read from them, equal the
-    DenseMatrix formulas entry by entry in repr: every entry of a Fraction
-    map is a Fraction (zeros are Fraction(0)), and int and mixed inputs run
-    the plain products."""
+    DenseMatrix formulas entry by entry in repr: every entry of an exact
+    map is a Fraction (zeros are Fraction(0)), whether the inputs hold
+    Fractions, ints or both."""
     kinds = ("fraction", "int", "mixed")
     rng = random.Random(1818)
     for trial in range(72):
@@ -862,8 +920,7 @@ def test_exact_map_and_table_keep_values_and_types():
         a, mm = map_reference(lam, sigma_inv, upsilon)
         assert repr(tmap.A.data) == repr(tuple(map(tuple, a)))
         assert repr(tmap.M.data) == repr(tuple(map(tuple, mm)))
-        if kind == "fraction":
-            assert all(type(v) is Fraction for row in tmap.A.data + tmap.M.data for v in row)
+        assert all(type(v) is Fraction for row in tmap.A.data + tmap.M.data for v in row)
         ref_map = TransformedMap(A=DenseMatrix.from_rows(a), M=DenseMatrix.from_rows(mm))
         k = MultiIndex(tuple(rng.randint(0, 3) for _ in range(n)))
         for variant in CoeffVariant:

@@ -212,6 +212,17 @@ def test_oracle_permutation_counterexample():
     assert lit.rhs.is_zero()
 
 
+def test_oracle_takes_a_variant_by_its_value_string():
+    lam = rational_matrix([[0, 1], [1, 0]])
+    eye = rational_matrix([[1, 0], [0, 1]])
+    for variant in CoeffVariant:
+        want = oracle_compare((1, 1), lam, eye, eye, variant)
+        assert oracle_compare((1, 1), lam, eye, eye, variant.value) == want
+    assert not oracle_compare((1, 1), lam, eye, eye, "paper-literal").equal
+    with pytest.raises(ValueError):
+        oracle_compare((1, 1), lam, eye, eye, "bogus")
+
+
 def test_oracle_variants_agree_for_single_row():
     lam = rational_matrix([[Fraction(1, 2)], [Fraction(-2, 3)]])
     sigma = rational_matrix([[Fraction(3, 2)]])

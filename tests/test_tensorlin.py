@@ -156,7 +156,7 @@ def test_kron_and_dot_match_plain_products(kind):
         column = DenseMatrix.from_rows([[x] for x in v])
         assert repr(got.entries) == repr(colwise_kron_power(column, (p,)).entries)
         got = DenseVector(tuple(v)).dot(DenseVector(tuple(w)))
-        assert repr(got) == repr(sum(x * y for x, y in zip(v, w)))
+        assert repr(got) == repr(reduce(operator.add, (x * y for x, y in zip(v, w)), 0))
         rows = [[_scalar(rng, kind) for _ in range(rng.randint(1, 3))]]
         rows += [[_scalar(rng, kind) for _ in rows[0]] for _ in range(rng.randint(0, 2))]
         a = DenseMatrix.from_rows(rows)
@@ -166,7 +166,9 @@ def test_kron_and_dot_match_plain_products(kind):
 
 
 # Reference loops: the generator formulas the DenseMatrix methods ran
-# before they were written over row-tuple kernels.
+# before they were written over row-tuple kernels.  Each sum folds left
+# from the int 0, as left_sum does: builtin sum compensates float sums
+# from Python 3.12 on.
 
 
 def _ref_transpose(a):
@@ -175,13 +177,16 @@ def _ref_transpose(a):
 
 def _ref_matmul(a, b):
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        tuple(
+            reduce(operator.add, (a[i][k] * b[k][j] for k in range(len(b))), 0)
+            for j in range(len(b[0]))
+        )
         for i in range(len(a))
     )
 
 
 def _ref_matvec(a, v):
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+    return tuple(reduce(operator.add, (row[k] * v[k] for k in range(len(v))), 0) for row in a)
 
 
 def _ref_elementwise(op, a, b):
@@ -250,7 +255,8 @@ def test_matrix_kernels_match_reference_loops(kind):
         assert repr(ma.transpose().data) == repr(_ref_transpose(a))
         assert repr(ma.matmul(mb).data) == repr(_ref_matmul(a, b))
         assert repr(ma.matvec(DenseVector(v)).entries) == repr(_ref_matvec(a, v))
-        assert repr(DenseVector(v).dot(DenseVector(w))) == repr(sum(x * y for x, y in zip(v, w)))
+        want = reduce(operator.add, (x * y for x, y in zip(v, w)), 0)
+        assert repr(DenseVector(v).dot(DenseVector(w))) == repr(want)
         assert repr(ma.add(ma2).data) == repr(_ref_elementwise(operator.add, a, a2))
         assert repr(ma.sub(ma2).data) == repr(_ref_elementwise(operator.sub, a, a2))
         assert repr(ma.scale(scalar).data) == repr(_ref_scale(scalar, a))
