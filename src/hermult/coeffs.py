@@ -30,20 +30,20 @@ lists the k' the sweep needs, from k down: with i the rightmost positive
 coordinate of a needed k', it needs k' - e_i, and k' - e_i - e_l for every
 l with M_il != 0 and c = (k' - e_i)_l > 0.  The plan (_sweep_plan) depends
 only on k and the zero pattern of M and holds the int c, not c * M_il.  The
-value pass visits the planned k' in increasing degree and pulls each
-T[k', q'] from the two layers below it, for every q' of the parity of |k'|:
+value pass visits the planned k' in increasing degree.  Each keeps one flat
+list of T[k', q'] over the q' of the parity of |k'| in ascending degree, then
+canonical order (_q_layout), so degree d - 2 gives a prefix of degree d: the
+A pulls fill it by position, then each M pull runs over that prefix:
 
     acc = 0;  acc = acc + A_ij T[k'-e_i, q'-e_j]       for j ascending,
                     skipping A_ij == 0 and q'_j == 0;
     if |q'| < |k'|:  acc = acc + (c M_il) T[k'-e_i-e_l, q']  for l ascending,
                     c = (k'-e_i)_l, skipping M_il == 0 and c == 0.
 
-Only the layers of degree d-1 and d-2 are kept while degree d is built.
+While degree d is built, only the lists of degree d - 1 and d - 2 are kept.
 Each entry is this one expression, in this operand order, over entries of
-lower degree, so a float table is reproducible bit for bit.  q' is
-addressed by its digits in radix MAX_EXPANSION_DEGREE + 1, listed with the
-codes of its q' - e_j (_q_level); expand_from_map reads every q from the
-table of k and coeff_from_map reads one.
+lower degree, so a float table is reproducible bit for bit and an entry no
+pull reaches stays the int 0; coeff_from_map reads one at q's _q_pos.
 
 The field alone picks the route, and one body (_read_coeffs) serves both
 readers.  Exact work runs on integers.  With Sigma^-1 = S/s, Lambda = L/e
@@ -255,29 +255,45 @@ def _sweep_rows(tmap: TransformedMap):
     return (tmap.A.data, tmap.M.data), None
 
 
-# Indices q are coded by their digits in this radix: every part of an
+# Indices q are keyed by their digits in this radix: every part of an
 # expanded q is at most MAX_EXPANSION_DEGREE.
 _Q_RADIX = MAX_EXPANSION_DEGREE + 1
 
 
 @functools.lru_cache(maxsize=128)
 def _q_level(m: int, d: int) -> tuple:
-    """The (code, q, lowers) triples of every arity-m index q of degree d,
-    in canonical order; lowers holds (j, code of q - e_j) for each j with
-    q_j > 0, ascending."""
+    """The (pos, q, code) triples of every arity-m index q of degree d, in
+    canonical order: pos is q's position in the flat layout and code the
+    number whose digits in radix _Q_RADIX are q's parts."""
     weights = [_Q_RADIX ** (m - 1 - j) for j in range(m)]
-    codes = [(_q_code(q.parts), q) for q in enumerate_fixed_degree(m, d)]
-    return tuple(
-        (code, q, tuple((j, code - weights[j]) for j, p in enumerate(q.parts) if p))
-        for code, q in codes
-    )
+    return tuple([
+        (pos, q, sum(map(mul, q.parts, weights)))
+        for pos, q in enumerate(enumerate_fixed_degree(m, d), _q_pos((d,) + (0,) * (m - 1)))
+    ])
 
 
-def _q_code(parts: tuple) -> int:
-    code = 0
-    for p in parts:
-        code = code * _Q_RADIX + p
-    return code
+@functools.lru_cache(maxsize=128)
+def _q_layout(m: int, d: int) -> tuple:
+    """(j, position of q - e_j) for each j with q_j > 0, ascending, for the
+    q at each position of the flat layout of degree d: every arity-m q of
+    degree d, d - 2, ..., in ascending degree, then canonical order."""
+    weights = [_Q_RADIX ** (m - 1 - j) for j in range(m)]
+    below = {code: pos for pos, _, code in _q_level(m, d - 1)} if d else {}
+    return (_q_layout(m, d - 2) if d > 1 else ()) + tuple([
+        tuple([(j, below[code - weights[j]]) for j, p in enumerate(q.parts) if p])
+        for _, q, code in _q_level(m, d)
+    ])
+
+
+def _q_pos(parts: tuple) -> int:
+    """q's position in the flat layout: the count of indices of its arity
+    and a lower degree of its parity, plus those of its degree before it."""
+    m, rest = len(parts), sum(parts)
+    pos = sum(math.comb(e + m - 1, m - 1) for e in range(rest % 2, rest, 2))
+    for j, p in enumerate(parts[:-1]):
+        pos += math.comb(rest - p - 2 + m - j, m - 1 - j)
+        rest -= p
+    return pos
 
 
 def _sweep_plan(k: tuple, m_rows) -> list:
@@ -305,44 +321,41 @@ def _sweep_plan(k: tuple, m_rows) -> list:
     return steps
 
 
-def _coeff_table(k: tuple, a_rows, m_rows) -> dict:
-    """T[k, q] for every q of the parity of |k|, keyed by _q_code(q): the
-    value pass over _sweep_plan (see the module docstring)."""
+def _coeff_table(k: tuple, a_rows, m_rows) -> list:
+    """T[k, q] for every q of the parity of |k|, at q's position in the
+    flat layout: the value pass over _sweep_plan (see the module docstring)."""
     m = len(a_rows[0])
     steps = _sweep_plan(k, m_rows)
-    below, prev = {}, {(0,) * len(k): {0: 1}}
+    below, prev = {}, {(0,) * len(k): [1]}
     for d in range(1, len(steps)):
+        layout = _q_layout(m, d)
         cur = {}
         for kp, (i, low, twice) in steps[d].items():
-            src = prev[low]
-            a_row, m_row = a_rows[i], m_rows[i]
-            m_pulls = [(c * m_row[l], below[lower]) for c, l, lower in twice]
-            t = {}
-            for dq in range(d, -1, -2):
-                pulls = m_pulls if dq < d else ()
-                for code, _, lowers in _q_level(m, dq):
-                    acc = 0
-                    for j, lower_code in lowers:
-                        a = a_row[j]
-                        if a:
-                            acc = acc + a * src[lower_code]
-                    for cm, lower_t in pulls:
-                        acc = acc + cm * lower_t[code]
-                    t[code] = acc
+            src, a_row, m_row = prev[low], a_rows[i], m_rows[i]
+            t = []
+            for lowers in layout:
+                acc = 0
+                for j, p in lowers:
+                    a = a_row[j]
+                    if a:
+                        acc = acc + a * src[p]
+                t.append(acc)
+            for c, l, lower in twice:
+                cm, lower_t = c * m_row[l], below[lower]
+                t[: len(lower_t)] = [x + cm * y for x, y in zip(t, lower_t)]
             cur[kp] = t
         below, prev = prev, cur
     return prev[k]
 
 
 def _read_coeffs(k: MultiIndex, tmap: TransformedMap, variant, levels) -> tuple:
-    """(terms, c): T[k, q] is read for each (code, q, _) of each (d, qs) of
-    levels, every q of qs having degree d and code _q_code(q.parts); terms
-    holds the ExpansionTerm of each nonzero one, in that order, and c is
-    the last one read, zero or not.  T[k, .] is the literal product at the
-    ascending slot tuple under paper-literal, and under symmetrized when k
-    has at most one nonzero part (its slot-tuple sum has a single tuple);
-    else it is read from k's table, divided by alpha^d beta^((|k|-d)/2) on
-    an exact map."""
+    """(terms, c): T[k, q] is read for each (pos, q, _) of each (d, qs) of
+    levels, every q of qs having degree d and position pos; terms holds the
+    ExpansionTerm of each nonzero one, in that order, and c is the last one
+    read, zero or not.  T[k, .] is the literal product at the ascending slot
+    tuple under paper-literal, and under symmetrized when k has at most one
+    nonzero part (its slot-tuple sum has a single tuple); else it is read
+    from k's table, divided by alpha^d beta^((|k|-d)/2) on an exact map."""
     variant = CoeffVariant(variant)
     rows, scales = _sweep_rows(tmap)
     alpha, beta = scales or (1, 1)
@@ -353,11 +366,11 @@ def _read_coeffs(k: MultiIndex, tmap: TransformedMap, variant, levels) -> tuple:
     for d, qs in levels:
         pairs = (top - d) // 2
         den = alpha**d * beta**pairs
-        for code, q, _ in qs:
+        for pos, q, _ in qs:
             if table is None:
                 c = _literal_coeff(k, q, pairs, rows, den)
             else:
-                c = table[code]
+                c = table[pos]
                 if c and scales is not None:
                     c = Fraction(c, den)
             if c != 0:
@@ -377,7 +390,7 @@ def coeff_from_map(
     q = MultiIndex.of(q)
     _check_shape(k, q.arity, tmap)
     _parity_split(k, q)
-    level = (q.degree(), ((_q_code(q.parts), q, ()),))
+    level = (q.degree(), ((_q_pos(q.parts), q, None),))
     return _read_coeffs(k, tmap, variant, (level,))[1]
 
 

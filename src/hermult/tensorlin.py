@@ -262,8 +262,10 @@ class DenseMatrix:
             )
 
     def is_exact(self) -> bool:
-        """True when every entry is an exact scalar; bools and subclasses
-        of int or Fraction go through `is_exact_scalar` one by one."""
+        """True when every entry is an exact scalar.  A float first entry
+        answers at once; bools and int or Fraction subclasses go one by one."""
+        if type(self.data[0][0]) is float:
+            return False
         if set(map(type, chain.from_iterable(self.data))) <= _EXACT_TYPES:
             return True
         return all(map(is_exact_scalar, chain.from_iterable(self.data)))

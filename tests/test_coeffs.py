@@ -819,9 +819,11 @@ def test_integer_sweep_matches_fraction_reference():
         tmap = typed_map(rng, n, m, kind)
         own = coeffs._coeff_table(k.parts, tmap.A.data, tmap.M.data)
         want = fraction_table_reference(k.parts, tmap.A.data, tmap.M.data)
-        assert {q: (c, type(c)) for q, c in own.items()} == {
-            coeffs._q_code(q): (c, type(c)) for q, c in want.items()
-        }
+        # The table lists every q of the parity of |k| in ascending degree,
+        # then canonical order.
+        top = k.degree()
+        layout = [q.parts for d in range(top % 2, top + 1, 2) for q in enumerate_fixed_degree(m, d)]
+        assert [(c, type(c)) for c in own] == [(want[q], type(want[q])) for q in layout]
         for variant in CoeffVariant:
             reference = expand_reference(k, tmap, variant)
             terms = expand_from_map(k, tmap, variant)
@@ -840,6 +842,69 @@ def test_integer_sweep_matches_fraction_reference():
                 compared += 1
     assert zero_types == {int, Fraction}
     assert compared >= 1500
+
+
+def assert_flat_table(k, a_rows, m_rows, exact):
+    """k's table lists T[k, q] for every q of the parity of |k| in ascending
+    degree, then canonical order.  Float entries keep the recursion
+    reference's repr, exact ones the Fraction reference's value and type
+    (an int 0 where no pull reaches).  When k has two nonzero parts or more
+    the readers read that table: expand_from_map in its own order, and
+    coeff_from_map at the first and last q of each degree."""
+    tmap = TransformedMap(A=DenseMatrix.from_rows(a_rows), M=DenseMatrix.from_rows(m_rows))
+    a, mm = tmap.A.data, tmap.M.data
+    n, m, top = len(k), len(a[0]), sum(k)
+    layout = [q for d in range(top % 2, top + 1, 2) for q in enumerate_fixed_degree(m, d)]
+    assert [coeffs._q_pos(q.parts) for q in layout] == list(range(len(layout)))
+    table = coeffs._coeff_table(k, a, mm)
+    if exact:
+        ref = fraction_table_reference(k, a, mm)
+        want = [ref[q.parts] for q in layout]
+        assert [(c, type(c)) for c in table] == [(c, type(c)) for c in want]
+    else:
+        memo = {((0,) * n, (0,) * m): 1}
+        want = [
+            raise_coeff_reference(k, q.parts, (top - q.degree()) // 2, a, mm, memo)
+            for q in layout
+        ]
+        assert [repr(c) for c in table] == [repr(c) for c in want]
+    if sum(1 for c in k if c) < 2:
+        return
+    by_q = dict(zip(layout, want))
+    expected = [(q, by_q[q]) for d in q_support(top) for q in enumerate_fixed_degree(m, d)]
+    terms = expand_from_map(k, tmap)
+    assert [t.q for t in terms] == [q for q, c in expected if c != 0]
+    for t, c in zip(terms, (c for _, c in expected if c != 0)):
+        assert_coeff_contract(t.coeff, c, exact)
+    for d in q_support(top):
+        for q in {enumerate_fixed_degree(m, d)[0], enumerate_fixed_degree(m, d)[-1]}:
+            assert_coeff_contract(coeff_from_map(k, q, tmap), by_q[q], exact)
+
+
+def test_flat_table_edge_cases():
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    a22 = [[Fraction(3, 4), Fraction(-5, 4)], [Fraction(1, 3), Fraction(2)]]
+    m22 = [[half, third], [third, Fraction(5, 4)]]
+    cases = [
+        ((0, 0), a22, m22),  # k = 0: the table is T[0, 0] = 1 alone
+        ((0, 1), [[half, third, 2], [Fraction(7, 5), 0, -1]], m22),  # |k| = 1
+        ((7,), [[half, Fraction(-3, 2)]], [[Fraction(3, 4)]]),  # n = 1
+        ((3, 2), [[Fraction(5, 4)], [third]], m22),  # m = 1
+        ((3, 3), a22, [[0, 0], [0, 0]]),  # M = 0: no M pulls
+        ((3, 2), [[half, 0, third], [Fraction(6, 5), 0, 1]], m22),  # a zero column of A
+        ((2, 3), [[half, 0], [0, third]], [[0, half], [half, 0]]),  # sparse A and M
+    ]
+    for k, a, mm in cases:
+        assert_flat_table(k, a, mm, True)
+        assert_flat_table(k, [[float(v) for v in row] for row in a], [[float(v) for v in row] for row in mm], False)
+    # Signed float zeros in A and M are skipped like any zero.
+    assert_flat_table((2, 3), [[-0.0, 0.75], [-1.5, -0.0]], [[-0.0, 0.5], [0.5, -0.0]], False)
+    assert_flat_table((1, 2), [[-0.0, -0.0], [0.25, -0.0]], [[-0.0, -0.0], [-0.0, -0.0]], False)
+    # |k| at the cap, n = m = 2.
+    top = coeffs.MAX_EXPANSION_DEGREE
+    k = (top // 2 + 1, top // 2 - 1)
+    assert_flat_table(k, a22, m22, True)
+    assert_flat_table(k, [[0.6, -1.1], [0.3, 0.9]], [[0.5, -0.25], [-0.25, 0.75]], False)
 
 
 def test_exact_transformed_map_matches_fraction_products():

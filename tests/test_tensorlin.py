@@ -280,6 +280,18 @@ def test_is_exact_takes_bools_and_subclasses_one_by_one():
     assert DenseMatrix(1, 2, ((1, True),)).is_exact() is False
 
 
+def test_is_exact_answers_a_float_first_entry_and_scans_the_rest():
+    # A float first entry answers at once; after an exact first entry a
+    # later float or bool still makes the matrix inexact.
+    third = Fraction(1, 3)
+    assert DenseMatrix(2, 2, ((0.5, third), (2, 3))).is_exact() is False
+    assert DenseMatrix(2, 2, ((-0.0, 1), (2, 3))).is_exact() is False
+    assert DenseMatrix(2, 2, ((third, 1), (2, 0.5))).is_exact() is False
+    assert DenseMatrix(2, 2, ((third, 1), (True, 3))).is_exact() is False
+    assert DenseMatrix(2, 2, ((3, third), (Fraction(-2), 0))).is_exact() is True
+    assert DenseMatrix(1, 1, ((third,),)).is_exact() is True
+
+
 def test_exact_kron_of_degree_zero_is_int_one():
     v = DenseVector((Fraction(1, 2), Fraction(3)))
     assert repr(kron_power(v, 0).entries) == "(1,)"
