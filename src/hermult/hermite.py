@@ -14,9 +14,9 @@ hermite_multi_batch runs the raising recurrence top down with one memo
 keyed by index tuples, shared by all the indices of a call; hermite_multi
 is the batch of one index.  gf_partial_sum needs every index up to its
 degree cap, so it runs the same recurrence bottom up over a table built
-once per (arity, cap): each entry holds the positions of the entries it
-reads, and the sweep evaluates _raise_value's expression in the same
-operand order, so both give the same bits.
+once per (arity, cap): each entry holds the positions it reads, and the
+sweep evaluates _raise_value's expression in its operand order, with
+each c * B[i][j] formed once per call, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -202,36 +202,37 @@ def hermite_multi_product(
 
 @functools.lru_cache(maxsize=64)
 def _gf_table(n: int, degree_cap: int) -> tuple:
-    """The sweep plan of gf_partial_sum: one entry per arity-n index k of
-    total degree <= degree_cap, in ascending degree, then the enumeration
-    order within a degree, so every entry comes after the entries it reads.
+    """The sweep plan of gf_partial_sum: one entry per arity-n index k with
+    0 < |k| <= degree_cap, in ascending degree, then enumeration order.
+    Sweep position p holds entry p - 1 and position 0 holds k = 0, so every
+    entry comes after those it reads.
 
-    An entry is (powers, 1/k!, float(1/k!), step).  `powers` holds the
-    (j, k_j) with k_j > 0.  step is (i, low, twice): i is the rightmost
-    positive coordinate of k, the one _raise_value lowers, `low` the
-    position of k - e_i and `twice` the (j, c, position of k - e_i - e_j)
-    for each j with c = (k - e_i)_j > 0, j ascending.  The first entry is
-    k = 0, whose step is None.
+    An entry is (i, low, twice, prefix, power, 1/k!, float(1/k!)).  i is the
+    rightmost positive coordinate of k, the one _raise_value lowers, and
+    `low` the position of k - e_i.  `twice` holds a (w, position of
+    k - e_i - e_j) for each j with c = (k - e_i)_j > 0, j ascending, where
+    c * B[i][j] is the sweep's product w.  t^k is the t^k at position
+    `prefix` (k with k_i zeroed) times t_i**k_i, the sweep's power at
+    `power`: the left-to-right product of the powers, one multiply.
     """
-    position = {}
+    position = {(0,) * n: 0}
     out = []
-    for d in range(degree_cap + 1):
+    for d in range(1, degree_cap + 1):
         for k in enumerate_fixed_degree(n, d):
             parts = k.parts
-            position[parts] = len(out)
-            inv = Fraction(1, mi_factorial(k))
-            powers = tuple((j, c) for j, c in enumerate(parts) if c)
-            if not powers:
-                out.append((powers, inv, float(inv), None))
-                continue
-            i = powers[-1][0]
+            position[parts] = len(out) + 1
+            i = max(j for j, c in enumerate(parts) if c)
             low = parts[:i] + (parts[i] - 1,) + parts[i + 1 :]
+            base = i * n * degree_cap - 1
             twice = tuple(
-                (j, c, position[low[:j] + (c - 1,) + low[j + 1 :]])
+                (base + j * degree_cap + c, position[low[:j] + (c - 1,) + low[j + 1 :]])
                 for j, c in enumerate(low)
                 if c
             )
-            out.append((powers, inv, float(inv), (i, position[low], twice)))
+            prefix = position[parts[:i] + (0,) + parts[i + 1 :]]
+            inv = Fraction(1, mi_factorial(k))
+            power = i * degree_cap + parts[i] - 1
+            out.append((i, position[low], twice, prefix, power, inv, float(inv)))
     return tuple(out)
 
 
@@ -243,8 +244,8 @@ def gf_partial_sum(
 
     The Hermite values come from one bottom-up sweep over _gf_table, which
     fills every entry, including those whose t^k is zero.  Each value is
-    _raise_value's expression with its operands in the same order, so the
-    sum has the same bits as a sum of per-index hermite_multi values."""
+    _raise_value's expression in the same operand order, with c * B[i][j]
+    formed once, so the sum has the bits of per-index hermite_multi values."""
     if degree_cap < 0:
         raise DomainError(f"degree cap must be >= 0, got {degree_cap}")
     if degree_cap > MAX_GF_DEGREE:
@@ -256,21 +257,23 @@ def gf_partial_sum(
             f"t dim {t.dim} does not match x dim {x.dim}"
         )
     bx, b_rows, _ = _evaluation_state(x, sigma)
-    table = _gf_table(x.dim, degree_cap)
-    h = [1] * len(table)
-    for pos in range(1, len(table)):
-        i, low, twice = table[pos][3]
-        row = b_rows[i]
-        acc = bx[i] * h[low]
-        for j, c, below in twice:
-            acc = acc - c * row[j] * h[below]
-        h[pos] = acc
-    t_powers = [[None] + [ti**c for c in range(1, degree_cap + 1)] for ti in t.entries]
-    total = 0
-    for (powers, inv_factorial, inv_factorial_f, _), hk in zip(table, h):
-        tk = 1
-        for j, c in powers:
-            tk = tk * t_powers[j][c]
+    # c * B[i][j] at (i*n + j)*cap + c - 1 and t_i**c at i*cap + c - 1, for
+    # c = 1..cap: the places _gf_table's entries name.
+    cb = [c * v for row in b_rows for v in row for c in range(1, degree_cap + 1)]
+    t_powers = [ti**c for ti in t.entries for c in range(1, degree_cap + 1)]
+    h, t_ks = [1], [1]
+    add_h, add_tk = h.append, t_ks.append
+    # The k = 0 term: 1/0! * t^0 * H_0, the Fraction 1.
+    total = Fraction(1)
+    for i, low, twice, prefix, power, inv_factorial, inv_factorial_f in _gf_table(
+        x.dim, degree_cap
+    ):
+        hk = bx[i] * h[low]
+        for w, below in twice:
+            hk = hk - cb[w] * h[below]
+        add_h(hk)
+        tk = t_ks[prefix] * t_powers[power]
+        add_tk(tk)
         if tk == 0:
             continue
         # Fraction * float computes float(Fraction) * float, so the float

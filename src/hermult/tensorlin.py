@@ -9,11 +9,11 @@ Each matrix operation is one kernel on plain row tuples (`matmul_rows`,
 `transpose_rows`, `cleared_rows`, ...).  The `DenseMatrix` and
 `DenseVector` methods check shapes and wrap them; the exact paths of
 `coeffs` and `polyoracle` call them on int rows directly.  A product entry
-is `left_sum(map(mul, row, col))`, and every float sum of the package goes
-through `left_sum`: left to right from 0 on every Python, so float bits do
-not depend on the kernel or the interpreter.  `cleared_rows` writes exact
-rows as C/d with C int rows; `inverse_rows` is exact only and fraction-free
-on C.  A `DenseMatrix` keeps the (C, d) of its rows once asked for
+is `left_sum(map(mul, row, col))`.  Every float sum runs left to right from
+the int 0, in `left_sum` or a loop folding the same way, so float bits do
+not depend on the interpreter.  `cleared_rows` writes exact rows as C/d,
+C int rows; `inverse_rows` is exact only and fraction-free on C.  A
+`DenseMatrix` keeps the (C, d) of its rows once asked for
 (`DenseMatrix.cleared_rows`), so each exact matrix is cleared at most once:
 its inverse, the exact (A, M) built from it and the oracle's polynomials
 all read the same pair.
@@ -270,9 +270,6 @@ class DenseMatrix:
             return True
         return all(map(is_exact_scalar, chain.from_iterable(self.data)))
 
-    def to_lists(self) -> list[list]:
-        return [list(row) for row in self.data]
-
     def cleared_rows(self) -> tuple[tuple, int]:
         """`cleared_rows` of an exact matrix's rows, made on the first call
         and kept, so each matrix is cleared at most once."""
@@ -395,8 +392,9 @@ def spd_factorize(s: DenseMatrix) -> SpdMatrix:
     The factorization stays inside the scalar field: exact for rational
     entries, ordinary doubles for floats.  The inverse solves L D L^T X = I
     by one forward pass, a scaling by D and one back pass, run on every
-    column of X at once.  Rounding can keep every pivot of a singular float
-    matrix positive, so a float S is also refused unless
+    column of X at once; each inner sum is a loop folding as `left_sum`
+    does.  Rounding can keep every pivot of a singular float matrix
+    positive, so a float S is also refused unless
     n * eps * max|S| * max|S^-1| < 1 (eps = 2^-52), a test that scaling S
     does not change.
     """
@@ -409,27 +407,39 @@ def spd_factorize(s: DenseMatrix) -> SpdMatrix:
         a = [[Fraction(v) for v in row] for row in s.data]
     else:
         a = [[float(v) for v in row] for row in s.data]
-    low = [[0] * n for _ in range(n)]
-    diag = [0] * n
-    for j in range(n):
-        pivot = a[j][j] - left_sum(low[j][k] * low[j][k] * diag[k] for k in range(j))
-        if not pivot > 0:
-            raise NotPositiveDefiniteError(
-                f"non-positive pivot {pivot!r} at index {j}"
-            )
-        diag[j] = pivot
-        low[j][j] = 1
-        for i in range(j + 1, n):
-            v = a[i][j] - left_sum(low[i][k] * low[j][k] * diag[k] for k in range(j))
-            low[i][j] = v / pivot
     cols = range(n)
+    low = [[1 if i == c else 0 for c in cols] for i in cols]
+    diag = [0] * n
+    for j in cols:
+        lj = low[j]
+        for i in range(j, n):
+            li = low[i]
+            acc = 0
+            for k in range(j):
+                acc = acc + li[k] * lj[k] * diag[k]
+            v = a[i][j] - acc
+            if i > j:
+                li[j] = v / diag[j]
+            elif v > 0:
+                diag[j] = v
+            else:
+                raise NotPositiveDefiniteError(f"non-positive pivot {v!r} at index {j}")
     x = [[1 if i == c else 0 for c in cols] for i in cols]
-    for i in range(n):
-        x[i] = [x[i][c] - left_sum(low[i][j] * x[j][c] for j in range(i)) for c in cols]
+    for i in cols:
+        li, xi = low[i], x[i]
+        for c in cols:
+            acc = 0
+            for j in range(i):
+                acc = acc + li[j] * x[j][c]
+            xi[c] = xi[c] - acc
     x = [[v / d for v in row] for row, d in zip(x, diag)]
     for i in range(n - 1, -1, -1):
-        back = range(i + 1, n)
-        x[i] = [x[i][c] - left_sum(low[j][i] * x[j][c] for j in back) for c in cols]
+        xi = x[i]
+        for c in cols:
+            acc = 0
+            for j in range(i + 1, n):
+                acc = acc + low[j][i] * x[j][c]
+            xi[c] = xi[c] - acc
     if not exact:
         size = n * _EPS * max(map(abs, chain.from_iterable(a)))
         size *= max(map(abs, chain.from_iterable(x)))

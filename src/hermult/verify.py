@@ -44,6 +44,7 @@ from .tensorlin import (
     SpdMatrix,
     colwise_kron_power,
     kron_power,
+    left_sum,
     spd_factorize,
 )
 
@@ -90,7 +91,11 @@ class VerifyReport:
     seed: int
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        # JSON has no nan or inf: a non-finite worst error is written as its repr.
+        obj = asdict(self)
+        if not math.isfinite(self.max_rel_err):
+            obj["max_rel_err"] = obj["worst_case"]["rel_err"] = repr(self.max_rel_err)
+        return obj
 
 
 def trial_rng(seed: int, trial: int) -> PhiloxStream:
@@ -103,9 +108,10 @@ def trial_rng(seed: int, trial: int) -> PhiloxStream:
 
 def _spd_rows(rng, dim: int, lo: float, hi: float) -> list[list[float]]:
     """Q^T Q + I for uniform Q: symmetric, positive definite, moderate
-    condition number."""
-    q = DenseMatrix.from_rows(rng.uniform(lo, hi, size=(dim, dim)))
-    return q.transpose().matmul(q).add(DenseMatrix.identity(dim)).to_lists()
+    condition number.  Entry (i, j) is left_sum over columns i and j of Q,
+    plus 1 or the int 0, as DenseMatrix's matmul and add give it."""
+    q = list(zip(*rng.uniform(lo, hi, size=(dim, dim))))
+    return [[left_sum(map(mul, a, b)) + (1 if a is b else 0) for b in q] for a in q]
 
 
 def _draw_multiindex(rng, arity: int, k_max: int) -> MultiIndex:
@@ -127,7 +133,8 @@ class _Aggregator:
         self.checks += 1
         if not err <= self.tol:
             self.failures += 1
-        if self.worst is None or err > self.max_err:
+        # The first non-finite error is the worst case and stays it.
+        if self.worst is None or (math.isfinite(self.max_err) and not err <= self.max_err):
             self.max_err = err
             self.worst = dict(inputs, rel_err=err)
 

@@ -257,6 +257,14 @@ VERIFY_KRON_LONG_STDOUT_SHA256 = (
     "e1faa27631cb44cce0954c69981fc57bb53be43e61e9d06c898fd104f564f273"
 )
 
+# `hermult verify --suite S --seed 5 --trials 1000` for the two suites whose
+# trials run a float SPD factorisation, and the gf suite's partial sum,
+# recorded before the per-trial float path was made cheaper.
+VERIFY_LONG_STDOUT_SHA256 = {
+    "gf": "46e135f41521a74e7e0c58f89369f8fddacff9ae1a3738a510f15b51882089e4",
+    "main": "909ce93c781134104773f35f4d478239046a6d8e3a49ab7fa6faee6440fc3b48",
+}
+
 # paper-literal fails its documented counterexample checks, so it exits 1.
 VERIFY_ALL_PAPER_LITERAL_STDOUT_SHA256 = {
     1: "8c84cca3ba9c7f52d39c9cb33bb1374b10f51860c23532b7cb0e25fe24110f42",
@@ -275,6 +283,13 @@ def test_verify_kron_long_run_output_is_pinned():
     r = run_cli("verify", "--suite", "kron", "--seed", "3", "--trials", "2000")
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == VERIFY_KRON_LONG_STDOUT_SHA256
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_LONG_STDOUT_SHA256))
+def test_verify_long_run_output_is_pinned(suite):
+    r = run_cli("verify", "--suite", suite, "--seed", "5", "--trials", "1000")
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == VERIFY_LONG_STDOUT_SHA256[suite]
 
 
 @pytest.mark.parametrize("seed", sorted(VERIFY_ALL_PAPER_LITERAL_STDOUT_SHA256))

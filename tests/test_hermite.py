@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -340,3 +341,58 @@ def test_gf_caps_and_dims():
         gf_partial_sum(t, t, sig, 13)
     with pytest.raises(DimensionMismatchError):
         gf_partial_sum(DenseVector.from_entries([0.1]), t, sig, 3)
+
+
+def _gf_reference(t, x, sigma, cap):
+    """gf_partial_sum as a plain sum in the sweep's order: ascending
+    degree, then enumeration order, each term float(1/k!) * t^k * H_k (or
+    the Fraction 1/k! when t^k is exact), terms with t^k == 0 skipped."""
+    ks = [k for d in range(cap + 1) for k in enumerate_fixed_degree(x.dim, d)]
+    # One memo for every index: each value is _raise_value's recursion.
+    values = hermite_multi_batch(ks, x, sigma)
+    total = 0
+    for k, hk in zip(ks, values):
+        tk = 1
+        for ti, c in zip(t.entries, k.parts):
+            if c:
+                tk = tk * ti**c
+        if tk == 0:
+            continue
+        inv = Fraction(1, mi_factorial(k))
+        total = total + (float(inv) if isinstance(tk, float) else inv) * tk * hk
+    return total
+
+
+def test_gf_partial_sum_matches_plain_sum_bit_for_bit():
+    rng = random.Random(2702)
+
+    def spd_rows(n, draw):
+        q = DenseMatrix.from_rows([[draw() for _ in range(n)] for _ in range(n)])
+        return q.transpose().matmul(q).add(DenseMatrix.identity(n))
+
+    for n in range(1, 5):
+        for cap in range(13):
+            sig = spd_factorize(spd_rows(n, lambda: rng.uniform(-2.0, 2.0)))
+            exact_sig = spd_factorize(
+                spd_rows(n, lambda: Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+            )
+            for zeros in (0, 1, n):
+                # |t| up to 2.5 keeps a last-bit change in any high-degree
+                # term visible in the sum; 0.0 and -0.0 terms are skipped.
+                t = [2.5 * rng.uniform(-1.0, 1.0) for _ in range(n)]
+                exact_t = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                for j in rng.sample(range(n), min(zeros, n)):
+                    t[j] = rng.choice([0.0, -0.0])
+                    exact_t[j] = Fraction(0)
+                x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+                exact_x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                cases = [(t, x, sig), (exact_t, x, sig)]
+                if n < 4 or cap <= 8:
+                    # Rational sweeps at n = 4 and high caps only cost time.
+                    cases += [(t, exact_x, exact_sig), (exact_t, exact_x, exact_sig)]
+                for tv, xv, s in cases:
+                    tv, xv = DenseVector.from_entries(tv), DenseVector.from_entries(xv)
+                    got = gf_partial_sum(tv, xv, s, cap)
+                    want = _gf_reference(tv, xv, s, cap)
+                    assert type(got) is type(want), (n, cap, zeros)
+                    assert repr(got) == repr(want), (n, cap, zeros)

@@ -622,3 +622,81 @@ def test_float_symmetry_rule_does_not_depend_on_scale(s):
         covariance(DenseMatrix.from_rows([[2 * s, s * (1 + 1e-7)], [s, 2 * s]]))
     cov = covariance(DenseMatrix.from_rows([[2 * s, s], [s, 2 * s]]))
     assert cov.inverse().data[0][0] == pytest.approx(2 / (3 * s))
+
+
+def _spd_inverse_reference(s):
+    """spd_factorize's solve with every inner sum a left_sum over a
+    generator, kept to pin the bits of the factorisation's float path."""
+    n = s.rows
+    exact = s.is_exact()
+    a = [[Fraction(v) if exact else float(v) for v in row] for row in s.data]
+    low = [[0] * n for _ in range(n)]
+    diag = [0] * n
+    for j in range(n):
+        pivot = a[j][j] - left_sum(low[j][k] * low[j][k] * diag[k] for k in range(j))
+        if not pivot > 0:
+            raise NotPositiveDefiniteError(f"non-positive pivot {pivot!r} at index {j}")
+        diag[j] = pivot
+        low[j][j] = 1
+        for i in range(j + 1, n):
+            v = a[i][j] - left_sum(low[i][k] * low[j][k] * diag[k] for k in range(j))
+            low[i][j] = v / pivot
+    cols = range(n)
+    x = [[1 if i == c else 0 for c in cols] for i in cols]
+    for i in range(n):
+        x[i] = [x[i][c] - left_sum(low[i][j] * x[j][c] for j in range(i)) for c in cols]
+    x = [[v / d for v in row] for row, d in zip(x, diag)]
+    for i in range(n - 1, -1, -1):
+        back = range(i + 1, n)
+        x[i] = [x[i][c] - left_sum(low[j][i] * x[j][c] for j in back) for c in cols]
+    if not exact:
+        size = n * 2.0**-52 * max(abs(v) for row in a for v in row)
+        size *= max(abs(v) for row in x for v in row)
+        if not size < 1:
+            raise NotPositiveDefiniteError(
+                f"covariance is singular to working precision: "
+                f"n*eps*max|S|*max|S^-1| = {size:.3g} >= 1"
+            )
+    return tuple(tuple(row) for row in x)
+
+
+def _spd_outcome(solve, s):
+    try:
+        return solve(s)
+    except NotPositiveDefiniteError as err:
+        return str(err)
+
+
+def test_spd_factorize_matches_generator_sums_bit_for_bit():
+    rng = random.Random(2701)
+    refused = set()
+    for trial in range(400):
+        n = rng.randint(1, 5)
+        kind = trial % 4
+        q = [[rng.uniform(-2.0, 2.0) for _ in range(n)] for _ in range(n)]
+        if kind == 3:
+            # Fraction entries; the shift below makes some indefinite.
+            q = [
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(n)
+            ]
+        # Q^T Q + shift * I: positive definite for shift 1, maybe not else.
+        shift = rng.choice([1, 0, -1]) if kind >= 2 else 1
+        s = DenseMatrix.from_rows(q).transpose().matmul(DenseMatrix.from_rows(q))
+        s = s.add(DenseMatrix.identity(n).scale(shift))
+        if kind == 1:
+            s = s.scale(10.0 ** rng.choice([-6, 6]))
+        if kind == 2 and n > 1 and rng.random() < 0.5:
+            # Rank one: singular to working precision, at three scales.
+            s = rank_one_covariance(10.0 ** rng.choice([-6, 0, 6]), rng.uniform(-1.0, 1.0))
+        want = _spd_outcome(_spd_inverse_reference, s)
+        got = _spd_outcome(lambda m: spd_factorize(m).inverse().data, s)
+        if isinstance(want, str):
+            refused.add(want.split(" ")[0])
+            assert got == want
+            continue
+        assert repr(got) == repr(want)
+        assert [type(v) for row in got for v in row] == [type(v) for row in want for v in row]
+    # Both refusals were met: a non-positive pivot, and a float matrix
+    # singular to working precision.
+    assert refused == {"non-positive", "covariance"}

@@ -6,11 +6,13 @@ and with it every traced benchmark run.  The tier-1 suite does not collect
 `perfbench/`, so this test loads the tracer by path and installs it.
 """
 
+import contextlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
-import hermult.cli  # noqa: F401  (loads every hermult module the tracer binds)
+import hermult.cli  # loads every hermult module the tracer binds
 from hermult import hermite, verify
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -40,3 +42,21 @@ def test_tracer_installs_every_target_and_restores_them():
         tracer.uninstall()
     assert hermite.hermite_multi is original
     assert verify.hermite_multi is original
+
+
+def test_traced_gf_run_sees_its_sweep_and_factorisations():
+    # The gf suite must reach the partial sum and the SPD factorisation
+    # through the names the tracer rebinds, or a traced run stops seeing
+    # the layers it spends its time in.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = tracer.op(lambda: hermult.cli.main(["verify", "--suite", "gf", "--trials", "3"]))
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    layers = tracer.layer_metrics()
+    assert layers["hermite.gf_partial_sum.calls"] == 3
+    assert layers["tensorlin.spd_factorize.calls"] >= 3

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hermult
-from hermult import coeffs
+from hermult import coeffs, verify
 from hermult.coeffs import CoeffVariant
 from hermult.cli import main
 from hermult.errors import DomainError, SizeLimitError
@@ -290,6 +290,38 @@ def test_report_json_shape():
     ]
 
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("before", [[], [1e-12]])
+def test_first_non_finite_error_is_the_worst_case(bad, before):
+    agg = verify._Aggregator(tol=1e-10)
+    errs = [*before, bad, 1e-11, math.inf, math.nan]
+    for trial, err in enumerate(errs):
+        agg.record(err, {"trial": trial})
+    report = agg.report(seed=3)
+    assert report.failures == 3
+    assert report.worst_case["trial"] == len(before)
+    assert repr(report.max_rel_err) == repr(bad)
+    # JSON has no nan or inf, so the report writes them as strings.
+    obj = report.to_json_obj()
+    assert obj["max_rel_err"] == obj["worst_case"]["rel_err"] == repr(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("suite", ["gf", "all"])
+def test_non_finite_check_error_fails_the_run(monkeypatch, capsys, bad, suite):
+    errs = iter([1e-16, bad])
+    monkeypatch.setattr(verify, "gf_error", lambda t, x, sigma: next(errs, 1e-15))
+    assert main(["verify", "--suite", suite, "--seed", "1", "--trials", "5"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    report = out["report"] if suite == "gf" else out["reports"]["gf"]
+    assert report["failures"] == 1
+    assert report["max_rel_err"] == report["worst_case"]["rel_err"] == repr(bad)
+    assert report["worst_case"]["trial"] == 1
+    if suite == "all":
+        others = [r for name, r in out["reports"].items() if name != "gf"]
+        assert all(r["failures"] == 0 for r in others)
+
 # Per-term references: every Hermite value is computed on its own.  The
 # error functions share one recurrence pass per trial and must give the
 # same bits.
@@ -381,7 +413,7 @@ def _rows(rng, rows, cols):
 
 def _spd(rng, dim):
     q = DenseMatrix.from_rows(_rows(rng, dim, dim))
-    return q.transpose().matmul(q).add(DenseMatrix.identity(dim)).to_lists()
+    return [list(row) for row in q.transpose().matmul(q).add(DenseMatrix.identity(dim)).data]
 
 
 @pytest.mark.parametrize("variant", list(CoeffVariant))
