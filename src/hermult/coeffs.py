@@ -467,38 +467,65 @@ def _vec_coeff(k: int, q: MultiIndex, lam: DenseVector, family: HermiteFamily):
             f"index arity {q.arity} does not match vector dim {lam.dim}"
         )
     _parity_split(MultiIndex((k,)), q)
-    return _vec_values(k, (q.parts,), lam.entries, family)[0]
+    plan = _vec_steps(k, (q.parts,), _pair_weight(family))
+    return _vec_values(plan, lam.entries)[0]
 
 
-def _vec_values(k: int, qs, lam: tuple, family: HermiteFamily) -> list:
-    """pref * lam_q * (norm_sq - 1) ** i for each q of qs (parts tuples),
-    i = (k - |q|)/2, pref from _closed_form_prefactor and lam_q the product
-    of lam_j ** q_j built left to right over j.  norm_sq - 1, each of its
-    powers and each lam_j ** c are taken once for all of qs.  Fractions run
-    plain Fraction arithmetic (the univariate suite's exact chain, one q per
-    call); floats serve that suite's whole tables (`coeff_vec_table`)."""
-    pair_weight = _pair_weight(family)
-    spread = left_sum(lj * lj for lj in lam) - 1
-    spreads = {}
-    powers = [{} for _ in lam]
-    out = []
+def _vec_steps(k: int, qs, pair_weight: int) -> tuple:
+    """The shape-only plan of _vec_values for the indices qs (parts tuples):
+    (powers, exponents, steps).  powers lists each (j, c) with lam_j ** c
+    needed by some q, exponents each i = (k - |q|)/2, in first use.  The
+    step of q is (pref, float(pref), i's place in exponents, the place of
+    its first power, those of its others), pref from _closed_form_prefactor
+    and the powers lam_j ** q_j of q's nonzero parts in ascending j.  Power
+    places count from 1: place 0 holds the lam_q = 1 of q = 0."""
+    powers, exponents, steps = {}, {}, []
     for parts in qs:
         pref, pref_f = _closed_form_prefactor(k, parts, pair_weight)
-        lam_q = 1
-        for lj, seen, qj in zip(lam, powers, parts):
-            if qj:
-                p = seen.get(qj)
-                if p is None:
-                    p = seen[qj] = lj**qj
-                lam_q = lam_q * p
         i = (k - sum(parts)) // 2
-        s = spreads.get(i)
-        if s is None:
-            s = spreads[i] = spread**i
+        at = [powers.setdefault((j, c), len(powers) + 1) for j, c in enumerate(parts) if c]
+        steps.append((
+            pref, pref_f, exponents.setdefault(i, len(exponents)),
+            at[0] if at else 0, tuple(at[1:]),
+        ))
+    return tuple(powers), tuple(exponents), tuple(steps)
+
+
+@functools.lru_cache(maxsize=64)
+def _vec_plan(k: int, m: int, pair_weight: int) -> tuple:
+    """(qs, plan): every arity-m q of k's parity with |q| <= k, in the order
+    of expand_from_map, and their _vec_steps.  It depends on the shape
+    alone, so one plan serves every vector of dimension m in both fields."""
+    qs = tuple([q for d in q_support(k) for q in enumerate_fixed_degree(m, d)])
+    return qs, _vec_steps(k, [q.parts for q in qs], pair_weight)
+
+
+def _vec_values(plan: tuple, lam: tuple) -> list:
+    """pref * lam_q * (norm_sq - 1) ** i for each step of a _vec_steps plan,
+    lam_q the product of q's powers lam_j ** q_j left to right over j.
+    Each power and each (norm_sq - 1) ** i is taken once for the plan.
+    norm_sq folds from the first square and lam_q from the first power:
+    floats get the bits of folds from the int 0 and 1, since a square is
+    never -0.0 and 1 * p is p, and exact values their type, without a
+    reverse dispatch on the int.  One body serves both fields:
+    coeff_vec_table's tables, and the univariate suite's exact chain one q
+    per call (coeff_vec_prob, coeff_vec_phys)."""
+    powers, exponents, steps = plan
+    norm_sq = lam[0] * lam[0]
+    for lj in lam[1:]:
+        norm_sq = norm_sq + lj * lj
+    spread = norm_sq - 1
+    spreads = [spread**i for i in exponents]
+    lam_powers = [1] + [lam[j] ** c for j, c in powers]
+    out = []
+    for pref, pref_f, at_i, first, rest in steps:
+        lam_q = lam_powers[first]
+        for r in rest:
+            lam_q = lam_q * lam_powers[r]
         if isinstance(lam_q, float):
-            out.append(pref_f * lam_q * s)
+            out.append(pref_f * lam_q * spreads[at_i])
         else:
-            out.append(pref * lam_q * s)
+            out.append(pref * lam_q * spreads[at_i])
     return out
 
 
@@ -506,10 +533,11 @@ def coeff_vec_table(
     k: int, lam: DenseVector, family: HermiteFamily
 ) -> list[ExpansionTerm]:
     """Every nonzero inner-product coefficient of degree k, in the order of
-    expand_from_map, from one pass: the probabilists' family gives
-    coeff_vec_prob's values, the physicists' coeff_vec_phys's."""
-    qs = [q for d in q_support(k) for q in enumerate_fixed_degree(lam.dim, d)]
-    values = _vec_values(k, [q.parts for q in qs], lam.entries, family)
+    expand_from_map, from one pass over the cached plan of k, lam's
+    dimension and the family's pair weight (_vec_plan): the probabilists'
+    family gives coeff_vec_prob's values, the physicists' coeff_vec_phys's."""
+    qs, plan = _vec_plan(k, lam.dim, _pair_weight(family))
+    values = _vec_values(plan, lam.entries)
     return [ExpansionTerm(q, t) for q, t in zip(qs, values) if t != 0]
 
 

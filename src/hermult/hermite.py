@@ -263,8 +263,10 @@ def gf_partial_sum(
     t_powers = [ti**c for ti in t.entries for c in range(1, degree_cap + 1)]
     h, t_ks = [1], [1]
     add_h, add_tk = h.append, t_ks.append
-    # The k = 0 term: 1/0! * t^0 * H_0, the Fraction 1.
-    total = Fraction(1)
+    # The k = 0 term, 1/0! * t^0 * H_0: the double 1.0 when t or B x holds a
+    # float, so a sum in which no other term survives keeps its field, else
+    # the Fraction 1.  1.0 + v has the bits of Fraction(1) + v for a float v.
+    total = 1.0 if any(isinstance(v, float) for v in t.entries + bx) else Fraction(1)
     for i, low, twice, prefix, power, inv_factorial, inv_factorial_f in _gf_table(
         x.dim, degree_cap
     ):

@@ -241,11 +241,6 @@ class DenseMatrix:
         x = v.entries
         return DenseVector(tuple([left_sum(map(mul, row, x)) for row in self.data]))
 
-    def add(self, other: "DenseMatrix") -> "DenseMatrix":
-        self._same_shape(other)
-        data = entrywise_rows(add, self.data, other.data)
-        return DenseMatrix(self.rows, self.cols, data)
-
     def sub(self, other: "DenseMatrix") -> "DenseMatrix":
         self._same_shape(other)
         data = entrywise_rows(sub, self.data, other.data)

@@ -9,7 +9,9 @@ Per-trial error functions take plain JSON-friendly inputs (nested lists of
 floats), so any report's worst case can be replayed directly.  The
 univariate checks read tables built once per check: H_k at every point
 from one call (`hermite.hermite_uni_grid`) and every inner-product
-coefficient from one pass (`coeffs.coeff_vec_table`).  The kron suite's
+coefficient from one pass (`coeffs.coeff_vec_table`) over a shape-only
+plan cached per degree, dimension and family.  The exact chain's
+inner-product coefficients run the same body, one q each.  The kron suite's
 exact half compares the two sides on the integer numerators of its
 rational point: both sides have degree |k| in A and in b, so the common
 denominator cancels (`kron_identity_exact`).

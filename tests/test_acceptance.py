@@ -35,6 +35,7 @@ from hermult.verify import (
     verify_generating_function,
     verify_selector_orthonormality,
 )
+from matrices import gram_plus_identity
 from polyvalue import poly_value
 
 
@@ -65,7 +66,7 @@ def _rat_spd(rng, dim):
     q = DenseMatrix.from_rows(
         [[int(v) for v in row] for row in rng.integers(-2, 3, size=(dim, dim))]
     )
-    return q.transpose().matmul(q).add(DenseMatrix.identity(dim))
+    return gram_plus_identity(q)
 
 
 def test_criterion_1_exact_oracle_equivalence():

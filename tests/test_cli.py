@@ -257,12 +257,15 @@ VERIFY_KRON_LONG_STDOUT_SHA256 = (
     "e1faa27631cb44cce0954c69981fc57bb53be43e61e9d06c898fd104f564f273"
 )
 
-# `hermult verify --suite S --seed 5 --trials 1000` for the two suites whose
-# trials run a float SPD factorisation, and the gf suite's partial sum,
-# recorded before the per-trial float path was made cheaper.
+# `hermult verify --suite S --seed 5 --trials 1000`: the two suites whose
+# trials run a float SPD factorisation and the gf suite's partial sum, and
+# the univariate suite's closed forms, inner-product tables and exact
+# coefficient chain.  Each was recorded before its suite's path was made
+# cheaper.
 VERIFY_LONG_STDOUT_SHA256 = {
     "gf": "46e135f41521a74e7e0c58f89369f8fddacff9ae1a3738a510f15b51882089e4",
     "main": "909ce93c781134104773f35f4d478239046a6d8e3a49ab7fa6faee6440fc3b48",
+    "univariate": "598e9edd63170befbfc7c797c05850e6613d3dbe308e58fc16bb598ba99fa4e9",
 }
 
 # paper-literal fails its documented counterexample checks, so it exits 1.

@@ -40,6 +40,7 @@ from hermult.multiindex import (
 from hermult.polyoracle import rational_matrix
 from hermult.tensorlin import DenseMatrix, DenseVector, spd_factorize
 from hermult.verify import inner_product_error, trial_rng
+from matrices import gram_plus_identity, matrix_sum
 
 EYE1 = spd_factorize(DenseMatrix.identity(1))
 EYE2 = spd_factorize(DenseMatrix.identity(2))
@@ -190,8 +191,8 @@ def test_expand_parity_completeness():
         lam = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(m, n)))
         q_mat = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(n, n)))
         u_mat = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(m, m)))
-        sig = spd_factorize(q_mat.transpose().matmul(q_mat).add(DenseMatrix.identity(n)))
-        ups = spd_factorize(u_mat.transpose().matmul(u_mat).add(DenseMatrix.identity(m)))
+        sig = spd_factorize(gram_plus_identity(q_mat))
+        ups = spd_factorize(gram_plus_identity(u_mat))
         for t in expand_general(k, lam, sig, ups):
             assert t.q.degree() <= k.degree()
             assert (k.degree() - t.q.degree()) % 2 == 0
@@ -383,6 +384,107 @@ def test_vec_table_matches_per_entry_formula():
         coeff_vec_table(-1, DenseVector.from_entries([1.0]), PROBABILISTS)
 
 
+def vec_coeff_left_fold(k, parts, lam, pair_weight):
+    """One inner-product coefficient from the per-q formula with its folds
+    spelt out: |lam|^2 left to right from the int 0, lam_q over j ascending
+    from the int 1, the float prefactor when lam_q is a float."""
+    i = (k - sum(parts)) // 2
+    pref = Fraction(
+        math.factorial(k), pair_weight**i * mi_factorial(parts) * math.factorial(i)
+    )
+    norm_sq = 0
+    for lj in lam:
+        norm_sq = norm_sq + lj * lj
+    lam_q = 1
+    for lj, qj in zip(lam, parts):
+        if qj:
+            lam_q = lam_q * lj**qj
+    if isinstance(lam_q, float):
+        return float(pref) * lam_q * (norm_sq - 1) ** i
+    return pref * lam_q * (norm_sq - 1) ** i
+
+
+def _unit(v):
+    """v scaled to unit length in floats: |v|^2 - 1 is 0.0 or a few ulps."""
+    norm = math.sqrt(sum(x * x for x in v))
+    return [x / norm for x in v]
+
+
+def test_vec_readers_match_left_fold_bit_for_bit():
+    # Both readers of the closed forms, the table and the single-q
+    # functions, against the per-q formula for m <= 5 and k <= 12: a float
+    # keeps its repr (so the sign of a zero and every last bit), an exact
+    # value its value and type.  Float draws include entries 0.0 and -0.0
+    # and vectors whose |lam|^2 - 1 cancels to 0.0 or a few ulps.
+    rng = random.Random(2828)
+
+    def floats(m):
+        pick = rng.randint(0, 3)
+        if pick == 0:
+            return [rng.choice([rng.uniform(-2.0, 2.0), 0.0, -0.0]) for _ in range(m)]
+        if pick == 1:
+            return _unit([rng.uniform(-2.0, 2.0) for _ in range(m)])
+        if pick == 2:  # one +-1 entry, the rest signed zeros: |lam|^2 - 1 == 0.0
+            lam = [rng.choice([0.0, -0.0]) for _ in range(m)]
+            lam[rng.randrange(m)] = rng.choice([1.0, -1.0])
+            return lam
+        return [rng.choice([0.6, -0.6, 0.8, -0.8]) for _ in range(m)]
+
+    def fractions(m):
+        return [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
+
+    def ints(m):
+        return [rng.randint(-2, 2) for _ in range(m)]
+
+    def mixed(m):
+        draws = (
+            lambda: rng.randint(-2, 2),
+            lambda: Fraction(rng.randint(-4, 4), 3),
+            lambda: rng.uniform(-2.0, 2.0),
+        )
+        return [rng.choice(draws)() for _ in range(m)]
+
+    kinds = (floats, floats, fractions, ints, mixed)
+    for m in range(1, 6):
+        for k in range(13):
+            qs = [q for d in q_support(k) for q in enumerate_fixed_degree(m, d)]
+            # Every kind of vector and every q at small shapes; one kind in
+            # turn and a sample of the q at large ones.
+            for draw in kinds if len(qs) <= 300 else (kinds[(m + k) % 5],):
+                lam = draw(m)
+                lam_v = DenseVector.from_entries(lam)
+                singles = qs if len(qs) <= 60 else rng.sample(qs, 60)
+                for family, w, fn in (
+                    (PROBABILISTS, 2, coeff_vec_prob),
+                    (PHYSICISTS, 1, coeff_vec_phys),
+                ):
+                    want = [(q, vec_coeff_left_fold(k, q.parts, lam, w)) for q in qs]
+                    got = [(t.q, t.coeff) for t in coeff_vec_table(k, lam_v, family)]
+                    assert repr(got) == repr([(q, c) for q, c in want if c != 0]), (k, lam)
+                    assert [type(c) for _, c in got] == [type(c) for _, c in want if c != 0]
+                    for q in singles:
+                        c = fn(k, q, lam_v)
+                        ref = vec_coeff_left_fold(k, q.parts, lam, w)
+                        assert type(c) is type(ref) and repr(c) == repr(ref), (k, q, lam)
+
+
+def test_vec_plan_depends_on_shape_alone():
+    # One cached plan per (k, m, pair weight) serves every vector of that
+    # dimension, float or exact; the cache is bounded.
+    assert coeffs._vec_plan.cache_info().maxsize is not None
+    for k, m in ((5, 2), (8, 3)):
+        floats = DenseVector.from_entries([0.3 * (j + 1) for j in range(m)])
+        exact = DenseVector.from_entries([Fraction(j - 1, 3) for j in range(m)])
+        coeff_vec_table(k, floats, PHYSICISTS)
+        plan = coeffs._vec_plan(k, m, 1)
+        before = coeffs._vec_plan.cache_info()
+        coeff_vec_table(k, exact, PHYSICISTS)
+        after = coeffs._vec_plan.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert coeffs._vec_plan(k, m, 1) is plan
+        assert coeffs._vec_plan(k, m, 2) is not plan
+
+
 def test_closed_forms_refuse_other_families():
     # The closed forms k!/(w^i q! i!) have a pair weight w only for the
     # probabilists' (2) and physicists' (1) families; a scaled family is
@@ -524,7 +626,7 @@ def random_rational(rng, rows, cols):
 
 def random_rational_spd(rng, dim):
     q = random_rational(rng, dim, dim)
-    return spd_factorize(q.transpose().matmul(q).add(DenseMatrix.identity(dim)))
+    return spd_factorize(gram_plus_identity(q))
 
 
 def test_recurrence_matches_tuple_sum_reference():
@@ -781,7 +883,7 @@ def typed_map(rng, n, m, kind):
 
     def covariance(dim):
         q = DenseMatrix.from_rows([[entry() for _ in range(dim)] for _ in range(dim)])
-        return spd_factorize(q.transpose().matmul(q).add(DenseMatrix.identity(dim)))
+        return spd_factorize(gram_plus_identity(q))
 
     if kind in ("fraction", "float") and m >= 2 and int(rng.integers(0, 3)) == 0:
         lam = [[entry() for _ in range(n)] for _ in range(m)]
@@ -919,8 +1021,8 @@ def test_exact_transformed_map_matches_fraction_products():
             typed_map(rng, rows, cols, kinds[(trial + shift) % 4]).A
             for rows, cols, shift in ((m, n, 0), (n, n, trial // 9), (m, m, trial // 5))
         )
-        sigma_inv = sigma_inv.add(sigma_inv.transpose())
-        upsilon = upsilon.add(upsilon.transpose())
+        sigma_inv = matrix_sum(sigma_inv, sigma_inv.transpose())
+        upsilon = matrix_sum(upsilon, upsilon.transpose())
         a = sigma_inv.matmul(lam.transpose()).matmul(upsilon)
         mm = a.matmul(lam).matmul(sigma_inv).sub(sigma_inv)
         tmap = transformed_map_from_inverses(lam, sigma_inv, upsilon)
@@ -1020,7 +1122,7 @@ def test_evaluate_expansion_matches_direct_sum():
     rng = trial_rng(13, 0)
     lam = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(2, 2)))
     q_mat = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(2, 2)))
-    sig = spd_factorize(q_mat.transpose().matmul(q_mat).add(DenseMatrix.identity(2)))
+    sig = spd_factorize(gram_plus_identity(q_mat))
     ups = EYE2
     x = DenseVector.from_entries(rng.uniform(-2, 2, size=2))
     terms = expand_general((2, 1), lam, sig, ups)
@@ -1038,7 +1140,7 @@ def test_map_symmetry_rule_does_not_depend_on_scale(s):
     skewed = DenseMatrix.from_rows([[2 * s, s * (1 + 1e-7)], [s, 2 * s]])
     with pytest.raises(NotSymmetricError):
         transformed_map_from_inverses(eye, inv, skewed)
-    m = transformed_map_from_inverses(eye, inv, skewed.transpose().add(skewed)).M
+    m = transformed_map_from_inverses(eye, inv, matrix_sum(skewed.transpose(), skewed)).M
     assert m.data[0][1] == m.data[1][0]
     # Lambda = 0 gives M = -Sigma^-1, so an asymmetric Sigma^-1 alone is refused.
     zero = DenseMatrix.from_rows([[0.0, 0.0], [0.0, 0.0]])

@@ -22,6 +22,7 @@ from hermult.multiindex import enumerate_fixed_degree, mi_factorial
 from hermult.polyoracle import SymbolicHermiteFamily, rational_matrix
 from hermult.tensorlin import DenseMatrix, DenseVector, spd_factorize
 from hermult.verify import trial_rng
+from matrices import gram_plus_identity
 from polyvalue import poly_value
 
 
@@ -288,10 +289,22 @@ def test_multi_dimension_errors():
 
 
 def test_gf_partial_sum_base_cases():
+    # With no k != 0 term left (cap 0, or every t entry +-0.0) the sum is
+    # the k = 0 term alone: the double 1.0 for float inputs, the Fraction 1
+    # for exact ones.
     sig = spd([[2.0, 0.5], [0.5, 1.0]])
     x = DenseVector.from_entries([0.3, -0.8])
-    assert gf_partial_sum(DenseVector.from_entries([0.1, 0.2]), x, sig, 0) == 1
-    assert gf_partial_sum(DenseVector.from_entries([0.0, 0.0]), x, sig, 7) == 1.0
+    for t, cap in (([0.1, 0.2], 0), ([0.0, 0.0], 7), ([-0.0, 0.0], 7)):
+        got = gf_partial_sum(DenseVector.from_entries(t), x, sig, cap)
+        assert type(got) is float and got == 1.0
+    exact_sig = spd([[2, Fraction(1, 2)], [Fraction(1, 2), 1]])
+    exact_x = DenseVector.from_entries([Fraction(3, 10), Fraction(-4, 5)])
+    for t, cap in (([Fraction(1, 10), 2], 0), ([0, Fraction(0)], 7)):
+        got = gf_partial_sum(DenseVector.from_entries(t), exact_x, exact_sig, cap)
+        assert type(got) is Fraction and got == 1
+    # An exact t over a float point is a float sum too.
+    got = gf_partial_sum(DenseVector.from_entries([0, 0]), x, sig, 7)
+    assert type(got) is float and got == 1.0
 
 
 def test_gf_degree_one_identity_covariance():
@@ -306,7 +319,7 @@ def test_gf_approximates_exponential():
         rng = trial_rng(23, trial)
         n = int(rng.integers(1, 4))
         q = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(n, n)))
-        sig = spd_factorize(q.transpose().matmul(q).add(DenseMatrix.identity(n)))
+        sig = spd_factorize(gram_plus_identity(q))
         t = DenseVector.from_entries(
             [0.1 / math.sqrt(n) * v for v in rng.uniform(-1, 1, size=n)]
         )
@@ -346,7 +359,9 @@ def test_gf_caps_and_dims():
 def _gf_reference(t, x, sigma, cap):
     """gf_partial_sum as a plain sum in the sweep's order: ascending
     degree, then enumeration order, each term float(1/k!) * t^k * H_k (or
-    the Fraction 1/k! when t^k is exact), terms with t^k == 0 skipped."""
+    the Fraction 1/k! when t^k is exact), terms with t^k == 0 skipped.  A
+    float input makes the sum a float even when only the k = 0 term is
+    left."""
     ks = [k for d in range(cap + 1) for k in enumerate_fixed_degree(x.dim, d)]
     # One memo for every index: each value is _raise_value's recursion.
     values = hermite_multi_batch(ks, x, sigma)
@@ -360,7 +375,8 @@ def _gf_reference(t, x, sigma, cap):
             continue
         inv = Fraction(1, mi_factorial(k))
         total = total + (float(inv) if isinstance(tk, float) else inv) * tk * hk
-    return total
+    entries = t.entries + x.entries + sum(sigma.matrix.data, ())
+    return float(total) if any(isinstance(v, float) for v in entries) else total
 
 
 def test_gf_partial_sum_matches_plain_sum_bit_for_bit():
@@ -368,7 +384,7 @@ def test_gf_partial_sum_matches_plain_sum_bit_for_bit():
 
     def spd_rows(n, draw):
         q = DenseMatrix.from_rows([[draw() for _ in range(n)] for _ in range(n)])
-        return q.transpose().matmul(q).add(DenseMatrix.identity(n))
+        return gram_plus_identity(q)
 
     for n in range(1, 5):
         for cap in range(13):

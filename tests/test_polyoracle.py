@@ -37,6 +37,7 @@ from hermult.tensorlin import (
     spd_factorize,
 )
 from hermult.verify import trial_rng
+from matrices import gram_plus_identity
 
 
 def x(arity, i):
@@ -258,7 +259,7 @@ def test_oracle_randomized_rational_instances():
                         q = DenseMatrix.from_rows(
                             [[int(v) for v in row] for row in rng.integers(-2, 3, size=(dim, dim))]
                         )
-                        return q.transpose().matmul(q).add(DenseMatrix.identity(dim))
+                        return gram_plus_identity(q)
                     res = oracle_compare(k, lam, rat_spd(n), rat_spd(m))
                     assert res.equal
 

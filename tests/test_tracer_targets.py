@@ -60,3 +60,27 @@ def test_traced_gf_run_sees_its_sweep_and_factorisations():
     layers = tracer.layer_metrics()
     assert layers["hermite.gf_partial_sum.calls"] == 3
     assert layers["tensorlin.spd_factorize.calls"] >= 3
+
+
+def test_traced_univariate_run_sees_its_routes():
+    # The univariate suite must reach the scalar closed form, the exact
+    # coefficient chain and the Hermite values through the names the tracer
+    # rebinds: three trials make 28 scalar coefficients, and 6 general
+    # coefficients (two families a trial), each from one map.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = tracer.op(
+                lambda: hermult.cli.main(["verify", "--suite", "univariate", "--trials", "3"])
+            )
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    layers = tracer.layer_metrics()
+    assert layers["coeffs.coeff_general.calls"] == 6
+    assert layers["coeffs.transformed_map.calls"] == 6
+    assert layers["coeffs.coeff_from_map.calls"] == 6
+    assert layers["hermite.hermite_uni.calls"] == 6
+    assert layers["coeffs.coeff_univariate.calls"] == 28

@@ -46,6 +46,7 @@ from hermult.verify import (
     verify_selector_orthonormality,
     verify_univariate_closed_forms,
 )
+from matrices import gram_plus_identity
 
 
 def test_main_identity_suite_passes():
@@ -394,7 +395,9 @@ def _gf_partial_per_term(tv, xv, sig, degree_cap):
             if tk == 0:
                 continue
             total = total + Fraction(1, mi_factorial(k)) * tk * hermite_multi(k, xv, sig)
-    return total
+    # A float input makes the sum a float even when only the k = 0 term is left.
+    entries = tv.entries + xv.entries + sum(sig.matrix.data, ())
+    return float(total) if any(isinstance(v, float) for v in entries) else total
 
 
 def _gf_error_per_term(t, x, sigma):
@@ -413,7 +416,7 @@ def _rows(rng, rows, cols):
 
 def _spd(rng, dim):
     q = DenseMatrix.from_rows(_rows(rng, dim, dim))
-    return [list(row) for row in q.transpose().matmul(q).add(DenseMatrix.identity(dim)).data]
+    return [list(row) for row in gram_plus_identity(q).data]
 
 
 @pytest.mark.parametrize("variant", list(CoeffVariant))
@@ -463,7 +466,7 @@ def test_gf_error_is_bit_identical_to_per_term():
             exact_x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
             q = DenseMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
             exact_sig = spd_factorize(
-                q.transpose().matmul(q).add(DenseMatrix.identity(n)).scale(Fraction(1, 2))
+                gram_plus_identity(q).scale(Fraction(1, 2))
             )
             for zeros in range(n + 1):
                 # |t| up to 2.5 keeps the high-degree terms, and so a last-bit
