@@ -28,24 +28,40 @@ p_k becomes (L x)^a / e^|a|, and since |a| <= |k|,
 
     (d e)^|k| H_k(Lambda^T x; Sigma) = sum_a c_a e^(|k|-|a|) (L x)^a
 
-is an integer polynomial.  The products (L x)^a are built once per
-monomial prefix (a_0..a_j), each from its shorter prefix and one cached
-power of a row form.  The right side uses Upsilon^-1 = G/f, so
+is an integer polynomial.  The right side uses Upsilon^-1 = G/f, so
 f^|q| H_q(x; Upsilon) is integer; with w_q = T[k,q] / f^|q|, kept as the
 int pair (numerator of T[k,q], its denominator times f^|q|), and D the lcm
 of those denominators,
 
     D sum_q T[k,q] H_q(x; Upsilon) = sum_q (D w_q) f^|q| H_q(x; Upsilon)
 
-is accumulated into one integer polynomial.  Both sides are brought to
-the common denominator lcm((d e)^|k|, D), and the identity holds exactly
-when the integer difference is zero.  `Fraction` coefficients are made
-only for the returned `lhs`, `rhs` and `diff`; each is reduced over its
-polynomial's denominator, so they equal a term-by-term rational build.
-Matrices are cleared to (C, d) by `DenseMatrix.cleared_rows`, which keeps
-the pair, so Sigma^-1 and Lambda are cleared once for both the oracle and
-the (A, M) that `coeffs` builds, and Upsilon once for its inverse and
-the map.
+is an integer polynomial too.
+
+Both sums have the form sum_a W_a Op^a 1, with Op^a the product of the
+Op_i^a_i.  On the right Op_i S = (G x)_i S - f dS/dx_i, as f^|q| H_q =
+Op^q 1 by the recursion above; on the left Op_i S = (L x)_i S.
+`_nested` sums them in nested (Horner) form over the tree in which the
+parent of a is a with its rightmost positive part lowered:
+S_a = W_a + sum over the children a + e_j of Op_j S_(a+e_j), and the sum
+is S_0.  A node of degree |a| steps a polynomial of degree at most
+top - |a|, so the many nodes of high degree step small polynomials,
+where building each H_q, or each (L x)^a, on its own steps one of degree
+|a| at every node.  Only the keys of W and their ancestors are visited,
+so a long chain in many variables costs its length, not the number of
+monomials below its degree.  The regrouping needs the Op_i to commute.
+Products do; on the right Op_i Op_j - Op_j Op_i = f (G_ij - G_ji), which
+is zero because `SymbolicHermiteFamily` refuses an asymmetric matrix.
+The arithmetic is exact integer arithmetic, so each side is the same
+polynomial as the sum taken term by term.
+
+Both sides are brought to the common denominator lcm((d e)^|k|, D), and
+the identity holds exactly when the integer difference is zero.
+`Fraction` coefficients are made only for the returned `lhs`, `rhs` and
+`diff`; each is reduced over its polynomial's denominator, so they equal
+a term-by-term rational build.  Matrices are cleared to (C, d) by
+`DenseMatrix.cleared_rows`, which keeps the pair, so Sigma^-1 and Lambda
+are cleared once for both the oracle and the (A, M) that `coeffs`
+builds, and Upsilon once for its inverse and the map.
 `oracle_compare` tests each input for exactness once and hands Sigma and
 Upsilon to `exact_covariance`, which checks symmetry and inverts on the
 rows without testing exactness again; `SymbolicHermiteFamily` tests its
@@ -56,14 +72,14 @@ digits in radix R = coeffs.MAX_EXPANSION_DEGREE + 1, most significant
 first.  `SymbolicHermiteFamily.scaled_terms` refuses a degree above the
 engine's cap, so no polynomial the oracle builds has a part above it: a
 product of monomials is the sum of their codes, part i is code // w_i % R
-with w_i = R^(n-1-i), and lowering part i subtracts w_i.  The prefix
-cache of the substitution is keyed by prefix length and the number the
-leading digits spell, since prefixes of different lengths can spell the
-same number ((3, 0) and (0, 3) both give 3).  Codes are decoded to
-exponent tuples only where `MPoly` values are made, so `MPoly.terms` and
-everything read from it keep tuple keys; `MPoly.mul` and `compose_linear`
-code their operands in a radix they pick from the operands' parts.  The
-codes are the oracle's own: it does not share the coder of `coeffs`.
+with w_i = R^(n-1-i), and lowering part i subtracts w_i.  So the parent
+of a code in the nested sum is the code less the weight of its lowest
+nonzero digit, and every child's code is above its parent's.  Codes are
+decoded to exponent tuples only where `MPoly` values are made, so
+`MPoly.terms` and everything read from it keep tuple keys; `MPoly.mul`
+and `compose_linear` code their operands in a radix they pick from the
+operands' parts.  The codes are the oracle's own: it does not share the
+coder of `coeffs`.
 """
 
 from __future__ import annotations
@@ -207,35 +223,58 @@ def _linear_forms(rows, arity: int, radix: int) -> list[dict]:
     return [{w: v for w, v in zip(weights, row) if v} for row in rows]
 
 
-def _compose_terms(terms: dict, forms: list[dict], radix: int) -> dict:
-    """Substitute variable r by the linear form forms[r]; `terms` has
-    len(forms) digits per code and the forms' codes use the same radix.
-    Each product of powers is built once per monomial prefix, keyed by
-    its length and the number its leading digits spell: prefixes of
-    different lengths can spell the same number, as the first digit of
-    (3, 0) and both digits of (0, 3) do."""
-    one = {0: 1}
-    powers = [[one] for _ in forms]
-    prefixes: list[dict] = [{} for _ in forms]
-    weights = _weights(len(forms), radix)
-    out: dict = {}
-    for code, c in terms.items():
-        prod = one
-        for j, w in enumerate(weights):
-            key = code // w
-            got = prefixes[j].get(key)
-            if got is None:
-                e = key % radix
-                if e:
-                    pw = powers[j]
-                    while len(pw) <= e:
-                        pw.append(_mul_terms(pw[-1], forms[j]))
-                    got = _mul_terms(prod, pw[e])
-                else:
-                    got = prod
-                prefixes[j][key] = got
-            prod = got
-        _add_into(out, prod, c)
+def _step(terms: dict, form: dict, w: int, den: int) -> dict:
+    """form * terms - den * d/dx_i terms, w the weight of part i: one
+    raising step p_{k+e_i} from p_k, or with den = 0 one factor of a
+    substitution.  `terms` is not mutated."""
+    out = _mul_terms(form, terms)
+    if den:
+        _add_into(out, _derivative_terms(terms, w), -den)
+    return out
+
+
+def _nested(weights: dict, forms: list[dict], den: int, radix: int = _RADIX) -> dict:
+    """sum_a weights[a] * Op^a 1 in nested (Horner) form (see the module
+    docstring), where Op^a = Op_0^a_0 ... Op_(n-1)^a_(n-1), n = len(forms),
+    and Op_i S = forms[i] * S - den * d/dx_i S.  The Op_i must commute: den
+    is 0, or the forms are the rows of a symmetric matrix.
+
+    The keys of `weights` code exponent tuples in `radix` with n digits.
+    The forms and the result have codes of their own, in `radix` too, and
+    in _RADIX with the arity n when den is nonzero.  Only the keys and
+    their ancestors are visited, in descending code order, so each child's
+    stepped sum is in its parent's before the parent steps."""
+    step_of = {radix ** (len(forms) - 1 - i): form for i, form in enumerate(forms)}
+    raised: dict = {}
+    for code in weights:
+        while code and code not in raised:
+            w = 1
+            while code // w % radix == 0:
+                w *= radix
+            raised[code] = w
+            code -= w
+    sums: dict = {}
+    for code in sorted(raised, reverse=True):
+        acc = sums.pop(code, None)
+        own = weights.get(code)
+        if own:
+            if acc is None:
+                acc = {0: own}
+            else:
+                _add_into(acc, {0: own})
+        if not acc:
+            continue
+        w = raised[code]
+        stepped = _step(acc, step_of[w], w, den)
+        parent = sums.get(code - w)
+        if parent is None:
+            sums[code - w] = stepped
+        else:
+            _add_into(parent, stepped)
+    out = sums.pop(0, {})
+    own = weights.get(0)
+    if own:
+        _add_into(out, {0: own})
     return out
 
 
@@ -318,7 +357,7 @@ class MPoly:
         forms = _linear_forms(
             [[as_rational(v) for v in row] for row in lin.data], lin.cols, radix
         )
-        out = _compose_terms(_encode(self.terms, radix), forms, radix)
+        out = _nested(_encode(self.terms, radix), forms, 0, radix)
         res = MPoly(lin.cols)
         res.terms = {_decode(code, lin.cols, radix): c for code, c in out.items()}
         return res
@@ -410,9 +449,7 @@ class SymbolicHermiteFamily:
         while parts[i] == 0:
             i -= 1
         lowered = parts[:i] + (parts[i] - 1,) + parts[i + 1 :]
-        prev = self._raise(lowered)
-        res = _mul_terms(self._rows[i], prev)
-        _add_into(res, _derivative_terms(prev, self._weights[i]), -self._den)
+        res = _step(self._raise(lowered), self._rows[i], self._weights[i], self._den)
         self._memo[parts] = res
         return res
 
@@ -445,8 +482,8 @@ def oracle_compare(
     Inputs must be exact rationals; `tensorlin.exact_covariance` checks
     that the covariances are symmetric and invertible (positive definiteness is not
     needed for the algebra).  A |k| above the engine's cap raises
-    SizeLimitError in the first `scaled_terms` call, before any polynomial
-    is built.
+    SizeLimitError in the left side's `scaled_terms` call, before any
+    polynomial is built.
     """
     k = MultiIndex.of(k)
     for mat in (lam, sigma, upsilon):
@@ -465,10 +502,10 @@ def oracle_compare(
     p, p_den = SymbolicHermiteFamily(sigma_inv).scaled_terms(k)
     lam_c, e = lam.cleared_rows()
     lam_t = transpose_rows(lam_c)
-    lhs_terms = _compose_terms(
+    lhs_terms = _nested(
         {a: c * e ** (degree - _code_degree(a)) for a, c in p.items()},
         _linear_forms(lam_t, m, _RADIX),
-        _RADIX,
+        0,
     )
     lhs_den = p_den * e**degree
 
@@ -476,13 +513,16 @@ def oracle_compare(
     basis = SymbolicHermiteFamily(upsilon_inv)
     weighted = []
     for term in coeffs.expand_from_map(k, tmap, variant):
-        h, h_den = basis.scaled_terms(term.q)
         c = term.coeff
-        weighted.append((c.numerator, c.denominator * h_den, h))
-    rhs_den = math.lcm(*(w_den for _, w_den, _ in weighted))
-    rhs_terms: dict = {}
-    for w_num, w_den, h in weighted:
-        _add_into(rhs_terms, h, w_num * (rhs_den // w_den))
+        weighted.append(
+            (term.q.parts, c.numerator, c.denominator * basis._den ** term.q.degree())
+        )
+    rhs_den = math.lcm(*(w_den for _, _, w_den in weighted))
+    rhs_terms = _nested(
+        _encode({q: w_num * (rhs_den // w_den) for q, w_num, w_den in weighted}, _RADIX),
+        basis._rows,
+        basis._den,
+    )
 
     den = math.lcm(lhs_den, rhs_den)
     diff_terms = {mono: c * (den // lhs_den) for mono, c in lhs_terms.items()}

@@ -345,8 +345,9 @@ def test_oracle_compare_cli_output_is_pinned(permutation_spec, variant):
 
 # Rational specs for oracle-compare beside the permutation spec pinned
 # above, and the exit code and stdout sha256 under each variant, recorded
-# before the oracle keyed its monomials by int codes: a speed change to
-# the oracle must leave its report byte for byte as it was.
+# before the oracle keyed its monomials by int codes (dense-4 before both
+# sides were summed in nested form): a speed change to the oracle must
+# leave its report byte for byte as it was.
 ORACLE_SPECS = {
     "indefinite": {
         "k": [2, 1], "Lambda": [[1, 0], [0, 1]],
@@ -364,6 +365,12 @@ ORACLE_SPECS = {
         "Sigma": [[2, "1/3"], ["1/3", 1]],
         "Upsilon": [["1.5", 0, "0.25"], [0, 2, 0], ["0.25", 0, 1]],
     },
+    "dense-4": {
+        "k": [3, 2, 2, 1],
+        "Lambda": [["1/2", -1, 0, "2/3"], [0, 0, 0, 0], [1, "1/3", -2, "1/2"], ["-3/4", 2, 1, "1/5"]],
+        "Sigma": [[3, 1, "1/2", "1/3"], [1, 4, "-1/2", 1], ["1/2", "-1/2", 3, "1/4"], ["1/3", 1, "1/4", 2]],
+        "Upsilon": [[2, "1/2", 0, 0], ["1/2", 3, 1, 0], [0, 1, 2, "1/3"], [0, 0, "1/3", 1]],
+    },
 }
 ORACLE_STDOUT_SHA256 = {
     ("indefinite", "symmetrized"): (0, "c87d3747d4e1626d329d6738df0f08e6abda61527db2c478f783012f29ed5177"),
@@ -372,6 +379,8 @@ ORACLE_STDOUT_SHA256 = {
     ("zero-row", "paper-literal"): (1, "7d924b6b0fd8d4e85167dd2f55a1e934852df6d0202c0c9a468ec5b233c9b5a2"),
     ("decimal", "symmetrized"): (0, "950b02c56a8dd967aef271c4dd0837e066c8cfcbe10e99978ed3e353ad08323e"),
     ("decimal", "paper-literal"): (1, "9ebc2b7020f9e13b6937558837c5a24def520479a498164679ff5d16ac6d4781"),
+    ("dense-4", "symmetrized"): (0, "c7693b77579ef93827af18f6a31d0f3d21f9208184899e8e1c225576f4d9989a"),
+    ("dense-4", "paper-literal"): (1, "6a92e1da147426c3eac2a631c1bd3e5e8383877b1a9a0b03b685aae4cfb3afd1"),
 }
 
 

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from hermult.polyoracle import (
     MPoly,
     SymbolicHermiteFamily,
     _decode,
+    _nested,
     as_rational,
     oracle_compare,
     rational_matrix,
@@ -724,7 +726,8 @@ def test_oracle_codes_match_tuple_reference():
 def test_oracle_codes_with_colliding_prefixes():
     # A dense Sigma^-1 puts both y0^3 and y1^3 in H_k for |k| = 3: the
     # first digit of (3, 0) and both digits of (0, 3) spell the same 3,
-    # so a prefix cache keyed by that number alone substitutes wrongly.
+    # so a substitution that keys partial products by that number alone
+    # goes wrong.
     sigma = rational_matrix([[2, 1], [1, 3]])
     lam = rational_matrix([[Fraction(1, 2), -1], [0, 0], [1, Fraction(2, 3)]])
     ups = rational_matrix([[2, 1, 0], [1, 2, 0], [0, 0, 1]])
@@ -760,6 +763,99 @@ def test_mpoly_products_above_oracle_radix():
         )
         want = _tuple_compose(a.terms, _tuple_forms(lin.data, cols), cols)
         assert a.compose_linear(lin) == MPoly(cols, want)
+
+
+def _per_q_sum(family, weights):
+    """sum_q weights[q] * scaled_terms(q), one q at a time: the right
+    side's sum as the oracle built it before the nested pass."""
+    out = {}
+    for code, w in weights.items():
+        terms, _ = family.scaled_terms(_decode(code, family.arity, _RADIX))
+        for mono, c in terms.items():
+            out[mono] = out.get(mono, 0) + w * c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _code(parts):
+    code = 0
+    for e in parts:
+        code = code * _RADIX + e
+    return code
+
+
+def test_nested_pass_matches_per_q_sum():
+    rng = random.Random(2929)
+    for trial in range(40):
+        arity = rng.randint(1, 4)
+        upper = [[_frac(rng, 3, 3) for _ in range(arity)] for _ in range(arity)]
+        b = DenseMatrix.from_rows(
+            [[upper[min(i, j)][max(i, j)] for j in range(arity)] for i in range(arity)]
+        )
+        family = SymbolicHermiteFamily(b)
+        weights = {}
+        for _ in range(rng.randint(1, 12)):
+            k = rng.choice(enumerate_fixed_degree(arity, rng.randint(0, 6)))
+            weights[_code(k.parts)] = rng.choice([-3, -1, 0, 0, 1, 2, 5])
+        got = _nested(weights, family._rows, family._den)
+        assert got == _per_q_sum(family, weights)
+        assert all(got.values())
+    # p_3 = x^3 - 3x and p_1 = x for b = 1: weights 1 and 3 cancel the x
+    # term, weight 0 on q = 2 leaves a zero sum below a nonzero one.
+    family = SymbolicHermiteFamily(DenseMatrix.from_rows([[1]]))
+    weights = {3: 1, 2: 0, 1: 3}
+    assert _nested(weights, family._rows, family._den) == {3: 1}
+    assert _per_q_sum(family, weights) == {3: 1}
+    # A lone q = 0 is its weight; no weights sum to the zero polynomial.
+    family = SymbolicHermiteFamily(rational_matrix([[2, 1], [1, "1/3"]]))
+    assert _nested({0: 7}, family._rows, family._den) == {0: 7}
+    assert _nested({}, family._rows, family._den) == {}
+    assert _nested({0: 0}, family._rows, family._den) == {}
+
+
+def test_compose_linear_edge_shapes_match_tuple_reference():
+    zero_rows = lambda r, c: DenseMatrix.from_rows([[0] * c for _ in range(r)])
+    p2 = MPoly(2, {(2, 1): 3, (0, 0): 5, (1, 0): -1, (0, 3): Fraction(1, 2)})
+    p3 = MPoly(3, {(1, 1, 1): 2, (0, 2, 0): Fraction(-1, 3), (0, 0, 0): 4})
+    cases = [
+        # zero forms keep only the constant term
+        (p2, zero_rows(2, 3)),
+        (MPoly(2, {(1, 1): 1}), zero_rows(2, 2)),
+        # fewer and more new variables than old ones
+        (p3, rational_matrix([[1], ["-1/2"], [3]])),
+        (p2, rational_matrix([[1, 0, "2/3", -1], [0, 2, 0, "1/5"]])),
+        # arity 1 on both sides, and one variable into three
+        (MPoly(1, {(4,): 1, (1,): 2}), rational_matrix([["-2/3"]])),
+        (MPoly(1, {(5,): -1, (0,): 1}), rational_matrix([[1, "1/2", -2]])),
+        # constants and the zero polynomial
+        (MPoly(3, {(0, 0, 0): Fraction(7, 2)}), rational_matrix([[1, 2], [3, 4], [5, 6]])),
+        (MPoly(2), rational_matrix([[1, 2], [3, 4]])),
+    ]
+    for p, lin in cases:
+        want = _tuple_compose(p.terms, _tuple_forms(lin.data, lin.cols), lin.cols)
+        got = p.compose_linear(lin)
+        assert got.arity == lin.cols
+        assert got == MPoly(lin.cols, want)
+    assert cases[0][0].compose_linear(cases[0][1]) == MPoly(3, {(0, 0, 0): 5})
+    assert cases[1][0].compose_linear(cases[1][1]).is_zero()
+
+
+def test_oracle_visits_only_the_indices_it_needs():
+    # k = (20, 0, ..., 0) with a diagonal Sigma at n = 10: H_k is
+    # univariate, so both sides need a chain of 21 codes, not the
+    # C(30, 10) codes of degree <= 20 in ten variables.
+    n = 10
+    k = (20,) + (0,) * (n - 1)
+    sigma = DenseMatrix.from_rows(
+        [[Fraction(i + 2, 3) if i == j else 0 for j in range(n)] for i in range(n)]
+    )
+    lam = DenseMatrix.from_rows([[Fraction(1 + i % 3, 2) for i in range(n)]])
+    ups = rational_matrix([["5/2"]])
+    started = time.perf_counter()
+    res = oracle_compare(k, lam, sigma, ups, CoeffVariant.SYMMETRIZED)
+    elapsed = time.perf_counter() - started
+    assert res.equal
+    assert len(res.lhs.terms) == 11
+    assert elapsed < 1.0
 
 
 def test_mpoly_serialization_is_canonically_sorted():

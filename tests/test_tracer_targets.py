@@ -9,11 +9,15 @@ and with it every traced benchmark run.  The tier-1 suite does not collect
 import contextlib
 import importlib.util
 import io
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import hermult.cli  # loads every hermult module the tracer binds
-from hermult import hermite, verify
+from hermult import hermite, polyoracle, verify
+from hermult.coeffs import CoeffVariant
+from hermult.tensorlin import DenseMatrix
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -84,3 +88,41 @@ def test_traced_univariate_run_sees_its_routes():
     assert layers["coeffs.coeff_from_map.calls"] == 6
     assert layers["hermite.hermite_uni.calls"] == 6
     assert layers["coeffs.coeff_univariate.calls"] == 28
+
+
+def _rational_case(rng, n, m):
+    def frac():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    def spd(dim):
+        # off-diagonal entries of size <= 1/2 against a diagonal of 2: for
+        # dim <= 3 strictly diagonally dominant, so positive definite
+        off = [[Fraction(rng.randint(-1, 1), rng.randint(2, 4)) for _ in range(dim)] for _ in range(dim)]
+        return DenseMatrix.from_rows(
+            [[2 if i == j else off[min(i, j)][max(i, j)] for j in range(dim)] for i in range(dim)]
+        )
+
+    k = tuple(rng.randint(0, 2) for _ in range(n))
+    lam = DenseMatrix.from_rows([[frac() for _ in range(n)] for _ in range(m)])
+    return k, lam, spd(n), spd(m)
+
+
+def test_traced_oracle_run_sees_the_comparison_and_its_polynomials():
+    # oracle_compare must be reached through the name the tracer rebinds,
+    # and its result must keep the fields the tracer's hook reads.
+    rng = random.Random(29)
+    cases = [_rational_case(rng, n, m) for n, m in ((1, 2), (2, 2), (3, 2), (2, 3))]
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        results = [
+            tracer.op(lambda case=case: polyoracle.oracle_compare(*case, CoeffVariant.SYMMETRIZED))
+            for case in cases
+        ]
+    finally:
+        tracer.uninstall()
+    assert all(isinstance(res, polyoracle.OracleComparison) and res.equal for res in results)
+    layers = tracer.layer_metrics()
+    assert layers["polyoracle.oracle_compare.calls"] == len(cases)
+    assert layers["polyoracle.lhs_terms"] == sum(len(res.lhs.terms) for res in results) > 0
