@@ -148,9 +148,10 @@ def _emit_dict(obj, out: list[str]) -> None:
     out.append("}" if obj else "{}")
 
 
-def _scalar_out(v):
-    """Fractions pass through (emitted as "p/q"); everything else to float."""
-    return v if isinstance(v, Fraction) else float(v)
+def _scalar_out(v, rational: bool):
+    """A Fraction (emitted as "p/q") for a rational input, else a float: an
+    exact value may be the int 1 of H_0 or the int 0 of an empty sum."""
+    return Fraction(v) if rational else float(v)
 
 
 @dataclass(frozen=True)
@@ -289,7 +290,7 @@ def _cmd_eval(args) -> int:
             "k": raw.get("k"),
             "variant": raw.get("variant"),
             "x": x,
-            "value": _scalar_out(value),
+            "value": _scalar_out(value, spec.rational),
         }
         sys.stdout.write(dumps(obj) + "\n")
         return 0
@@ -300,14 +301,16 @@ def _cmd_eval(args) -> int:
         if not args.spec:
             raise DomainError("family 'general' requires --spec for the covariance")
         spec = load_problem_spec(args.spec)
-        x = _parse_point(args.at, rational=spec.rational)
+        rational = spec.rational
+        x = _parse_point(args.at, rational=rational)
         value = hermite_multi(k, DenseVector.from_entries(x), covariance(spec.sigma))
     else:
-        x = _parse_point(args.at, rational=False)
+        rational = False
+        x = _parse_point(args.at, rational=rational)
         value = hermite_multi_product(
             k, DenseVector.from_entries(x), _parse_family(args.family)
         )
-    obj = {"family": args.family, "k": k.to_list(), "x": x, "value": _scalar_out(value)}
+    obj = {"family": args.family, "k": k.to_list(), "x": x, "value": _scalar_out(value, rational)}
     sys.stdout.write(dumps(obj) + "\n")
     return 0
 

@@ -28,9 +28,10 @@ slot tuple only.
 The recurrence runs as one bottom-up sweep per source index k.  Its plan
 lists the k' the sweep needs, from k down: with i the rightmost positive
 coordinate of a needed k', it needs k' - e_i, and k' - e_i - e_l for every
-l with M_il != 0 and c = (k' - e_i)_l > 0.  The plan (_sweep_plan) depends
-only on k and the zero pattern of M and holds the int c, not c * M_il.  The
-value pass visits the planned k' in increasing degree.  Each keeps one flat
+l with M_il != 0 and c = (k' - e_i)_l > 0.  The plan (multiindex's
+raising_plan, which hermite's partial sum reads too) depends only on k and
+M's zero pattern, and holds the int c, not c * M_il.  The value pass visits
+the planned k' in increasing degree.  Each keeps one flat
 list of T[k', q'] over the q' of the parity of |k'| in ascending degree, then
 canonical order (_q_layout), so degree d - 2 gives a prefix of degree d: the
 A pulls fill it by position, then each M pull runs over that prefix:
@@ -93,6 +94,7 @@ from .multiindex import (
     enumerate_fixed_degree,
     mi_factorial,
     q_support,
+    raising_plan,
 )
 from .tensorlin import (
     DenseMatrix,
@@ -255,21 +257,11 @@ def _sweep_rows(tmap: TransformedMap):
     return (tmap.A.data, tmap.M.data), None
 
 
-# Indices q are keyed by their digits in this radix: every part of an
-# expanded q is at most MAX_EXPANSION_DEGREE.
-_Q_RADIX = MAX_EXPANSION_DEGREE + 1
-
-
 @functools.lru_cache(maxsize=128)
 def _q_level(m: int, d: int) -> tuple:
-    """The (pos, q, code) triples of every arity-m index q of degree d, in
-    canonical order: pos is q's position in the flat layout and code the
-    number whose digits in radix _Q_RADIX are q's parts."""
-    weights = [_Q_RADIX ** (m - 1 - j) for j in range(m)]
-    return tuple([
-        (pos, q, sum(map(mul, q.parts, weights)))
-        for pos, q in enumerate(enumerate_fixed_degree(m, d), _q_pos((d,) + (0,) * (m - 1)))
-    ])
+    """The (pos, q) pairs of every arity-m index q of degree d, in canonical
+    order, pos being q's position in the flat layout."""
+    return tuple(enumerate(enumerate_fixed_degree(m, d), _q_pos((d,) + (0,) * (m - 1))))
 
 
 @functools.lru_cache(maxsize=128)
@@ -277,11 +269,11 @@ def _q_layout(m: int, d: int) -> tuple:
     """(j, position of q - e_j) for each j with q_j > 0, ascending, for the
     q at each position of the flat layout of degree d: every arity-m q of
     degree d, d - 2, ..., in ascending degree, then canonical order."""
-    weights = [_Q_RADIX ** (m - 1 - j) for j in range(m)]
-    below = {code: pos for pos, _, code in _q_level(m, d - 1)} if d else {}
+    below = {q.parts: pos for pos, q in _q_level(m, d - 1)} if d else {}
+    level = [q.parts for _, q in _q_level(m, d)]
     return (_q_layout(m, d - 2) if d > 1 else ()) + tuple([
-        tuple([(j, below[code - weights[j]]) for j, p in enumerate(q.parts) if p])
-        for _, q, code in _q_level(m, d)
+        tuple([(j, below[q[:j] + (p - 1,) + q[j + 1 :]]) for j, p in enumerate(q) if p])
+        for q in level
     ])
 
 
@@ -296,41 +288,17 @@ def _q_pos(parts: tuple) -> int:
     return pos
 
 
-def _sweep_plan(k: tuple, m_rows) -> list:
-    """The sweep's steps: steps[d], for d = 1..|k|, maps each needed k' of
-    degree d to (i, k' - e_i, ((c, l, k' - e_i - e_l), ...)).  It reads
-    only which entries of M are nonzero; see the module docstring."""
-    top = sum(k)
-    steps = [{} for _ in range(top + 1)]
-    steps[top][k] = None
-    for d in range(top, 0, -1):
-        for kp in steps[d]:
-            i = len(kp) - 1
-            while kp[i] == 0:
-                i -= 1
-            low = kp[:i] + (kp[i] - 1,) + kp[i + 1 :]
-            twice = []
-            for l, mv in enumerate(m_rows[i]):
-                c = low[l]
-                if mv and c:
-                    lower = low[:l] + (c - 1,) + low[l + 1 :]
-                    twice.append((c, l, lower))
-                    steps[d - 2][lower] = None
-            steps[d - 1][low] = None
-            steps[d][kp] = (i, low, twice)
-    return steps
-
-
 def _coeff_table(k: tuple, a_rows, m_rows) -> list:
     """T[k, q] for every q of the parity of |k|, at q's position in the
-    flat layout: the value pass over _sweep_plan (see the module docstring)."""
+    flat layout: the value pass over k's raising_plan under M's zero
+    pattern (see the module docstring)."""
     m = len(a_rows[0])
-    steps = _sweep_plan(k, m_rows)
+    levels = raising_plan((k,), m_rows)
     below, prev = {}, {(0,) * len(k): [1]}
-    for d in range(1, len(steps)):
+    for d in range(1, len(levels)):
         layout = _q_layout(m, d)
         cur = {}
-        for kp, (i, low, twice) in steps[d].items():
+        for kp, i, low, twice in levels[d]:
             src, a_row, m_row = prev[low], a_rows[i], m_rows[i]
             t = []
             for lowers in layout:
@@ -349,7 +317,7 @@ def _coeff_table(k: tuple, a_rows, m_rows) -> list:
 
 
 def _read_coeffs(k: MultiIndex, tmap: TransformedMap, variant, levels) -> tuple:
-    """(terms, c): T[k, q] is read for each (pos, q, _) of each (d, qs) of
+    """(terms, c): T[k, q] is read for each (pos, q) of each (d, qs) of
     levels, every q of qs having degree d and position pos; terms holds the
     ExpansionTerm of each nonzero one, in that order, and c is the last one
     read, zero or not.  T[k, .] is the literal product at the ascending slot
@@ -366,7 +334,7 @@ def _read_coeffs(k: MultiIndex, tmap: TransformedMap, variant, levels) -> tuple:
     for d, qs in levels:
         pairs = (top - d) // 2
         den = alpha**d * beta**pairs
-        for pos, q, _ in qs:
+        for pos, q in qs:
             if table is None:
                 c = _literal_coeff(k, q, pairs, rows, den)
             else:
@@ -390,7 +358,7 @@ def coeff_from_map(
     q = MultiIndex.of(q)
     _check_shape(k, q.arity, tmap)
     _parity_split(k, q)
-    level = (q.degree(), ((_q_pos(q.parts), q, None),))
+    level = (q.degree(), ((_q_pos(q.parts), q),))
     return _read_coeffs(k, tmap, variant, (level,))[1]
 
 

@@ -14,9 +14,10 @@ hermite_multi_batch runs the raising recurrence top down with one memo
 keyed by index tuples, shared by all the indices of a call; hermite_multi
 is the batch of one index.  gf_partial_sum needs every index up to its
 degree cap, so it runs the same recurrence bottom up over a table built
-once per (arity, cap): each entry holds the positions it reads, and the
-sweep evaluates _raise_value's expression in its operand order, with
-each c * B[i][j] formed once per call, so both give the same bits.
+once per (arity, cap) from multiindex.raising_plan, as coeffs does: each
+entry holds the positions it reads, and the sweep evaluates _raise_value's
+expression in its operand order, with each c * B[i][j] formed once per
+call, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DimensionMismatchError, DomainError, SizeLimitError
-from .multiindex import MultiIndex, enumerate_fixed_degree, mi_factorial
+from .multiindex import MultiIndex, enumerate_fixed_degree, mi_factorial, raising_plan
 from .tensorlin import DenseVector, SpdMatrix, is_exact_scalar
 
 # Degrees above this are outside the supported (non-asymptotic) regime.
@@ -128,8 +129,8 @@ def hermite_uni(family: HermiteFamily, k: int, x):
 
 
 def _raise_value(parts, bx, b_rows, memo):
-    """Memoized coordinate-raising recurrence; the rightmost positive
-    coordinate is lowered first, matching a left-to-right build order."""
+    """Memoized coordinate-raising recurrence by raising_plan's rule, every
+    j read: a top-down memo, so a call plans only what its batch needs."""
     val = memo.get(parts)
     if val is not None:
         return val
@@ -202,36 +203,26 @@ def hermite_multi_product(
 
 @functools.lru_cache(maxsize=64)
 def _gf_table(n: int, degree_cap: int) -> tuple:
-    """The sweep plan of gf_partial_sum: one entry per arity-n index k with
-    0 < |k| <= degree_cap, in ascending degree, then enumeration order.
-    Sweep position p holds entry p - 1 and position 0 holds k = 0, so every
-    entry comes after those it reads.
-
-    An entry is (i, low, twice, prefix, power, 1/k!, float(1/k!)).  i is the
-    rightmost positive coordinate of k, the one _raise_value lowers, and
-    `low` the position of k - e_i.  `twice` holds a (w, position of
-    k - e_i - e_j) for each j with c = (k - e_i)_j > 0, j ascending, where
-    c * B[i][j] is the sweep's product w.  t^k is the t^k at position
-    `prefix` (k with k_i zeroed) times t_i**k_i, the sweep's power at
-    `power`: the left-to-right product of the powers, one multiply.
+    """The sweep table of gf_partial_sum: an entry per arity-n index k with
+    0 < |k| <= degree_cap, in the order of the raising_plan of degree
+    degree_cap, which reaches every lower index.  Sweep position p holds
+    entry p - 1 and position 0 holds k = 0.  The entry of k's plan entry
+    (k, i, low, twice) is (i, position of low, ((w, position of lower), ...),
+    prefix, power, 1/k!, float(1/k!)): w = (i*n + l)*cap + c - 1 is the
+    place of c * B[i][l] among the sweep's products, and t^k is the t^k at
+    position `prefix` (k with k_i zeroed) times t_i**k_i, the sweep's power
+    at `power` = i*cap + k_i - 1: one multiply.
     """
     position = {(0,) * n: 0}
     out = []
-    for d in range(1, degree_cap + 1):
-        for k in enumerate_fixed_degree(n, d):
-            parts = k.parts
-            position[parts] = len(out) + 1
-            i = max(j for j, c in enumerate(parts) if c)
-            low = parts[:i] + (parts[i] - 1,) + parts[i + 1 :]
+    for level in raising_plan(enumerate_fixed_degree(n, degree_cap)):
+        for k, i, low, twice in level:
+            position[k] = len(out) + 1
             base = i * n * degree_cap - 1
-            twice = tuple(
-                (base + j * degree_cap + c, position[low[:j] + (c - 1,) + low[j + 1 :]])
-                for j, c in enumerate(low)
-                if c
-            )
-            prefix = position[parts[:i] + (0,) + parts[i + 1 :]]
+            twice = tuple((base + l * degree_cap + c, position[lower]) for c, l, lower in twice)
+            prefix = position[k[:i] + (0,) + k[i + 1 :]]
             inv = Fraction(1, mi_factorial(k))
-            power = i * degree_cap + parts[i] - 1
+            power = i * degree_cap + k[i] - 1
             out.append((i, position[low], twice, prefix, power, inv, float(inv)))
     return tuple(out)
 

@@ -99,6 +99,40 @@ def _fixed_degree(arity: int, degree: int) -> tuple[MultiIndex, ...]:
     return tuple(MultiIndex(parts) for parts in rec(arity, degree))
 
 
+def raising_plan(targets: Iterable[Iterable[int]], pattern=None) -> list:
+    """levels[d], d = 0..the top degree: every index k of degree d that the
+    targets (indices of one arity) reach, in canonical order, as
+    (k, i, k - e_i, ((c, l, k - e_i - e_l), ...)).  i is k's rightmost
+    positive coordinate and l runs ascending over each l with
+    c = (k - e_i)_l > 0 and pattern[i][l] nonzero (every l if pattern is
+    None).  Level 0 is empty: the zero index is the recurrence's base."""
+    targets = [tuple(k) for k in targets]
+    top = max(map(sum, targets), default=0)
+    if pattern is None:
+        n = len(targets[0]) if targets else 0
+        pattern = [(1,) * n] * n
+    steps = [{} for _ in range(top + 1)]
+    for k in targets:
+        steps[sum(k)][k] = None
+    for d in range(top, 0, -1):
+        for k in steps[d]:
+            i = len(k) - 1
+            while k[i] == 0:
+                i -= 1
+            low = k[:i] + (k[i] - 1,) + k[i + 1 :]
+            twice = []
+            for l, keep in enumerate(pattern[i]):
+                c = low[l]
+                if keep and c:
+                    lower = low[:l] + (c - 1,) + low[l + 1 :]
+                    twice.append((c, l, lower))
+                    steps[d - 2][lower] = None
+            steps[d - 1][low] = None
+            steps[d][k] = (k, i, low, tuple(twice))
+    # Each k is listed once, so its entries sort by k alone.
+    return [[]] + [sorted(level.values(), reverse=True) for level in steps[1:]]
+
+
 def mi_factorial(k: MultiIndex | Iterable[int]) -> int:
     """Product of part factorials; empty product is 1."""
     k = MultiIndex.of(k)

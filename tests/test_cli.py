@@ -752,7 +752,8 @@ def test_eval_general_family_is_exact_for_rational_spec(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(dict(ORACLE_SPECS["indefinite"], rational=True)))
     sigma = load_problem_spec(str(path)).sigma
-    for k, point in (("2,1", "1/2,2"), ("1,3", "-3,5/7"), ("0,2", "1,1")):
+    # k = 0 is the recurrence's int 1, which prints as "1" too.
+    for k, point in (("2,1", "1/2,2"), ("1,3", "-3,5/7"), ("0,2", "1,1"), ("0,0", "1,1")):
         code = main(["eval", "--family", "general", "--k", k, f"--at={point}", "--spec", str(path)])
         captured = capsys.readouterr()
         assert code == 0, captured.err
@@ -762,6 +763,25 @@ def test_eval_general_family_is_exact_for_rational_spec(tmp_path, capsys):
         expected = family.poly([int(v) for v in k.split(",")])
         assert isinstance(out["value"], str)
         assert Fraction(out["value"]) == poly_value(expected, point.split(","))
+
+
+def test_eval_of_an_empty_rational_expansion_prints_an_exact_zero(tmp_path, capsys):
+    # A zero map sends k = (1, 0) to no terms; the empty sum is the int 0,
+    # and a rational spec prints it as "0" as it prints every exact value.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "k": [1, 0], "Lambda": [[0, 0], [0, 0]], "Sigma": [[1, 0], [0, 1]],
+        "Upsilon": [[2, 1], [1, 2]], "rational": True,
+    }))
+    assert main(["expand", "--spec", str(path)]) == 0
+    captured = capsys.readouterr().out
+    assert json.loads(captured)["terms"] == []
+    expansion = tmp_path / "exp.json"
+    expansion.write_text(captured)
+    code = main(["eval", "--expansion", str(expansion), "--spec", str(path), "--at=1/2,1"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert json.loads(captured.out)["value"] == "0"
 
 
 def test_main_entry_in_process(capsys, identity_spec):

@@ -36,6 +36,7 @@ from hermult.multiindex import (
     index_tuples,
     mi_factorial,
     q_support,
+    raising_plan,
 )
 from hermult.polyoracle import rational_matrix
 from hermult.tensorlin import DenseMatrix, DenseVector, spd_factorize
@@ -796,6 +797,52 @@ def test_sweep_plan_follows_the_zero_pattern_of_m():
                         )
                         assert repr(coeff_from_map(k, q, tmap)) == repr(expected)
     assert repr(coeff_from_map((2, 2), (0, 0), sparse)) == "0"
+
+
+def sweep_plan_reference(k, m_rows):
+    """The coefficient sweep's plan as coeffs built it before it read
+    raising_plan: steps[d] maps each needed k' of degree d to
+    (i, k' - e_i, [(c, l, k' - e_i - e_l), ...]), in the order reached."""
+    top = sum(k)
+    steps = [{} for _ in range(top + 1)]
+    steps[top][k] = None
+    for d in range(top, 0, -1):
+        for kp in steps[d]:
+            i = len(kp) - 1
+            while kp[i] == 0:
+                i -= 1
+            low = kp[:i] + (kp[i] - 1,) + kp[i + 1 :]
+            twice = []
+            for l, mv in enumerate(m_rows[i]):
+                c = low[l]
+                if mv and c:
+                    lower = low[:l] + (c - 1,) + low[l + 1 :]
+                    twice.append((c, l, lower))
+                    steps[d - 2][lower] = None
+            steps[d - 1][low] = None
+            steps[d][kp] = (i, low, twice)
+    return steps
+
+
+def test_raising_plan_of_one_k_matches_the_sweep_plan_reference():
+    # raising_plan sorts each level into canonical order; the reference
+    # keeps the order reached, so the levels compare as dicts.
+    rng = random.Random(3012)
+    for n in range(1, 5):
+        for trial in range(12):
+            dense = trial % 2
+            m_rows = [[0.0] * n for _ in range(n)]
+            for i in range(n):
+                for l in range(i, n):
+                    if dense or rng.random() < 0.3:
+                        m_rows[i][l] = m_rows[l][i] = rng.choice([-1.5, 0.25, 2.0, -0.0])
+            k = tuple(rng.randint(0, 5) for _ in range(n))
+            levels = raising_plan([k], m_rows)
+            steps = sweep_plan_reference(k, m_rows)
+            assert len(levels) == len(steps)
+            for d in range(1, len(steps)):
+                got = {kp: (i, low, list(twice)) for kp, i, low, twice in levels[d]}
+                assert got == steps[d], (k, d)
 
 
 def fraction_table_reference(k, a_rows, m_rows):

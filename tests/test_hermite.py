@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from hermult.errors import DimensionMismatchError, DomainError, SizeLimitError
+from hermult import hermite
 from hermult.hermite import (
     MAX_DEGREE,
+    MAX_GF_DEGREE,
     PHYSICISTS,
     PROBABILISTS,
     HermiteFamily,
@@ -412,3 +414,39 @@ def test_gf_partial_sum_matches_plain_sum_bit_for_bit():
                     want = _gf_reference(tv, xv, s, cap)
                     assert type(got) is type(want), (n, cap, zeros)
                     assert repr(got) == repr(want), (n, cap, zeros)
+
+
+def gf_table_reference(n, degree_cap):
+    """_gf_table as it was built before it read raising_plan: every index
+    of degree 1..cap in enumeration order, each lowering its rightmost
+    positive coordinate and reading every j."""
+    position = {(0,) * n: 0}
+    out = []
+    for d in range(1, degree_cap + 1):
+        for k in enumerate_fixed_degree(n, d):
+            parts = k.parts
+            position[parts] = len(out) + 1
+            i = max(j for j, c in enumerate(parts) if c)
+            low = parts[:i] + (parts[i] - 1,) + parts[i + 1 :]
+            base = i * n * degree_cap - 1
+            twice = tuple(
+                (base + j * degree_cap + c, position[low[:j] + (c - 1,) + low[j + 1 :]])
+                for j, c in enumerate(low)
+                if c
+            )
+            prefix = position[parts[:i] + (0,) + parts[i + 1 :]]
+            inv = Fraction(1, mi_factorial(k))
+            power = i * degree_cap + parts[i] - 1
+            out.append((i, position[low], twice, prefix, power, inv, float(inv)))
+    return tuple(out)
+
+
+def test_gf_table_matches_the_enumeration_built_table():
+    for n in range(1, 5):
+        for cap in range(MAX_GF_DEGREE + 1):
+            table = hermite._gf_table(n, cap)
+            want = gf_table_reference(n, cap)
+            assert [(e, [type(v) for v in e]) for e in table] == [
+                (e, [type(v) for v in e]) for e in want
+            ], (n, cap)
+    assert hermite._gf_table(3, 0) == ()

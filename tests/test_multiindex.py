@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from hermult.multiindex import (
     index_tuples,
     mi_factorial,
     q_support,
+    raising_plan,
 )
 
 
@@ -126,3 +128,68 @@ def test_multiindex_ordering_is_graded_then_descending_lex():
     d = MultiIndex((1, 0))
     assert d < a < b < c
     assert sorted([c, a, b]) == [a, b, c]
+
+
+def lowered(k, j):
+    return k[:j] + (k[j] - 1,) + k[j + 1 :]
+
+
+def assert_plan_rule(levels, targets, pattern):
+    """Each entry of levels lowers the rightmost positive coordinate i of
+    its k and reads k - e_i and the k - e_i - e_l that the pattern keeps,
+    l ascending; the plan lists exactly the targets and what they read,
+    each level in canonical order."""
+    n = len(targets[0])
+    assert len(levels) == max(map(sum, targets)) + 1
+    assert levels[0] == []
+    listed, reached = set(), {t for t in targets if sum(t)}
+    for d, level in enumerate(levels):
+        ks = [k for k, _, _, _ in level]
+        assert all(sum(k) == d for k in ks)
+        assert ks == sorted(set(ks), key=MultiIndex)
+        for k, i, low, twice in level:
+            assert k[i] > 0 and not any(k[i + 1 :])
+            assert low == lowered(k, i)
+            keep = [l for l in range(n) if low[l] and (pattern is None or pattern[i][l])]
+            assert twice == tuple((low[l], l, lowered(low, l)) for l in keep)
+            reached.update(r for r in (low, *(lower for _, _, lower in twice)) if sum(r))
+        listed.update(ks)
+    assert listed == reached
+
+
+def test_raising_plan_under_the_dense_pattern_lists_every_lower_index():
+    # Every index of degree D reaches every index below it, so its dense
+    # plan lists each degree as enumerate_fixed_degree does.
+    for n in range(1, 5):
+        for cap in range(6):
+            targets = parts(enumerate_fixed_degree(n, cap))
+            levels = raising_plan(targets)
+            assert_plan_rule(levels, targets, None)
+            for d in range(1, cap + 1):
+                assert [k for k, _, _, _ in levels[d]] == parts(enumerate_fixed_degree(n, d))
+
+
+def test_raising_plan_honours_the_zero_pattern():
+    rng = random.Random(3011)
+    for n in range(1, 5):
+        for _ in range(25):
+            pattern = [[rng.choice([0, 0.0, -0.0, 1, 0.5]) for _ in range(n)] for _ in range(n)]
+            targets = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+            if not any(map(sum, targets)):
+                continue
+            levels = raising_plan(targets, pattern)
+            assert_plan_rule(levels, targets, pattern)
+            assert raising_plan(map(MultiIndex, targets), pattern) == levels
+    # An all-zero pattern reads only k - e_i, one index per degree.
+    levels = raising_plan([(2, 1)], [[0, 0], [0, 0]])
+    assert [[k for k, _, _, _ in level] for level in levels] == [
+        [], [(1, 0)], [(2, 0)], [(2, 1)]
+    ]
+    assert all(twice == () for level in levels for _, _, _, twice in level)
+
+
+def test_raising_plan_of_degree_zero_is_its_empty_base_level():
+    assert raising_plan([(0, 0, 0)]) == [[]]
+    assert raising_plan(enumerate_fixed_degree(2, 0), [[1, 1], [1, 1]]) == [[]]
+    # A degree-0 target among others adds nothing.
+    assert raising_plan([(0, 0), (1, 1)]) == raising_plan([(1, 1)])
