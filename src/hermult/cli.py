@@ -242,15 +242,28 @@ def _cmd_expand(args) -> int:
             "k": spec.k.to_list(),
             "variant": variant.value,
             "terms": [
-                {
-                    "q": t.q.to_list(),
-                    "coeff": Fraction(t.coeff) if spec.rational else float(t.coeff),
-                }
+                {"q": t.q.to_list(), "coeff": _scalar_out(t.coeff, spec.rational)}
                 for t in terms
             ],
         }
         sys.stdout.write(dumps(obj) + "\n")
     return 0
+
+
+def _parse_terms(raw, rational: bool) -> list[ExpansionTerm]:
+    """The terms of an `expand` JSON table, each with a finite coefficient."""
+    if not isinstance(raw, list):
+        raise DomainError("expansion field 'terms' must be a list")
+    terms = []
+    for t in raw:
+        for field in ("q", "coeff"):
+            if not isinstance(t, dict) or field not in t:
+                raise DomainError(f"expansion term missing field {field!r}")
+        coeff = _parse_entry(t["coeff"], rational)
+        if isinstance(coeff, float) and not math.isfinite(coeff):
+            raise DomainError(f"expansion field 'coeff' is not finite: {coeff!r}")
+        terms.append(ExpansionTerm(MultiIndex.of(t["q"]), coeff))
+    return terms
 
 
 def _parse_point(token: str, rational: bool) -> list:
@@ -281,10 +294,7 @@ def _cmd_eval(args) -> int:
         xv = DenseVector.from_entries(x)
         with open(args.expansion, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        terms = [
-            ExpansionTerm(MultiIndex.of(t["q"]), _parse_entry(t["coeff"], spec.rational))
-            for t in raw["terms"]
-        ]
+        terms = _parse_terms(raw.get("terms") if isinstance(raw, dict) else None, spec.rational)
         value = coeffs.evaluate_expansion(terms, xv, covariance(spec.upsilon))
         obj = {
             "k": raw.get("k"),

@@ -44,7 +44,8 @@ A pulls fill it by position, then each M pull runs over that prefix:
 While degree d is built, only the lists of degree d - 1 and d - 2 are kept.
 Each entry is this one expression, in this operand order, over entries of
 lower degree, so a float table is reproducible bit for bit and an entry no
-pull reaches stays the int 0; coeff_from_map reads one at q's _q_pos.
+pull reaches stays the int 0; coeff_from_map finds q's position in
+_q_level only when it reads the table.
 
 The field alone picks the route, and one body (_read_coeffs) serves both
 readers.  Exact work runs on integers.  With Sigma^-1 = S/s, Lambda = L/e
@@ -260,8 +261,10 @@ def _sweep_rows(tmap: TransformedMap):
 @functools.lru_cache(maxsize=128)
 def _q_level(m: int, d: int) -> tuple:
     """The (pos, q) pairs of every arity-m index q of degree d, in canonical
-    order, pos being q's position in the flat layout."""
-    return tuple(enumerate(enumerate_fixed_degree(m, d), _q_pos((d,) + (0,) * (m - 1))))
+    order, pos being q's position in the flat layout: the positions run on
+    from the last q of degree d - 2."""
+    first = _q_level(m, d - 2)[-1][0] + 1 if d > 1 else 0
+    return tuple(enumerate(enumerate_fixed_degree(m, d), first))
 
 
 @functools.lru_cache(maxsize=128)
@@ -275,17 +278,6 @@ def _q_layout(m: int, d: int) -> tuple:
         tuple([(j, below[q[:j] + (p - 1,) + q[j + 1 :]]) for j, p in enumerate(q) if p])
         for q in level
     ])
-
-
-def _q_pos(parts: tuple) -> int:
-    """q's position in the flat layout: the count of indices of its arity
-    and a lower degree of its parity, plus those of its degree before it."""
-    m, rest = len(parts), sum(parts)
-    pos = sum(math.comb(e + m - 1, m - 1) for e in range(rest % 2, rest, 2))
-    for j, p in enumerate(parts[:-1]):
-        pos += math.comb(rest - p - 2 + m - j, m - 1 - j)
-        rest -= p
-    return pos
 
 
 def _coeff_table(k: tuple, a_rows, m_rows) -> list:
@@ -318,12 +310,13 @@ def _coeff_table(k: tuple, a_rows, m_rows) -> list:
 
 def _read_coeffs(k: MultiIndex, tmap: TransformedMap, variant, levels) -> tuple:
     """(terms, c): T[k, q] is read for each (pos, q) of each (d, qs) of
-    levels, every q of qs having degree d and position pos; terms holds the
-    ExpansionTerm of each nonzero one, in that order, and c is the last one
-    read, zero or not.  T[k, .] is the literal product at the ascending slot
-    tuple under paper-literal, and under symmetrized when k has at most one
-    nonzero part (its slot-tuple sum has a single tuple); else it is read
-    from k's table, divided by alpha^d beta^((|k|-d)/2) on an exact map."""
+    levels, every q of qs having degree d and position pos (None: found in
+    _q_level if the table is read); terms holds the ExpansionTerm of each
+    nonzero one, in that order, and c is the last one read, zero or not.
+    T[k, .] is the literal product at the ascending slot tuple under
+    paper-literal, and under symmetrized when k has at most one nonzero
+    part (its slot-tuple sum has a single tuple); else it is read from k's
+    table, divided by alpha^d beta^((|k|-d)/2) on an exact map."""
     variant = CoeffVariant(variant)
     rows, scales = _sweep_rows(tmap)
     alpha, beta = scales or (1, 1)
@@ -338,6 +331,8 @@ def _read_coeffs(k: MultiIndex, tmap: TransformedMap, variant, levels) -> tuple:
             if table is None:
                 c = _literal_coeff(k, q, pairs, rows, den)
             else:
+                if pos is None:
+                    pos = next(at for at, other in _q_level(q.arity, d) if other == q)
                 c = table[pos]
                 if c and scales is not None:
                     c = Fraction(c, den)
@@ -358,8 +353,7 @@ def coeff_from_map(
     q = MultiIndex.of(q)
     _check_shape(k, q.arity, tmap)
     _parity_split(k, q)
-    level = (q.degree(), ((_q_pos(q.parts), q),))
-    return _read_coeffs(k, tmap, variant, (level,))[1]
+    return _read_coeffs(k, tmap, variant, ((q.degree(), ((None, q),)),))[1]
 
 
 def coeff_general(
@@ -464,7 +458,7 @@ def _vec_plan(k: int, m: int, pair_weight: int) -> tuple:
     """(qs, plan): every arity-m q of k's parity with |q| <= k, in the order
     of expand_from_map, and their _vec_steps.  It depends on the shape
     alone, so one plan serves every vector of dimension m in both fields."""
-    qs = tuple([q for d in q_support(k) for q in enumerate_fixed_degree(m, d)])
+    qs = tuple([q for d in q_support(k) for _, q in _q_level(m, d)])
     return qs, _vec_steps(k, [q.parts for q in qs], pair_weight)
 
 

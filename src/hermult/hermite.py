@@ -11,13 +11,14 @@ checking the degree and the family once; hermite_uni_all is its one-point
 case and hermite_uni reads its top degree.
 
 hermite_multi_batch runs the raising recurrence top down with one memo
-keyed by index tuples, shared by all the indices of a call; hermite_multi
-is the batch of one index.  gf_partial_sum needs every index up to its
-degree cap, so it runs the same recurrence bottom up over a table built
-once per (arity, cap) from multiindex.raising_plan, as coeffs does: each
-entry holds the positions it reads, and the sweep evaluates _raise_value's
-expression in its operand order, with each c * B[i][j] formed once per
-call, so both give the same bits.
+keyed by index tuples, which it makes per call and shares across the
+call's indices; hermite_multi is the batch of one index.  gf_partial_sum
+needs every index up to its degree cap, so it runs the same recurrence
+bottom up over a table built once per (arity, cap) from
+multiindex.raising_plan, as coeffs does: each entry holds the positions it
+reads, and the sweep evaluates _raise_value's expression in its operand
+order, with each c * B[i][j] formed once per call, so both give the same
+bits.
 """
 
 from __future__ import annotations
@@ -154,9 +155,7 @@ def _evaluation_state(x: DenseVector, sigma: SpdMatrix):
             f"point dim {x.dim} does not match covariance dim {sigma.dim}"
         )
     b = sigma.inverse()
-    bx = b.matvec(x).entries
-    memo = {(0,) * x.dim: 1}
-    return bx, b.data, memo
+    return b.matvec(x).entries, b.data
 
 
 def hermite_multi(k: MultiIndex | Iterable[int], x: DenseVector, sigma: SpdMatrix):
@@ -169,7 +168,8 @@ def hermite_multi_batch(
 ) -> list:
     """Values of several multivariate Hermite polynomials at one point,
     sharing the recurrence memo across indices."""
-    bx, b_rows, memo = _evaluation_state(x, sigma)
+    bx, b_rows = _evaluation_state(x, sigma)
+    memo = {(0,) * x.dim: 1}
     out = []
     for k in ks:
         k = MultiIndex.of(k)
@@ -247,7 +247,7 @@ def gf_partial_sum(
         raise DimensionMismatchError(
             f"t dim {t.dim} does not match x dim {x.dim}"
         )
-    bx, b_rows, _ = _evaluation_state(x, sigma)
+    bx, b_rows = _evaluation_state(x, sigma)
     # c * B[i][j] at (i*n + j)*cap + c - 1 and t_i**c at i*cap + c - 1, for
     # c = 1..cap: the places _gf_table's entries name.
     cb = [c * v for row in b_rows for v in row for c in range(1, degree_cap + 1)]

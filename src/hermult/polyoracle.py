@@ -39,7 +39,8 @@ is an integer polynomial too.
 
 Both sums have the form sum_a W_a Op^a 1, with Op^a the product of the
 Op_i^a_i.  On the right Op_i S = (G x)_i S - f dS/dx_i, as f^|q| H_q =
-Op^q 1 by the recursion above; on the left Op_i S = (L x)_i S.
+Op^q 1 by the recursion above; on the left Op_i S = (L x)_i S.  p_k
+itself is Op^k 1 with C and d in place of G and f: the one weight 1 on k.
 `_nested` sums them in nested (Horner) form over the tree in which the
 parent of a is a with its rightmost positive part lowered:
 S_a = W_a + sum over the children a + e_j of Op_j S_(a+e_j), and the sum
@@ -153,10 +154,6 @@ def rational_matrix(rows: Iterable[Iterable]) -> DenseMatrix:
 _RADIX = coeffs.MAX_EXPANSION_DEGREE + 1
 
 
-def _weights(arity: int, radix: int) -> list[int]:
-    return [radix ** (arity - 1 - i) for i in range(arity)]
-
-
 def _encode(terms: Mapping[tuple, object], radix: int) -> dict:
     out = {}
     for mono, c in terms.items():
@@ -219,18 +216,8 @@ def _derivative_terms(terms: dict, w: int) -> dict:
 
 def _linear_forms(rows, arity: int, radix: int) -> list[dict]:
     """Row r of `rows` as the linear form sum_j rows[r][j] x_j."""
-    weights = _weights(arity, radix)
+    weights = [radix ** (arity - 1 - j) for j in range(arity)]
     return [{w: v for w, v in zip(weights, row) if v} for row in rows]
-
-
-def _step(terms: dict, form: dict, w: int, den: int) -> dict:
-    """form * terms - den * d/dx_i terms, w the weight of part i: one
-    raising step p_{k+e_i} from p_k, or with den = 0 one factor of a
-    substitution.  `terms` is not mutated."""
-    out = _mul_terms(form, terms)
-    if den:
-        _add_into(out, _derivative_terms(terms, w), -den)
-    return out
 
 
 def _nested(weights: dict, forms: list[dict], den: int, radix: int = _RADIX) -> dict:
@@ -265,7 +252,9 @@ def _nested(weights: dict, forms: list[dict], den: int, radix: int = _RADIX) -> 
         if not acc:
             continue
         w = raised[code]
-        stepped = _step(acc, step_of[w], w, den)
+        stepped = _mul_terms(step_of[w], acc)
+        if den:
+            _add_into(stepped, _derivative_terms(acc, w), -den)
         parent = sums.get(code - w)
         if parent is None:
             sums[code - w] = stepped
@@ -402,8 +391,8 @@ class MPoly:
 class SymbolicHermiteFamily:
     """Hermite polynomials of one exact symmetric exponent matrix b = C/d,
     built by the differentiation recursion p_{k+e_i} = (b x)_i p_k - d_i p_k
-    starting from 1, with shared sub-indices cached.  The cache holds the
-    integer polynomials d^|k| p_k (see the module docstring).
+    starting from 1, as the integer polynomials d^|k| p_k (see the module
+    docstring): the chain of one index is `_nested` with the weight 1 on k.
 
     Nothing here depends on the numeric recurrence used by the evaluators.
     """
@@ -420,17 +409,14 @@ class SymbolicHermiteFamily:
         self.arity = n
         rows, self._den = b.cleared_rows()
         self._rows = _linear_forms(rows, n, _RADIX)
-        self._weights = _weights(n, _RADIX)
-        self._memo: dict[tuple, dict] = {(0,) * n: {0: 1}}
 
     def poly(self, k: MultiIndex | Iterable[int]) -> MPoly:
         terms, den = self.scaled_terms(k)
         return _over(self.arity, terms, den)
 
     def scaled_terms(self, k: MultiIndex | Iterable[int]) -> tuple[dict, int]:
-        """(terms, den) with p_k = terms / den: terms maps oracle monomial
-        codes to int coefficients and den = d^|k|.  The dict is the cached
-        one; do not mutate it."""
+        """(terms, den) with p_k = terms / den: terms is a new dict from
+        oracle monomial codes to int coefficients and den = d^|k|."""
         k = MultiIndex.of(k)
         if k.arity != self.arity:
             raise DimensionMismatchError(
@@ -439,19 +425,8 @@ class SymbolicHermiteFamily:
         cap = coeffs.MAX_EXPANSION_DEGREE
         if k.degree() > cap:
             raise SizeLimitError(f"symbolic degree {k.degree()} exceeds cap {cap}")
-        return self._raise(k.parts), self._den ** k.degree()
-
-    def _raise(self, parts: tuple) -> dict:
-        got = self._memo.get(parts)
-        if got is not None:
-            return got
-        i = len(parts) - 1
-        while parts[i] == 0:
-            i -= 1
-        lowered = parts[:i] + (parts[i] - 1,) + parts[i + 1 :]
-        res = _step(self._raise(lowered), self._rows[i], self._weights[i], self._den)
-        self._memo[parts] = res
-        return res
+        terms = _nested(_encode({k.parts: 1}, _RADIX), self._rows, self._den)
+        return terms, self._den ** k.degree()
 
 
 @dataclass(frozen=True)

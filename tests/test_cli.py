@@ -631,11 +631,34 @@ def test_spec_entries_beyond_float_range_are_input_errors(tmp_path, capsys, k, l
     assert_one_line_input_error(capsys, main(["expand", "--spec", str(path)]))
 
 
-def test_expansion_coefficient_beyond_float_range_is_an_input_error(tmp_path, capsys, generic_spec):
+def test_expansion_coefficient_beyond_float_range_is_an_input_error(
+    tmp_path, capsys, monkeypatch, generic_spec
+):
+    # A coefficient beyond float range, a non-finite one, a term without its
+    # q or coeff, and terms that are not a list are each refused in one line
+    # that names the field, before anything is evaluated.
+    def evaluated(*args):
+        raise AssertionError("a refused table was evaluated")
+
+    monkeypatch.setattr(coeffs, "evaluate_expansion", evaluated)
+    cases = [
+        (json.dumps({"k": [2, 1], "terms": [{"q": [1, 0], "coeff": HUGE}]}), "float range"),
+        ('{"k": [2, 1], "terms": [{"q": [1, 0], "coeff": 1e400}]}', "'coeff'"),
+        ('{"k": [2, 1], "terms": [{"q": [1, 0], "coeff": NaN}]}', "'coeff'"),
+        ('{"k": [2, 1], "terms": [{"q": [1, 0]}]}', "'coeff'"),
+        ('{"k": [2, 1], "terms": [{"coeff": 0.5}]}', "'q'"),
+        ('{"k": [2, 1], "terms": {"q": [1, 0], "coeff": 0.5}}', "'terms'"),
+        ("[]", "'terms'"),
+    ]
     path = tmp_path / "exp.json"
-    path.write_text(json.dumps({"k": [2, 1], "terms": [{"q": [1, 0], "coeff": HUGE}]}))
     argv = ["eval", "--expansion", str(path), "--spec", generic_spec, "--at", "0.5,1"]
-    assert_one_line_input_error(capsys, main(argv))
+    for text, field in cases:
+        path.write_text(text)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), text
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert field in captured.err, text
 
 
 @pytest.mark.parametrize(

@@ -993,6 +993,16 @@ def test_integer_sweep_matches_fraction_reference():
     assert compared >= 1500
 
 
+def assert_q_positions(m, top):
+    """_q_level numbers the q of each degree of top's parity from 0 up, in
+    ascending degree, then canonical order: the flat layout, which
+    _q_layout lists one entry per position."""
+    degrees = range(top % 2, top + 1, 2)
+    layout = [q for d in degrees for q in enumerate_fixed_degree(m, d)]
+    assert [pq for d in degrees for pq in coeffs._q_level(m, d)] == list(enumerate(layout))
+    assert len(coeffs._q_layout(m, top)) == len(layout)
+
+
 def assert_flat_table(k, a_rows, m_rows, exact):
     """k's table lists T[k, q] for every q of the parity of |k| in ascending
     degree, then canonical order.  Float entries keep the recursion
@@ -1004,7 +1014,7 @@ def assert_flat_table(k, a_rows, m_rows, exact):
     a, mm = tmap.A.data, tmap.M.data
     n, m, top = len(k), len(a[0]), sum(k)
     layout = [q for d in range(top % 2, top + 1, 2) for q in enumerate_fixed_degree(m, d)]
-    assert [coeffs._q_pos(q.parts) for q in layout] == list(range(len(layout)))
+    assert_q_positions(m, top)
     table = coeffs._coeff_table(k, a, mm)
     if exact:
         ref = fraction_table_reference(k, a, mm)
@@ -1031,6 +1041,9 @@ def assert_flat_table(k, a_rows, m_rows, exact):
 
 
 def test_flat_table_edge_cases():
+    for m in range(1, 5):
+        for top in range(coeffs.MAX_EXPANSION_DEGREE + 1):
+            assert_q_positions(m, top)
     half, third = Fraction(1, 2), Fraction(-1, 3)
     a22 = [[Fraction(3, 4), Fraction(-5, 4)], [Fraction(1, 3), Fraction(2)]]
     m22 = [[half, third], [third, Fraction(5, 4)]]

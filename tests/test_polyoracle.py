@@ -649,6 +649,37 @@ class _TupleFamily:
         return res
 
 
+def test_scaled_terms_match_the_tuple_chain():
+    """scaled_terms, one nested pass per index, equals the memoised tuple
+    chain for every index up to a degree per arity: the engine cap for
+    n <= 2, and below it for n = 3, 4 (every index up to the cap would take
+    minutes there), with seeded indices at the cap.  Each call returns a
+    dict of its own, so mutating one leaves a later call unchanged."""
+    rng = random.Random(3131)
+    cap = coeffs.MAX_EXPANSION_DEGREE
+    for n, full in ((1, cap), (2, cap), (3, 8), (4, 6)):
+        for _ in range(2):
+            upper = [[_frac(rng, 3, 3) for _ in range(n)] for _ in range(n)]
+            b = DenseMatrix.from_rows(
+                [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            )
+            family, reference = SymbolicHermiteFamily(b), _TupleFamily(b)
+            ks = [k for d in range(full + 1) for k in enumerate_fixed_degree(n, d)]
+            if full < cap:
+                ks += rng.sample(enumerate_fixed_degree(n, cap), 2)
+            for k in ks:
+                terms, den = family.scaled_terms(k)
+                want, want_den = reference.scaled_terms(k.parts)
+                assert den == want_den
+                assert {_decode(code, n, _RADIX): c for code, c in terms.items()} == want
+            for k in (ks[0], ks[-1]):
+                first, _ = family.scaled_terms(k)
+                kept = dict(first)
+                first.clear()
+                first[1] = 99
+                assert family.scaled_terms(k)[0] == kept
+
+
 def _tuple_over(arity, terms, den):
     return MPoly(arity, {mono: Fraction(c, den) for mono, c in terms.items()})
 
