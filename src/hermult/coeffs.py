@@ -30,11 +30,13 @@ lists the k' the sweep needs, from k down: with i the rightmost positive
 coordinate of a needed k', it needs k' - e_i, and k' - e_i - e_l for every
 l with M_il != 0 and c = (k' - e_i)_l > 0.  The plan (multiindex's
 raising_plan, which hermite's partial sum reads too) depends only on k and
-M's zero pattern, and holds the int c, not c * M_il.  The value pass visits
-the planned k' in increasing degree.  Each keeps one flat
-list of T[k', q'] over the q' of the parity of |k'| in ascending degree, then
-canonical order (_q_layout), so degree d - 2 gives a prefix of degree d: the
-A pulls fill it by position, then each M pull runs over that prefix:
+M's zero pattern, and holds the int c, not c * M_il, so it is cached under
+that key (_sweep_levels) and one plan serves float and exact maps of the
+same pattern.  The value pass visits the planned k' in increasing degree.
+Each keeps one flat list of T[k', q'] over the q' of the parity of |k'| in
+ascending degree, then canonical order (_q_layout), so degree d - 2 gives
+a prefix of degree d: the A pulls fill it by position, then each M pull
+runs over that prefix:
 
     acc = 0;  acc = acc + A_ij T[k'-e_i, q'-e_j]       for j ascending,
                     skipping A_ij == 0 and q'_j == 0;
@@ -280,12 +282,20 @@ def _q_layout(m: int, d: int) -> tuple:
     ])
 
 
+@functools.lru_cache(maxsize=128)
+def _sweep_levels(k: tuple, pattern: tuple) -> tuple:
+    """k's raising_plan under pattern, M's zero pattern as rows of bools,
+    as a tuple of level tuples: it reads only the truth of each entry, so
+    one plan serves every M of that pattern, float or exact."""
+    return tuple(map(tuple, raising_plan((k,), pattern)))
+
+
 def _coeff_table(k: tuple, a_rows, m_rows) -> list:
     """T[k, q] for every q of the parity of |k|, at q's position in the
     flat layout: the value pass over k's raising_plan under M's zero
     pattern (see the module docstring)."""
     m = len(a_rows[0])
-    levels = raising_plan((k,), m_rows)
+    levels = _sweep_levels(k, tuple([tuple(map(bool, row)) for row in m_rows]))
     below, prev = {}, {(0,) * len(k): [1]}
     for d in range(1, len(levels)):
         layout = _q_layout(m, d)
@@ -411,16 +421,21 @@ def _pair_weight(family: HermiteFamily) -> int:
 
 @functools.lru_cache(maxsize=1024)
 def _closed_form_prefactor(k: int, q_parts: tuple, pair_weight: int) -> tuple:
-    """(k!/(w^i q! i!), its float) with w = pair_weight, i = (k - |q|)/2:
-    the prefactor of the inner-product and univariate closed forms.
-    Fraction * float computes float(Fraction) * float, so a float operand
-    takes the float twin and gets the same bits without the Fraction
-    dispatch."""
+    """(k!/(w^i q! i!), its float twin) with w = pair_weight,
+    i = (k - |q|)/2: the prefactor of the inner-product and univariate
+    closed forms.  Fraction * float computes float(Fraction) * float, so a
+    float operand takes the float twin and gets the same bits without the
+    Fraction dispatch.  Beyond float range the twin is the Fraction itself:
+    an exact operand still gets its exact value, and a float operand raises
+    the OverflowError of Fraction * float."""
     i = (k - sum(q_parts)) // 2
     pref = Fraction(
         math.factorial(k), pair_weight**i * mi_factorial(q_parts) * math.factorial(i)
     )
-    return pref, float(pref)
+    try:
+        return pref, float(pref)
+    except OverflowError:
+        return pref, pref
 
 
 def _vec_coeff(k: int, q: MultiIndex, lam: DenseVector, family: HermiteFamily):
@@ -437,7 +452,7 @@ def _vec_steps(k: int, qs, pair_weight: int) -> tuple:
     """The shape-only plan of _vec_values for the indices qs (parts tuples):
     (powers, exponents, steps).  powers lists each (j, c) with lam_j ** c
     needed by some q, exponents each i = (k - |q|)/2, in first use.  The
-    step of q is (pref, float(pref), i's place in exponents, the place of
+    step of q is (pref, its float twin, i's place in exponents, the place of
     its first power, those of its others), pref from _closed_form_prefactor
     and the powers lam_j ** q_j of q's nonzero parts in ascending j.  Power
     places count from 1: place 0 holds the lam_q = 1 of q = 0."""

@@ -338,6 +338,33 @@ def test_closed_forms_match_uncached_formula():
                     assert repr(got) == repr(want), (k, i, lam[0])
 
 
+def test_closed_forms_stay_exact_beyond_float_range():
+    # At k = 400 the prefactor k!/(w^i q! i!) is beyond float range for
+    # most q, yet an exact operand has an exact coefficient; a float
+    # operand still raises the OverflowError of Fraction * float.  The
+    # float call comes first, so the exact table reads the plan it left.
+    k, lam = 400, Fraction(1, 2)
+
+    def formula(q, w):
+        i = (k - sum(q)) // 2
+        pref = Fraction(math.factorial(k), w**i * mi_factorial(q) * math.factorial(i))
+        return pref * lam ** sum(q) * (lam * lam - 1) ** i
+
+    with pytest.raises(OverflowError):
+        coeff_univariate(k, 200, 0.5)
+    with pytest.raises(OverflowError):
+        coeff_vec_table(k, DenseVector.from_entries([0.5]), PROBABILISTS)
+    got = coeff_univariate(k, 200, lam)
+    assert type(got) is Fraction and got == formula((0,), 2)
+    got = coeff_vec_prob(k, (0,), DenseVector.from_entries([lam]))
+    assert type(got) is Fraction and got == formula((0,), 2)
+    for family, w in ((PROBABILISTS, 2), (PHYSICISTS, 1)):
+        table = coeff_vec_table(k, DenseVector.from_entries([lam]), family)
+        want = [((d,), formula((d,), w)) for d in q_support(k)]
+        assert [(t.q.parts, t.coeff) for t in table] == want
+        assert all(type(t.coeff) is Fraction for t in table)
+
+
 def vec_coeff_reference(k, q, lam, pair_weight):
     """One inner-product coefficient, each power taken afresh: the
     per-entry formula that the one-pass table replaces."""
@@ -797,6 +824,62 @@ def test_sweep_plan_follows_the_zero_pattern_of_m():
                         )
                         assert repr(coeff_from_map(k, q, tmap)) == repr(expected)
     assert repr(coeff_from_map((2, 2), (0, 0), sparse)) == "0"
+
+    # The plan is cached under (k, M's zero pattern).  An exact map and a
+    # float map of one pattern share it, in either order; an M that differs
+    # from the dense one in one symmetric off-diagonal pair alone needs its
+    # own, and there no pull reaches T[e_i + e_l, 0], which stays the int 0;
+    # so does an M that differs in one diagonal entry alone.  Every read
+    # keeps the reference's value and type with the cache warm.
+    def check_reads(tmap, ks, exact):
+        n, m = tmap.A.rows, tmap.A.cols
+        for k in ks:
+            memo = {((0,) * n, (0,) * m): 1}
+            reference = [
+                (q, raise_coeff_reference(
+                    k, q.parts, (sum(k) - d) // 2, tmap.A.data, tmap.M.data, memo
+                ))
+                for d in q_support(sum(k))
+                for q in enumerate_fixed_degree(m, d)
+            ]
+            for q, c in reference:
+                assert_coeff_contract(coeff_from_map(k, q, tmap), c, exact)
+            want = [(q, c) for q, c in reference if c != 0]
+            terms = expand_from_map(k, tmap)
+            assert [t.q for t in terms] == [q for q, _ in want]
+            for t, (_, c) in zip(terms, want):
+                assert_coeff_contract(t.coeff, c, exact)
+
+    def exact_twin(matrix):
+        return DenseMatrix.from_rows([[Fraction(repr(v)) for v in row] for row in matrix.data])
+
+    assert coeffs._sweep_levels.cache_info().maxsize is not None
+    for tmap in (sparse, dense):
+        twin = TransformedMap(A=exact_twin(tmap.A), M=exact_twin(tmap.M))
+        pair = ((tmap, False), (twin, True))
+        for (first, first_exact), (second, second_exact) in (pair, pair[::-1]):
+            coeffs._sweep_levels.cache_clear()
+            check_reads(first, ((2, 2), (3, 2)), first_exact)
+            misses = coeffs._sweep_levels.cache_info().misses
+            check_reads(second, ((2, 2), (3, 2)), second_exact)
+            assert coeffs._sweep_levels.cache_info().misses == misses
+
+    a3 = DenseMatrix.from_rows([[0.6, -1.1], [0.3, 0.9], [-0.7, 0.2]])
+    m3 = [[0.5, -0.25, 0.4], [-0.25, 0.75, -0.6], [0.4, -0.6, 0.3]]
+    dense3 = TransformedMap(A=a3, M=DenseMatrix.from_rows(m3))
+    ks3 = ((1, 1, 0), (1, 0, 1), (0, 1, 1), (2, 1, 2))
+    for i, l, zero in ((0, 1, 0.0), (0, 2, 0.0), (1, 2, -0.0), (0, 0, 0.0), (2, 2, 0.0)):
+        rows = [list(row) for row in m3]
+        rows[i][l] = rows[l][i] = zero
+        holed = TransformedMap(A=a3, M=DenseMatrix.from_rows(rows))
+        for order in ((dense3, holed), (holed, dense3)):
+            coeffs._sweep_levels.cache_clear()
+            for tmap in order:
+                check_reads(tmap, ks3, False)
+        if i != l:
+            unit = tuple(int(j in (i, l)) for j in range(3))
+            assert repr(coeff_from_map(unit, (0, 0), holed)) == "0"
+            assert repr(coeff_from_map(unit, (0, 0), dense3)) != "0"
 
 
 def sweep_plan_reference(k, m_rows):
