@@ -49,22 +49,24 @@ lower degree, so a float table is reproducible bit for bit and an entry no
 pull reaches stays the int 0; coeff_from_map finds q's position in
 _q_level only when it reads the table.
 
-The field alone picks the route, and one body (_read_coeffs) serves both
-readers.  Exact work runs on integers.  With Sigma^-1 = S/s, Lambda = L/e
-and Upsilon = U/u (each matrix's `DenseMatrix.cleared_rows`), an exact
-(A, M) is built from the int products A_hat = S L^T U and M_hat =
-A_hat L S - s e^2 u S (the `tensorlin` kernels), the symmetry of M_hat
-and of S is checked on those rows, and each entry is one Fraction:
-A = A_hat/(s e u) and M = M_hat/(s^2 e^2 u).  An exact map is swept on
-the cleared rows of A = A_hat/alpha and M = M_hat/beta, which each matrix
-keeps, so it is cleared once however often it is read.  T[k,q] has
-degree |q| in A and (|k|-|q|)/2 in M, so T[k,q] = T_hat[k,q] /
-(alpha^|q| beta^((|k|-|q|)/2)), T_hat being the sweep on the int rows:
-each nonzero entry read becomes one Fraction, and a zero stays the int 0
-the sweep gives.  A float map, or one that mixes floats with exact
-entries, is built from and swept on its own entries.  The literal product
-(`_literal_coeff`) makes one Fraction per exact coefficient, and reads
-the slot tuples and factorials of k and q from a cache per index.
+The field alone picks the rows, and one body serves both fields in the
+build (transformed_map_from_inverses) and both readers (_read_coeffs).
+Exact work runs on integers.  An exact map takes Sigma^-1 = S/s,
+Lambda = L/e and Upsilon = U/u (each matrix's `DenseMatrix.cleared_rows`),
+any other its own rows S, L, U over s = e = u = 1, and (A, M) comes from
+the `tensorlin` products A_hat = S L^T U and M_hat = A_hat L S - s e^2 u S,
+for floats the float expression in that operand order (1 * v is v, -0.0
+included).  An exact map checks the symmetry of M_hat and of S on those
+rows, and each entry is one Fraction: A = A_hat/(s e u) and
+M = M_hat/(s^2 e^2 u).  It is swept on the cleared rows of A = A_hat/alpha
+and M = M_hat/beta, which each matrix keeps, so it is cleared once however
+often it is read.  T[k,q] has degree |q| in A and (|k|-|q|)/2 in M, so
+T[k,q] = T_hat[k,q] / (alpha^|q| beta^((|k|-|q|)/2)), T_hat being the
+sweep on the int rows: each nonzero entry read becomes one Fraction, and a
+zero stays the int 0 the sweep gives.  A float map, or one that mixes
+floats with exact entries, is swept on its own entries.  The literal
+product (`_literal_coeff`) makes one Fraction per exact coefficient, and
+reads the slot tuples and factorials of k and q from a cache per index.
 """
 
 from __future__ import annotations
@@ -103,7 +105,6 @@ from .tensorlin import (
     DenseMatrix,
     DenseVector,
     SpdMatrix,
-    check_symmetric,
     check_symmetric_rows,
     entrywise_rows,
     fraction_rows,
@@ -166,36 +167,32 @@ def transformed_map_from_inverses(
 ) -> TransformedMap:
     """Build (A, M) given the already-inverted left covariance (the
     oracle holds Sigma^-1 already; `transformed_map` reads it from its
-    `SpdMatrix`)."""
-    if lam.rows != upsilon.rows or lam.cols != sigma_inv.rows:
+    `SpdMatrix`), in one body for both fields (see the module docstring).
+    A map that is not exact checks P and Sigma^-1, each exactly if all its
+    entries are and else term by term, so an M that is only rounding error
+    (Sigma = Lambda^T Upsilon Lambda) passes."""
+    n, m = lam.cols, lam.rows
+    shapes = (sigma_inv.rows, sigma_inv.cols, upsilon.rows, upsilon.cols)
+    if shapes != (n, n, m, m):
         raise DimensionMismatchError(
-            f"map shape {lam.rows}x{lam.cols} inconsistent with matrix dims "
-            f"{sigma_inv.rows} and {upsilon.rows}"
+            "map shape %dx%d inconsistent with Sigma^-1 %dx%d and Upsilon %dx%d" % (m, n, *shapes)
         )
-    if sigma_inv.is_exact() and lam.is_exact() and upsilon.is_exact():
-        # The products run on the int rows of Sigma^-1 = S/s, Lambda = L/e,
-        # Upsilon = U/u: with A_hat = S L^T U, A = A_hat/(s e u) and
-        # M = (A_hat L S - s e^2 u S)/(s^2 e^2 u).
-        (sm, s), (lm, e), (um, u) = (
-            sigma_inv.cleared_rows(), lam.cleared_rows(), upsilon.cleared_rows()
-        )
-        a_hat = matmul_rows(matmul_rows(sm, transpose_rows(lm)), um)
-        p_hat = matmul_rows(matmul_rows(a_hat, lm), sm)
-        m_hat = entrywise_rows(sub, p_hat, scale_rows(s * e * e * u, sm))
+    exact = sigma_inv.is_exact() and lam.is_exact() and upsilon.is_exact()
+    (sm, s), (lm, e), (um, u) = (
+        (sigma_inv.cleared_rows(), lam.cleared_rows(), upsilon.cleared_rows()) if exact
+        else ((sigma_inv.data, 1), (lam.data, 1), (upsilon.data, 1))
+    )
+    a_hat = matmul_rows(matmul_rows(sm, transpose_rows(lm)), um)
+    p_hat = matmul_rows(matmul_rows(a_hat, lm), sm)
+    m_hat = entrywise_rows(sub, p_hat, scale_rows(s * e * e * u, sm))
+    if exact:
         check_symmetric_rows(m_hat, True)
         check_symmetric_rows(sm, True)
-        n, m = lam.cols, lam.rows
-        return TransformedMap(
-            A=DenseMatrix(n, m, fraction_rows(a_hat, s * e * u)),
-            M=DenseMatrix(n, n, fraction_rows(m_hat, s * s * e * e * u)),
-        )
-    a = sigma_inv.matmul(lam.transpose()).matmul(upsilon)
-    p = a.matmul(lam).matmul(sigma_inv)
-    # M = P - Sigma^-1 is checked term by term, so an M that is rounding
-    # error alone (Sigma = Lambda^T Upsilon Lambda makes it 0) passes.
-    check_symmetric(p, rtol=MAP_SYMMETRY_RTOL)
-    check_symmetric(sigma_inv, rtol=MAP_SYMMETRY_RTOL)
-    return TransformedMap(A=a, M=p.sub(sigma_inv))
+        a_hat, m_hat = fraction_rows(a_hat, s * e * u), fraction_rows(m_hat, s * s * e * e * u)
+    else:
+        check_symmetric_rows(p_hat, DenseMatrix(n, n, p_hat).is_exact(), MAP_SYMMETRY_RTOL)
+        check_symmetric_rows(sm, sigma_inv.is_exact(), MAP_SYMMETRY_RTOL)
+    return TransformedMap(A=DenseMatrix(n, m, a_hat), M=DenseMatrix(n, n, m_hat))
 
 
 def _check_shape(k: MultiIndex, q_arity: int, tmap: TransformedMap) -> None:

@@ -7,8 +7,8 @@ products stay field-agnostic.
 
 Each matrix operation is one kernel on plain row tuples (`matmul_rows`,
 `transpose_rows`, `cleared_rows`, ...).  The `DenseMatrix` and
-`DenseVector` methods check shapes and wrap them; the exact paths of
-`coeffs` and `polyoracle` call them on int rows directly.  A product entry
+`DenseVector` methods check shapes and wrap them; `coeffs`, for every
+(A, M), and `polyoracle` call them on rows directly.  A product entry
 is `left_sum(map(mul, row, col))`.  Every float sum runs left to right from
 the int 0, in `left_sum` or a loop folding the same way, so float bits do
 not depend on the interpreter.  `cleared_rows` writes exact rows as C/d,
@@ -31,8 +31,8 @@ must be positive definite and is inverted through its L*D*L^T
 factorization (`spd_factorize`), and must not be singular to working
 precision; an exact one need only be symmetric and invertible.
 `exact_covariance` applies that rule to a matrix its caller has already
-tested exact, so each input is tested once; `check_symmetric` and
-`invert_matrix` test their input and wrap the same row helpers.
+tested exact, so each input is tested once; `invert_matrix` tests its
+input and wraps the same row helpers.
 
 Flat tensor addressing: a 0-based slot tuple (j_1, ..., j_K) in [0, n)^K
 maps to flat index sum_p j_p * n^(K-1-p), which is exactly the layout
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -129,7 +129,9 @@ def fraction_rows(rows: tuple, den: int) -> tuple:
 
 
 def check_symmetric_rows(rows: tuple, exact: bool, rtol: float = SPD_SYMMETRY_RTOL):
-    """`check_symmetric` on square rows whose exactness the caller knows."""
+    """Raise NotSymmetricError unless square rows are symmetric: exactly if
+    exact, else by |m_ij - m_ji| <= rtol * max_kl |m_kl|, which scaling the
+    rows does not change."""
     tol = 0 if exact else rtol * max(abs(v) for row in rows for v in row)
     for i, row in enumerate(rows):
         for j in range(i + 1, len(row)):
@@ -241,20 +243,8 @@ class DenseMatrix:
         x = v.entries
         return DenseVector(tuple([left_sum(map(mul, row, x)) for row in self.data]))
 
-    def sub(self, other: "DenseMatrix") -> "DenseMatrix":
-        self._same_shape(other)
-        data = entrywise_rows(sub, self.data, other.data)
-        return DenseMatrix(self.rows, self.cols, data)
-
     def scale(self, c) -> "DenseMatrix":
         return DenseMatrix(self.rows, self.cols, scale_rows(c, self.data))
-
-    def _same_shape(self, other: "DenseMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatchError(
-                f"shape mismatch {self.rows}x{self.cols} vs "
-                f"{other.rows}x{other.cols}"
-            )
 
     def is_exact(self) -> bool:
         """True when every entry is an exact scalar.  A float first entry
@@ -340,18 +330,6 @@ def invert_matrix(m: DenseMatrix) -> DenseMatrix:
     if not m.is_exact():
         raise DomainError("invert_matrix requires exact rational entries")
     return DenseMatrix(m.rows, m.rows, inverse_rows(*m.cleared_rows()))
-
-
-def check_symmetric(m: DenseMatrix, rtol: float = SPD_SYMMETRY_RTOL) -> None:
-    """Raise NotSymmetricError unless m is symmetric.
-
-    Exact-field matrices must be exactly symmetric.  Float matrices are
-    checked entrywise against |m_ij - m_ji| <= rtol * max_kl |m_kl|, a
-    normwise test that scaling m does not change.
-    """
-    if m.rows != m.cols:
-        raise DimensionMismatchError("symmetry check on a non-square matrix")
-    check_symmetric_rows(m.data, m.is_exact(), rtol)
 
 
 class SpdMatrix:

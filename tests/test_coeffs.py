@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from hermult.coeffs import (
 from hermult.errors import (
     DimensionMismatchError,
     DomainError,
+    HermultError,
     NotSymmetricError,
     ParityError,
     SizeLimitError,
@@ -39,9 +41,20 @@ from hermult.multiindex import (
     raising_plan,
 )
 from hermult.polyoracle import rational_matrix
-from hermult.tensorlin import DenseMatrix, DenseVector, spd_factorize
+from hermult.tensorlin import (
+    DenseMatrix,
+    DenseVector,
+    check_symmetric_rows,
+    covariance,
+    entrywise_rows,
+    fraction_rows,
+    matmul_rows,
+    scale_rows,
+    spd_factorize,
+    transpose_rows,
+)
 from hermult.verify import inner_product_error, trial_rng
-from matrices import gram_plus_identity, matrix_sum
+from matrices import gram_plus_identity, matrix_difference, matrix_sum
 
 EYE1 = spd_factorize(DenseMatrix.identity(1))
 EYE2 = spd_factorize(DenseMatrix.identity(2))
@@ -82,7 +95,7 @@ def test_transformed_map_identity_covariances():
     lam = rational_matrix([[1, 2], [0, 1]])
     tm = transformed_map(lam, EYE2, EYE2)
     assert tm.A.data == lam.transpose().data
-    expected_m = lam.transpose().matmul(lam).sub(DenseMatrix.identity(2))
+    expected_m = matrix_difference(lam.transpose().matmul(lam), DenseMatrix.identity(2))
     assert tm.M.data == expected_m.data
 
 
@@ -93,7 +106,7 @@ def test_transformed_map_isotropic_scaling():
     ups = spd_factorize(DenseMatrix.identity(2).scale(s2))
     tm = transformed_map(lam, sig, ups)
     assert tm.A.data == lam.transpose().data
-    base = lam.transpose().matmul(lam).sub(DenseMatrix.identity(2))
+    base = matrix_difference(lam.transpose().matmul(lam), DenseMatrix.identity(2))
     assert tm.M.data == base.scale(Fraction(1, 4)).data
 
 
@@ -109,6 +122,28 @@ def test_transformed_map_dimension_error():
     lam = rational_matrix([[1, 2, 3]])
     with pytest.raises(DimensionMismatchError):
         transformed_map(lam, EYE2, EYE1)
+
+
+def test_map_refuses_non_square_covariance_inverses_in_both_fields():
+    # The row kernels check no shapes (a product zips its operands), so a
+    # Sigma^-1 that is not n x n or an Upsilon that is not m x m must be
+    # refused, naming the shapes, before any product runs.
+    bad = (
+        ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1]], "Sigma^-1 2x3 and Upsilon 2x2"),
+        ([[1], [0]], [[1, 0], [0, 1]], "Sigma^-1 2x1 and Upsilon 2x2"),
+        ([[1, 0], [0, 1]], [[1], [0]], "Sigma^-1 2x2 and Upsilon 2x1"),
+        ([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]], "Sigma^-1 2x2 and Upsilon 2x3"),
+    )
+    for field in (int, Fraction, float):
+        lam = DenseMatrix.from_rows([[field(1), field(2)], [field(0), field(1)]])
+        for sigma_inv, upsilon, shapes in bad:
+            sigma_inv, upsilon = (
+                DenseMatrix.from_rows([[field(v) for v in row] for row in rows])
+                for rows in (sigma_inv, upsilon)
+            )
+            with pytest.raises(DimensionMismatchError) as info:
+                transformed_map_from_inverses(lam, sigma_inv, upsilon)
+            assert str(info.value) == f"map shape 2x2 inconsistent with {shapes}"
 
 
 def test_exact_map_refuses_an_asymmetric_sigma_inverse():
@@ -1167,7 +1202,7 @@ def test_exact_transformed_map_matches_fraction_products():
         sigma_inv = matrix_sum(sigma_inv, sigma_inv.transpose())
         upsilon = matrix_sum(upsilon, upsilon.transpose())
         a = sigma_inv.matmul(lam.transpose()).matmul(upsilon)
-        mm = a.matmul(lam).matmul(sigma_inv).sub(sigma_inv)
+        mm = matrix_difference(a.matmul(lam).matmul(sigma_inv), sigma_inv)
         tmap = transformed_map_from_inverses(lam, sigma_inv, upsilon)
         for got, want in ((tmap.A, a), (tmap.M, mm)):
             assert [(v, type(v)) for row in got.data for v in row] == [
@@ -1237,6 +1272,124 @@ def test_exact_map_and_table_keep_values_and_types():
             got = [(t.q, t.coeff) for t in expand_from_map(k, tmap, variant)]
             want = [(q, c) for q, c in expand_reference(k, ref_map, variant) if c != 0]
             assert repr(got) == repr(want)
+
+
+def two_route_map_reference(lam, sigma_inv, upsilon):
+    """(A, M) as transformed_map_from_inverses built them in two bodies:
+    an exact map on the int row kernels, any other through DenseMatrix
+    products, refused by check_symmetric(m, rtol), which checked m exactly
+    when every entry of m was exact and term by term otherwise."""
+    if lam.rows != upsilon.rows or lam.cols != sigma_inv.rows:
+        raise DimensionMismatchError("map shape")
+    if sigma_inv.is_exact() and lam.is_exact() and upsilon.is_exact():
+        (sm, s), (lm, e), (um, u) = (
+            sigma_inv.cleared_rows(), lam.cleared_rows(), upsilon.cleared_rows()
+        )
+        a_hat = matmul_rows(matmul_rows(sm, transpose_rows(lm)), um)
+        p_hat = matmul_rows(matmul_rows(a_hat, lm), sm)
+        m_hat = entrywise_rows(operator.sub, p_hat, scale_rows(s * e * e * u, sm))
+        check_symmetric_rows(m_hat, True)
+        check_symmetric_rows(sm, True)
+        n, m = lam.cols, lam.rows
+        return TransformedMap(
+            A=DenseMatrix(n, m, fraction_rows(a_hat, s * e * u)),
+            M=DenseMatrix(n, n, fraction_rows(m_hat, s * s * e * e * u)),
+        )
+    a = sigma_inv.matmul(lam.transpose()).matmul(upsilon)
+    p = a.matmul(lam).matmul(sigma_inv)
+    for checked in (p, sigma_inv):
+        check_symmetric_rows(checked.data, checked.is_exact(), coeffs.MAP_SYMMETRY_RTOL)
+    return TransformedMap(A=a, M=matrix_difference(p, sigma_inv))
+
+
+def _map_outcome(build, lam, sigma_inv, upsilon):
+    """A and M entry by entry in (repr, type), or the refusal's class and
+    message."""
+    try:
+        tmap = build(lam, sigma_inv, upsilon)
+    except HermultError as exc:
+        return type(exc), str(exc)
+    return [
+        (mat.rows, mat.cols, [(repr(v), type(v)) for row in mat.data for v in row])
+        for mat in (tmap.A, tmap.M)
+    ]
+
+
+def _drawn_entry(rng, kind):
+    if kind == "mixed":
+        kind = rng.choice(("float", "fraction", "int", "bool"))
+    if kind == "float":
+        return rng.choice((0.0, -0.0)) if rng.random() < 0.15 else rng.uniform(-2, 2)
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "int":
+        return rng.randint(-4, 4)
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+
+
+def test_one_body_map_matches_the_two_route_reference():
+    """The one-body builder gives the bits, values and entry types of the
+    two routes it replaced, and their refusals by class and message, on
+    float, Fraction, int and mixed maps (bools among the mixed entries),
+    with signed zeros, zero rows of Lambda, an M that is rounding error
+    alone (Sigma = Lambda^T Upsilon Lambda), and asymmetric P, Sigma^-1
+    and M_hat, some within the float tolerance."""
+    rng = random.Random(3303)
+    kinds = ("float", "fraction", "int", "mixed")
+
+    def drawn(rows, cols, kind, symmetric=False):
+        out = [[_drawn_entry(rng, kind) for _ in range(cols)] for _ in range(rows)]
+        if symmetric:
+            out = [[out[min(i, j)][max(i, j)] for j in range(cols)] for i in range(rows)]
+        return out
+
+    cases = [
+        # Exact: M_hat is symmetric, Sigma^-1 is not.
+        ([[-1, 1], [0, 1]], [[1, 1], [-2, -1]], [[0, -1], [-1, 0]]),
+        # An exact Sigma^-1 in a float map, asymmetric by 1e-11 relative:
+        # P passes its term-by-term check and Sigma^-1 is checked exactly.
+        ([[1.0, 0.0], [0.0, 1.0]], [[10**11, 1], [2, 10**11]], [[1, 0], [0, 1]]),
+        # Bools and ints: P is all ints, so it is checked exactly.
+        ([[True, False], [False, True]], [[10**11, 1], [2, 10**11]], [[1, 0], [0, 1]]),
+    ]
+    for trial in range(1500):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        if trial % 2:
+            kl = ks = ku = kinds[trial // 2 % 4]
+        else:
+            kl, ks, ku = (rng.choice(kinds) for _ in range(3))
+        lam = drawn(m, n, kl)
+        if m >= 2 and rng.random() < 0.25:
+            lam[rng.randrange(m)] = [-0.0 if type(v) is float else 0 * v for v in lam[0]]
+        if trial % 5 == 0 and m >= n and kl == ku and kl in ("float", "fraction"):
+            # Sigma = Lambda^T Upsilon Lambda makes M zero up to rounding.
+            for i in range(n):
+                lam[i][i] = lam[i][i] + 5
+            q = DenseMatrix.from_rows(drawn(m, m, ku))
+            upsilon = gram_plus_identity(q)
+            lam_m = DenseMatrix.from_rows(lam)
+            sigma = lam_m.transpose().matmul(upsilon).matmul(lam_m)
+            sigma = DenseMatrix.from_rows(
+                [[(sigma.data[i][j] + sigma.data[j][i]) / 2 for j in range(n)] for i in range(n)]
+            )
+            cases.append((lam, covariance(sigma).inverse().data, upsilon.data))
+            continue
+        sigma_inv = drawn(n, n, ks, symmetric=rng.random() < 0.8)
+        upsilon = drawn(m, m, ku, symmetric=rng.random() < 0.8)
+        if m >= 2 and ku == "float" and rng.random() < 0.3:
+            # Skew one symmetric pair of a float Upsilon by a relative 1e-7
+            # (refused) or 1e-13 (within the tolerance).
+            upsilon[0][1] = upsilon[1][0] * (1 + rng.choice((1e-7, 1e-13)))
+        cases.append((lam, sigma_inv, upsilon))
+    refused = kept = 0
+    for rows in cases:
+        mats = [DenseMatrix.from_rows(r) for r in rows]
+        want = _map_outcome(two_route_map_reference, *mats)
+        fresh = [DenseMatrix.from_rows(r) for r in rows]
+        assert _map_outcome(transformed_map_from_inverses, *fresh) == want, rows
+        refused += isinstance(want, tuple)
+        kept += isinstance(want, list)
+    assert refused > 200 and kept > 800
 
 
 def test_expansion_term_fields_hash_and_repr():
