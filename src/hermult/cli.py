@@ -266,6 +266,24 @@ def _parse_terms(raw, rational: bool) -> list[ExpansionTerm]:
     return terms
 
 
+def _parse_header(raw: dict) -> tuple:
+    """The `k` and `variant` of an `expand` JSON table, each None if absent."""
+    k, variant = raw.get("k"), raw.get("variant")
+    if k is not None:
+        try:
+            k = MultiIndex.of(k).to_list()
+        except (HermultError, TypeError):
+            raise DomainError(
+                f"expansion field 'k' must be a list of naturals, got {k!r}"
+            ) from None
+    choices = _VARIANT["choices"]
+    if variant is not None and variant not in choices:
+        raise DomainError(
+            f"expansion field 'variant' must be one of {', '.join(choices)}, got {variant!r}"
+        )
+    return k, variant
+
+
 def _parse_point(token: str, rational: bool) -> list:
     vals = [v.strip() for v in token.split(",") if v.strip()]
     if not vals:
@@ -295,10 +313,11 @@ def _cmd_eval(args) -> int:
         with open(args.expansion, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         terms = _parse_terms(raw.get("terms") if isinstance(raw, dict) else None, spec.rational)
+        k, variant = _parse_header(raw)
         value = coeffs.evaluate_expansion(terms, xv, covariance(spec.upsilon))
         obj = {
-            "k": raw.get("k"),
-            "variant": raw.get("variant"),
+            "k": k,
+            "variant": variant,
             "x": x,
             "value": _scalar_out(value, spec.rational),
         }

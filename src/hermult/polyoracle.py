@@ -105,13 +105,16 @@ from .tensorlin import (
     transpose_rows,
 )
 
-# Bounds on a parsed string, checked before `Fraction` sees it: Fraction
-# expands a decimal exponent in full, so "1e200000" alone would build a
-# 664,000-bit integer.
+# A rational string is read by one grammar on every Python, as Fraction's
+# own changes between versions: a sign, ASCII digits, then "/digits" or a
+# decimal part with an exponent, whitespace only around it.  Its bounds are
+# checked before `Fraction` sees it: Fraction expands a decimal exponent in
+# full, so "1e200000" alone would build a 664,000-bit integer.
 MAX_RATIONAL_DIGITS = 400
 MAX_DECIMAL_EXPONENT = 400
-
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
+_RATIONAL = re.compile(
+    r"\s*[-+]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?([0-9]+))?)\s*"
+)
 
 
 def as_rational(value) -> Fraction:
@@ -125,8 +128,10 @@ def as_rational(value) -> Fraction:
             raise DomainError(
                 f"rational string has more than {MAX_RATIONAL_DIGITS} digits"
             )
-        exp = _EXPONENT.search(value)
-        if exp and int(exp.group(1).replace("_", "") or 0) > MAX_DECIMAL_EXPONENT:
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise DomainError(f"not a rational scalar: {value!r}")
+        if int(match.group(1) or 0) > MAX_DECIMAL_EXPONENT:
             raise DomainError(
                 f"decimal exponent above {MAX_DECIMAL_EXPONENT} in {value!r}"
             )

@@ -1,9 +1,10 @@
 """Randomized and exhaustive verification of the expansion identities.
 
-Each suite draws every trial's inputs from its own counter-based stream, a
-Philox4x64-10 keyed by (seed, trial) (`philox.PhiloxStream`), so reports
-depend only on the seed, never on execution order.  Failures are data:
-suites count them and record the worst trial instead of raising.
+A suite says only what a trial draws and what it checks.  `_run_trials`
+hands trial t its own counter-based stream, a Philox4x64-10 keyed by
+(seed, t) (`philox.PhiloxStream`), so reports depend only on the seed,
+never on execution order.  Failures are data: `_report` counts them and
+keeps the worst case instead of raising.
 
 Per-trial error functions take plain JSON-friendly inputs (nested lists of
 floats), so any report's worst case can be replayed directly.  The
@@ -23,6 +24,7 @@ import functools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from . import coeffs
@@ -116,42 +118,40 @@ def _spd_rows(rng, dim: int, lo: float, hi: float) -> list[list[float]]:
     return [[left_sum(map(mul, a, b)) + (1 if a is b else 0) for b in q] for a in q]
 
 
-def _draw_multiindex(rng, arity: int, k_max: int) -> MultiIndex:
-    choices = enumerate_fixed_degree(arity, rng.integers(0, k_max + 1))
+def _draw_multiindex(rng, arity: int, degrees) -> MultiIndex:
+    """A multi-index of the given arity, its degree drawn from degrees."""
+    choices = enumerate_fixed_degree(arity, degrees[rng.integers(0, len(degrees))])
     return choices[rng.integers(0, len(choices))]
 
 
-class _Aggregator:
-    """Shared counting/worst-case bookkeeping for all suites."""
+def _report(tol: float, seed: int, checks, rng_name: str = RNG_NAME) -> VerifyReport:
+    """One pass over the (error, inputs) pairs of checks: an error not <= tol
+    fails, and the largest error, or the first non-finite one, is the worst."""
+    count = failures = 0
+    max_err = 0.0
+    worst = None
+    for err, inputs in checks:
+        count += 1
+        if not err <= tol:
+            failures += 1
+        if worst is None or (math.isfinite(max_err) and not err <= max_err):
+            max_err = err
+            worst = dict(inputs, rel_err=err)
+    return VerifyReport(
+        checks_run=count,
+        failures=failures,
+        max_rel_err=max_err,
+        worst_case=worst,
+        rng=rng_name,
+        seed=seed,
+    )
 
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.checks = 0
-        self.failures = 0
-        self.max_err = 0.0
-        self.worst: dict | None = None
 
-    def record(self, err: float, inputs: dict) -> None:
-        self.checks += 1
-        if not err <= self.tol:
-            self.failures += 1
-        # The first non-finite error is the worst case and stays it.
-        if self.worst is None or (math.isfinite(self.max_err) and not err <= self.max_err):
-            self.max_err = err
-            self.worst = dict(inputs, rel_err=err)
-
-    def record_exact(self, ok: bool, inputs: dict) -> None:
-        self.record(0.0 if ok else 1.0, inputs)
-
-    def report(self, seed: int, rng_name: str = RNG_NAME) -> VerifyReport:
-        return VerifyReport(
-            checks_run=self.checks,
-            failures=self.failures,
-            max_rel_err=self.max_err,
-            worst_case=self.worst,
-            rng=rng_name,
-            seed=seed,
-        )
+def _run_trials(cfg: TrialConfig, checks) -> VerifyReport:
+    """The report of cfg.trials trials: checks(rng, t) yields trial t's
+    (error, inputs) pairs, drawing from rng = trial_rng(cfg.seed, t)."""
+    trials = (checks(trial_rng(cfg.seed, t), t) for t in range(cfg.trials))
+    return _report(cfg.tol_rel, cfg.seed, chain.from_iterable(trials))
 
 
 def _guarded_rel_err(lhs: float, rhs: float, abs_term_sum: float) -> float:
@@ -194,13 +194,12 @@ def main_identity_error(
 def verify_main_identity(
     cfg: TrialConfig, variant: CoeffVariant = CoeffVariant.SYMMETRIZED
 ) -> VerifyReport:
-    agg = _Aggregator(cfg.tol_rel)
     lo, hi = ENTRY_RANGE
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, trial)
+
+    def checks(rng, trial):
         n = rng.integers(1, MAX_DIM + 1)
         m = rng.integers(1, MAX_DIM + 1)
-        k = _draw_multiindex(rng, n, MAIN_MAX_DEGREE)
+        k = _draw_multiindex(rng, n, range(MAIN_MAX_DEGREE + 1))
         inputs = {
             "trial": trial,
             "k": k.to_list(),
@@ -210,12 +209,12 @@ def verify_main_identity(
             "x": rng.uniform(lo, hi, size=m),
             "variant": variant.value,
         }
-        err = main_identity_error(
+        yield main_identity_error(
             inputs["k"], inputs["Lambda"], inputs["Sigma"], inputs["Upsilon"],
             inputs["x"], variant,
-        )
-        agg.record(err, inputs)
-    return agg.report(cfg.seed)
+        ), inputs
+
+    return _run_trials(cfg, checks)
 
 
 GF_DEGREE = 10
@@ -234,10 +233,9 @@ def gf_error(t: list[float], x: list[float], sigma: list[list[float]]) -> float:
 
 
 def verify_generating_function(cfg: TrialConfig) -> VerifyReport:
-    agg = _Aggregator(cfg.tol_rel)
     lo, hi = ENTRY_RANGE
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, trial)
+
+    def checks(rng, trial):
         n = rng.integers(1, MAX_DIM + 1)
         scale_t = 0.1 / math.sqrt(n)
         scale_x = 1.0 / math.sqrt(n)
@@ -247,9 +245,9 @@ def verify_generating_function(cfg: TrialConfig) -> VerifyReport:
             "x": [scale_x * v for v in rng.uniform(-1.0, 1.0, size=n)],
             "Sigma": _spd_rows(rng, n, lo, hi),
         }
-        err = gf_error(inputs["t"], inputs["x"], inputs["Sigma"])
-        agg.record(err, inputs)
-    return agg.report(cfg.seed)
+        yield gf_error(inputs["t"], inputs["x"], inputs["Sigma"]), inputs
+
+    return _run_trials(cfg, checks)
 
 
 def _kron_sides(a: list[list], b: list, k: list[int]) -> tuple:
@@ -285,22 +283,19 @@ def kron_identity_exact(a_num: list[list[int]], b_num: list[int], den: int, k: l
 
 
 def verify_kron_identity(cfg: TrialConfig) -> VerifyReport:
-    agg = _Aggregator(cfg.tol_rel)
     lo, hi = ENTRY_RANGE
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, trial)
+
+    def checks(rng, trial):
         rows = rng.integers(1, 5)
         cols = rng.integers(1, 5)
-        k = _draw_multiindex(rng, cols, KRON_MAX_DEGREE)
+        k = _draw_multiindex(rng, cols, range(KRON_MAX_DEGREE + 1))
         inputs = {
             "trial": trial,
             "A": rng.uniform(lo, hi, size=(rows, cols)),
             "b": rng.uniform(lo, hi, size=rows),
             "k": k.to_list(),
         }
-        agg.record(
-            kron_identity_error(inputs["A"], inputs["b"], inputs["k"]), inputs
-        )
+        yield kron_identity_error(inputs["A"], inputs["b"], inputs["k"]), inputs
         a_num = rng.integers(-4, 5, size=(rows, cols))
         b_num = rng.integers(-4, 5, size=rows)
         den = rng.integers(1, 4)
@@ -311,10 +306,10 @@ def verify_kron_identity(cfg: TrialConfig) -> VerifyReport:
             "den": den,
             "k": k.to_list(),
         }
-        agg.record_exact(
-            kron_identity_exact(a_num, b_num, den, inputs["k"]), exact_inputs
-        )
-    return agg.report(cfg.seed)
+        ok = kron_identity_exact(a_num, b_num, den, inputs["k"])
+        yield 0.0 if ok else 1.0, exact_inputs
+
+    return _run_trials(cfg, checks)
 
 
 def verify_selector_orthonormality(n: int, total_degree: int) -> VerifyReport:
@@ -324,22 +319,17 @@ def verify_selector_orthonormality(n: int, total_degree: int) -> VerifyReport:
         raise SizeLimitError(
             f"selector check capped at n <= 3, degree <= 4, got ({n}, {total_degree})"
         )
-    agg = _Aggregator(tol=0.5)
-    _record_selectors(agg, n, total_degree)
-    return agg.report(seed=0, rng_name="none")
+    return _report(0.5, 0, _selector_checks(n, total_degree), rng_name="none")
 
 
 def verify_selectors() -> VerifyReport:
-    """verify_selector_orthonormality at every n <= 3 and degree <= 4, as
-    one report."""
-    agg = _Aggregator(tol=0.5)
-    for n in range(1, 4):
-        for degree in range(5):
-            _record_selectors(agg, n, degree)
-    return agg.report(seed=0, rng_name="none")
+    """The selector checks at every n <= 3 and degree <= 4, as one report."""
+    checks = (_selector_checks(n, degree) for n in range(1, 4) for degree in range(5))
+    return _report(0.5, 0, chain.from_iterable(checks), rng_name="none")
 
 
-def _record_selectors(agg: _Aggregator, n: int, total_degree: int) -> None:
+def _selector_checks(n: int, total_degree: int):
+    """(|<s_a, s_b> - [a == b]|, inputs) for each pair a <= b of selectors."""
     eye = DenseMatrix.identity(n)
     ks = enumerate_fixed_degree(n, total_degree)
     selectors = [colwise_kron_power(eye, k) for k in ks]
@@ -347,15 +337,12 @@ def _record_selectors(agg: _Aggregator, n: int, total_degree: int) -> None:
         for b in range(a, len(ks)):
             expected = 1 if a == b else 0
             dev = abs(selectors[a].dot(selectors[b]) - expected)
-            agg.record(
-                float(dev),
-                {
-                    "n": n,
-                    "degree": total_degree,
-                    "k_a": ks[a].to_list(),
-                    "k_b": ks[b].to_list(),
-                },
-            )
+            yield float(dev), {
+                "n": n,
+                "degree": total_degree,
+                "k_a": ks[a].to_list(),
+                "k_b": ks[b].to_list(),
+            }
 
 
 def univariate_identity_error(
@@ -436,42 +423,30 @@ def _coeff_chain_exact(k: int, lam: Fraction, m: int, q: MultiIndex) -> bool:
 def verify_univariate_closed_forms(cfg: TrialConfig) -> VerifyReport:
     """Multiplication identity for scalar and inner-product arguments, plus
     exact agreement of every coefficient specialization."""
-    agg = _Aggregator(cfg.tol_rel)
     lo, hi = ENTRY_RANGE
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, trial)
+
+    def checks(rng, trial):
         k = rng.integers(0, UNIVARIATE_MAX_DEGREE + 1)
         lam = rng.uniform(lo, hi)
         for family, name in ((PROBABILISTS, "he"), (PHYSICISTS, "h")):
             err = univariate_identity_error(family, k, lam, _UNIVARIATE_GRID)
-            agg.record(
-                err,
-                {"trial": trial, "check": "scalar", "family": name, "k": k,
-                 "lam": lam},
-            )
+            yield err, {"trial": trial, "check": "scalar", "family": name, "k": k,
+                        "lam": lam}
         m = rng.integers(1, MAX_DIM + 1)
         k_ip = rng.integers(0, INNER_PRODUCT_MAX_DEGREE + 1)
         lam_vec = rng.uniform(lo, hi, size=m)
         x_vec = rng.uniform(lo, hi, size=m)
         for family, name in ((PROBABILISTS, "he"), (PHYSICISTS, "h")):
             err = inner_product_error(family, k_ip, lam_vec, x_vec)
-            agg.record(
-                err,
-                {"trial": trial, "check": "inner-product", "family": name,
-                 "k": k_ip, "lam": lam_vec, "x": x_vec},
-            )
+            yield err, {"trial": trial, "check": "inner-product", "family": name,
+                        "k": k_ip, "lam": lam_vec, "x": x_vec}
         lam_exact = Fraction(rng.integers(-4, 5), rng.integers(1, 4))
-        degrees = q_support(k_ip)
-        degree = degrees[rng.integers(0, len(degrees))]
-        qs = enumerate_fixed_degree(m, degree)
-        q = qs[rng.integers(0, len(qs))]
+        q = _draw_multiindex(rng, m, q_support(k_ip))
         ok = _coeff_chain_exact(k_ip, lam_exact, m, q)
-        agg.record_exact(
-            ok,
-            {"trial": trial, "check": "coeff-chain", "k": k_ip,
-             "lam": str(lam_exact), "q": q.to_list()},
-        )
-    return agg.report(cfg.seed)
+        yield 0.0 if ok else 1.0, {"trial": trial, "check": "coeff-chain", "k": k_ip,
+                                   "lam": str(lam_exact), "q": q.to_list()}
+
+    return _run_trials(cfg, checks)
 
 
 # Each suite of `hermult verify`: a runner taking the trial config and the

@@ -489,7 +489,9 @@ def other_interpreters():
 def test_float_pins_hold_on_other_interpreters(tmp_path):
     # Every float sum adds left to right from 0 on every Python (builtin
     # sum compensates float sums from 3.12 on), so other interpreters must
-    # print the same pinned bytes.
+    # print the same pinned bytes.  Rational strings are read by the
+    # package's own grammar, not by Fraction's, which has changed between
+    # versions, so rational tables match too and "3 / 4" exits 2 everywhere.
     interpreters = other_interpreters()
     if not interpreters:
         pytest.skip("no other python3.10 to python3.14 on PATH")
@@ -501,12 +503,23 @@ def test_float_pins_hold_on_other_interpreters(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(float_spec(*FLOAT_SPECS[name])))
         cases.append((("expand", "--spec", str(path), "--variant", variant, "--format", fmt), digest))
+    for (name, variant, fmt), digest in sorted(EXPAND_STDOUT_SHA256.items()):
+        path = tmp_path / f"{name}-rational.json"
+        path.write_text(json.dumps(dict(ORACLE_SPECS[name], rational=True)))
+        cases.append((("expand", "--spec", str(path), "--variant", variant, "--format", fmt), digest))
+    spaced = tmp_path / "spaced.json"
+    spec = dict(ORACLE_SPECS["indefinite"], rational=True, Sigma=[["3 / 4", 0], [0, 1]])
+    spaced.write_text(json.dumps(spec))
+    refused = ("expand", "--spec", str(spaced))
     mismatched = []
     for exe in interpreters:
         for args, digest in cases:
             r = subprocess.run([exe, "-m", "hermult", *args], capture_output=True, text=True, env=CLI_ENV)
             if r.returncode != 0 or hashlib.sha256(r.stdout.encode()).hexdigest() != digest:
                 mismatched.append((exe, *args))
+        r = subprocess.run([exe, "-m", "hermult", *refused], capture_output=True, text=True, env=CLI_ENV)
+        if r.returncode != 2 or r.stdout:
+            mismatched.append((exe, *refused))
     assert mismatched == []
 
 
@@ -635,8 +648,9 @@ def test_expansion_coefficient_beyond_float_range_is_an_input_error(
     tmp_path, capsys, monkeypatch, generic_spec
 ):
     # A coefficient beyond float range, a non-finite one, a term without its
-    # q or coeff, and terms that are not a list are each refused in one line
-    # that names the field, before anything is evaluated.
+    # q or coeff, terms that are not a list, a k that is not a list of
+    # naturals and a variant that is no CoeffVariant value are each refused
+    # in one line that names the field, before anything is evaluated.
     def evaluated(*args):
         raise AssertionError("a refused table was evaluated")
 
@@ -649,6 +663,12 @@ def test_expansion_coefficient_beyond_float_range_is_an_input_error(
         ('{"k": [2, 1], "terms": [{"coeff": 0.5}]}', "'q'"),
         ('{"k": [2, 1], "terms": {"q": [1, 0], "coeff": 0.5}}', "'terms'"),
         ("[]", "'terms'"),
+        ('{"k": NaN, "terms": []}', "'k'"),
+        ('{"k": {"x": 1}, "terms": []}', "'k'"),
+        ('{"k": [2, -1], "terms": []}', "'k'"),
+        ('{"k": [], "terms": []}', "'k'"),
+        ('{"variant": "zzz", "terms": []}', "'variant'"),
+        ('{"variant": ["symmetrized"], "terms": []}', "'variant'"),
     ]
     path = tmp_path / "exp.json"
     argv = ["eval", "--expansion", str(path), "--spec", generic_spec, "--at", "0.5,1"]
@@ -659,6 +679,21 @@ def test_expansion_coefficient_beyond_float_range_is_an_input_error(
         assert (code, captured.out) == (2, ""), text
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
         assert field in captured.err, text
+
+
+def test_eval_expansion_echoes_a_valid_header(tmp_path, capsys, generic_spec):
+    # Absent fields print null; a table written by expand keeps its own.
+    path = tmp_path / "exp.json"
+    argv = ["eval", "--expansion", str(path), "--spec", generic_spec, "--at", "0.5,1"]
+    path.write_text('{"terms": [{"q": [1, 0], "coeff": 0.5}]}')
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["k"], out["variant"]) == (None, None)
+    assert main(["expand", "--spec", generic_spec, "--variant", "paper-literal"]) == 0
+    path.write_text(capsys.readouterr().out)
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["k"], out["variant"]) == ([2, 1], "paper-literal")
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,10 @@ def test_as_rational_bounds_strings():
         f"2.5E-{MAX_DECIMAL_EXPONENT + 1}",
         "7" * (MAX_RATIONAL_DIGITS + 1),
         "1/" + "3" * MAX_RATIONAL_DIGITS,
+        "3 / 4",
+        "3/ 4",
+        "1_000",
+        "1e1_0",
     ):
         with pytest.raises(DomainError):
             as_rational(bad)

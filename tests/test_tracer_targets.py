@@ -9,6 +9,7 @@ and with it every traced benchmark run.  The tier-1 suite does not collect
 import contextlib
 import importlib.util
 import io
+import json
 import random
 import sys
 from fractions import Fraction
@@ -88,6 +89,40 @@ def test_traced_univariate_run_sees_its_routes():
     assert layers["coeffs.coeff_from_map.calls"] == 6
     assert layers["hermite.hermite_uni.calls"] == 6
     assert layers["coeffs.coeff_univariate.calls"] == 28
+
+
+# The randomized suites of `verify --suite all`, by their report names.
+RANDOMIZED_SUITES = {
+    "main": "verify_main_identity",
+    "gf": "verify_generating_function",
+    "kron": "verify_kron_identity",
+    "univariate": "verify_univariate_closed_forms",
+}
+
+
+def test_traced_all_run_sees_every_randomized_suite():
+    # `verify --suite all` must reach each randomized suite through the name
+    # the tracer rebinds, once each, and the tracer's check count must add up
+    # their reports: three trials make 3 main, 3 gf, 6 kron and 15
+    # univariate checks.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = tracer.op(
+                lambda: hermult.cli.main(["verify", "--suite", "all", "--trials", "3"])
+            )
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    reports = json.loads(out.getvalue())["reports"]
+    layers = tracer.layer_metrics()
+    for suite in RANDOMIZED_SUITES.values():
+        assert layers[f"verify.{suite}.calls"] == 1
+    checks = sum(reports[name]["checks_run"] for name in RANDOMIZED_SUITES)
+    assert layers["verify.checks"] == checks == 27
 
 
 def _rational_case(rng, n, m):

@@ -295,11 +295,8 @@ def test_report_json_shape():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("before", [[], [1e-12]])
 def test_first_non_finite_error_is_the_worst_case(bad, before):
-    agg = verify._Aggregator(tol=1e-10)
     errs = [*before, bad, 1e-11, math.inf, math.nan]
-    for trial, err in enumerate(errs):
-        agg.record(err, {"trial": trial})
-    report = agg.report(seed=3)
+    report = verify._report(1e-10, 3, ((err, {"trial": trial}) for trial, err in enumerate(errs)))
     assert report.failures == 3
     assert report.worst_case["trial"] == len(before)
     assert repr(report.max_rel_err) == repr(bad)
