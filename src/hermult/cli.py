@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,8 +33,7 @@ from . import coeffs, polyoracle, verify
 from .coeffs import CoeffVariant, ExpansionTerm
 from .errors import DimensionMismatchError, DomainError, HermultError
 from .hermite import (
-    PHYSICISTS,
-    PROBABILISTS,
+    FAMILIES_BY_NAME,
     HermiteFamily,
     hermite_multi,
     hermite_multi_product,
@@ -284,23 +284,34 @@ def _parse_header(raw: dict) -> tuple:
     return k, variant
 
 
+# `eval` reads a float by the decimal form of a rational string, and a part
+# of --k as ASCII digits, with whitespace only around either.
+_FLOAT = re.compile(rf"\s*{polyoracle.DECIMAL}\s*")
+_NATURAL = re.compile(r"\s*[0-9]+\s*")
+
+
+def _parse_float(token: str) -> float:
+    value = float(token) if _FLOAT.fullmatch(token) else math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"not a finite decimal number: {token!r}")
+    return value
+
+
 def _parse_point(token: str, rational: bool) -> list:
     vals = [v.strip() for v in token.split(",") if v.strip()]
     if not vals:
         raise DomainError("empty evaluation point")
     if rational:
         return [polyoracle.as_rational(v) for v in vals]
-    return [float(v) for v in vals]
+    return [_parse_float(v) for v in vals]
 
 
 def _parse_family(token: str) -> HermiteFamily:
-    if token == "he":
-        return PROBABILISTS
-    if token == "h":
-        return PHYSICISTS
     if token.startswith("scaled:"):
-        return HermiteFamily.scaled(float(token.split(":", 1)[1]))
-    raise DomainError(f"unknown family {token!r}")
+        return HermiteFamily.scaled(_parse_float(token.split(":", 1)[1]))
+    if token not in FAMILIES_BY_NAME:
+        raise DomainError(f"unknown family {token!r}")
+    return FAMILIES_BY_NAME[token]
 
 
 def _cmd_eval(args) -> int:
@@ -325,7 +336,10 @@ def _cmd_eval(args) -> int:
         return 0
     if not args.k:
         raise DomainError("--k is required unless --expansion is given")
-    k = MultiIndex.of(int(v) for v in args.k.split(","))
+    parts = args.k.split(",")
+    if not all(map(_NATURAL.fullmatch, parts)):
+        raise DomainError(f"--k must be naturals of ASCII digits, got {args.k!r}")
+    k = MultiIndex.of(map(int, parts))
     if args.family == "general":
         if not args.spec:
             raise DomainError("family 'general' requires --spec for the covariance")

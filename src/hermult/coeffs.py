@@ -87,9 +87,7 @@ from .errors import (
 )
 from .hermite import (
     PHYSICISTS,
-    PHYSICISTS_KIND,
     PROBABILISTS,
-    PROBABILISTS_KIND,
     HermiteFamily,
     hermite_multi_batch,
 )
@@ -401,34 +399,21 @@ def expand_from_map(
     return _read_coeffs(k, tmap, variant, levels)[0]
 
 
-# The pair weight w of each family's closed forms k!/(w^i q! i!).
-_PAIR_WEIGHTS = {PROBABILISTS_KIND: 2, PHYSICISTS_KIND: 1}
-
-
-def _pair_weight(family: HermiteFamily) -> int:
-    """w of the family's closed forms; other families have none."""
-    w = _PAIR_WEIGHTS.get(family.kind)
-    if w is None:
-        raise DomainError(
-            f"closed-form coefficients need probabilists or physicists, "
-            f"got {family.kind!r}"
-        )
-    return w
-
-
-@functools.lru_cache(maxsize=1024)
-def _closed_form_prefactor(k: int, q_parts: tuple, pair_weight: int) -> tuple:
-    """(k!/(w^i q! i!), its float twin) with w = pair_weight,
-    i = (k - |q|)/2: the prefactor of the inner-product and univariate
-    closed forms.  Fraction * float computes float(Fraction) * float, so a
-    float operand takes the float twin and gets the same bits without the
+@functools.lru_cache(maxsize=1024, typed=True)
+def _closed_form_prefactor(k: int, q_parts: tuple, b) -> tuple:
+    """(k! b^i/(2^i q! i!), its float twin) with b a family's inverse
+    variance, i = (k - |q|)/2: the prefactor of the inner-product and
+    univariate closed forms.  An exact b gives a Fraction, a float b a
+    float.  Fraction * float computes float(Fraction) * float, so a float
+    operand takes the float twin and gets the same bits without the
     Fraction dispatch.  Beyond float range the twin is the Fraction itself:
     an exact operand still gets its exact value, and a float operand raises
-    the OverflowError of Fraction * float."""
+    the OverflowError of Fraction * float.  The cache is typed, so an exact
+    b and an equal float b keep their own prefactors."""
     i = (k - sum(q_parts)) // 2
     pref = Fraction(
-        math.factorial(k), pair_weight**i * mi_factorial(q_parts) * math.factorial(i)
-    )
+        math.factorial(k), (1 << i) * mi_factorial(q_parts) * math.factorial(i)
+    ) * b**i
     try:
         return pref, float(pref)
     except OverflowError:
@@ -441,21 +426,22 @@ def _vec_coeff(k: int, q: MultiIndex, lam: DenseVector, family: HermiteFamily):
             f"index arity {q.arity} does not match vector dim {lam.dim}"
         )
     _parity_split(MultiIndex((k,)), q)
-    plan = _vec_steps(k, (q.parts,), _pair_weight(family))
+    plan = _vec_steps(k, (q.parts,), family.inverse_variance)
     return _vec_values(plan, lam.entries)[0]
 
 
-def _vec_steps(k: int, qs, pair_weight: int) -> tuple:
-    """The shape-only plan of _vec_values for the indices qs (parts tuples):
-    (powers, exponents, steps).  powers lists each (j, c) with lam_j ** c
-    needed by some q, exponents each i = (k - |q|)/2, in first use.  The
-    step of q is (pref, its float twin, i's place in exponents, the place of
-    its first power, those of its others), pref from _closed_form_prefactor
-    and the powers lam_j ** q_j of q's nonzero parts in ascending j.  Power
-    places count from 1: place 0 holds the lam_q = 1 of q = 0."""
+def _vec_steps(k: int, qs, b) -> tuple:
+    """The plan of _vec_values for the indices qs (parts tuples) under the
+    inverse variance b: (powers, exponents, steps).  powers lists each
+    (j, c) with lam_j ** c needed by some q, exponents each
+    i = (k - |q|)/2, in first use.  The step of q is (pref, its float twin,
+    i's place in exponents, the place of its first power, those of its
+    others), pref from _closed_form_prefactor and the powers lam_j ** q_j of
+    q's nonzero parts in ascending j.  Power places count from 1: place 0
+    holds the lam_q = 1 of q = 0."""
     powers, exponents, steps = {}, {}, []
     for parts in qs:
-        pref, pref_f = _closed_form_prefactor(k, parts, pair_weight)
+        pref, pref_f = _closed_form_prefactor(k, parts, b)
         i = (k - sum(parts)) // 2
         at = [powers.setdefault((j, c), len(powers) + 1) for j, c in enumerate(parts) if c]
         steps.append((
@@ -465,13 +451,14 @@ def _vec_steps(k: int, qs, pair_weight: int) -> tuple:
     return tuple(powers), tuple(exponents), tuple(steps)
 
 
-@functools.lru_cache(maxsize=64)
-def _vec_plan(k: int, m: int, pair_weight: int) -> tuple:
+@functools.lru_cache(maxsize=64, typed=True)
+def _vec_plan(k: int, m: int, b) -> tuple:
     """(qs, plan): every arity-m q of k's parity with |q| <= k, in the order
-    of expand_from_map, and their _vec_steps.  It depends on the shape
-    alone, so one plan serves every vector of dimension m in both fields."""
+    of expand_from_map, and their _vec_steps under the inverse variance b.
+    It depends on the shape and b alone, so one plan serves every vector
+    of dimension m in both fields."""
     qs = tuple([q for d in q_support(k) for _, q in _q_level(m, d)])
-    return qs, _vec_steps(k, [q.parts for q in qs], pair_weight)
+    return qs, _vec_steps(k, [q.parts for q in qs], b)
 
 
 def _vec_values(plan: tuple, lam: tuple) -> list:
@@ -508,9 +495,10 @@ def coeff_vec_table(
 ) -> list[ExpansionTerm]:
     """Every nonzero inner-product coefficient of degree k, in the order of
     expand_from_map, from one pass over the cached plan of k, lam's
-    dimension and the family's pair weight (_vec_plan): the probabilists'
-    family gives coeff_vec_prob's values, the physicists' coeff_vec_phys's."""
-    qs, plan = _vec_plan(k, lam.dim, _pair_weight(family))
+    dimension and the family's inverse variance b (_vec_plan): for every
+    family, the c_q = k! b^i/(2^i q! i!) lam^q (|lam|^2 - 1)^i of H_k(lam^T x)
+    over the H_q(x) of covariance I/b, i = (k - |q|)/2."""
+    qs, plan = _vec_plan(k, lam.dim, family.inverse_variance)
     values = _vec_values(plan, lam.entries)
     return [ExpansionTerm(q, t) for q, t in zip(qs, values) if t != 0]
 
@@ -528,12 +516,11 @@ def coeff_vec_phys(k: int, q: MultiIndex | Iterable[int], lam: DenseVector):
 def coeff_univariate(k: int, i: int, lam, family: HermiteFamily = PROBABILISTS):
     """Coefficient of the degree k-2i term in the univariate multiplication
     identity for the scaled argument lam * x."""
-    pair_weight = _pair_weight(family)
     if k < 0:
         raise DomainError(f"degree must be >= 0, got {k}")
     if i < 0 or 2 * i > k:
         raise DomainError(f"term index i={i} out of range for degree {k}")
-    pref, pref_f = _closed_form_prefactor(k, (k - 2 * i,), pair_weight)
+    pref, pref_f = _closed_form_prefactor(k, (k - 2 * i,), family.inverse_variance)
     spread = (lam * lam - 1) ** i
     if isinstance(spread, float):
         pref = pref_f

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -46,25 +46,34 @@ SCALED_KIND = "scaled"
 
 @dataclass(frozen=True)
 class HermiteFamily:
-    """One of the supported univariate polynomial families.
-
-    kind "probabilists" and "physicists" need no parameters; "scaled"
-    carries a positive variance sigma_sq.  A general SPD covariance is not
-    a family: hermite_multi takes it directly.
+    """One of the supported univariate polynomial families, and its
+    inverse variance b, set and checked here for every reader: the int 1
+    for kind "probabilists", the int 2 for "physicists", 1/sigma_sq for
+    "scaled", whose variance sigma_sq > 0 is an int or a Fraction (b a
+    Fraction) or a float (b = 1.0 / sigma_sq, which must be finite).  A
+    general SPD covariance is not a family: hermite_multi takes it directly.
     """
 
     kind: str
     sigma_sq: object = None
+    inverse_variance: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in (PROBABILISTS_KIND, PHYSICISTS_KIND, SCALED_KIND):
+        if self.kind == PROBABILISTS_KIND:
+            b = 1
+        elif self.kind == PHYSICISTS_KIND:
+            b = 2
+        elif self.kind != SCALED_KIND:
             raise DomainError(f"unknown Hermite family kind {self.kind!r}")
-        if self.kind == SCALED_KIND:
+        else:
             s2 = self.sigma_sq
-            if s2 is None or not s2 > 0:
-                raise DomainError(f"scaled family needs sigma_sq > 0, got {s2!r}")
-            if isinstance(s2, float) and not math.isfinite(s2):
-                raise DomainError(f"scaled family needs finite sigma_sq, got {s2!r}")
+            exact = is_exact_scalar(s2)
+            if not (exact or isinstance(s2, float)) or not s2 > 0:
+                raise DomainError(f"sigma_sq must be an int, Fraction or float > 0, got {s2!r}")
+            b = Fraction(1) / s2 if exact else 1.0 / s2
+            if not 0 < b < math.inf:
+                raise DomainError(f"scaled family needs a finite 1/sigma_sq > 0, got 1/{s2!r}")
+        object.__setattr__(self, "inverse_variance", b)
 
     @classmethod
     def scaled(cls, sigma_sq) -> "HermiteFamily":
@@ -73,15 +82,8 @@ class HermiteFamily:
 
 PROBABILISTS = HermiteFamily(PROBABILISTS_KIND)
 PHYSICISTS = HermiteFamily(PHYSICISTS_KIND)
-
-
-def _inverse_variance(family: HermiteFamily):
-    if family.kind == PROBABILISTS_KIND:
-        return 1
-    if family.kind == PHYSICISTS_KIND:
-        return 2
-    s2 = family.sigma_sq
-    return Fraction(1) / s2 if is_exact_scalar(s2) else 1.0 / s2
+# The families by the short names of `eval --family` and the verify reports.
+FAMILIES_BY_NAME = {"he": PROBABILISTS, "h": PHYSICISTS}
 
 
 def hermite_uni_all(family: HermiteFamily, k: int, x) -> list:
@@ -108,7 +110,7 @@ def _checked_inverse_variance(family: HermiteFamily, k: int, xs):
     for x in xs:
         if isinstance(x, float) and not math.isfinite(x):
             raise DomainError(f"non-finite evaluation point {x!r}")
-    return _inverse_variance(family)
+    return family.inverse_variance
 
 
 def _uni_values(b, k: int, x) -> list:

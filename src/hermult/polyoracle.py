@@ -107,14 +107,14 @@ from .tensorlin import (
 
 # A rational string is read by one grammar on every Python, as Fraction's
 # own changes between versions: a sign, ASCII digits, then "/digits" or a
-# decimal part with an exponent, whitespace only around it.  Its bounds are
-# checked before `Fraction` sees it: Fraction expands a decimal exponent in
-# full, so "1e200000" alone would build a 664,000-bit integer.
+# decimal part with an exponent (DECIMAL, by which `eval` reads its floats
+# too), whitespace only around it.  Its bounds are checked before
+# `Fraction` sees it: Fraction expands a decimal exponent in full, so
+# "1e200000" alone would build a 664,000-bit integer.
 MAX_RATIONAL_DIGITS = 400
 MAX_DECIMAL_EXPONENT = 400
-_RATIONAL = re.compile(
-    r"\s*[-+]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?([0-9]+))?)\s*"
-)
+DECIMAL = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?([0-9]+))?"
+_RATIONAL = re.compile(rf"\s*(?:[-+]?[0-9]+/[0-9]+|{DECIMAL})\s*")
 
 
 def as_rational(value) -> Fraction:

@@ -10,9 +10,10 @@ Per-trial error functions take plain JSON-friendly inputs (nested lists of
 floats), so any report's worst case can be replayed directly.  The
 univariate checks read tables built once per check: H_k at every point
 from one call (`hermite.hermite_uni_grid`) and every inner-product
-coefficient from one pass (`coeffs.coeff_vec_table`) over a shape-only
-plan cached per degree, dimension and family.  The exact chain's
-inner-product coefficients run the same body, one q each.  The kron suite's
+coefficient from one pass (`coeffs.coeff_vec_table`) over a plan cached
+per degree, dimension and the family's inverse variance b.  The exact
+chain's inner-product coefficients run the same body, one q each, and its
+general ones the engine at each family's covariances I/b.  The kron suite's
 exact half compares the two sides on the integer numerators of its
 rational point: both sides have degree |k| in A and in b, so the common
 denominator cancels (`kron_identity_exact`).
@@ -31,8 +32,7 @@ from . import coeffs
 from .coeffs import CoeffVariant
 from .errors import DomainError, SizeLimitError
 from .hermite import (
-    PHYSICISTS,
-    PROBABILISTS,
+    FAMILIES_BY_NAME,
     HermiteFamily,
     hermite_multi,
     hermite_multi_batch,
@@ -390,34 +390,30 @@ def inner_product_error(
 
 _UNIVARIATE_GRID = tuple(round(-3.0 + 0.3 * j, 10) for j in range(21))
 
-_HALF = Fraction(1, 2)
-
 
 @functools.lru_cache(maxsize=16)
-def _exact_base_covariances(m: int) -> tuple[SpdMatrix, SpdMatrix]:
-    """The exact identity and half-identity of dimension m, factorised:
-    the covariances of the probabilists' and physicists' families."""
-    eye = DenseMatrix.identity(m)
-    return spd_factorize(eye), spd_factorize(eye.scale(_HALF))
+def _exact_covariances(b, m: int) -> tuple[SpdMatrix, ...]:
+    """I/b of dimensions 1 and m, exact and factorised: the Sigma and
+    Upsilon of the exact chain at the family of inverse variance b."""
+    return tuple(spd_factorize(DenseMatrix.identity(d).scale(Fraction(1) / b)) for d in (1, m))
 
 
 def _coeff_chain_exact(k: int, lam: Fraction, m: int, q: MultiIndex) -> bool:
     """Exact agreement of the univariate, inner-product, and general
-    coefficient routes for one (k, q, lam) at both base families."""
+    coefficient routes for one (k, q, lam) at each family of the suite,
+    the general one at the family's covariances I/b."""
     lam_vec = DenseVector.from_entries([lam] * m)
     lam_mat = DenseMatrix(m, 1, tuple((lam,) for _ in range(m)))
-    eye1, half1 = _exact_base_covariances(1)
-    eye_m, half_m = _exact_base_covariances(m)
-    vec_prob = coeffs.coeff_vec_prob(k, q, lam_vec)
-    vec_phys = coeffs.coeff_vec_phys(k, q, lam_vec)
-    gen_prob = coeffs.coeff_general((k,), q, lam_mat, eye1, eye_m)
-    gen_phys = coeffs.coeff_general((k,), q, lam_mat, half1, half_m)
-    ok = vec_prob == gen_prob and vec_phys == gen_phys
-    if m == 1:
-        i = (k - q.degree()) // 2
-        ok = ok and vec_prob == coeffs.coeff_univariate(k, i, lam, PROBABILISTS)
-        ok = ok and vec_phys == coeffs.coeff_univariate(k, i, lam, PHYSICISTS)
-    return ok
+    families = FAMILIES_BY_NAME.values()
+    vec = [coeffs._vec_coeff(k, q, lam_vec, f) for f in families]
+    gen = [
+        coeffs.coeff_general((k,), q, lam_mat, *_exact_covariances(f.inverse_variance, m))
+        for f in families
+    ]
+    if m > 1 or vec != gen:
+        return vec == gen
+    i = (k - q.degree()) // 2
+    return all(v == coeffs.coeff_univariate(k, i, lam, f) for v, f in zip(vec, families))
 
 
 def verify_univariate_closed_forms(cfg: TrialConfig) -> VerifyReport:
@@ -428,7 +424,7 @@ def verify_univariate_closed_forms(cfg: TrialConfig) -> VerifyReport:
     def checks(rng, trial):
         k = rng.integers(0, UNIVARIATE_MAX_DEGREE + 1)
         lam = rng.uniform(lo, hi)
-        for family, name in ((PROBABILISTS, "he"), (PHYSICISTS, "h")):
+        for name, family in FAMILIES_BY_NAME.items():
             err = univariate_identity_error(family, k, lam, _UNIVARIATE_GRID)
             yield err, {"trial": trial, "check": "scalar", "family": name, "k": k,
                         "lam": lam}
@@ -436,7 +432,7 @@ def verify_univariate_closed_forms(cfg: TrialConfig) -> VerifyReport:
         k_ip = rng.integers(0, INNER_PRODUCT_MAX_DEGREE + 1)
         lam_vec = rng.uniform(lo, hi, size=m)
         x_vec = rng.uniform(lo, hi, size=m)
-        for family, name in ((PROBABILISTS, "he"), (PHYSICISTS, "h")):
+        for name, family in FAMILIES_BY_NAME.items():
             err = inner_product_error(family, k_ip, lam_vec, x_vec)
             yield err, {"trial": trial, "check": "inner-product", "family": name,
                         "k": k_ip, "lam": lam_vec, "x": x_vec}

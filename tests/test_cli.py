@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -473,6 +474,51 @@ def test_float_expand_output_sha256_is_pinned(tmp_path, capsys, name, variant, f
     assert hashlib.sha256(stdout.encode()).hexdigest() == FLOAT_EXPAND_STDOUT_SHA256[name, variant, fmt]
 
 
+# Specs of the `eval --family general` pins below: a seeded float spec and a
+# rational oracle spec.
+def eval_spec(name):
+    if name == "decimal":
+        return dict(ORACLE_SPECS["decimal"], rational=True)
+    return float_spec(*FLOAT_SPECS[name])
+
+
+# stdout sha256 of `hermult eval` on each family, keyed by (family, spec,
+# k, point), recorded while each module still kept its own table of the
+# families' inverse variances: reading b from the family must leave every
+# evaluated byte as it was.
+EVAL_STDOUT_SHA256 = {
+    ('he', None, '2,1', '0.37,-1.42'): "8f304ad76da539aab1f7ecd1d8ac26f09e4e6390e880fd9becf1890252721399",
+    ('he', None, '5', '-0.0'): "840e320d0bc874621ba3f5b38ff2e62118def707bbe4b5f0bd12a33471386cda",
+    ('he', None, '3,0,4', '1.5,-0.25,2'): "b8ef964a142d70145c229bc62ac4b1730dbd9c5a3088f582a4d62f6badd52f85",
+    ('h', None, '2,1', '0.37,-1.42'): "9659d673c88bf2d957b1c740d575242758fafab901f850757b6931d3dfa302db",
+    ('h', None, '5', '-0.0'): "ae23bd5136b704bcc75d04b7c9356e5679e5e70d6d54d08974f581ba4d36a244",
+    ('h', None, '3,0,4', '1.5,-0.25,2'): "55bad98e4f838787cf8422b17275c51e40721f0342f80b3277d301bcb08bbe82",
+    ('scaled:0.7', None, '2,1', '0.37,-1.42'): "46cf091535c43411fa4e3594c6167ec589df0e108cb98c6b3abd2daf0dbd967e",
+    ('scaled:0.7', None, '5', '-0.0'): "728d9d79b44f8f21216bf84ae2ac0471d71d512b5dbe3a16cf7de6ce218cc641",
+    ('scaled:0.7', None, '3,0,4', '1.5,-0.25,2'): "69bff2ba0fc511e225c97fd091a61d7bdfb0dd322d2c21635287b509263eca83",
+    ('general', 'n3-k333', '3,3,3', '0.37,-1.42,0.5'): "e66d0f01c5f1027277aa34647c3943e483e29ea1a97eb49f30e3327a53344570",
+    ('general', 'n3-k333', '2,0,1', '-0.0,1,0.25'): "7a29e516980ca46e6d25b07eca2dc5b34d3d9d44572b6e7a690b0a7a9cc14c1c",
+    ('general', 'decimal', '3,2', '1/3,-2'): "51a64ce5d3fa7e61b250819410c9aa0e078aa0a60ca5e65d7c2f4a7c4786f32f",
+    ('general', 'decimal', '1,1', '-0.0,0.5'): "24c117e7a7f86b346584e253954d91d6f144c073e78f84750364f022f0e489e8",
+}
+
+
+def eval_args(tmp_path, family, spec, k, at):
+    args = ["eval", "--family", family, "--k", k, "--at", at]
+    if spec is not None:
+        path = tmp_path / f"{spec}-eval.json"
+        path.write_text(json.dumps(eval_spec(spec)))
+        args += ["--spec", str(path)]
+    return args
+
+
+@pytest.mark.parametrize("family, spec, k, at", sorted(EVAL_STDOUT_SHA256))
+def test_eval_output_sha256_is_pinned(tmp_path, capsys, family, spec, k, at):
+    assert main(eval_args(tmp_path, family, spec, k, at)) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == EVAL_STDOUT_SHA256[family, spec, k, at]
+
+
 def other_interpreters():
     """python3.10 to python3.14 on PATH, but the running minor version,
     that answer --version: a pyenv shim of a version that is not selected
@@ -507,6 +553,8 @@ def test_float_pins_hold_on_other_interpreters(tmp_path):
         path = tmp_path / f"{name}-rational.json"
         path.write_text(json.dumps(dict(ORACLE_SPECS[name], rational=True)))
         cases.append((("expand", "--spec", str(path), "--variant", variant, "--format", fmt), digest))
+    for key, digest in sorted(EVAL_STDOUT_SHA256.items()):
+        cases.append((eval_args(tmp_path, *key), digest))
     spaced = tmp_path / "spaced.json"
     spec = dict(ORACLE_SPECS["indefinite"], rational=True, Sigma=[["3 / 4", 0], [0, 1]])
     spaced.write_text(json.dumps(spec))
@@ -719,6 +767,44 @@ def test_eval_expansion_echoes_a_valid_header(tmp_path, capsys, generic_spec):
 )
 def test_usage_errors_are_one_line(capsys, argv):
     assert_one_line_input_error(capsys, main(argv))
+
+
+# `eval` reads a float (--at, scaled:S) by the decimal form of a rational
+# string and a part of --k as ASCII digits, with whitespace only around
+# them; the family checks its inverse variance when it is built.  Each of
+# these exits 2 with one error line before anything is evaluated.
+EVAL_REFUSED = {
+    "underscore-point": ("--at", "1_000,"),
+    "arabic-indic-point": ("--at", "\u0661"),
+    "fullwidth-point": ("--at", "\uff11"),
+    "underscore-exponent": ("--at", "1e1_0"),
+    "inf-point": ("--at", "inf"),
+    "nan-point": ("--at", "nan"),
+    "infinity-point": ("--at", "-Infinity"),
+    "overflowing-point": ("--at", "1e400"),
+    "underscore-variance": ("--family", "scaled:1_0"),
+    "arabic-indic-variance": ("--family", "scaled:\u0661"),
+    "inf-variance": ("--family", "scaled:inf"),
+    "subnormal-variance": ("--family", "scaled:1e-320"),
+    "signed-k": ("--k", "+1"),
+    "arabic-indic-k": ("--k", "\u0661"),
+    "underscore-k": ("--k", "1_0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_REFUSED))
+def test_eval_reads_numbers_by_one_ascii_grammar(capsys, name):
+    flags = {"--family": "he", "--k": "1", "--at": "1"}
+    flag, value = EVAL_REFUSED[name]
+    flags[flag] = value
+    assert_one_line_input_error(capsys, main(["eval", *chain.from_iterable(flags.items())]))
+
+
+def test_eval_reads_decimal_floats_and_ascii_naturals(capsys):
+    argv = ["eval", "--family", "scaled: 0.5", "--k", " 0,1 ,0,0", "--at", " 1.5 ,.5,5.,+1E+1"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["k"], out["x"], out["value"]) == ([0, 1, 0, 0], [1.5, 0.5, 5.0, 10.0], 1.0)
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])

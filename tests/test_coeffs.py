@@ -53,7 +53,7 @@ from hermult.tensorlin import (
     spd_factorize,
     transpose_rows,
 )
-from hermult.verify import inner_product_error, trial_rng
+from hermult.verify import inner_product_error, trial_rng, univariate_identity_error
 from matrices import gram_plus_identity, matrix_difference, matrix_sum
 
 EYE1 = spd_factorize(DenseMatrix.identity(1))
@@ -326,8 +326,7 @@ def test_coeff_univariate_values():
     assert coeff_univariate(2, 1, lam, PHYSICISTS) == 2 * (lam * lam - 1)
     with pytest.raises(DomainError):
         coeff_univariate(3, 2, 1.0)
-    with pytest.raises(DomainError):
-        coeff_univariate(3, 0, 1.0, family=PHYSICISTS.scaled(2.0))
+    assert coeff_univariate(3, 1, 1.5, family=PHYSICISTS.scaled(2.0)) == 2.8125
 
 
 def test_closed_forms_match_uncached_formula():
@@ -532,33 +531,64 @@ def test_vec_readers_match_left_fold_bit_for_bit():
 
 
 def test_vec_plan_depends_on_shape_alone():
-    # One cached plan per (k, m, pair weight) serves every vector of that
-    # dimension, float or exact; the cache is bounded.
+    # One cached plan per (k, m, inverse variance b) serves every vector of
+    # that dimension, float or exact; the cache is bounded.
     assert coeffs._vec_plan.cache_info().maxsize is not None
     for k, m in ((5, 2), (8, 3)):
         floats = DenseVector.from_entries([0.3 * (j + 1) for j in range(m)])
         exact = DenseVector.from_entries([Fraction(j - 1, 3) for j in range(m)])
         coeff_vec_table(k, floats, PHYSICISTS)
-        plan = coeffs._vec_plan(k, m, 1)
+        plan = coeffs._vec_plan(k, m, 2)
         before = coeffs._vec_plan.cache_info()
         coeff_vec_table(k, exact, PHYSICISTS)
         after = coeffs._vec_plan.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-        assert coeffs._vec_plan(k, m, 1) is plan
-        assert coeffs._vec_plan(k, m, 2) is not plan
+        assert coeffs._vec_plan(k, m, 2) is plan
+        assert coeffs._vec_plan(k, m, 1) is not plan
 
 
-def test_closed_forms_refuse_other_families():
-    # The closed forms k!/(w^i q! i!) have a pair weight w only for the
-    # probabilists' (2) and physicists' (1) families; a scaled family is
-    # refused rather than checked against either formula.
-    scaled = HermiteFamily.scaled(2.0)
-    with pytest.raises(DomainError):
-        inner_product_error(scaled, 4, [1.5, 0.5], [0.3, -0.4])
-    with pytest.raises(DomainError):
-        coeff_vec_table(4, DenseVector.from_entries([1.5, 0.5]), scaled)
-    with pytest.raises(DomainError):
-        coeff_univariate(4, 1, 1.5, scaled)
+def test_closed_forms_hold_for_the_scaled_family():
+    # With b = 1/sigma_sq, the closed forms k! b^i/(2^i q! i!) lam^q
+    # (|lam|^2 - 1)^i are the engine's T[k, q] at Lambda = lam (m x 1),
+    # Sigma = [[sigma_sq]] and the family's own Upsilon = sigma_sq I: equal
+    # term for term, in value and type, for seeded rational sigma_sq and
+    # lam up to m = 5 and k = 20; at m = 1 the univariate form agrees too.
+    rng = random.Random(3535)
+
+    def rational():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    cases = [(rng.randint(1, 4), rng.randint(0, 12)) for _ in range(60)]
+    for m, k in cases + [(1, 20), (2, 20), (5, 20)]:
+        s2 = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        family = HermiteFamily.scaled(s2)
+        lam = [rational() for _ in range(m)]
+        lam_mat = DenseMatrix.from_rows([[v] for v in lam])
+        sigma = spd_factorize(DenseMatrix.from_rows([[s2]]))
+        upsilon = spd_factorize(DenseMatrix.identity(m).scale(s2))
+        want = expand_general((k,), lam_mat, sigma, upsilon)
+        got = coeff_vec_table(k, DenseVector.from_entries(lam), family)
+        assert [(t.q, t.coeff, type(t.coeff)) for t in got] == [
+            (t.q, t.coeff, type(t.coeff)) for t in want
+        ], (m, k, s2, lam)
+        if m == 1:
+            for i in range(k // 2 + 1):
+                uni = coeff_univariate(k, i, lam[0], family)
+                assert uni == coeff_general((k,), (k - 2 * i,), lam_mat, sigma, upsilon)
+    # An exact b and an equal float b keep their own prefactors: a float
+    # family gives floats at an exact lam too, whatever table came before.
+    lam_v = DenseVector.from_entries([Fraction(1, 2), Fraction(3, 2)])
+    assert all(type(t.coeff) is Fraction for t in coeff_vec_table(6, lam_v, PHYSICISTS))
+    assert all(type(t.coeff) is float for t in coeff_vec_table(6, lam_v, HermiteFamily.scaled(0.5)))
+    # The float identities at a scaled family stay at rounding error.
+    scaled = HermiteFamily.scaled(0.7)
+    rng_f = trial_rng(3535, 0)
+    grid = [-3.0 + 0.3 * j for j in range(21)]
+    for k in range(13):
+        lam = rng_f.uniform(-2.0, 2.0, size=3)
+        x = rng_f.uniform(-2.0, 2.0, size=3)
+        assert inner_product_error(scaled, k, lam, x) < 1e-9
+        assert univariate_identity_error(scaled, k, lam[0], grid) < 1e-9
 
 
 def literal_coeff_reference(k, q, pairs, rows, den):

@@ -158,6 +158,30 @@ def test_univariate_domain_and_size_errors():
         HermiteFamily.scaled(-1.0)
 
 
+def test_family_inverse_variance_is_set_and_checked_once():
+    # Each family carries its inverse variance b, in its own field: the int
+    # 1 and 2, a Fraction for an exact sigma_sq, 1.0 / sigma_sq for a float.
+    # b stays out of equality, hashing and repr.
+    for family, b in (
+        (PROBABILISTS, 1),
+        (PHYSICISTS, 2),
+        (HermiteFamily.scaled(2), Fraction(1, 2)),
+        (HermiteFamily.scaled(Fraction(3, 2)), Fraction(2, 3)),
+        (HermiteFamily.scaled(0.7), 1.0 / 0.7),
+    ):
+        assert type(family.inverse_variance) is type(b) and family.inverse_variance == b
+    scaled = HermiteFamily.scaled(0.7)
+    assert repr(scaled) == "HermiteFamily(kind='scaled', sigma_sq=0.7)"
+    assert scaled == HermiteFamily("scaled", 0.7) and hash(scaled) == hash(("scaled", 0.7))
+    # A family whose b is not a finite positive number is refused when it
+    # is built: 1.0 / 1e-320 is inf, 1.0 / inf is 0.0.
+    for bad in (1e-320, math.inf, math.nan, 0, -0.0, Fraction(-1, 2), True, "2", None):
+        with pytest.raises(DomainError):
+            HermiteFamily.scaled(bad)
+    with pytest.raises(DomainError):
+        HermiteFamily("laguerre")
+
+
 def test_multi_base_cases():
     sig = spd([[2.0, 0.5], [0.5, 1.0]])
     x = DenseVector.from_entries([0.7, -0.4])

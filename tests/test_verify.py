@@ -524,7 +524,7 @@ def test_each_exact_matrix_is_cleared_once(monkeypatch):
     assert polyoracle.oracle_compare((2, 1), lam, sigma, upsilon).equal
     # Sigma, Upsilon, their inverses, Lambda, and the map's A and M.
     assert len(cleared) == 7
-    verify._exact_base_covariances.cache_clear()
+    verify._exact_covariances.cache_clear()
     assert verify._coeff_chain_exact(4, Fraction(3, 2), 2, MultiIndex((1, 1)))
     # Lambda once; per family the 1x1 Sigma^-1, Upsilon, A and M.
     assert len(cleared) == 16
