@@ -150,8 +150,12 @@ def _emit_dict(obj, out: list[str]) -> None:
 
 def _scalar_out(v, rational: bool):
     """A Fraction (emitted as "p/q") for a rational input, else a float: an
-    exact value may be the int 1 of H_0 or the int 0 of an empty sum."""
-    return Fraction(v) if rational else float(v)
+    exact value may be the int 1 of H_0 or the int 0 of an empty sum.  Every
+    float input is finite, so a float result that is not has overflowed."""
+    v = Fraction(v) if rational else float(v)
+    if not (rational or math.isfinite(v)):
+        raise DomainError("result is beyond float range")
+    return v
 
 
 @dataclass(frozen=True)
@@ -234,7 +238,7 @@ def _cmd_expand(args) -> int:
         header = ",".join([f"q_{j + 1}" for j in range(m)] + ["coeff"])
         lines = [header]
         for t in terms:
-            coeff = str(t.coeff) if spec.rational else _float_text(float(t.coeff))
+            coeff = str(t.coeff) if spec.rational else _float_text(_scalar_out(t.coeff, False))
             lines.append(",".join([str(p) for p in t.q.parts] + [coeff]))
         sys.stdout.write("\n".join(lines) + "\n")
     else:

