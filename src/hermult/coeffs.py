@@ -56,11 +56,12 @@ Lambda = L/e and Upsilon = U/u (each matrix's `DenseMatrix.cleared_rows`),
 any other its own rows S, L, U over s = e = u = 1, and (A, M) comes from
 the `tensorlin` products A_hat = S L^T U and M_hat = A_hat L S - s e^2 u S,
 for floats the float expression in that operand order (1 * v is v, -0.0
-included).  An exact map checks the symmetry of M_hat and of S on those
-rows, and each entry is one Fraction: A = A_hat/(s e u) and
-M = M_hat/(s^2 e^2 u).  It is swept on the cleared rows of A = A_hat/alpha
-and M = M_hat/beta, which each matrix keeps, so it is cleared once however
-often it is read.  T[k,q] has degree |q| in A and (|k|-|q|)/2 in M, so
+included).  Sigma^-1 and Upsilon are checked for symmetry first, each by
+its own field's rule, so M needs no check.  Each entry of an exact map is
+one Fraction: A = A_hat/(s e u) and M = M_hat/(s^2 e^2 u).  It is swept
+on the cleared rows of A = A_hat/alpha and M = M_hat/beta, which each
+matrix keeps, so it is cleared once however often it is read.  T[k,q]
+has degree |q| in A and (|k|-|q|)/2 in M, so
 T[k,q] = T_hat[k,q] / (alpha^|q| beta^((|k|-|q|)/2)), T_hat being the
 sweep on the int rows: each nonzero entry read becomes one Fraction, and a
 zero stays the int 0 the sweep gives.  A float map, or one that mixes
@@ -116,9 +117,6 @@ from .tensorlin import (
 # polynomial in |k|; the cap bounds the table built for outside input.
 MAX_EXPANSION_DEGREE = 20
 
-# Relative symmetry tolerance for the float-valued quadratic part.
-MAP_SYMMETRY_RTOL = 1e-10
-
 
 class CoeffVariant(Enum):
     """How the degree-matching step of the derivation is read.
@@ -166,8 +164,9 @@ def transformed_map_from_inverses(
     """Build (A, M) given the already-inverted left covariance (the
     oracle holds Sigma^-1 already; `transformed_map` reads it from its
     `SpdMatrix`), in one body for both fields (see the module docstring).
-    A map that is not exact checks P and Sigma^-1, each exactly if all its
-    entries are and else term by term, so an M that is only rounding error
+    Sigma^-1 and Upsilon are checked for symmetry, each by the rule of its
+    own field (`check_symmetric_rows`), before any product.  M is then
+    symmetric and is not checked, so an M that is only rounding error
     (Sigma = Lambda^T Upsilon Lambda) passes."""
     n, m = lam.cols, lam.rows
     shapes = (sigma_inv.rows, sigma_inv.cols, upsilon.rows, upsilon.cols)
@@ -175,7 +174,10 @@ def transformed_map_from_inverses(
         raise DimensionMismatchError(
             "map shape %dx%d inconsistent with Sigma^-1 %dx%d and Upsilon %dx%d" % (m, n, *shapes)
         )
-    exact = sigma_inv.is_exact() and lam.is_exact() and upsilon.is_exact()
+    sigma_exact, upsilon_exact = sigma_inv.is_exact(), upsilon.is_exact()
+    check_symmetric_rows(sigma_inv.data, sigma_exact)
+    check_symmetric_rows(upsilon.data, upsilon_exact)
+    exact = sigma_exact and upsilon_exact and lam.is_exact()
     (sm, s), (lm, e), (um, u) = (
         (sigma_inv.cleared_rows(), lam.cleared_rows(), upsilon.cleared_rows()) if exact
         else ((sigma_inv.data, 1), (lam.data, 1), (upsilon.data, 1))
@@ -184,12 +186,7 @@ def transformed_map_from_inverses(
     p_hat = matmul_rows(matmul_rows(a_hat, lm), sm)
     m_hat = entrywise_rows(sub, p_hat, scale_rows(s * e * e * u, sm))
     if exact:
-        check_symmetric_rows(m_hat, True)
-        check_symmetric_rows(sm, True)
         a_hat, m_hat = fraction_rows(a_hat, s * e * u), fraction_rows(m_hat, s * s * e * e * u)
-    else:
-        check_symmetric_rows(p_hat, DenseMatrix(n, n, p_hat).is_exact(), MAP_SYMMETRY_RTOL)
-        check_symmetric_rows(sm, sigma_inv.is_exact(), MAP_SYMMETRY_RTOL)
     return TransformedMap(A=DenseMatrix(n, m, a_hat), M=DenseMatrix(n, n, m_hat))
 
 

@@ -62,7 +62,7 @@ from .multiindex import MultiIndex
 # Tensor results above this length are rejected; sizes are desk scale.
 MAX_TENSOR_LEN = 10**7
 
-# Relative symmetry tolerance for float-valued SPD inputs.
+# Relative tolerance of every float symmetry check.
 SPD_SYMMETRY_RTOL = 1e-12
 
 # Unit roundoff of a double, 2^-52: a float covariance S of dimension n is
@@ -128,11 +128,12 @@ def fraction_rows(rows: tuple, den: int) -> tuple:
     return tuple(tuple([Fraction(v, den) for v in row]) for row in rows)
 
 
-def check_symmetric_rows(rows: tuple, exact: bool, rtol: float = SPD_SYMMETRY_RTOL):
+def check_symmetric_rows(rows: tuple, exact: bool):
     """Raise NotSymmetricError unless square rows are symmetric: exactly if
-    exact, else by |m_ij - m_ji| <= rtol * max_kl |m_kl|, which scaling the
-    rows does not change."""
-    tol = 0 if exact else rtol * max(abs(v) for row in rows for v in row)
+    exact, else by |m_ij - m_ji| <= SPD_SYMMETRY_RTOL * max_kl |m_kl|, which
+    scaling the rows does not change.  Every covariance, and the Sigma^-1
+    and Upsilon of each (A, M) build, is checked by this one rule."""
+    tol = 0 if exact else SPD_SYMMETRY_RTOL * max(abs(v) for row in rows for v in row)
     for i, row in enumerate(rows):
         for j in range(i + 1, len(row)):
             a, b = row[j], rows[j][i]

@@ -112,8 +112,8 @@ def trial_rng(seed: int, trial: int) -> PhiloxStream:
 
 def _spd_rows(rng, dim: int, lo: float, hi: float) -> list[list[float]]:
     """Q^T Q + I for uniform Q: symmetric, positive definite, moderate
-    condition number.  Entry (i, j) is left_sum over columns i and j of Q,
-    plus 1 or the int 0, as DenseMatrix's matmul and add give it."""
+    condition number.  Entry (i, j) is the left_sum of the products of
+    columns i and j of Q, plus the int 1 on the diagonal, 0 off it."""
     q = list(zip(*rng.uniform(lo, hi, size=(dim, dim))))
     return [[left_sum(map(mul, a, b)) + (1 if a is b else 0) for b in q] for a in q]
 

@@ -320,6 +320,36 @@ def test_oracle_compare_cli(permutation_spec):
     assert json.loads(sym.stdout)["equal"] is True
 
 
+# A float problem with Sigma = I and Upsilon = v v^T + 1e-9 I, each column
+# of Lambda orthogonal to v: P = A Lambda Sigma^-1 is about 6e-10, and its
+# rounding asymmetry exceeds 1e-10 relative.  Both covariances are valid.
+NEAR_RANK_ONE_SPEC = {
+    "k": [2, 1],
+    "Lambda": [[0.7200000000000001, 0.48], [-0.63, -0.42]],
+    "Sigma": [[1.0, 0.0], [0.0, 1.0]],
+    "Upsilon": [
+        [0.49000000099999996, 0.5599999999999999],
+        [0.5599999999999999, 0.6400000010000001],
+    ],
+}
+
+
+def test_expand_accepts_covariances_whose_products_are_tiny(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(NEAR_RANK_ONE_SPEC))
+    r = run_cli("expand", "--spec", str(path))
+    assert (r.returncode, r.stderr) == (0, "")
+    # Its exact twin, each float written as its Fraction, passes the oracle.
+    twin = {
+        key: value if key == "k" else [[str(Fraction(v)) for v in row] for row in value]
+        for key, value in NEAR_RANK_ONE_SPEC.items()
+    }
+    path.write_text(json.dumps(dict(twin, rational=True)))
+    r = run_cli("oracle-compare", "--spec", str(path))
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["equal"] is True
+
+
 ORACLE_COMPARE_STDOUT = {
     "paper-literal": (
         1,

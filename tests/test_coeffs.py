@@ -163,6 +163,72 @@ def test_exact_map_refuses_an_asymmetric_sigma_inverse():
         )
 
 
+@pytest.mark.parametrize("field", [int, Fraction])
+@pytest.mark.parametrize(
+    "lam, upsilon, message",
+    [
+        ([[1, 2], [0, 0]], [[1, 5], [7, 3]], "entries (0,1) and (1,0) differ: 5 vs 7"),
+        (
+            [[1, -1], [0, 0], [2, 1]],
+            [[2, 0, 1], [0, 1, 4], [1, 0, 3]],
+            "entries (1,2) and (2,1) differ: 4 vs 0",
+        ),
+    ],
+    ids=["m2", "m3"],
+)
+def test_exact_map_refuses_an_asymmetric_upsilon_in_a_row_lambda_leaves_unread(
+    lam, upsilon, message, field
+):
+    # Row 1 of Lambda is zero, so Lambda^T Upsilon Lambda never reads row
+    # or column 1 of Upsilon and M is symmetric; Upsilon is no covariance.
+    rows = [[[field(v) for v in row] for row in m] for m in (lam, [[2, 1], [1, 3]], upsilon)]
+    with pytest.raises(NotSymmetricError) as info:
+        transformed_map_from_inverses(*map(DenseMatrix.from_rows, rows))
+    assert str(info.value) == message
+
+
+def test_map_refuses_an_asymmetric_upsilon_when_n_is_one():
+    # M is 1 x 1, so symmetric whatever Upsilon is: only a check of Upsilon
+    # itself refuses an asymmetric one, in either field.
+    for field in (int, Fraction, float):
+        mats = ([[1], [2]], [[3]], [[1, 5], [7, 3]])
+        rows = [[[field(v) for v in row] for row in m] for m in mats]
+        with pytest.raises(NotSymmetricError):
+            transformed_map_from_inverses(*map(DenseMatrix.from_rows, rows))
+
+
+def _near_rank_one_draws():
+    """3,000 seeded float problems with Sigma = I, Upsilon = v v^T + d I
+    (d = 10^-U(4, 10)) and each column of Lambda a uniform vector minus its
+    projection on v, so P = A Lambda Sigma^-1 is tiny."""
+    rng = random.Random(5)
+    for _ in range(3000):
+        n, m = rng.randint(1, 3), rng.randint(2, 3)
+        v = [rng.uniform(-1, 1) for _ in range(m)]
+        d = 10 ** -rng.uniform(4, 10)
+        upsilon = [[v[i] * v[j] + (d if i == j else 0.0) for j in range(m)] for i in range(m)]
+        vv = sum(x * x for x in v)
+        cols = []
+        for _ in range(n):
+            w = [rng.uniform(-1, 1) for _ in range(m)]
+            c = sum(a * b for a, b in zip(w, v)) / vv
+            cols.append([a - c * b for a, b in zip(w, v)])
+        lam = [[col[i] for col in cols] for i in range(m)]
+        sigma = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+        yield lam, sigma, upsilon
+
+
+def test_map_accepts_every_covariance_pair_whose_products_are_tiny():
+    # Each Sigma and Upsilon passes `covariance`, so the map must be built:
+    # the rounding asymmetry of a tiny P is no reason to refuse it.
+    for lam, sigma, upsilon in _near_rank_one_draws():
+        transformed_map(
+            DenseMatrix.from_rows(lam),
+            covariance(DenseMatrix.from_rows(sigma)),
+            covariance(DenseMatrix.from_rows(upsilon)),
+        )
+
+
 def test_coeff_general_permutation_counterexample():
     lam = rational_matrix([[0, 1], [1, 0]])
     sym = coeff_general((1, 1), (1, 1), lam, EYE2, EYE2, CoeffVariant.SYMMETRIZED)
@@ -1307,10 +1373,13 @@ def test_exact_map_and_table_keep_values_and_types():
 def two_route_map_reference(lam, sigma_inv, upsilon):
     """(A, M) as transformed_map_from_inverses built them in two bodies:
     an exact map on the int row kernels, any other through DenseMatrix
-    products, refused by check_symmetric(m, rtol), which checked m exactly
-    when every entry of m was exact and term by term otherwise."""
+    products.  Sigma^-1 and Upsilon are refused first unless symmetric by
+    check_symmetric_rows, exactly when every entry is exact and by the float
+    rule otherwise."""
     if lam.rows != upsilon.rows or lam.cols != sigma_inv.rows:
         raise DimensionMismatchError("map shape")
+    for checked in (sigma_inv, upsilon):
+        check_symmetric_rows(checked.data, checked.is_exact())
     if sigma_inv.is_exact() and lam.is_exact() and upsilon.is_exact():
         (sm, s), (lm, e), (um, u) = (
             sigma_inv.cleared_rows(), lam.cleared_rows(), upsilon.cleared_rows()
@@ -1318,8 +1387,6 @@ def two_route_map_reference(lam, sigma_inv, upsilon):
         a_hat = matmul_rows(matmul_rows(sm, transpose_rows(lm)), um)
         p_hat = matmul_rows(matmul_rows(a_hat, lm), sm)
         m_hat = entrywise_rows(operator.sub, p_hat, scale_rows(s * e * e * u, sm))
-        check_symmetric_rows(m_hat, True)
-        check_symmetric_rows(sm, True)
         n, m = lam.cols, lam.rows
         return TransformedMap(
             A=DenseMatrix(n, m, fraction_rows(a_hat, s * e * u)),
@@ -1327,8 +1394,6 @@ def two_route_map_reference(lam, sigma_inv, upsilon):
         )
     a = sigma_inv.matmul(lam.transpose()).matmul(upsilon)
     p = a.matmul(lam).matmul(sigma_inv)
-    for checked in (p, sigma_inv):
-        check_symmetric_rows(checked.data, checked.is_exact(), coeffs.MAP_SYMMETRY_RTOL)
     return TransformedMap(A=a, M=matrix_difference(p, sigma_inv))
 
 
@@ -1359,11 +1424,12 @@ def _drawn_entry(rng, kind):
 
 def test_one_body_map_matches_the_two_route_reference():
     """The one-body builder gives the bits, values and entry types of the
-    two routes it replaced, and their refusals by class and message, on
-    float, Fraction, int and mixed maps (bools among the mixed entries),
-    with signed zeros, zero rows of Lambda, an M that is rounding error
-    alone (Sigma = Lambda^T Upsilon Lambda), and asymmetric P, Sigma^-1
-    and M_hat, some within the float tolerance."""
+    two routes it replaced, and refuses by class and message as the
+    reference's input checks do, on float, Fraction, int and mixed maps
+    (bools among the mixed entries), with signed zeros, zero rows of
+    Lambda, an M that is rounding error alone (Sigma = Lambda^T Upsilon
+    Lambda), and asymmetric Sigma^-1 and Upsilon, some within the float
+    tolerance."""
     rng = random.Random(3303)
     kinds = ("float", "fraction", "int", "mixed")
 
@@ -1377,9 +1443,9 @@ def test_one_body_map_matches_the_two_route_reference():
         # Exact: M_hat is symmetric, Sigma^-1 is not.
         ([[-1, 1], [0, 1]], [[1, 1], [-2, -1]], [[0, -1], [-1, 0]]),
         # An exact Sigma^-1 in a float map, asymmetric by 1e-11 relative:
-        # P passes its term-by-term check and Sigma^-1 is checked exactly.
+        # it is checked exactly, by its own field.
         ([[1.0, 0.0], [0.0, 1.0]], [[10**11, 1], [2, 10**11]], [[1, 0], [0, 1]]),
-        # Bools and ints: P is all ints, so it is checked exactly.
+        # Bools and ints: the int Sigma^-1 is checked exactly.
         ([[True, False], [False, True]], [[10**11, 1], [2, 10**11]], [[1, 0], [0, 1]]),
     ]
     for trial in range(1500):
