@@ -15,8 +15,7 @@ from .coeffs import (
     coeff_from_map,
     coeff_general,
     coeff_univariate,
-    coeff_vec_phys,
-    coeff_vec_prob,
+    coeff_vec,
     evaluate_expansion,
     expand_from_map,
     expand_general,
@@ -32,7 +31,7 @@ from .hermite import (
     hermite_multi_batch,
     hermite_multi_product,
     hermite_uni,
-    hermite_uni_all,
+    hermite_uni_grid,
 )
 from .multiindex import (
     MultiIndex,
@@ -91,8 +90,7 @@ __all__ = [
     "coeff_from_map",
     "coeff_general",
     "coeff_univariate",
-    "coeff_vec_phys",
-    "coeff_vec_prob",
+    "coeff_vec",
     "colwise_kron_power",
     "covariance",
     "enumerate_fixed_degree",
@@ -105,7 +103,7 @@ __all__ = [
     "hermite_multi_batch",
     "hermite_multi_product",
     "hermite_uni",
-    "hermite_uni_all",
+    "hermite_uni_grid",
     "index_tuples",
     "invert_matrix",
     "kron_power",

@@ -87,7 +87,6 @@ from .errors import (
     SizeLimitError,
 )
 from .hermite import (
-    PHYSICISTS,
     PROBABILISTS,
     HermiteFamily,
     hermite_multi_batch,
@@ -417,16 +416,6 @@ def _closed_form_prefactor(k: int, q_parts: tuple, b) -> tuple:
         return pref, pref
 
 
-def _vec_coeff(k: int, q: MultiIndex, lam: DenseVector, family: HermiteFamily):
-    if q.arity != lam.dim:
-        raise DimensionMismatchError(
-            f"index arity {q.arity} does not match vector dim {lam.dim}"
-        )
-    _parity_split(MultiIndex((k,)), q)
-    plan = _vec_steps(k, (q.parts,), family.inverse_variance)
-    return _vec_values(plan, lam.entries)[0]
-
-
 def _vec_steps(k: int, qs, b) -> tuple:
     """The plan of _vec_values for the indices qs (parts tuples) under the
     inverse variance b: (powers, exponents, steps).  powers lists each
@@ -466,8 +455,7 @@ def _vec_values(plan: tuple, lam: tuple) -> list:
     floats get the bits of folds from the int 0 and 1, since a square is
     never -0.0 and 1 * p is p, and exact values their type, without a
     reverse dispatch on the int.  One body serves both fields:
-    coeff_vec_table's tables, and the univariate suite's exact chain one q
-    per call (coeff_vec_prob, coeff_vec_phys)."""
+    coeff_vec_table's tables, and coeff_vec one q per call."""
     powers, exponents, steps = plan
     norm_sq = lam[0] * lam[0]
     for lj in lam[1:]:
@@ -500,14 +488,17 @@ def coeff_vec_table(
     return [ExpansionTerm(q, t) for q, t in zip(qs, values) if t != 0]
 
 
-def coeff_vec_prob(k: int, q: MultiIndex | Iterable[int], lam: DenseVector):
-    """Inner-product expansion coefficient, probabilists' family."""
-    return _vec_coeff(k, MultiIndex.of(q), lam, PROBABILISTS)
-
-
-def coeff_vec_phys(k: int, q: MultiIndex | Iterable[int], lam: DenseVector):
-    """Inner-product expansion coefficient, physicists' family."""
-    return _vec_coeff(k, MultiIndex.of(q), lam, PHYSICISTS)
+def coeff_vec(k: int, q: MultiIndex | Iterable[int], lam: DenseVector, family: HermiteFamily):
+    """The inner-product coefficient c_q of coeff_vec_table, zero included,
+    from a plan of q alone: the same expression, so the same bits."""
+    q = MultiIndex.of(q)
+    if q.arity != lam.dim:
+        raise DimensionMismatchError(
+            f"index arity {q.arity} does not match vector dim {lam.dim}"
+        )
+    _parity_split(MultiIndex((k,)), q)
+    plan = _vec_steps(k, (q.parts,), family.inverse_variance)
+    return _vec_values(plan, lam.entries)[0]
 
 
 def coeff_univariate(k: int, i: int, lam, family: HermiteFamily = PROBABILISTS):
@@ -517,6 +508,8 @@ def coeff_univariate(k: int, i: int, lam, family: HermiteFamily = PROBABILISTS):
         raise DomainError(f"degree must be >= 0, got {k}")
     if i < 0 or 2 * i > k:
         raise DomainError(f"term index i={i} out of range for degree {k}")
+    if isinstance(lam, float) and not math.isfinite(lam):
+        raise DomainError(f"non-finite scale {lam!r}")
     pref, pref_f = _closed_form_prefactor(k, (k - 2 * i,), family.inverse_variance)
     spread = (lam * lam - 1) ** i
     if isinstance(spread, float):

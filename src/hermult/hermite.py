@@ -7,8 +7,8 @@ recurrences rather than coefficient tables, and work in either scalar
 field: float inputs give doubles, int/Fraction inputs give exact rationals.
 
 hermite_uni_grid runs the univariate recurrence at each point of a list,
-checking the degree and the family once; hermite_uni_all is its one-point
-case and hermite_uni reads its top degree.
+checking the degree once, and is the one checked univariate path:
+hermite_uni reads the top degree of its one-point grid.
 
 hermite_multi_batch runs the raising recurrence top down with one memo
 keyed by index tuples, which it makes per call and shares across the
@@ -48,10 +48,11 @@ SCALED_KIND = "scaled"
 class HermiteFamily:
     """One of the supported univariate polynomial families, and its
     inverse variance b, set and checked here for every reader: the int 1
-    for kind "probabilists", the int 2 for "physicists", 1/sigma_sq for
-    "scaled", whose variance sigma_sq > 0 is an int or a Fraction (b a
-    Fraction) or a float (b = 1.0 / sigma_sq, which must be finite).  A
-    general SPD covariance is not a family: hermite_multi takes it directly.
+    for kind "probabilists", the int 2 for "physicists" (neither takes a
+    sigma_sq), 1/sigma_sq for "scaled", whose variance sigma_sq > 0 is an
+    int or a Fraction (b a Fraction) or a float (b = 1.0 / sigma_sq, which
+    must be finite).  A general SPD covariance is not a family:
+    hermite_multi takes it directly.
     """
 
     kind: str
@@ -59,6 +60,8 @@ class HermiteFamily:
     inverse_variance: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.kind in (PROBABILISTS_KIND, PHYSICISTS_KIND) and self.sigma_sq is not None:
+            raise DomainError(f"the {self.kind} family takes no sigma_sq, got {self.sigma_sq!r}")
         if self.kind == PROBABILISTS_KIND:
             b = 1
         elif self.kind == PHYSICISTS_KIND:
@@ -86,23 +89,11 @@ PHYSICISTS = HermiteFamily(PHYSICISTS_KIND)
 FAMILIES_BY_NAME = {"he": PROBABILISTS, "h": PHYSICISTS}
 
 
-def hermite_uni_all(family: HermiteFamily, k: int, x) -> list:
-    """Values of degrees 0..k of the univariate polynomial of the given
-    family at x."""
-    return _uni_values(_checked_inverse_variance(family, k, (x,)), k, x)
-
-
 def hermite_uni_grid(family: HermiteFamily, k: int, xs) -> list[list]:
-    """hermite_uni_all at every point of xs, one list per point, with the
-    degree and the family checked once."""
+    """Values of degrees 0..k of the univariate polynomial of the given
+    family at every point of xs, one list per point, with the degree and
+    every point checked before any value is computed."""
     xs = tuple(xs)
-    b = _checked_inverse_variance(family, k, xs)
-    return [_uni_values(b, k, x) for x in xs]
-
-
-def _checked_inverse_variance(family: HermiteFamily, k: int, xs):
-    """The family's inverse variance, once the degree k and every point
-    of xs are checked."""
     if k < 0:
         raise DomainError(f"degree must be >= 0, got {k}")
     if k > MAX_DEGREE:
@@ -110,7 +101,8 @@ def _checked_inverse_variance(family: HermiteFamily, k: int, xs):
     for x in xs:
         if isinstance(x, float) and not math.isfinite(x):
             raise DomainError(f"non-finite evaluation point {x!r}")
-    return family.inverse_variance
+    b = family.inverse_variance
+    return [_uni_values(b, k, x) for x in xs]
 
 
 def _uni_values(b, k: int, x) -> list:
@@ -128,7 +120,7 @@ def _uni_values(b, k: int, x) -> list:
 
 def hermite_uni(family: HermiteFamily, k: int, x):
     """Value of the degree-k univariate polynomial of the given family."""
-    return hermite_uni_all(family, k, x)[k]
+    return hermite_uni_grid(family, k, (x,))[0][k]
 
 
 def _raise_value(parts, bx, b_rows, memo):

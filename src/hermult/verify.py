@@ -365,7 +365,7 @@ def univariate_identity_error(
 
 @functools.lru_cache(maxsize=16)
 def _grid_rows(family: HermiteFamily, types: tuple, xs: tuple, degree: int) -> tuple:
-    """hermite_uni_all(family, degree, x) for each x of xs.  The recurrence's
+    """hermite_uni_grid(family, degree, xs) as a tuple.  The recurrence's
     j-th value does not depend on the degree asked for, so the table of any
     k <= degree is a prefix of its row, bit for bit.  The types of b and of
     each x key it too: scaled(3) == scaled(3.0), but their bits differ."""
@@ -407,7 +407,7 @@ def _coeff_chain_exact(k: int, lam: Fraction, m: int, q: MultiIndex) -> bool:
     lam_vec = DenseVector.from_entries([lam] * m)
     lam_mat = DenseMatrix(m, 1, tuple((lam,) for _ in range(m)))
     families = FAMILIES_BY_NAME.values()
-    vec = [coeffs._vec_coeff(k, q, lam_vec, f) for f in families]
+    vec = [coeffs.coeff_vec(k, q, lam_vec, f) for f in families]
     gen = [
         coeffs.coeff_general((k,), q, lam_mat, *_exact_covariances(f.inverse_variance, m))
         for f in families

@@ -15,8 +15,7 @@ from hermult import (
     DenseVector,
     coeff_general,
     coeff_univariate,
-    coeff_vec_phys,
-    coeff_vec_prob,
+    coeff_vec,
     hermite_multi_batch,
     oracle_compare,
     spd_factorize,
@@ -183,8 +182,8 @@ def test_criterion_2_univariate_closed_forms():
                 uni_p = coeff_univariate(k, i, lam, PROBABILISTS)
                 uni_h = coeff_univariate(k, i, lam, PHYSICISTS)
                 ok = (
-                    uni_p == coeff_vec_prob(k, q, lam_vec)
-                    and uni_h == coeff_vec_phys(k, q, lam_vec)
+                    uni_p == coeff_vec(k, q, lam_vec, PROBABILISTS)
+                    and uni_h == coeff_vec(k, q, lam_vec, PHYSICISTS)
                     and uni_p == coeff_general((k,), q, lam_mat, eye1, eye1)
                     and uni_h == coeff_general((k,), q, lam_mat, half1, half1)
                 )

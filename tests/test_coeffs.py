@@ -13,8 +13,7 @@ from hermult.coeffs import (
     coeff_from_map,
     coeff_general,
     coeff_univariate,
-    coeff_vec_phys,
-    coeff_vec_prob,
+    coeff_vec,
     coeff_vec_table,
     evaluate_expansion,
     expand_from_map,
@@ -360,27 +359,27 @@ def test_coeff_isotropic_univariate_value():
 
 def test_coeff_vec_prob_values():
     lam = DenseVector.from_entries([Fraction(3, 5), Fraction(4, 5)])
-    assert coeff_vec_prob(2, (1, 1), lam) == Fraction(24, 25)
-    assert coeff_vec_prob(4, (1, 1), lam) == 0  # unit norm kills i >= 1
+    assert coeff_vec(2, (1, 1), lam, PROBABILISTS) == Fraction(24, 25)
+    assert coeff_vec(4, (1, 1), lam, PROBABILISTS) == 0  # unit norm kills i >= 1
     ones = DenseVector.from_entries([1, 1])
-    assert coeff_vec_prob(2, (0, 0), ones) == 1
+    assert coeff_vec(2, (0, 0), ones, PROBABILISTS) == 1
 
 
 def test_coeff_vec_phys_values():
     ones = DenseVector.from_entries([1, 1])
-    assert coeff_vec_phys(2, (0, 0), ones) == 2
-    assert coeff_vec_phys(2, (1, 1), ones) == 2
+    assert coeff_vec(2, (0, 0), ones, PHYSICISTS) == 2
+    assert coeff_vec(2, (1, 1), ones, PHYSICISTS) == 2
     lam = DenseVector.from_entries([Fraction(1, 2), Fraction(1, 3)])
     q = MultiIndex((1, 1))
-    assert coeff_vec_phys(2, q, lam) == Fraction(2) * Fraction(1, 2) * Fraction(1, 3)
+    assert coeff_vec(2, q, lam, PHYSICISTS) == Fraction(2) * Fraction(1, 2) * Fraction(1, 3)
 
 
 def test_coeff_vec_parity_error():
     lam = DenseVector.from_entries([1, 1])
     with pytest.raises(ParityError):
-        coeff_vec_prob(2, (1, 0), lam)
+        coeff_vec(2, (1, 0), lam, PROBABILISTS)
     with pytest.raises(ParityError):
-        coeff_vec_phys(1, (1, 1), lam)
+        coeff_vec(1, (1, 1), lam, PHYSICISTS)
 
 
 def test_coeff_univariate_values():
@@ -410,7 +409,7 @@ def test_closed_forms_match_uncached_formula():
             k = rng.randint(0, 12)
             m = rng.randint(1, 3)
             lam = [draw() for _ in range(m)]
-            for w, fn in ((2, coeff_vec_prob), (1, coeff_vec_phys)):
+            for w, family in ((2, PROBABILISTS), (1, PHYSICISTS)):
                 for d in q_support(k):
                     for q in enumerate_fixed_degree(m, d):
                         i = (k - d) // 2
@@ -423,7 +422,7 @@ def test_closed_forms_match_uncached_formula():
                             pref = float(pref)
                         norm_sq = sum(lj * lj for lj in lam)
                         want = pref * lam_q * (norm_sq - 1) ** i
-                        got = fn(k, q, DenseVector.from_entries(lam))
+                        got = coeff_vec(k, q, DenseVector.from_entries(lam), family)
                         assert repr(got) == repr(want), (k, q, lam)
             for family, w in ((PROBABILISTS, 2), (PHYSICISTS, 1)):
                 for i in range(k // 2 + 1):
@@ -456,7 +455,7 @@ def test_closed_forms_stay_exact_beyond_float_range():
         coeff_vec_table(k, DenseVector.from_entries([0.5]), PROBABILISTS)
     got = coeff_univariate(k, 200, lam)
     assert type(got) is Fraction and got == formula((0,), 2)
-    got = coeff_vec_prob(k, (0,), DenseVector.from_entries([lam]))
+    got = coeff_vec(k, (0,), DenseVector.from_entries([lam]), PROBABILISTS)
     assert type(got) is Fraction and got == formula((0,), 2)
     for family, w in ((PROBABILISTS, 2), (PHYSICISTS, 1)):
         table = coeff_vec_table(k, DenseVector.from_entries([lam]), family)
@@ -495,15 +494,12 @@ def test_vec_table_matches_per_entry_formula():
             k, m = rng.randint(0, 8), rng.randint(1, 3)
             lam = [draw() for _ in range(m)]
             lam_v = DenseVector.from_entries(lam)
-            for family, w, fn in (
-                (PROBABILISTS, 2, coeff_vec_prob),
-                (PHYSICISTS, 1, coeff_vec_phys),
-            ):
+            for family, w in ((PROBABILISTS, 2), (PHYSICISTS, 1)):
                 want = []
                 for d in q_support(k):
                     for q in enumerate_fixed_degree(m, d):
                         c = vec_coeff_reference(k, q, lam, w)
-                        assert repr(fn(k, q, lam_v)) == repr(c), (k, q, lam)
+                        assert repr(coeff_vec(k, q, lam_v, family)) == repr(c), (k, q, lam)
                         if c != 0:
                             want.append((q, c))
                 got = [(t.q, t.coeff) for t in coeff_vec_table(k, lam_v, family)]
@@ -582,18 +578,65 @@ def test_vec_readers_match_left_fold_bit_for_bit():
                 lam = draw(m)
                 lam_v = DenseVector.from_entries(lam)
                 singles = qs if len(qs) <= 60 else rng.sample(qs, 60)
-                for family, w, fn in (
-                    (PROBABILISTS, 2, coeff_vec_prob),
-                    (PHYSICISTS, 1, coeff_vec_phys),
-                ):
+                for family, w in ((PROBABILISTS, 2), (PHYSICISTS, 1)):
                     want = [(q, vec_coeff_left_fold(k, q.parts, lam, w)) for q in qs]
                     got = [(t.q, t.coeff) for t in coeff_vec_table(k, lam_v, family)]
                     assert repr(got) == repr([(q, c) for q, c in want if c != 0]), (k, lam)
                     assert [type(c) for _, c in got] == [type(c) for _, c in want if c != 0]
                     for q in singles:
-                        c = fn(k, q, lam_v)
+                        c = coeff_vec(k, q, lam_v, family)
                         ref = vec_coeff_left_fold(k, q.parts, lam, w)
                         assert type(c) is type(ref) and repr(c) == repr(ref), (k, q, lam)
+
+
+def test_coeff_vec_matches_table_entry_in_every_family():
+    # One reader per closed form: coeff_vec(k, q, lam, family) is the
+    # table's value of q, equal by repr and type, for fixed and scaled
+    # families and float, int and Fraction lam; where the table drops an
+    # exact zero, coeff_vec gives that zero.
+    rng = random.Random(3939)
+    families = (
+        PROBABILISTS,
+        PHYSICISTS,
+        HermiteFamily.scaled(0.7),
+        HermiteFamily.scaled(Fraction(3, 2)),
+    )
+    draws = (
+        lambda: rng.choice([rng.uniform(-2.0, 2.0), 0.0, -0.0]),
+        lambda: rng.randint(-2, 2),
+        lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+    )
+    zeros = 0
+    for family in families:
+        for draw in draws:
+            for _ in range(25):
+                k, m = rng.randint(0, 10), rng.randint(1, 3)
+                lam_v = DenseVector.from_entries([draw() for _ in range(m)])
+                table = {t.q: t.coeff for t in coeff_vec_table(k, lam_v, family)}
+                for d in q_support(k):
+                    for q in enumerate_fixed_degree(m, d):
+                        c = coeff_vec(k, q.parts, lam_v, family)
+                        if q in table:
+                            want = table[q]
+                            assert type(c) is type(want) and repr(c) == repr(want), (k, q)
+                        else:
+                            assert c == 0, (family, k, q, lam_v)
+                            zeros += 1
+    assert zeros > 0
+    lam = DenseVector.from_entries([1, 1])
+    for family in families:
+        with pytest.raises(ParityError):
+            coeff_vec(2, (1, 0), lam, family)
+        with pytest.raises(DimensionMismatchError):
+            coeff_vec(2, (2,), lam, family)
+
+
+def test_coeff_univariate_refuses_a_non_finite_scale():
+    for lam in (math.inf, -math.inf, math.nan):
+        for family in (PROBABILISTS, PHYSICISTS, HermiteFamily.scaled(0.7)):
+            with pytest.raises(DomainError):
+                coeff_univariate(3, 1, lam, family)
+    assert coeff_univariate(3, 1, 1.5) == 3 * 1.5 * (1.5 * 1.5 - 1)
 
 
 def test_vec_plan_depends_on_shape_alone():
@@ -759,8 +802,8 @@ def test_univariate_chain_matches_vector_and_general():
                 q = MultiIndex((k - 2 * i,))
                 uni_p = coeff_univariate(k, i, lam, PROBABILISTS)
                 uni_h = coeff_univariate(k, i, lam, PHYSICISTS)
-                assert uni_p == coeff_vec_prob(k, q, lam_vec)
-                assert uni_h == coeff_vec_phys(k, q, lam_vec)
+                assert uni_p == coeff_vec(k, q, lam_vec, PROBABILISTS)
+                assert uni_h == coeff_vec(k, q, lam_vec, PHYSICISTS)
                 assert uni_p == coeff_general((k,), q, lam_mat, EYE1, EYE1)
                 assert uni_h == coeff_general((k,), q, lam_mat, half, half)
 

@@ -17,7 +17,6 @@ from hermult.hermite import (
     hermite_multi_batch,
     hermite_multi_product,
     hermite_uni,
-    hermite_uni_all,
     hermite_uni_grid,
 )
 from hermult.multiindex import enumerate_fixed_degree, mi_factorial
@@ -73,7 +72,7 @@ def test_family_consistency():
 )
 def test_all_degrees_match_single_degree(family):
     for x in (0.0, -1.7, 2.25, 3, Fraction(-5, 3)):
-        values = hermite_uni_all(family, 12, x)
+        values = hermite_uni_grid(family, 12, (x,))[0]
         assert len(values) == 13
         for k, v in enumerate(values):
             assert v == hermite_uni(family, k, x)
@@ -86,7 +85,7 @@ def test_all_degrees_match_symbolic_construction():
     h = SymbolicHermiteFamily(rational_matrix([[2]]))
     x = Fraction(-7, 4)
     for family, sym in ((PROBABILISTS, he), (PHYSICISTS, h)):
-        values = hermite_uni_all(family, 8, x)
+        values = hermite_uni_grid(family, 8, (x,))[0]
         assert values == [poly_value(sym.poly((k,)), [x]) for k in range(9)]
 
 
@@ -140,7 +139,7 @@ def test_grid_pass_errors_match_single_point():
 )
 def test_all_degrees_errors_match_single_degree(k, x, error):
     with pytest.raises(error):
-        hermite_uni_all(PROBABILISTS, k, x)
+        hermite_uni_grid(PROBABILISTS, k, (x,))[0]
     with pytest.raises(error):
         hermite_uni(PROBABILISTS, k, x)
 
@@ -180,6 +179,19 @@ def test_family_inverse_variance_is_set_and_checked_once():
             HermiteFamily.scaled(bad)
     with pytest.raises(DomainError):
         HermiteFamily("laguerre")
+
+
+def test_fixed_families_refuse_a_sigma_sq():
+    # The probabilists' and physicists' b is fixed, so a sigma_sq given to
+    # them is refused rather than ignored; the constants and every scaled
+    # family are built as before.
+    for kind in ("probabilists", "physicists"):
+        for s2 in (5, 1, 0.5, Fraction(1, 2)):
+            with pytest.raises(DomainError):
+                HermiteFamily(kind, sigma_sq=s2)
+    assert HermiteFamily("probabilists") == PROBABILISTS
+    assert HermiteFamily("physicists") == PHYSICISTS
+    assert HermiteFamily.scaled(5).inverse_variance == Fraction(1, 5)
 
 
 def test_multi_base_cases():

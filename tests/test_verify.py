@@ -364,13 +364,12 @@ def _univariate_error_per_term(family, k, lam, xs):
 
 def _inner_product_error_per_term(family, k, lam, x):
     lam_v = DenseVector.from_entries(lam)
-    coeff_fn = coeffs.coeff_vec_prob if family is PROBABILISTS else coeffs.coeff_vec_phys
     lhs = hermite_uni(family, k, lam_v.dot(DenseVector.from_entries(x)))
     rhs = 0.0
     abs_sum = 0.0
     for d in q_support(k):
         for q in enumerate_fixed_degree(lam_v.dim, d):
-            t = coeff_fn(k, q, lam_v)
+            t = coeffs.coeff_vec(k, q, lam_v, family)
             if t == 0:
                 continue
             prod = 1.0
