@@ -4,16 +4,21 @@ suites, and exact oracle comparison.
 All configuration is explicit flags (no environment variables), output is
 UTF-8 with newline-terminated records, and floats are emitted with 17
 significant digits, so every number but -0.0 parses back to the exact
-double; -0.0 prints as `-0`, which `json.loads` reads as the int 0.
+double; -0.0 prints as `-0`, which `json.loads` reads as the int 0.  Each
+command returns its text and exit code, and `main` writes that text, so
+stdout has one write site.
 
-`dumps` writes a list of flat dicts, such as an expansion table's rows, with
-one `%` format when every row is an exact `dict` with the first row's exact
-`str` keys in its order, and each column holds one exact type: finite
+`dumps` writes a value by `_WRITE`, one writer for each of None, bool, int,
+float, str, Fraction, list, tuple and dict: a subclass writes as the first
+type in its MRO that the table names, and any other type is refused.  The
+list writer writes a list of flat dicts, such as an expansion table's rows,
+with one `%` format when every row is an exact `dict` with the first row's
+exact `str` keys in its order, and each column holds one exact type: finite
 `float`, `int`, `Fraction`, `str`, or equal-length `list`s of exact `int`s.
-The bytes are the recursive writer's: `"%.17g" % x` and `format(x, ".17g")`
+The bytes are the per-value writers': `"%.17g" % x` and `format(x, ".17g")`
 both call `PyOS_double_to_string(x, "g", 17, 0)`, `%d` of an exact int is its
 `repr`, `%s` of an exact Fraction its `str`, and keys and strings share one
-encoder.  Any other list goes to the recursive writer, errors included.
+encoder.  Any other list is written value by value, errors included.
 
 Exit codes: 0 success, 1 verification/comparison failure, 2 input error.
 """
@@ -48,42 +53,17 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 def dumps(obj) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
-    out: list[str] = []
-    _emit(obj, out)
-    return "".join(out)
+    return _emit(obj)
 
 
-def _emit(obj, out: list[str]) -> None:
-    # Exact types first: the isinstance chain below pays an ABC check for
-    # Fraction on every number.
-    t = type(obj)
-    leaf = _LEAF.get(t)
-    if leaf is not None:
-        out.append(leaf(obj))
-    elif t is list:
-        _emit_items(obj, out)
-    elif t is dict:
-        _emit_dict(obj, out)
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, Fraction):
-        out.append(_encode_str(str(obj)))
-    elif isinstance(obj, int):
-        out.append(repr(obj))
-    elif isinstance(obj, float):
-        out.append(_float_text(obj))
-    elif isinstance(obj, str):
-        out.append(_encode_str(obj))
-    elif isinstance(obj, (list, tuple)):
-        _emit_items(obj, out)
-    elif isinstance(obj, dict):
-        _emit_dict(obj, out)
-    else:
-        raise DomainError(f"cannot serialize {type(obj).__name__}")
+def _emit(obj) -> str:
+    # The writer of the first type in obj's MRO that _WRITE names, so a
+    # subclass writes as its base.
+    for t in type(obj).__mro__:
+        write = _WRITE.get(t)
+        if write is not None:
+            return write(obj)
+    raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 
 def _float_text(obj) -> str:
@@ -91,9 +71,6 @@ def _float_text(obj) -> str:
         raise DomainError(f"cannot serialize non-finite number {obj!r}")
     return "%.17g" % obj
 
-
-# Exact leaf types and their writers; _emit tries these first.
-_LEAF = {float: _float_text, int: int.__repr__, str: _encode_str}
 
 # Table-path cells by a column's one exact type (int lists: one %d per entry).
 _CELL = {float: "%.17g", int: "%d", Fraction: '"%s"', str: "%s"}
@@ -124,28 +101,27 @@ def _table_text(rows) -> str | None:
     return ("[" + ",".join([row] * len(rows)) + "]") % tuple(chain.from_iterable(zip(*columns)))
 
 
-def _emit_items(obj, out: list[str]) -> None:
+def _items_text(obj) -> str:
     text = obj and type(obj[0]) is dict and _table_text(obj)
-    if text:
-        out.append(text)
-        return
-    sep = "["
-    for v in obj:
-        out.append(sep)
-        sep = ","
-        _emit(v, out)
-    out.append("]" if obj else "[]")
+    return text or "[" + ",".join(map(_emit, obj)) + "]"
 
 
-def _emit_dict(obj, out: list[str]) -> None:
-    sep = "{"
-    for k, v in obj.items():
-        out.append(sep)
-        sep = ","
-        out.append(_encode_str(str(k)))
-        out.append(":")
-        _emit(v, out)
-    out.append("}" if obj else "{}")
+def _dict_text(obj) -> str:
+    return "{" + ",".join([_encode_str(str(k)) + ":" + _emit(v) for k, v in obj.items()]) + "}"
+
+
+# Each writable type and its writer; _emit reads it.
+_WRITE = {
+    type(None): lambda v: "null",
+    bool: lambda v: "true" if v else "false",
+    int: repr,
+    float: _float_text,
+    str: _encode_str,
+    Fraction: lambda v: _encode_str(str(v)),
+    list: _items_text,
+    tuple: _items_text,
+    dict: _dict_text,
+}
 
 
 def _scalar_out(v, rational: bool):
@@ -227,7 +203,7 @@ def load_problem_spec(path: str) -> ProblemSpec:
     return ProblemSpec(k=k, lam=lam, sigma=sigma, upsilon=upsilon, rational=rational)
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> tuple[str, int]:
     spec = load_problem_spec(args.spec)
     variant = CoeffVariant(args.variant)
     terms = coeffs.expand_general(
@@ -240,18 +216,16 @@ def _cmd_expand(args) -> int:
         for t in terms:
             coeff = str(t.coeff) if spec.rational else _float_text(_scalar_out(t.coeff, False))
             lines.append(",".join([str(p) for p in t.q.parts] + [coeff]))
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        obj = {
-            "k": spec.k.to_list(),
-            "variant": variant.value,
-            "terms": [
-                {"q": t.q.to_list(), "coeff": _scalar_out(t.coeff, spec.rational)}
-                for t in terms
-            ],
-        }
-        sys.stdout.write(dumps(obj) + "\n")
-    return 0
+        return "\n".join(lines), 0
+    obj = {
+        "k": spec.k.to_list(),
+        "variant": variant.value,
+        "terms": [
+            {"q": t.q.to_list(), "coeff": _scalar_out(t.coeff, spec.rational)}
+            for t in terms
+        ],
+    }
+    return dumps(obj), 0
 
 
 def _parse_terms(raw, rational: bool) -> list[ExpansionTerm]:
@@ -302,12 +276,8 @@ def _parse_float(token: str) -> float:
 
 
 def _parse_point(token: str, rational: bool) -> list:
-    vals = [v.strip() for v in token.split(",") if v.strip()]
-    if not vals:
-        raise DomainError("empty evaluation point")
-    if rational:
-        return [polyoracle.as_rational(v) for v in vals]
-    return [_parse_float(v) for v in vals]
+    read = polyoracle.as_rational if rational else _parse_float
+    return [read(v) for v in token.split(",")]
 
 
 def _parse_family(token: str) -> HermiteFamily:
@@ -318,7 +288,7 @@ def _parse_family(token: str) -> HermiteFamily:
     return FAMILIES_BY_NAME[token]
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[str, int]:
     if args.expansion:
         if not args.spec:
             raise DomainError("--expansion also requires --spec for the covariance")
@@ -336,8 +306,7 @@ def _cmd_eval(args) -> int:
             "x": x,
             "value": _scalar_out(value, spec.rational),
         }
-        sys.stdout.write(dumps(obj) + "\n")
-        return 0
+        return dumps(obj), 0
     if not args.k:
         raise DomainError("--k is required unless --expansion is given")
     parts = args.k.split(",")
@@ -358,8 +327,7 @@ def _cmd_eval(args) -> int:
             k, DenseVector.from_entries(x), _parse_family(args.family)
         )
     obj = {"family": args.family, "k": k.to_list(), "x": x, "value": _scalar_out(value, rational)}
-    sys.stdout.write(dumps(obj) + "\n")
-    return 0
+    return dumps(obj), 0
 
 
 def _run_suite(name: str, args) -> verify.VerifyReport:
@@ -371,7 +339,7 @@ def _run_suite(name: str, args) -> verify.VerifyReport:
     return run(cfg, CoeffVariant(args.variant))
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     reports = {name: _run_suite(name, args) for name in names}
     if args.suite == "all":
@@ -381,11 +349,10 @@ def _cmd_verify(args) -> int:
         }
     else:
         obj = {"suite": args.suite, "report": reports[args.suite].to_json_obj()}
-    sys.stdout.write(dumps(obj) + "\n")
-    return 1 if any(r.failures for r in reports.values()) else 0
+    return dumps(obj), 1 if any(r.failures for r in reports.values()) else 0
 
 
-def _cmd_oracle_compare(args) -> int:
+def _cmd_oracle_compare(args) -> tuple[str, int]:
     spec = load_problem_spec(args.spec)
     result = polyoracle.oracle_compare(
         spec.k, spec.lam, spec.sigma, spec.upsilon, CoeffVariant(args.variant)
@@ -398,8 +365,7 @@ def _cmd_oracle_compare(args) -> int:
         "rhs": result.rhs.to_json_obj(),
         "diff": result.diff.to_json_obj(),
     }
-    sys.stdout.write(dumps(obj) + "\n")
-    return 0 if result.equal else 1
+    return dumps(obj), 0 if result.equal else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -480,7 +446,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        text, code = args.func(args)
+        sys.stdout.write(text + "\n")
+        return code
     except (HermultError, OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -46,8 +46,8 @@ runs over that prefix:
 While degree d is built, only the lists of degree d - 1 and d - 2 are kept.
 Each entry is this one expression, in this operand order, over entries of
 lower degree, so a float table is reproducible bit for bit and an entry no
-pull reaches stays the int 0; coeff_from_map finds q's position in
-_q_level only when it reads the table.
+pull reaches stays the int 0.  coeff_from_map finds q's position in
+_q_level.
 
 The field alone picks the rows, and one body serves both fields in the
 build (transformed_map_from_inverses) and both readers (_read_coeffs).
@@ -311,9 +311,9 @@ def _coeff_table(k: tuple, a_rows, m_rows) -> list:
 
 def _read_coeffs(k: MultiIndex, tmap: TransformedMap, variant, levels) -> tuple:
     """(terms, c): T[k, q] is read for each (pos, q) of each (d, qs) of
-    levels, every q of qs having degree d and position pos (None: found in
-    _q_level if the table is read); terms holds the ExpansionTerm of each
-    nonzero one, in that order, and c is the last one read, zero or not.
+    levels, every q of qs having degree d and position pos in the flat
+    layout; terms holds the ExpansionTerm of each nonzero one, in that
+    order, and c is the last one read, zero or not.
     T[k, .] is the literal product at the ascending slot tuple under
     paper-literal, and under symmetrized when k has at most one nonzero
     part (its slot-tuple sum has a single tuple); else it is read from k's
@@ -332,8 +332,6 @@ def _read_coeffs(k: MultiIndex, tmap: TransformedMap, variant, levels) -> tuple:
             if table is None:
                 c = _literal_coeff(k, q, pairs, rows, den)
             else:
-                if pos is None:
-                    pos = next(at for at, other in _q_level(q.arity, d) if other == q)
                 c = table[pos]
                 if c and scales is not None:
                     c = Fraction(c, den)
@@ -354,7 +352,8 @@ def coeff_from_map(
     q = MultiIndex.of(q)
     _check_shape(k, q.arity, tmap)
     _parity_split(k, q)
-    return _read_coeffs(k, tmap, variant, ((q.degree(), ((None, q),)),))[1]
+    pos = next(at for at, other in _q_level(q.arity, q.degree()) if other == q)
+    return _read_coeffs(k, tmap, variant, ((q.degree(), ((pos, q),)),))[1]
 
 
 def coeff_general(

@@ -63,10 +63,11 @@ a term-by-term rational build.  Matrices are cleared to (C, d) by
 `DenseMatrix.cleared_rows`, which keeps the pair, so Sigma^-1 and Lambda
 are cleared once for both the oracle and the (A, M) that `coeffs`
 builds, and Upsilon once for its inverse and the map.
-`oracle_compare` tests each input for exactness once and hands Sigma and
+`oracle_compare` tests each input for exactness and hands Sigma and
 Upsilon to `exact_covariance`, which checks symmetry and inverts on the
-rows without testing exactness again; `SymbolicHermiteFamily` tests its
-matrix once and checks its symmetry on the rows.
+rows without testing exactness again.  The (A, M) builder then checks the
+Sigma^-1 and Upsilon it reads, and `SymbolicHermiteFamily` tests its
+matrix and checks its symmetry on the rows.
 
 Inside the oracle a monomial x^a is one int, its code: the parts of a as
 digits in radix R = coeffs.MAX_EXPANSION_DEGREE + 1, most significant

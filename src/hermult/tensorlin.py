@@ -31,8 +31,10 @@ must be positive definite and not singular to working precision
 (`spd_factorize`); a float is a dyadic rational, so its inverse is the
 exact one rounded once per entry.  An exact one need only be symmetric
 and invertible.  `exact_covariance` applies that rule to a matrix its
-caller has already tested exact, so each input is tested once;
-`invert_matrix` tests its input and runs the same elimination.
+caller has already tested exact, without testing it again; `invert_matrix`
+tests its input and runs the same elimination.  A covariance is checked
+when it is made, and the (A, M) builder of `coeffs` checks the two
+matrices it reads, Sigma^-1 and Upsilon, again.
 
 Flat tensor addressing: a 0-based slot tuple (j_1, ..., j_K) in [0, n)^K
 maps to flat index sum_p j_p * n^(K-1-p), which is exactly the layout

@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -859,6 +860,26 @@ def test_eval_reads_decimal_floats_and_ascii_naturals(capsys):
     assert (out["k"], out["x"], out["value"]) == ([0, 1, 0, 0], [1.5, 0.5, 5.0, 10.0], 1.0)
 
 
+# Each field of --at is a number, read as a float or, under a rational spec,
+# as a rational; an empty field exits 2 with one error line.
+EMPTY_FIELD_POINTS = [("1,,2", "1,1"), ("1,", "2"), (",1", "2"), ("", "2"), (" , ", "1,1")]
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+@pytest.mark.parametrize("at, k", EMPTY_FIELD_POINTS)
+def test_eval_refuses_an_empty_point_field(tmp_path, capsys, rational, at, k):
+    argv = ["eval", "--k", k, f"--at={at}"]
+    if rational:
+        n = len(k.split(","))
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            {"k": [0] * n, "Lambda": eye, "Sigma": eye, "Upsilon": eye, "rational": True}
+        ))
+        argv += ["--family", "general", "--spec", str(path)]
+    assert_one_line_input_error(capsys, main(argv))
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
 def test_help_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -1090,6 +1111,18 @@ class Count(int):
         return "7"
 
 
+class Ratio(Fraction):
+    def __str__(self):
+        return "ratio"
+
+
+class Rows(list):
+    pass
+
+
+Pair = namedtuple("Pair", "first second")
+
+
 # Lists of dicts that the table path writes (True) or leaves to the general
 # writer (False); each must read as reference_dumps writes it.
 TABLE_CASES = [
@@ -1100,6 +1133,8 @@ TABLE_CASES = [
     (True, [{}, {}]),
     (True, [{"q": []}, {"q": []}]),
     (True, ({"a": 1}, {"a": 2})),
+    (True, Rows([{"q": [1], "coeff": 0.5}, {"q": [0], "coeff": -1.5}])),
+    (True, Pair({"a": "x"}, {"a": "y"})),
     (False, [{"a": 1, "b": 2}, {"b": 2, "a": 1}]),
     (False, [{}, {"a": 1}]),
     (False, [{1: 2}, {1: 3}]),
@@ -1117,6 +1152,11 @@ TABLE_CASES = [
     (False, [{"q": (1, 2)}, {"q": (3, 4)}]),
     (False, [{"a": {"b": 1}}, {"a": {"b": 2}}]),
     (False, [{"a": 1}, [1]]),
+    (False, [OrderedDict(a=1, b=[2]), OrderedDict(a=3, b=[4])]),
+    (False, [{"a": Rows([1, 2])}, {"a": Rows([3, 4])}]),
+    (False, [{"a": Pair(1, 2.5)}, {"a": Pair("x", None)}]),
+    (False, [{"a": Ratio(1, 3)}, {"a": Ratio(-2)}]),
+    (False, [{"a": Fraction(1, 3)}, {"a": Ratio(1, 3)}]),
 ]
 
 
