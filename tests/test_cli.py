@@ -1133,8 +1133,6 @@ TABLE_CASES = [
     (True, [{}, {}]),
     (True, [{"q": []}, {"q": []}]),
     (True, ({"a": 1}, {"a": 2})),
-    (True, Rows([{"q": [1], "coeff": 0.5}, {"q": [0], "coeff": -1.5}])),
-    (True, Pair({"a": "x"}, {"a": "y"})),
     (False, [{"a": 1, "b": 2}, {"b": 2, "a": 1}]),
     (False, [{}, {"a": 1}]),
     (False, [{1: 2}, {1: 3}]),
@@ -1152,6 +1150,8 @@ TABLE_CASES = [
     (False, [{"q": (1, 2)}, {"q": (3, 4)}]),
     (False, [{"a": {"b": 1}}, {"a": {"b": 2}}]),
     (False, [{"a": 1}, [1]]),
+    (True, Rows([{"q": [1], "coeff": 0.5}, {"q": [0], "coeff": -1.5}])),
+    (True, Pair({"a": "x"}, {"a": "y"})),
     (False, [OrderedDict(a=1, b=[2]), OrderedDict(a=3, b=[4])]),
     (False, [{"a": Rows([1, 2])}, {"a": Rows([3, 4])}]),
     (False, [{"a": Pair(1, 2.5)}, {"a": Pair("x", None)}]),
