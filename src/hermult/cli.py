@@ -6,13 +6,16 @@ UTF-8 with newline-terminated records, and floats are emitted with 17
 significant digits, so every number but -0.0 parses back to the exact
 double; -0.0 prints as `-0`, which `json.loads` reads as the int 0.  Each
 command returns its text and exit code, and `main` writes that text, so
-stdout has one write site.
+stdout has one write site.  The argument parser is built once per process
+(`build_parser`); `main` finds each subcommand's handler by name in this
+module when it dispatches.
 
 `dumps` writes a value by `_WRITE`, one writer for each of None, bool, int,
 float, str, Fraction, list, tuple and dict: a subclass writes as the first
-type in its MRO that the table names, and any other type is refused.  The
-list writer writes a list of flat dicts, such as an expansion table's rows,
-with one `%` format when every row is an exact `dict` with the first row's
+type in its MRO that the table names, found on the type's first lookup and
+kept, and any other type is refused.  The list writer writes a list of
+flat dicts, such as an expansion table's rows, with one `%` format when
+every row is an exact `dict` with the first row's
 exact `str` keys in its order, and each column holds one exact type: finite
 `float`, `int`, `Fraction`, `str`, or equal-length `list`s of exact `int`s.
 The bytes are the per-value writers': `"%.17g" % x` and `format(x, ".17g")`
@@ -26,6 +29,7 @@ Exit codes: 0 success, 1 verification/comparison failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -57,13 +61,7 @@ def dumps(obj) -> str:
 
 
 def _emit(obj) -> str:
-    # The writer of the first type in obj's MRO that _WRITE names, so a
-    # subclass writes as its base.
-    for t in type(obj).__mro__:
-        write = _WRITE.get(t)
-        if write is not None:
-            return write(obj)
-    raise DomainError(f"cannot serialize {type(obj).__name__}")
+    return _WRITE[type(obj)](obj)
 
 
 def _float_text(obj) -> str:
@@ -110,8 +108,21 @@ def _dict_text(obj) -> str:
     return "{" + ",".join([_encode_str(str(k)) + ":" + _emit(v) for k, v in obj.items()]) + "}"
 
 
+class _Writers(dict):
+    """Writer by exact type.  A type not yet looked up takes the writer of
+    the first type in its MRO that the table names, so a subclass writes as
+    its base, and keeps it; a type with none is refused."""
+
+    def __missing__(self, cls):
+        for base in cls.__mro__:
+            if base in self:
+                write = self[cls] = self[base]
+                return write
+        raise DomainError(f"cannot serialize {cls.__name__}")
+
+
 # Each writable type and its writer; _emit reads it.
-_WRITE = {
+_WRITE = _Writers({
     type(None): lambda v: "null",
     bool: lambda v: "true" if v else "false",
     int: repr,
@@ -121,7 +132,7 @@ _WRITE = {
     list: _items_text,
     tuple: _items_text,
     dict: _dict_text,
-}
+})
 
 
 def _scalar_out(v, rational: bool):
@@ -385,7 +396,11 @@ def _add_spec_and_variant(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", **_VARIANT)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Each subcommand
+    keeps its handler's name, which `main` looks up in this module when it
+    dispatches, so a rebinding of the handler is seen."""
     parser = _Parser(
         prog="hermult",
         description=(
@@ -398,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser("expand", help="expansion table for one spec file")
     _add_spec_and_variant(p_expand)
     p_expand.add_argument("--format", choices=["json", "csv"], default="json")
-    p_expand.set_defaults(func=_cmd_expand)
+    p_expand.set_defaults(func=_cmd_expand.__name__)
 
     p_eval = sub.add_parser("eval", help="evaluate a polynomial or an expansion")
     p_eval.add_argument(
@@ -413,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--expansion",
         help="JSON output of `expand`; evaluates its right-hand side at --at",
     )
-    p_eval.set_defaults(func=_cmd_eval)
+    p_eval.set_defaults(func=_cmd_eval.__name__)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument(
@@ -425,14 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("--variant", **_VARIANT)
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify.__name__)
 
     p_oracle = sub.add_parser(
         "oracle-compare",
         help="exact symbolic comparison of both sides of one expansion",
     )
     _add_spec_and_variant(p_oracle)
-    p_oracle.set_defaults(func=_cmd_oracle_compare)
+    p_oracle.set_defaults(func=_cmd_oracle_compare.__name__)
     return parser
 
 
@@ -443,10 +458,9 @@ def main(argv=None) -> int:
     i = argv.index("--at") if "--at" in argv[:-1] else -1
     if i >= 0 and not argv[i + 1].startswith("--"):
         argv[i : i + 2] = [f"--at={argv[i + 1]}"]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        text, code = args.func(args)
+        args = build_parser().parse_args(argv)
+        text, code = globals()[args.func](args)
         sys.stdout.write(text + "\n")
         return code
     except (HermultError, OSError, ValueError, KeyError, TypeError) as exc:

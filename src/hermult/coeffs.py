@@ -331,12 +331,15 @@ def _read_coeffs(k: MultiIndex, tmap: TransformedMap, variant, levels) -> tuple:
         for pos, q in qs:
             if table is None:
                 c = _literal_coeff(k, q, pairs, rows, den)
+                if not c:
+                    continue
             else:
                 c = table[pos]
-                if c and scales is not None:
+                if not c:
+                    continue
+                if scales is not None:
                     c = Fraction(c, den)
-            if c != 0:
-                terms.append(ExpansionTerm(q, c))
+            terms.append(ExpansionTerm(q, c))
     return terms, c
 
 

@@ -56,11 +56,13 @@ The arithmetic is exact integer arithmetic, so each side is the same
 polynomial as the sum taken term by term.
 
 Both sides are brought to the common denominator lcm((d e)^|k|, D), and
-the identity holds exactly when the integer difference is zero.
-`Fraction` coefficients are made only for the returned `lhs`, `rhs` and
-`diff`; each is reduced over its polynomial's denominator, so they equal
-a term-by-term rational build.  Matrices are cleared to (C, d) by
-`DenseMatrix.cleared_rows`, which keeps the pair, so Sigma^-1 and Lambda
+the identity holds exactly when the integer difference is zero, so
+`equal` is decided on the integer codes alone.  `Fraction` coefficients
+are made only when the returned comparison's `lhs`, `rhs` or `diff` is
+first read: each is then built from its int terms and denominator, and
+kept.  Each coefficient is reduced over its polynomial's denominator, so
+they equal a term-by-term rational build.  Matrices are cleared to (C, d)
+by `DenseMatrix.cleared_rows`, which keeps the pair, so Sigma^-1 and Lambda
 are cleared once for both the oracle and the (A, M) that `coeffs`
 builds, and Upsilon once for its inverse and the map.
 `oracle_compare` tests each input for exactness and hands Sigma and
@@ -88,7 +90,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -187,8 +189,15 @@ def _code_degree(code: int) -> int:
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ma, ca in a.items():
+    """a * b for coefficient dicts.  The products of one term of a have
+    distinct monomials and nonzero coefficients, so the first term's fill
+    the result directly and only the later terms' are merged in."""
+    if not a:
+        return {}
+    terms = iter(a.items())
+    ma, ca = next(terms)
+    out = {ma + mb: ca * cb for mb, cb in b.items()}
+    for ma, ca in terms:
         for mb, cb in b.items():
             mono = ma + mb
             s = out.get(mono, 0) + ca * cb
@@ -207,6 +216,15 @@ def _add_into(out: dict, terms: dict, scale=1) -> None:
             out[mono] = s
         else:
             out.pop(mono, None)
+
+
+def _add_constant(out: dict, c) -> None:
+    """out += c, in place: the constant monomial's code is 0."""
+    s = out.get(0, 0) + c
+    if s:
+        out[0] = s
+    else:
+        out.pop(0, None)
 
 
 def _derivative_terms(terms: dict, w: int) -> dict:
@@ -254,7 +272,7 @@ def _nested(weights: dict, forms: list[dict], den: int, radix: int = _RADIX) -> 
             if acc is None:
                 acc = {0: own}
             else:
-                _add_into(acc, {0: own})
+                _add_constant(acc, own)
         if not acc:
             continue
         w = raised[code]
@@ -269,7 +287,7 @@ def _nested(weights: dict, forms: list[dict], den: int, radix: int = _RADIX) -> 
     out = sums.pop(0, {})
     own = weights.get(0)
     if own:
-        _add_into(out, {0: own})
+        _add_constant(out, own)
     return out
 
 
@@ -435,14 +453,63 @@ class SymbolicHermiteFamily:
         return terms, self._den ** k.degree()
 
 
-@dataclass(frozen=True)
-class OracleComparison:
-    """Exact comparison of one expansion identity instance."""
+def _kept(slot: str) -> property:
+    """A read-only attribute whose slot holds an MPoly, or the (arity, int
+    terms, den) it is built from by `_over` on the first read and kept."""
 
-    equal: bool
-    lhs: MPoly
-    rhs: MPoly
-    diff: MPoly
+    def read(self) -> MPoly:
+        poly = getattr(self, slot)
+        if type(poly) is tuple:
+            poly = _over(*poly)
+            object.__setattr__(self, slot, poly)
+        return poly
+
+    return property(read)
+
+
+class OracleComparison:
+    """Exact comparison of one expansion identity instance: `equal`, and
+    the left side, the right side and their difference as MPolys.
+
+    `oracle_compare` decides `equal` on integer codes and passes each
+    polynomial as (arity, int terms, den); an MPoly is built from it the
+    first time `lhs`, `rhs` or `diff` is read, and then kept, so a caller
+    that reads only `equal` builds none.  The instance is frozen, and its
+    equality, hash and repr are those of a frozen dataclass of the four
+    fields (equal, lhs, rhs, diff)."""
+
+    __slots__ = ("equal", "_lhs", "_rhs", "_diff")
+
+    def __init__(self, equal: bool, lhs, rhs, diff):
+        for slot, value in (("equal", equal), ("_lhs", lhs), ("_rhs", rhs), ("_diff", diff)):
+            object.__setattr__(self, slot, value)
+
+    lhs = _kept("_lhs")
+    rhs = _kept("_rhs")
+    diff = _kept("_diff")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.equal, self.lhs, self.rhs, self.diff)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(equal={self.equal!r}, lhs={self.lhs!r}, "
+            f"rhs={self.rhs!r}, diff={self.diff!r})"
+        )
 
 
 def oracle_compare(
@@ -459,7 +526,8 @@ def oracle_compare(
     with the mapped argument substituted in; the right side rebuilds the
     expansion from the production coefficient code, with symbolic Hermite
     polynomials as the basis.  Both are built and compared with integer
-    coefficients over one denominator each (see the module docstring).
+    coefficients over one denominator each (see the module docstring);
+    the returned comparison makes its MPolys only when they are read.
     Inputs must be exact rationals; `tensorlin.exact_covariance` checks
     that the covariances are symmetric and invertible (positive definiteness is not
     needed for the algebra).  A |k| above the engine's cap raises
@@ -509,8 +577,5 @@ def oracle_compare(
     diff_terms = {mono: c * (den // lhs_den) for mono, c in lhs_terms.items()}
     _add_into(diff_terms, rhs_terms, -(den // rhs_den))
     return OracleComparison(
-        equal=not diff_terms,
-        lhs=_over(m, lhs_terms, lhs_den),
-        rhs=_over(m, rhs_terms, rhs_den),
-        diff=_over(m, diff_terms, den),
+        not diff_terms, (m, lhs_terms, lhs_den), (m, rhs_terms, rhs_den), (m, diff_terms, den)
     )

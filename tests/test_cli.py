@@ -1240,3 +1240,39 @@ def test_singular_float_covariance_exits_2(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: covariance is singular to working precision")
+
+
+def test_parser_is_built_once_and_dispatch_reads_the_module(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+
+    def handler(args):
+        seen.append(args.at)
+        return "handled", 0
+
+    monkeypatch.setattr(cli, "_cmd_eval", handler)
+    assert main(["eval", "--family", "he", "--k", "2", "--at", "0.5"]) == 0
+    assert capsys.readouterr().out == "handled\n"
+    assert seen == ["0.5"]
+    monkeypatch.undo()
+    # A usage error leaves the shared parser as it was.
+    assert main(["eval", "--family", "he", "--k", "2"]) == 2
+    assert main(["eval", "--family", "he", "--k", "2", "--at", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == -0.75
+
+
+def test_writer_is_resolved_once_per_type():
+    class Count(int):
+        def __repr__(self):
+            return "seven"
+
+    class Odd:
+        pass
+
+    assert Count not in cli._WRITE
+    assert dumps([Count(3), True]) == "[seven,true]"
+    assert cli._WRITE[Count] is cli._WRITE[int]
+    for _ in range(2):
+        with pytest.raises(DomainError, match="cannot serialize Odd"):
+            dumps({"v": Odd()})
+    assert Odd not in cli._WRITE

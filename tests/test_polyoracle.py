@@ -2,13 +2,14 @@ import math
 import operator
 import random
 import time
+from dataclasses import FrozenInstanceError, make_dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermult import coeffs
+from hermult import coeffs, polyoracle
 from hermult.coeffs import CoeffVariant
 from hermult.errors import (
     DimensionMismatchError,
@@ -26,6 +27,7 @@ from hermult.polyoracle import (
     MPoly,
     SymbolicHermiteFamily,
     _decode,
+    _mul_terms,
     _nested,
     as_rational,
     oracle_compare,
@@ -901,3 +903,107 @@ def test_mpoly_serialization_is_canonically_sorted():
         {"mono": [2, 0], "coeff": "2"},
         {"mono": [0, 2], "coeff": "1/3"},
     ]
+
+
+# The comparison as four eager fields: the frozen dataclass whose equality,
+# hash and repr OracleComparison keeps.
+_EagerComparison = make_dataclass(
+    "OracleComparison",
+    [("equal", bool), ("lhs", MPoly), ("rhs", MPoly), ("diff", MPoly)],
+    frozen=True,
+)
+
+
+def _lazy_cases():
+    rng = random.Random(4141)
+    cases = [
+        (_tuple_case(rng, n, m, degree, False), variant)
+        for n, m, degree in ((1, 2, 3), (2, 2, 4), (3, 2, 2), (2, 3, 5))
+        for variant in CoeffVariant
+    ]
+    # The paper-literal counterexample, whose diff is nonzero.
+    swap = rational_matrix([[0, 1], [1, 0]])
+    eye = rational_matrix([[1, 0], [0, 1]])
+    return cases + [(((1, 1), swap, eye, eye), CoeffVariant.PAPER_LITERAL)]
+
+
+def test_oracle_builds_its_polynomials_only_when_read(monkeypatch):
+    cases = _lazy_cases()
+
+    def refuse(*args):
+        raise AssertionError("an MPoly was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polyoracle, "_over", refuse)
+        results = [oracle_compare(*case, variant) for case, variant in cases]
+        assert [res.equal for res in results] == [
+            _tuple_oracle(*case, variant)[0] for case, variant in cases
+        ]
+    unequal = 0
+    for res, (case, variant) in zip(results, cases):
+        eager = _EagerComparison(*_tuple_oracle(*case, variant))
+        assert type(res.equal) is bool
+        for got, want in ((res.lhs, eager.lhs), (res.rhs, eager.rhs), (res.diff, eager.diff)):
+            assert isinstance(got, MPoly)
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert res.lhs is res.lhs and res.rhs is res.rhs and res.diff is res.diff
+        assert hash(res) == hash(eager)
+        assert repr(res) == repr(eager)
+        assert res == oracle_compare(*case, variant)
+        assert res != eager  # another class, as between two dataclasses
+        unequal += not res.equal
+    assert unequal > 0
+    literal = results[-1]
+    assert not literal.equal and literal.rhs.is_zero()
+    assert literal.diff == MPoly(2, {(1, 1): 1})
+
+
+def test_oracle_comparison_is_frozen():
+    eye = rational_matrix([[1]])
+    res = oracle_compare((2,), eye, eye, eye)
+    for name in ("equal", "lhs", "rhs", "diff", "_lhs"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(res, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(res, name)
+    assert res.equal is True and res.diff.is_zero()
+    # Built from MPolys, it reads them back as given.
+    poly = MPoly(1, {(2,): 1})
+    made = polyoracle.OracleComparison(True, poly, poly, MPoly(1))
+    assert made.lhs is poly and made == polyoracle.OracleComparison(True, poly, poly, MPoly(1))
+
+
+def _naive_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            out[ma + mb] = out.get(ma + mb, 0) + ca * cb
+    return {mono: c for mono, c in out.items() if c}
+
+
+def test_mul_terms_matches_a_double_loop():
+    # Int-coded dicts with every part at most 6, so a product's parts stay
+    # below the radix; coefficients in -3..3 make cancelling products common.
+    rng = random.Random(6161)
+    cancelled = 0
+    for _ in range(300):
+        arity = rng.randint(1, 3)
+        a, b = (
+            {
+                _code([rng.randint(0, 6) for _ in range(arity)]): rng.choice([-3, -2, -1, 1, 2, 3])
+                for _ in range(rng.randint(0, 5))
+            }
+            for _ in range(2)
+        )
+        got = _mul_terms(a, b)
+        assert got == _naive_mul(a, b)
+        assert all(got.values())
+        cancelled += len(got) < len({ma + mb for ma in a for mb in b})
+    assert cancelled > 0
+    # (x - y)(x + y) = x^2 - y^2: both xy terms cancel and none is stored.
+    x_, y_ = _code([1, 0]), _code([0, 1])
+    assert _mul_terms({x_: 1, y_: -1}, {x_: 1, y_: 1}) == {2 * x_: 1, 2 * y_: -1}
+    assert _mul_terms({}, {x_: 1}) == _mul_terms({x_: 1}, {}) == {}
+    # Fraction coefficients, as MPoly.mul passes them.
+    half = Fraction(1, 2)
+    assert _mul_terms({x_: half, 0: -half}, {x_: 2, 0: 2}) == {2 * x_: 1, 0: -1}
