@@ -10,11 +10,18 @@ hermite_uni_grid runs the univariate recurrence at each point of a list,
 checking the degree once, and is the one checked univariate path:
 hermite_uni reads the top degree of its one-point grid.
 
-hermite_multi_batch runs the raising recurrence top down with one memo
-keyed by index tuples, which it makes per call and shares across the
-call's indices; hermite_multi is the batch of one index.  gf_partial_sum
-needs every index up to its degree cap, so it runs the same recurrence
-bottom up over a table built once per (arity, cap) from
+hermite_multi_batch runs the raising recurrence top down with one memo,
+which it makes per call and shares across the call's indices;
+hermite_multi is the batch of one index.  The memo is keyed by each
+index's int code in radix MAX_DEGREE + 1, one digit per part, so reading
+a lowered index costs one subtraction and one dict lookup, and no tuple.
+No plan or memo outlives a call: a plan cached across calls runs faster
+still, but the benchmark harness keeps a record per completed op, so the
+extra eval-points ops would lift that workload's peak RSS past its bound
+(ROADMAP item 13).
+
+gf_partial_sum needs every index up to its degree cap, so it runs the
+same recurrence bottom up over a table built once per (arity, cap) from
 multiindex.raising_plan, as coeffs does: each entry holds the positions it
 reads, and the sweep evaluates _raise_value's expression in its operand
 order, with each c * B[i][j] formed once per call, so both give the same
@@ -35,6 +42,10 @@ from .tensorlin import DenseVector, SpdMatrix, is_exact_scalar
 
 # Degrees above this are outside the supported (non-asymptotic) regime.
 MAX_DEGREE = 60
+
+# The base of hermite_multi_batch's memo codes: one digit per part, each
+# part at most MAX_DEGREE once the total degree is checked.
+_RADIX = MAX_DEGREE + 1
 
 # Generating-function partial sums are capped at this total degree.
 MAX_GF_DEGREE = 12
@@ -123,23 +134,45 @@ def hermite_uni(family: HermiteFamily, k: int, x):
     return hermite_uni_grid(family, k, (x,))[0][k]
 
 
-def _raise_value(parts, bx, b_rows, memo):
-    """Memoized coordinate-raising recurrence by raising_plan's rule, every
-    j read: a top-down memo, so a call plans only what its batch needs."""
-    val = memo.get(parts)
-    if val is not None:
-        return val
+def _lowered(parts: tuple, i: int) -> tuple:
+    """parts with part i lowered by one."""
+    return parts[:i] + (parts[i] - 1,) + parts[i + 1 :]
+
+
+def _raise_value(parts, code, bx, b_rows, weights, memo):
+    """H_parts at the batch's point, for an index not yet in memo, by
+    raising_plan's rule with every j read: a top-down memo, so a call plans
+    only what its batch needs.
+
+    memo is keyed by code = sum(parts[i] * weights[i]), weights[i] =
+    _RADIX ** (n - 1 - i).  Every part is at most MAX_DEGREE, so no two
+    indices share a code, and lowering part i subtracts weights[i].  The
+    lowered and twice-lowered codes are looked up here, so a hit makes no
+    call and builds no tuple; a parts tuple is built only to recurse on a
+    miss.  The value is bx[i] * H(lowered), then minus c * B[i][j] *
+    H(twice) for ascending j with c = lowered[j] > 0: the expression and
+    operand order of gf_partial_sum's sweep."""
     i = len(parts) - 1
     while parts[i] == 0:
         i -= 1
-    lowered = parts[:i] + (parts[i] - 1,) + parts[i + 1 :]
-    acc = bx[i] * _raise_value(lowered, bx, b_rows, memo)
+    low = code - weights[i]
+    v = memo.get(low)
+    if v is None:
+        v = _raise_value(_lowered(parts, i), low, bx, b_rows, weights, memo)
+    acc = bx[i] * v
     row = b_rows[i]
-    for j, c in enumerate(lowered):
+    for j, c in enumerate(parts):
+        if j == i:
+            c -= 1
         if c:
-            twice = lowered[:j] + (lowered[j] - 1,) + lowered[j + 1 :]
-            acc = acc - c * row[j] * _raise_value(twice, bx, b_rows, memo)
-    memo[parts] = acc
+            twice = low - weights[j]
+            v = memo.get(twice)
+            if v is None:
+                v = _raise_value(
+                    _lowered(_lowered(parts, i), j), twice, bx, b_rows, weights, memo
+                )
+            acc = acc - c * row[j] * v
+    memo[code] = acc
     return acc
 
 
@@ -163,19 +196,26 @@ def hermite_multi_batch(
     """Values of several multivariate Hermite polynomials at one point,
     sharing the recurrence memo across indices."""
     bx, b_rows = _evaluation_state(x, sigma)
-    memo = {(0,) * x.dim: 1}
+    n = x.dim
+    weights = tuple(_RADIX ** (n - 1 - i) for i in range(n))
+    memo = {0: 1}
     out = []
     for k in ks:
-        k = MultiIndex.of(k)
-        if k.arity != x.dim:
+        parts = MultiIndex.of(k).parts
+        if len(parts) != n:
             raise DimensionMismatchError(
-                f"index arity {k.arity} does not match point dim {x.dim}"
+                f"index arity {len(parts)} does not match point dim {n}"
             )
-        if k.degree() > MAX_DEGREE:
-            raise SizeLimitError(
-                f"total degree {k.degree()} exceeds cap {MAX_DEGREE}"
-            )
-        out.append(_raise_value(k.parts, bx, b_rows, memo))
+        degree = sum(parts)
+        if degree > MAX_DEGREE:
+            raise SizeLimitError(f"total degree {degree} exceeds cap {MAX_DEGREE}")
+        code = 0
+        for p in parts:
+            code = code * _RADIX + p
+        v = memo.get(code)
+        if v is None:
+            v = _raise_value(parts, code, bx, b_rows, weights, memo)
+        out.append(v)
     return out
 
 

@@ -326,6 +326,130 @@ def test_multi_dimension_errors():
         hermite_multi_product((1,), DenseVector.from_entries([1.0, 2.0]), PROBABILISTS)
 
 
+def tuple_keyed_raise_value(parts, bx, b_rows, memo):
+    """hermite._raise_value as it was with its memo keyed by index tuples:
+    the reference for the bits and types of the coded memo."""
+    val = memo.get(parts)
+    if val is not None:
+        return val
+    i = len(parts) - 1
+    while parts[i] == 0:
+        i -= 1
+    lowered = parts[:i] + (parts[i] - 1,) + parts[i + 1 :]
+    acc = bx[i] * tuple_keyed_raise_value(lowered, bx, b_rows, memo)
+    row = b_rows[i]
+    for j, c in enumerate(lowered):
+        if c:
+            twice = lowered[:j] + (lowered[j] - 1,) + lowered[j + 1 :]
+            acc = acc - c * row[j] * tuple_keyed_raise_value(twice, bx, b_rows, memo)
+    memo[parts] = acc
+    return acc
+
+
+def tuple_keyed_batch(ks, x, sigma):
+    binv = sigma.inverse()
+    bx, b_rows = binv.matvec(x).entries, binv.data
+    memo = {(0,) * x.dim: 1}
+    return [tuple_keyed_raise_value(tuple(k), bx, b_rows, memo) for k in ks]
+
+
+def assert_same_bits(ks, x, sigma):
+    got = hermite_multi_batch(ks, x, sigma)
+    want = tuple_keyed_batch(ks, x, sigma)
+    assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in want], ks
+    return got
+
+
+def random_composition(rng, n, degree):
+    parts = [0] * n
+    for _ in range(degree):
+        parts[rng.randrange(n)] += 1
+    return tuple(parts)
+
+
+def test_coded_memo_matches_the_tuple_keyed_memo():
+    rng = random.Random(4201)
+    draws = {
+        "float": lambda: rng.uniform(-2.0, 2.0),
+        "int": lambda: rng.randint(-3, 3),
+        "fraction": lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+    }
+    # Coordinate j of a point takes the (j mod len)-th kind of its list.
+    point_kinds = [["float"], ["int"], ["fraction"], ["fraction", "int"], ["int", "float", "fraction"]]
+
+    for n in range(1, 5):
+        float_rows = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+        int_rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        for rows in (float_rows, int_rows):
+            sig = spd_factorize(gram_plus_identity(DenseMatrix.from_rows(rows)))
+            for kinds in point_kinds:
+                xs = [draws[kinds[j % len(kinds)]]() for j in range(n)]
+                if kinds == ["float"]:
+                    xs[rng.randrange(n)] = -0.0
+                ks = [(0,) * n]
+                ks += [random_composition(rng, n, rng.randint(1, 20)) for _ in range(12)]
+                ks.append(random_composition(rng, n, 20))
+                values = assert_same_bits(ks, DenseVector.from_entries(xs), sig)
+                # H_0 is the int 1 in either field.
+                assert type(values[0]) is int and values[0] == 1
+
+
+def test_coded_memo_reads_shuffled_and_repeated_indices():
+    rng = random.Random(4202)
+    sig = spd([[2.0, 0.3, -0.2], [0.3, 1.5, 0.1], [-0.2, 0.1, 1.2]])
+    x = DenseVector.from_entries([0.4, -0.9, 1.3])
+    ks = [k.parts for d in range(7) for k in enumerate_fixed_degree(3, d)]
+    ks = ks + rng.sample(ks, 20)
+    rng.shuffle(ks)
+    assert_same_bits(ks, x, sig)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_coded_memo_at_the_top_digit(exact):
+    # A part of MAX_DEGREE is the radix's top digit.
+    x1 = DenseVector.from_entries([Fraction(3, 2)] if exact else [0.8])
+    sig1 = spd([[2]] if exact else [[1.7]])
+    top1 = assert_same_bits([(MAX_DEGREE,)], x1, sig1)
+    x2 = DenseVector.from_entries([Fraction(1, 2), Fraction(-2, 3)] if exact else [0.4, -0.7])
+    sig2 = spd([[2, 1], [1, 3]] if exact else [[2.0, 0.4], [0.4, 1.3]])
+    top2 = assert_same_bits([(MAX_DEGREE, 0), (0, MAX_DEGREE)], x2, sig2)
+    assert {type(v) for v in top1 + top2} == {Fraction if exact else float}
+
+
+def test_coded_memo_refuses_a_part_past_the_top_digit():
+    # In radix MAX_DEGREE + 1, (0, MAX_DEGREE + 1) has the code of (1, 0):
+    # the degree check must refuse it before its code is formed, even with
+    # (1, 0) in the memo.
+    sig = spd([[2.0, 0.5], [0.5, 1.0]])
+    x = DenseVector.from_entries([0.7, -0.4])
+    for bad in [(0, MAX_DEGREE + 1), (MAX_DEGREE + 1, 0)]:
+        for ks in ([bad], [(1, 0), bad], [(1, 0), (0, 1), bad, (1, 0)]):
+            with pytest.raises(SizeLimitError) as err:
+                hermite_multi_batch(ks, x, sig)
+            assert str(err.value) == f"total degree {MAX_DEGREE + 1} exceeds cap {MAX_DEGREE}"
+        with pytest.raises(SizeLimitError):
+            hermite_multi(bad, x, sig)
+
+
+def test_batch_refuses_a_wrong_arity_at_that_index():
+    sig = spd([[2.0, 0.5], [0.5, 1.0]])
+    x = DenseVector.from_entries([0.7, -0.4])
+    read = []
+
+    def indices():
+        for k in [(1, 0), (2, 1), (1, 0, 0), (0, 1)]:
+            read.append(k)
+            yield k
+
+    with pytest.raises(DimensionMismatchError) as err:
+        hermite_multi_batch(indices(), x, sig)
+    assert str(err.value) == "index arity 3 does not match point dim 2"
+    assert read == [(1, 0), (2, 1), (1, 0, 0)]
+    # Arity is checked before degree.
+    with pytest.raises(DimensionMismatchError):
+        hermite_multi_batch([(1, 0), (0, 0, MAX_DEGREE + 1)], x, sig)
+
+
 def test_gf_partial_sum_base_cases():
     # With no k != 0 term left (cap 0, or every t entry +-0.0) the sum is
     # the k = 0 term alone: the double 1.0 for float inputs, the Fraction 1
