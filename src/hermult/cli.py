@@ -463,7 +463,8 @@ def main(argv=None) -> int:
         text, code = globals()[args.func](args)
         sys.stdout.write(text + "\n")
         return code
-    except (HermultError, OSError, ValueError, KeyError, TypeError) as exc:
+    # RecursionError: `json.load` of a file nested past the recursion limit.
+    except (HermultError, OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,10 +7,10 @@ polynomials, against the coefficient machinery of the main modules.  It
 never shares an evaluation path with the numeric recurrences it checks:
 the left side is built by differentiation, never by the coefficient
 recurrence in `coeffs`, and nothing is imported from `hermite`.  The only
-production code it calls is `coeffs.expand_from_map` (with
-`transformed_map_from_inverses`) for T[k,q] on the right side,
-`tensorlin.exact_covariance` for the checked exact inverses of Sigma and
-Upsilon, and the `tensorlin` row kernels.
+production code it calls is `tensorlin.covariance` for the checked exact
+inverses of Sigma and Upsilon, `coeffs.transformed_map` and
+`coeffs.expand_from_map` for T[k,q] on the right side, and the
+`tensorlin` row kernels.
 
 All building, substituting and comparing runs on integer coefficients.
 For an exponent matrix B = C/d, with d the lcm of the entry denominators
@@ -65,11 +65,12 @@ they equal a term-by-term rational build.  Matrices are cleared to (C, d)
 by `DenseMatrix.cleared_rows`, which keeps the pair, so Sigma^-1 and Lambda
 are cleared once for both the oracle and the (A, M) that `coeffs`
 builds, and Upsilon once for its inverse and the map.
-`oracle_compare` tests each input for exactness and hands Sigma and
-Upsilon to `exact_covariance`, which checks symmetry and inverts on the
-rows without testing exactness again.  The (A, M) builder then checks the
-Sigma^-1 and Upsilon it reads, and `SymbolicHermiteFamily` tests its
-matrix and checks its symmetry on the rows.
+`oracle_compare` tests each input for exactness, so that a float one is
+refused rather than read by the float rule, and hands Sigma and Upsilon to
+`covariance`, which checks symmetry and inverts on the rows.
+`coeffs.transformed_map` then checks the Sigma^-1 and Upsilon it reads,
+and `SymbolicHermiteFamily` tests its matrix and checks its symmetry on
+the rows.
 
 Inside the oracle a monomial x^a is one int, its code: the parts of a as
 digits in radix R = coeffs.MAX_EXPANSION_DEGREE + 1, most significant
@@ -82,16 +83,17 @@ nonzero digit, and every child's code is above its parent's.  Codes are
 decoded to exponent tuples only where `MPoly` values are made, so
 `MPoly.terms` and everything read from it keep tuple keys; `MPoly.mul`
 and `compose_linear` code their operands in a radix they pick from the
-operands' parts.  The codes are the oracle's own: it does not share the
-coder of `coeffs`.
+operands' parts, and decode their results in it by `_over`.  The codes
+are the oracle's own: it does not share the coder of `coeffs`.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from . import coeffs
@@ -104,7 +106,8 @@ from .multiindex import MultiIndex
 from .tensorlin import (
     DenseMatrix,
     check_symmetric_rows,
-    exact_covariance,
+    covariance,
+    is_exact_scalar,
     transpose_rows,
 )
 
@@ -121,10 +124,9 @@ _RATIONAL = re.compile(rf"\s*(?:[-+]?[0-9]+/[0-9]+|{DECIMAL})\s*")
 
 
 def as_rational(value) -> Fraction:
-    """Coerce int/Fraction/"p/q" strings to Fraction; floats are refused."""
-    if isinstance(value, bool):
-        raise DomainError(f"not a rational scalar: {value!r}")
-    if isinstance(value, (int, Fraction)):
+    """Coerce int/Fraction/"p/q" strings to Fraction; floats and bools are
+    refused."""
+    if is_exact_scalar(value):
         return Fraction(value)
     if isinstance(value, str):
         if sum(ch.isdigit() for ch in value) > MAX_RATIONAL_DIGITS:
@@ -291,11 +293,11 @@ def _nested(weights: dict, forms: list[dict], den: int, radix: int = _RADIX) -> 
     return out
 
 
-def _over(arity: int, terms: dict, den: int) -> "MPoly":
-    """The MPoly terms/den, for int oracle terms."""
+def _over(arity: int, terms: dict, den: int, radix: int = _RADIX) -> "MPoly":
+    """The MPoly terms/den, for terms coded in `radix`."""
     res = MPoly(arity)
     res.terms = {
-        _decode(code, arity, _RADIX): Fraction(c, den) for code, c in terms.items()
+        _decode(code, arity, radix): Fraction(c, den) for code, c in terms.items()
     }
     return res
 
@@ -354,9 +356,7 @@ class MPoly:
         self._check_arity(other)
         radix = self._max_part() + other._max_part() + 1
         prod = _mul_terms(_encode(self.terms, radix), _encode(other.terms, radix))
-        res = MPoly(self.arity)
-        res.terms = {_decode(code, self.arity, radix): c for code, c in prod.items()}
-        return res
+        return _over(self.arity, prod, 1, radix)
 
     def compose_linear(self, lin: DenseMatrix) -> "MPoly":
         """Substitute each variable y_j by the linear form given by row j
@@ -371,9 +371,7 @@ class MPoly:
             [[as_rational(v) for v in row] for row in lin.data], lin.cols, radix
         )
         out = _nested(_encode(self.terms, radix), forms, 0, radix)
-        res = MPoly(lin.cols)
-        res.terms = {_decode(code, lin.cols, radix): c for code, c in out.items()}
-        return res
+        return _over(lin.cols, out, 1, radix)
 
     def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
         """Terms in canonical monomial order."""
@@ -453,20 +451,12 @@ class SymbolicHermiteFamily:
         return terms, self._den ** k.degree()
 
 
-def _kept(slot: str) -> property:
-    """A read-only attribute whose slot holds an MPoly, or the (arity, int
-    terms, den) it is built from by `_over` on the first read and kept."""
-
-    def read(self) -> MPoly:
-        poly = getattr(self, slot)
-        if type(poly) is tuple:
-            poly = _over(*poly)
-            object.__setattr__(self, slot, poly)
-        return poly
-
-    return property(read)
+def _built(side) -> MPoly:
+    """An MPoly as given, or one built by `_over` from (arity, int terms, den)."""
+    return _over(*side) if type(side) is tuple else side
 
 
+@dataclass(frozen=True, init=False)
 class OracleComparison:
     """Exact comparison of one expansion identity instance: `equal`, and
     the left side, the right side and their difference as MPolys.
@@ -478,21 +468,15 @@ class OracleComparison:
     equality, hash and repr are those of a frozen dataclass of the four
     fields (equal, lhs, rhs, diff)."""
 
-    __slots__ = ("equal", "_lhs", "_rhs", "_diff")
+    equal: bool
 
     def __init__(self, equal: bool, lhs, rhs, diff):
-        for slot, value in (("equal", equal), ("_lhs", lhs), ("_rhs", rhs), ("_diff", diff)):
-            object.__setattr__(self, slot, value)
+        for name, value in (("equal", equal), ("_lhs", lhs), ("_rhs", rhs), ("_diff", diff)):
+            object.__setattr__(self, name, value)
 
-    lhs = _kept("_lhs")
-    rhs = _kept("_rhs")
-    diff = _kept("_diff")
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    lhs = cached_property(lambda self: _built(self._lhs))
+    rhs = cached_property(lambda self: _built(self._rhs))
+    diff = cached_property(lambda self: _built(self._diff))
 
     def _fields(self) -> tuple:
         return (self.equal, self.lhs, self.rhs, self.diff)
@@ -528,9 +512,10 @@ def oracle_compare(
     polynomials as the basis.  Both are built and compared with integer
     coefficients over one denominator each (see the module docstring);
     the returned comparison makes its MPolys only when they are read.
-    Inputs must be exact rationals; `tensorlin.exact_covariance` checks
-    that the covariances are symmetric and invertible (positive definiteness is not
-    needed for the algebra).  A |k| above the engine's cap raises
+    Inputs must be exact rationals; `tensorlin.covariance` checks that
+    the covariances are symmetric and invertible (positive definiteness is
+    not needed for the algebra), and `coeffs.transformed_map` builds the
+    map from them.  A |k| above the engine's cap raises
     SizeLimitError in the left side's `scaled_terms` call, before any
     polynomial is built.
     """
@@ -538,8 +523,7 @@ def oracle_compare(
     for mat in (lam, sigma, upsilon):
         if not mat.is_exact():
             raise DomainError("oracle comparison requires exact rational inputs")
-    sigma_inv = exact_covariance(sigma).inverse()
-    upsilon_inv = exact_covariance(upsilon).inverse()
+    sig, ups = covariance(sigma), covariance(upsilon)
     n, m = sigma.rows, upsilon.rows
     if lam.rows != m or lam.cols != n or k.arity != n:
         raise DimensionMismatchError(
@@ -548,7 +532,7 @@ def oracle_compare(
         )
 
     degree = k.degree()
-    p, p_den = SymbolicHermiteFamily(sigma_inv).scaled_terms(k)
+    p, p_den = SymbolicHermiteFamily(sig.inverse()).scaled_terms(k)
     lam_c, e = lam.cleared_rows()
     lam_t = transpose_rows(lam_c)
     lhs_terms = _nested(
@@ -558,8 +542,8 @@ def oracle_compare(
     )
     lhs_den = p_den * e**degree
 
-    tmap = coeffs.transformed_map_from_inverses(lam, sigma_inv, upsilon)
-    basis = SymbolicHermiteFamily(upsilon_inv)
+    tmap = coeffs.transformed_map(lam, sig, ups)
+    basis = SymbolicHermiteFamily(ups.inverse())
     weighted = []
     for term in coeffs.expand_from_map(k, tmap, variant):
         c = term.coeff

@@ -30,11 +30,10 @@ A covariance is an `SpdMatrix`: the checked matrix and its inverse.
 must be positive definite and not singular to working precision
 (`spd_factorize`); a float is a dyadic rational, so its inverse is the
 exact one rounded once per entry.  An exact one need only be symmetric
-and invertible.  `exact_covariance` applies that rule to a matrix its
-caller has already tested exact, without testing it again; `invert_matrix`
-tests its input and runs the same elimination.  A covariance is checked
-when it is made, and the (A, M) builder of `coeffs` checks the two
-matrices it reads, Sigma^-1 and Upsilon, again.
+and invertible, and is inverted by the elimination that `invert_matrix`
+runs.  The exact oracle reads its covariances through `covariance` too.
+A covariance is checked when it is made, and the (A, M) builder of
+`coeffs` checks the two matrices it reads, Sigma^-1 and Upsilon, again.
 
 Flat tensor addressing: a 0-based slot tuple (j_1, ..., j_K) in [0, n)^K
 maps to flat index sum_p j_p * n^(K-1-p), which is exactly the layout
@@ -431,11 +430,6 @@ def covariance(m: DenseMatrix) -> SpdMatrix:
     """
     if not m.is_exact():
         return spd_factorize(m)
-    return exact_covariance(m)
-
-
-def exact_covariance(m: DenseMatrix) -> SpdMatrix:
-    """`covariance` of a matrix that the caller has tested exact."""
     if m.rows != m.cols:
         raise DimensionMismatchError("symmetry check on a non-square matrix")
     check_symmetric_rows(m.data, True)

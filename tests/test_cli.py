@@ -1276,3 +1276,20 @@ def test_writer_is_resolved_once_per_type():
         with pytest.raises(DomainError, match="cannot serialize Odd"):
             dumps({"v": Odd()})
     assert Odd not in cli._WRITE
+
+
+# A file nested past the recursion limit makes `json.load` raise
+# RecursionError; each command that reads JSON reports it as an input error.
+@pytest.mark.parametrize("command", ["expand", "oracle-compare", "eval-spec", "eval-expansion"])
+def test_json_nested_past_the_recursion_limit_is_an_input_error(
+    tmp_path, capsys, generic_spec, command
+):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {
+        "expand": ["expand", "--spec", str(deep)],
+        "oracle-compare": ["oracle-compare", "--spec", str(deep)],
+        "eval-spec": ["eval", "--family", "general", "--k", "1,1", "--spec", str(deep), "--at", "0,0"],
+        "eval-expansion": ["eval", "--expansion", str(deep), "--spec", generic_spec, "--at", "0,0"],
+    }[command]
+    assert_one_line_input_error(capsys, main(argv))

@@ -87,6 +87,9 @@ def test_as_rational_refuses_floats():
     assert as_rational(4) == 4
     with pytest.raises(DomainError):
         as_rational(0.5)
+    for flag in (True, False):
+        with pytest.raises(DomainError, match=f"not an exact rational scalar: {flag}"):
+            as_rational(flag)
 
 
 def test_as_rational_bounds_strings():
@@ -971,6 +974,16 @@ def test_oracle_comparison_is_frozen():
     poly = MPoly(1, {(2,): 1})
     made = polyoracle.OracleComparison(True, poly, poly, MPoly(1))
     assert made.lhs is poly and made == polyoracle.OracleComparison(True, poly, poly, MPoly(1))
+    # Once read, the sides are kept, and still cannot be set or deleted.
+    sides = (res.lhs, res.rhs, res.diff)
+    for name, side in zip(("lhs", "rhs", "diff"), sides):
+        with pytest.raises(FrozenInstanceError):
+            setattr(res, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(res, name)
+        assert getattr(res, name) is side
+    keyword = polyoracle.OracleComparison(equal=True, lhs=poly, rhs=poly, diff=MPoly(1))
+    assert keyword == made and keyword.rhs is poly
 
 
 def _naive_mul(a, b):
